@@ -26,23 +26,10 @@ from .exponents import sigma_pair
 from .radial import (
     RadialGrid,
     RadialPerturbation,
-    _power_cell_weights,
+    extrapolate_geometric,
+    integrate_power_from_zero,
     solve_mode_bvp,
 )
-
-
-def _cumulative_power_2d(rho: np.ndarray, alpha: float, data: np.ndarray) -> np.ndarray:
-    """Columnwise cumulative int_0^{rho_j} s^alpha data(s, t_i) ds."""
-    from .errors import DivergentIntegralError
-
-    if alpha + 1.0 <= 0:
-        raise DivergentIntegralError(f"power s^{alpha} is not integrable at zero")
-    wl, wr = _power_cell_weights(rho, alpha)
-    out = np.empty_like(data)
-    out[0] = rho[0] ** (alpha + 1) / (alpha + 1) * data[0]
-    cells = wl[:, None] * data[:-1] + wr[:, None] * data[1:]
-    out[1:] = out[0] + np.cumsum(cells, axis=0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -166,71 +153,50 @@ def manufactured_nonradial(
     )
 
 
-def cauchy_functional(
-    field: SolutionField,
-    R: float,
-    sigma: float | None = None,
-    psi_1: np.ndarray | None = None,
-) -> float:
-    """Limit functional of u/(rho^sigma psi_1) evaluated from data at radius R.
+def cauchy_coefficient_mode(field: SolutionField, radii, k: int) -> list[float]:
+    """Mode-k limit coefficient of the field, evaluated from data at each radius.
 
-    Quadrature of
+    Quadrature of the bracket built from the k-th axisymmetric mode's
+    eigenfunction psi_k and exponent sigma = s_k^+, whose partner is
+    s_k^- = -(N-2) - sigma:
 
-      int_S [ R^{-sigma} u(R theta)
-              + int_0^R s^{1-sigma} F /(2 sigma + N - 2) ds
-              - R^{-2 sigma-N+2} int_0^R s^{N-1+sigma} F /(2 sigma + N - 2) ds
-            ] psi_1 dV,
+      int_S [ r^{-sigma} u(r theta)
+              + int_0^r s^{1-sigma} F /(2 sigma + N - 2) ds
+              - r^{-2 sigma-N+2} int_0^r s^{N-1+sigma} F /(2 sigma + N - 2) ds
+            ] psi_k dV,
 
-    independent of R for solution/source pairs of the perturbed problem.
+    independent of r for solution/source pairs of the perturbed problem.
+    Each cumulative integral is built once and read at every radius.
     """
-    grid = field.spectrum.grid
+    spectrum = field.spectrum
+    grid = spectrum.grid
     N = grid.dim
-    sig = field.sigma if sigma is None else sigma
-    psi1 = field.psi_1() if psi_1 is None else psi_1
+    mode = spectrum.axisymmetric_mode(k)
+    sig = sigma_pair(N, mode.mu).sigma_plus
     gap = 2.0 * sig + N - 2.0
     if gap <= 0:
         raise InputError("2 sigma + N - 2 must be positive")
     rho = field.radial.points
-    j = field.radial.nearest_index(R)
-    r = rho[j]
+    rows = [field.radial.nearest_index(r) for r in radii]
     data = field.source / rho[:, None] ** field.source_power
-    I1 = _cumulative_power_2d(rho, 1.0 - sig + field.source_power, data)[j]
-    I2 = _cumulative_power_2d(rho, N - 1.0 + sig + field.source_power, data)[j]
-    bracket = r ** (-sig) * field.u[j] + I1 / gap - r ** (-gap) * I2 / gap
-    return float(grid.integrate(bracket * psi1))
+    I1 = integrate_power_from_zero(rho, 1.0 - sig + field.source_power, data)[rows]
+    I2 = integrate_power_from_zero(rho, N - 1.0 + sig + field.source_power, data)[rows]
+    psi = mode.psi(grid)
+    values = []
+    for j, i1, i2 in zip(rows, I1, I2):
+        r = rho[j]
+        bracket = r ** (-sig) * field.u[j] + i1 / gap - r ** (-gap) * i2 / gap
+        values.append(float(grid.integrate(bracket * psi)))
+    return values
 
 
-def cauchy_coefficient_mode(
-    field: SolutionField,
-    h: RadialPerturbation,
-    r: float,
-    k: int,
-    spectrum: AngularSpectrum,
-) -> float:
-    """Mode-k limit coefficient for sign-changing fields with radial h.
+def cauchy_functional(field: SolutionField, radii) -> list[float]:
+    """Limit functional of u/(rho^sigma psi_1) evaluated from data at each radius.
 
-    Same bracket as the ground functional but built from the k-th
-    axisymmetric mode's exponents and eigenfunction:
-
-      int_S [ r^{-s_k^+} u + int_0^r s^{1-s_k^+} h u ds / (s_k^+ - s_k^-)
-              - r^{s_k^- - s_k^+} int_0^r s^{1-s_k^-} h u ds / (s_k^+ - s_k^-)
-            ] psi_k dV.
+    The ground case k = 1 of cauchy_coefficient_mode, with sigma the ground
+    exponent and psi_1 the ground eigenfunction.
     """
-    grid = spectrum.grid
-    mode = spectrum.axisymmetric_mode(k)
-    exps = sigma_pair(grid.dim, mode.mu)
-    rho = field.radial.points
-    j = field.radial.nearest_index(r)
-    rs = rho[j]
-    data = field.source / rho[:, None] ** field.source_power
-    Ip = _cumulative_power_2d(rho, 1.0 - exps.sigma_plus + field.source_power, data)[j]
-    Im = _cumulative_power_2d(rho, 1.0 - exps.sigma_minus + field.source_power, data)[j]
-    bracket = (
-        rs ** (-exps.sigma_plus) * field.u[j]
-        + Ip / exps.gap
-        - rs ** (exps.sigma_minus - exps.sigma_plus) * Im / exps.gap
-    )
-    return float(grid.integrate(bracket * mode.psi(grid)))
+    return cauchy_coefficient_mode(field, radii, 1)
 
 
 @dataclass(frozen=True)
@@ -264,11 +230,7 @@ def measured_limit(field: SolutionField) -> LimitTable:
         q = (rho[1] / rho[0]) ** field.defect_power
         estimate = cs[0] - (cs[1] - cs[0]) / (q - 1.0)
     else:
-        d1, d2 = cs[1] - cs[0], cs[2] - cs[1]
-        if abs(d2) > 1e-300 and 0 < d1 / d2 < 1:
-            estimate = cs[0] - d1 * (d1 / d2) / (1.0 - d1 / d2)
-        else:
-            estimate = cs[0]
+        estimate = extrapolate_geometric(*cs)
     return LimitTable(estimate=float(estimate), rows=tuple(rows))
 
 
@@ -291,31 +253,31 @@ def sandwich_check(
     field: SolutionField,
     c_bound: float,
     eps: float,
-    r: float,
+    fraction: float,
     spectrum: AngularSpectrum,
     n_modes: int = 16,
     tol: float = 1e-10,
 ) -> SandwichReport:
     """Trap a manufactured field between radial sub/supersolutions.
 
-    The boundary trace at radius r is expanded over the m = 0 tower; each
-    coefficient is propagated inward with perturbation -c_bound s^{eps-2}
-    (subsolution) and +c_bound s^{eps-2} (supersolution).  The field must
-    sit between the two reconstructions at every common sample, up to
-    1e-6 absolute plus five times the worst per-mode solver residual.
-    Requires r at most the admissible radius of the coercivity gate.
+    The comparison radius is `fraction` of the smaller of the admissible
+    radius of the coercivity gate and the field's outer radius, so the
+    fraction must lie in (0, 1].  The boundary trace at that radius is
+    expanded over the m = 0 tower; each coefficient is propagated inward
+    with perturbation -c_bound s^{eps-2} (subsolution) and +c_bound
+    s^{eps-2} (supersolution).  The field must sit between the two
+    reconstructions at every common sample, up to 1e-6 absolute plus five
+    times the worst per-mode solver residual.
     """
     if field.tag != "manufactured-nonradial":
         raise InputError("sandwich check expects a manufactured nonradial field")
+    if not 0.0 < fraction <= 1.0:
+        raise InputError(f"radius fraction {fraction} must lie in (0, 1]")
     grid = spectrum.grid
     N = grid.dim
     lam = hardy.lambda_n(N, spectrum.potential, grid, spectrum.sampling).lambda_n
     r_adm = hardy.admissible_radius(N, lam, c_bound, eps)
-    if r > r_adm:
-        raise InputError(
-            f"radius {r} exceeds the admissible radius {r_adm:.6g} of the "
-            "coercivity gate"
-        )
+    r = fraction * min(r_adm, field.radial.r_out)
     j = field.radial.nearest_index(r)
     r_snap = field.radial.points[j]
     sub_grid = field.radial.restricted(r_snap)

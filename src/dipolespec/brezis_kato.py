@@ -156,12 +156,21 @@ def iteration_constants(
     The limit constant is [base * diam^{sigma(2-2*)}]^{sum 1/q_n} exp(sum b_n)
     with the diameter exponent taken as printed (nonpositive for sigma >= 0).
     Divergent partial sums (b_n not decaying by n_max) raise, which is the
-    signature of inputs with s at or below N/2.
+    signature of inputs with s at or below N/2.  So does an n_max past the
+    float64 range of q_n: the error names the largest n with q_n finite,
+    about log(float_max / prefactor) / log(2*/2).
     """
     if n_max < 2:
         raise InputError(f"n_max must be >= 2, got {n_max}")
     n = np.arange(1, n_max + 1, dtype=float)
-    q = exponent_sequence(p, n, printed_variant)
+    with np.errstate(over="ignore"):
+        q = exponent_sequence(p, n, printed_variant)
+    if not np.isfinite(q[-1]):
+        cap = np.count_nonzero(np.isfinite(q))
+        raise InputError(
+            f"q_n overflows float64 for n > {cap}: the largest allowed n is "
+            f"{cap} for these inputs, got {n_max}"
+        )
     r = 1.0 / n**2
     b = _log_step_constant(p, n, q) / q
     if b[-1] >= b[n_max // 2 - 1] and b[-1] > 0:

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,48 +50,24 @@ def default_grid_size() -> int:
         raise InputError(f"{GRID_ENV} must be an integer, got {raw!r}") from exc
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed run parameters; rendering and reparsing round-trips."""
-
-    dim: int = 3
-    potential: str = "dipole:1.0"
-    grid_m: int = 10000
-    radial_points: int = 400
-    radial_rmin: float = 1e-8
-    output_format: str = "csv"
-    output_path: str | None = None
-
-    def render(self) -> str:
-        return (
-            f"dim={self.dim};potential={self.potential};grid={self.grid_m};"
-            f"radial={self.radial_points},{fmt(self.radial_rmin)};"
-            f"format={self.output_format};out={self.output_path or '-'}"
-        )
-
-    @classmethod
-    def parse(cls, text: str) -> "RunConfig":
-        fields = dict(part.split("=", 1) for part in text.split(";"))
-        rp, rmin = fields["radial"].split(",")
-        out = fields["out"]
-        return cls(
-            dim=int(fields["dim"]),
-            potential=fields["potential"],
-            grid_m=int(fields["grid"]),
-            radial_points=int(rp),
-            radial_rmin=float(rmin),
-            output_format=fields["format"],
-            output_path=None if out == "-" else out,
-        )
+def _finite(text: str, spec: str) -> float:
+    """One finite number of a spec; anything else is an input error."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise InputError(f"malformed number {text!r} in {spec!r}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"non-finite number {text!r} in {spec!r}")
+    return value
 
 
 def parse_potential(spec: str, grid: angular.PolarGrid) -> angular.AngularPotential:
     """'constant:K' | 'dipole:L' | 'table:PATH' (one sample per line)."""
     kind, _, arg = spec.partition(":")
     if kind == "constant":
-        return angular.AngularPotential.constant(float(arg))
+        return angular.AngularPotential.constant(_finite(arg, spec))
     if kind == "dipole":
-        return angular.AngularPotential.dipole(float(arg))
+        return angular.AngularPotential.dipole(_finite(arg, spec))
     if kind == "table":
         try:
             values = np.loadtxt(arg, ndmin=1)
@@ -107,26 +82,27 @@ def parse_perturbation(spec: str, N: int, sigma: float) -> radial.RadialPerturba
     kind, _, arg = spec.partition(":")
     if kind == "zero":
         return radial.RadialPerturbation.zero()
+    if kind not in ("power", "manufactured"):
+        raise InputError(f"unknown perturbation spec {spec!r}")
+    parts = [_finite(x, spec) for x in arg.split(",")]
+    if len(parts) > 2 or (kind == "power" and len(parts) < 2):
+        raise InputError(f"malformed perturbation spec {spec!r}")
     if kind == "power":
-        c, eps = (float(x) for x in arg.split(","))
-        return radial.RadialPerturbation.power(c, eps)
-    if kind == "manufactured":
-        parts = arg.split(",")
-        beta = float(parts[0])
-        sig = float(parts[1]) if len(parts) > 1 else sigma
-        return radial.RadialPerturbation.manufactured(beta, sig, N)
-    raise InputError(f"unknown perturbation spec {spec!r}")
+        return radial.RadialPerturbation.power(*parts)
+    sig = parts[1] if len(parts) > 1 else sigma
+    return radial.RadialPerturbation.manufactured(parts[0], sig, N)
 
 
 def parse_dims(spec: str):
     """Inclusive range syntax 'a..b' or a single dimension."""
-    if ".." in spec:
-        a, b = spec.split("..")
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise InputError(f"empty dimension range {spec!r}")
-        return list(range(lo, hi + 1))
-    return [int(spec)]
+    bounds = spec.split("..")
+    try:
+        lo, hi = int(bounds[0]), int(bounds[-1])
+    except ValueError as exc:
+        raise InputError(f"malformed dimension range {spec!r}") from exc
+    if len(bounds) > 2 or hi < lo:
+        raise InputError(f"malformed or empty dimension range {spec!r}")
+    return list(range(lo, hi + 1))
 
 
 def _emit(lines: list[str], path: str | None) -> None:
@@ -277,56 +253,52 @@ def cmd_radial(args) -> int:
 
 
 def _cauchy_scenario(args):
+    """(field, k): the scenario's solution field and the mode its functional reads."""
     grid = angular.PolarGrid.build(args.dim, args.grid)
     potential = parse_potential(args.potential, grid)
-    spec = angular.full_spectrum(args.dim, potential, args.modes, grid)
+    spec = angular.full_spectrum(args.dim, potential, args.modes, grid, args.sampling)
     rgrid = radial.RadialGrid.geometric(args.points, args.rmin, 1.0)
     sig = sigma_pair(args.dim, spec.mu_1).sigma_plus
     if args.scenario == "manufactured-radial":
         pert = radial.RadialPerturbation.manufactured(args.beta, sig, args.dim)
         prof = radial.solve_mode_picard(args.dim, spec.mu_1, pert, 1.0, rgrid)
-        field = asymptotics.synthesize_solution([(1, prof)], spec)
-        return spec, field, None, None
+        return asymptotics.synthesize_solution([(1, prof)], spec), 1
     if args.scenario == "manufactured-nonradial":
         g = args.gscale * spec.axisymmetric_mode(2).psi(grid)
-        field = asymptotics.manufactured_nonradial(args.dim, spec, args.eps, g, rgrid)
-        return spec, field, None, None
-    if args.scenario.startswith("mode:"):
-        k = int(args.scenario.split(":", 1)[1])
+        return asymptotics.manufactured_nonradial(args.dim, spec, args.eps, g, rgrid), 1
+    kind, _, arg = args.scenario.partition(":")
+    if kind == "mode":
+        try:
+            k = int(arg)
+        except ValueError as exc:
+            raise InputError(f"malformed scenario {args.scenario!r}") from exc
         mode = spec.axisymmetric_mode(k)
         sk = sigma_pair(args.dim, mode.mu).sigma_plus
         pert = radial.RadialPerturbation.manufactured(args.beta, sk, args.dim)
         prof = radial.solve_mode_picard(args.dim, mode.mu, pert, 1.0, rgrid,
                                         mode_index=k)
-        field = asymptotics.synthesize_solution([(k, prof)], spec)
-        return spec, field, k, pert
+        return asymptotics.synthesize_solution([(k, prof)], spec), k
     raise InputError(f"unknown scenario {args.scenario!r}")
 
 
 def cmd_cauchy(args) -> int:
-    radii = [float(x) for x in args.radii.split(",")]
-    if not radii:
-        raise InputError("need at least one radius")
-    spec, field, mode_k, pert = _cauchy_scenario(args)
-    values = []
-    for r in radii:
-        if mode_k is None:
-            values.append(asymptotics.cauchy_functional(field, r))
-        else:
-            values.append(asymptotics.cauchy_coefficient_mode(field, pert, r, mode_k, spec))
+    radii = [_finite(x, args.radii) for x in args.radii.split(",")]
+    ground = not args.scenario.startswith("mode:")
+    if args.limit_table and not ground:
+        raise InputError("the convergence table applies to ground-mode scenarios")
+    field, k = _cauchy_scenario(args)
+    values = asymptotics.cauchy_coefficient_mode(field, radii, k)
     ref = values[0]
     spread = max(abs(v - ref) for v in values)
     rel_spread = spread / abs(ref) if ref != 0 else spread
     results = {
-        "values": [float(v) for v in values],
+        "values": values,
         "spread": spread,
         "relative_spread": rel_spread,
         "limit_table": None,
     }
-    table_rows = None
-    if mode_k is None:
+    if ground:
         table = asymptotics.measured_limit(field)
-        table_rows = list(table.rows)
         results["limit_table"] = {
             "estimate": table.estimate,
             "rows": [{"rho": r, "estimate": c, "defect": d} for r, c, d in table.rows],
@@ -334,13 +306,11 @@ def cmd_cauchy(args) -> int:
     doc = {
         "command": "cauchy",
         "inputs": {"scenario": args.scenario, "radii": radii, "dim": args.dim,
-                   "potential": args.potential},
+                   "potential": args.potential, "sampling": args.sampling},
         "results": results,
     }
     if args.limit_table:
-        if table_rows is None:
-            raise InputError("the convergence table applies to ground-mode scenarios")
-        _emit_doc(doc, "rho,estimate,defect", table_rows, args)
+        _emit_doc(doc, "rho,estimate,defect", list(table.rows), args)
     else:
         _emit_doc(doc, "R,value", list(zip(radii, values)), args)
     return 0
@@ -349,18 +319,17 @@ def cmd_cauchy(args) -> int:
 def cmd_sandwich(args) -> int:
     grid = angular.PolarGrid.build(args.dim, args.grid)
     potential = parse_potential(args.potential, grid)
-    spec = angular.full_spectrum(args.dim, potential, args.modes, grid)
+    spec = angular.full_spectrum(args.dim, potential, args.modes, grid, args.sampling)
     rgrid = radial.RadialGrid.geometric(args.points, args.rmin, 1.0)
     g = args.gscale * spec.axisymmetric_mode(2).psi(grid)
     field = asymptotics.manufactured_nonradial(args.dim, spec, args.eps, g, rgrid)
-    lam = hardy.lambda_n(args.dim, potential, grid).lambda_n
-    r_adm = hardy.admissible_radius(args.dim, lam, field.q_bound, args.eps)
-    r = args.radius_fraction * min(r_adm, rgrid.r_out)
-    rep = asymptotics.sandwich_check(field, field.q_bound, args.eps, r, spec)
+    rep = asymptotics.sandwich_check(field, field.q_bound, args.eps,
+                                     args.radius_fraction, spec)
     doc = {
         "command": "sandwich",
         "inputs": {"dim": args.dim, "potential": args.potential, "eps": args.eps,
-                   "gscale": args.gscale, "radius_fraction": args.radius_fraction},
+                   "gscale": args.gscale, "radius_fraction": args.radius_fraction,
+                   "sampling": args.sampling},
         "results": {
             "ordered": rep.ordered,
             "max_lower_violation": rep.max_lower_violation,
@@ -507,12 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "sampling", "flux") is None:
-        table_mode = args.command == "hardy" and args.table is not None
-        args.sampling = "node" if table_mode else "flux"
     try:
+        # inside the try: the grid default is read from the environment here
+        args = build_parser().parse_args(argv)
+        if getattr(args, "sampling", "flux") is None:
+            table_mode = args.command == "hardy" and args.table is not None
+            args.sampling = "node" if table_mode else "flux"
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -162,7 +162,7 @@ def lambda_n(
         rich = best + (best - coarse.lambda_n) / 3.0  # second-order extrapolation
     lam_crit = None
     if potential.kind == "dipole" and best > 0:
-        lam_crit = potential.coupling / best
+        lam_crit = abs(potential.coupling) / best  # the threshold ignores the sign
     return HardyResult(
         lambda_n=best,
         critical_coupling=lam_crit,

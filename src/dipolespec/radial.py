@@ -28,7 +28,7 @@ this makes the manufactured oracle exact to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -187,20 +187,38 @@ def _power_cell_weights(rho: np.ndarray, alpha: float):
 
 
 def integrate_power_from_zero(rho: np.ndarray, alpha: float, data: np.ndarray) -> np.ndarray:
-    """Cumulative int_0^{rho_j} s^alpha data(s) ds, data piecewise linear.
+    """Cumulative int_0^{rho_j} s^alpha data(s) ds along axis 0, data piecewise linear.
 
-    The head cell (0, rho_1] takes the constant data value; it needs
-    alpha > -1, otherwise the integral does not exist at this resolution.
+    Axis 0 of data runs over the radii rho; any further axes are integrated
+    columnwise with the same weights.  The head cell (0, rho_1] takes the
+    constant data value; it needs alpha > -1, otherwise the integral does not
+    exist at this resolution.
     """
     if alpha + 1.0 <= 0:
         raise DivergentIntegralError(
             f"power s^{alpha} is not integrable at zero"
         )
     wl, wr = _power_cell_weights(rho, alpha)
-    out = np.empty_like(rho)
+    column = (-1,) + (1,) * (data.ndim - 1)
+    wl, wr = wl.reshape(column), wr.reshape(column)
+    out = np.empty(data.shape)
     out[0] = rho[0] ** (alpha + 1) / (alpha + 1) * data[0]
-    out[1:] = out[0] + np.cumsum(wl * data[:-1] + wr * data[1:])
+    out[1:] = out[0] + np.cumsum(wl * data[:-1] + wr * data[1:], axis=0)
     return out
+
+
+def extrapolate_geometric(s0: float, s1: float, s2: float) -> float:
+    """Limit c of samples s_j = c + A q^{2-j}, 0 < q < 1, ordered outward.
+
+    The defect shrinks by q per step toward the origin, so the limit sits
+    beyond s0.  Samples whose differences are not geometric with such a q
+    give s0 back unchanged.
+    """
+    d1, d2 = s1 - s0, s2 - s1
+    if abs(d2) > 1e-300 and 0 < d1 / d2 < 1:
+        q = d1 / d2
+        return float(s0 - d1 * q / (1.0 - q))
+    return float(s0)
 
 
 @dataclass(frozen=True)
@@ -314,32 +332,27 @@ def solve_mode_bvp(
     gamma: float,
     grid: RadialGrid,
     tol: float = 1e-12,
-    max_outer: int = 50,
     mode_index: int = 1,
 ) -> RadialProfile:
     """Boundary-value solve: phi at the outer radius equals gamma.
 
-    Outer iteration on the limit coefficient around the inner Picard solve;
-    the map is linear in the coefficient, so the multiplicative update lands
-    in one step up to the inner tolerance.
+    The Volterra map is linear in the limit coefficient, so one Picard solve
+    from the h = 0 guess c = gamma / R^{sigma_plus}, rescaled by
+    gamma / phi(R), is the solution; the rescale carries over to the
+    representation constants and the Picard residual.
     """
     if not math.isfinite(gamma):
         raise InputError("boundary value must be finite")
     if gamma == 0.0:
-        prof = solve_mode_picard(N, mu, h, 0.0, grid, tol, mode_index=mode_index)
-        return prof
-    c = gamma / grid.r_out ** sigma_pair(N, mu).sigma_plus  # exact for h = 0
-    prof = None
-    for _ in range(max_outer):
-        prof = solve_mode_picard(N, mu, h, c, grid, tol, mode_index=mode_index)
-        miss = prof.boundary_value - gamma
-        if abs(miss) <= tol * max(1.0, abs(gamma)):
-            return prof
-        if prof.boundary_value == 0.0:
-            raise NumericalError("boundary value of the homogeneous solve vanished")
-        c = c * gamma / prof.boundary_value
-    raise NonContractionError(
-        f"outer boundary iteration did not converge within {max_outer} updates"
+        return solve_mode_picard(N, mu, h, 0.0, grid, tol, mode_index=mode_index)
+    c = gamma / grid.r_out ** sigma_pair(N, mu).sigma_plus
+    prof = solve_mode_picard(N, mu, h, c, grid, tol, mode_index=mode_index)
+    if prof.boundary_value == 0.0:
+        raise NumericalError("boundary value of the homogeneous solve vanished")
+    scale = gamma / prof.boundary_value
+    return replace(
+        prof, values=prof.values * scale, c_limit=prof.c_limit * scale,
+        c1=prof.c1 * scale, c2=prof.c2 * scale, residual=prof.residual * abs(scale),
     )
 
 
@@ -366,14 +379,7 @@ def limit_coefficient(profile: RadialProfile, h: RadialPerturbation | None = Non
     else:
         Ip, _ = _volterra_integrals(exps, h, rho, profile.values)
         formula = profile.c1 + float(Ip[-1]) / exps.gap
-    scaled = profile.values[:3] / rho[:3] ** exps.sigma_plus
-    d1, d2 = scaled[1] - scaled[0], scaled[2] - scaled[1]
-    if abs(d2) > 1e-300 and 0 < d1 / d2 < 1:
-        # geometric-defect extrapolation: scaled_j = c + A q^j
-        q = d1 / d2
-        measured = float(scaled[0] - d1 * q / (1.0 - q))
-    else:
-        measured = float(scaled[0])
+    measured = extrapolate_geometric(*(profile.values[:3] / rho[:3] ** exps.sigma_plus))
     return LimitEstimate(
         value=float(formula),
         measured=measured,

@@ -183,7 +183,7 @@ def test_criterion_07_radius_independence(acceptance_spectrum):
     ok = True
     details = []
     for name, field in (("radial", field_r), ("nonradial", field_n)):
-        vals = np.array([cauchy_functional(field, R) for R in radii])
+        vals = np.array(cauchy_functional(field, radii))
         spread = float((np.max(vals) - np.min(vals)) / abs(np.mean(vals)))
         limit = measured_limit(field).estimate
         limit_dev = float(abs(np.mean(vals) - limit) / abs(limit))
@@ -201,9 +201,9 @@ def test_criterion_08_sign_changing_mode(acceptance_spectrum):
     h = RadialPerturbation.manufactured(1.0, s2, 3)
     prof = solve_mode_picard(3, mu2, h, 1.0, rgrid, tol=1e-13, mode_index=2)
     field = synthesize_solution([(2, prof)], spec)
-    vals = [cauchy_coefficient_mode(field, h, r, 2, spec) for r in (0.3, 0.6, 0.9)]
+    vals = cauchy_coefficient_mode(field, (0.3, 0.6, 0.9), 2)
     spread = max(vals) - min(vals)
-    ground = max(abs(cauchy_coefficient_mode(field, h, r, 1, spec)) for r in (0.3, 0.6, 0.9))
+    ground = max(abs(v) for v in cauchy_coefficient_mode(field, (0.3, 0.6, 0.9), 1))
     ok = spread <= 1e-4 and ground <= 1e-8
     report(8, ok,
            f"sign-changing mode: coefficient spread {spread:.2e} (tol 1e-4), "
@@ -217,11 +217,12 @@ def test_criterion_09_sandwich(acceptance_spectrum):
     field = manufactured_nonradial(3, spec, 1.0, g, rgrid)
     lam = lambda_n(3, spec.potential, spec.grid).lambda_n
     r_adm = admissible_radius(3, lam, field.q_bound, 1.0)
-    rep = sandwich_check(field, field.q_bound, 1.0, 0.5 * r_adm, spec)
+    rep = sandwich_check(field, field.q_bound, 1.0, 0.5, spec)
 
     zero_field = manufactured_nonradial(3, spec, 1.0, np.zeros(spec.grid.size), rgrid)
     rep0 = sandwich_check(zero_field, 0.0, 1.0, 0.3, spec)
-    ok = rep.ordered and rep0.ordered and rep0.collapse_gap < 1e-10
+    ok = (rep.ordered and rep0.ordered and rep0.collapse_gap < 1e-10
+          and rep.admissible_radius == r_adm)
     report(9, ok,
            f"ordering at r = {rep.radius:.4f} (half of admissible {r_adm:.4f}): "
            f"violations {rep.max_lower_violation:.1e}/{rep.max_upper_violation:.1e} "

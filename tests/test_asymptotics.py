@@ -93,17 +93,17 @@ class TestCauchyFunctional:
         h = RadialPerturbation.zero()
         prof = solve_mode_picard(3, dipole3_spectrum.mu_1, h, 1.0, radial_grid)
         field = synthesize_solution([(1, prof)], dipole3_spectrum)
-        for R in (0.2, 0.9):
-            assert cauchy_functional(field, R) == pytest.approx(1.0, abs=1e-12)
+        for value in cauchy_functional(field, (0.2, 0.9)):
+            assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_radial_scenario_r_independent(self, radial_field):
         field, _ = radial_field
-        vals = np.array([cauchy_functional(field, R) for R in R_GRID])
+        vals = np.array(cauchy_functional(field, R_GRID))
         assert np.all(np.abs(vals - 1.0) < 1e-3)
         assert np.std(vals) <= 1e-3 * abs(np.mean(vals))
 
     def test_nonradial_scenario_r_independent(self, nonradial_field):
-        vals = np.array([cauchy_functional(nonradial_field, R) for R in R_GRID])
+        vals = np.array(cauchy_functional(nonradial_field, R_GRID))
         assert np.all(np.abs(vals - 1.0) < 1e-3)
         assert np.std(vals) <= 1e-3 * abs(np.mean(vals))
 
@@ -111,15 +111,14 @@ class TestCauchyFunctional:
         field, h = radial_field
         mu1 = dipole3_spectrum.mu_1
         prof = solve_mode_picard(3, mu1, h, 1.0, field.radial, tol=1e-13)
-        for r in (0.3, 0.7):
-            a = cauchy_functional(field, r)
+        for r, a in zip((0.3, 0.7), cauchy_functional(field, (0.3, 0.7))):
             b = cauchy_coefficient_radial([(1, prof)], h, r, dipole3_spectrum)
             assert abs(a - b) < 1e-6
 
     def test_limit_consistency(self, nonradial_field):
         # the functional value agrees with the measured limit
         table = measured_limit(nonradial_field)
-        val = cauchy_functional(nonradial_field, 0.5)
+        (val,) = cauchy_functional(nonradial_field, [0.5])
         assert abs(val - table.estimate) < 1e-3 * abs(val)
 
     def test_first_coefficient_route(self, nonradial_field, dipole3_spectrum):
@@ -134,7 +133,7 @@ class TestCauchyFunctional:
         ])
         d1, d2 = proj[1] - proj[0], proj[2] - proj[1]
         extrapolated = proj[0] - d1 * (d1 / d2) / (1 - d1 / d2) if d2 else proj[0]
-        val = cauchy_functional(nonradial_field, 0.5)
+        (val,) = cauchy_functional(nonradial_field, [0.5])
         assert abs(extrapolated - val) < 1e-3 * abs(val)
 
 
@@ -153,20 +152,28 @@ class TestModeCoefficient:
         h = RadialPerturbation.zero()
         prof = solve_mode_picard(3, mu2, h, 1.0, radial_grid, mode_index=2)
         field = synthesize_solution([(2, prof)], dipole3_spectrum)
-        assert cauchy_coefficient_mode(field, h, 0.5, 2, dipole3_spectrum) == pytest.approx(1.0, abs=1e-10)
-        assert abs(cauchy_coefficient_mode(field, h, 0.5, 1, dipole3_spectrum)) < 1e-8
+        assert cauchy_coefficient_mode(field, [0.5], 2) == pytest.approx([1.0], abs=1e-10)
+        assert abs(cauchy_coefficient_mode(field, [0.5], 1)[0]) < 1e-8
 
     def test_manufactured_mode2_r_independent(self, mode2_field, dipole3_spectrum):
-        field, h = mode2_field
-        vals = [cauchy_coefficient_mode(field, h, r, 2, dipole3_spectrum)
-                for r in (0.3, 0.6, 0.9)]
+        field, _ = mode2_field
+        vals = cauchy_coefficient_mode(field, (0.3, 0.6, 0.9), 2)
         assert max(vals) - min(vals) < 1e-4
         assert vals[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_out_of_range_mode(self, mode2_field, dipole3_spectrum):
-        field, h = mode2_field
+        field, _ = mode2_field
         with pytest.raises(InputError):
-            cauchy_coefficient_mode(field, h, 0.5, 99, dipole3_spectrum)
+            cauchy_coefficient_mode(field, [0.5], 99)
+
+    @pytest.mark.parametrize("name,k", [("mode2", 2), ("mode2", 1), ("nonradial", 1)])
+    def test_radii_batch_matches_single_calls(self, mode2_field, nonradial_field, name, k):
+        field = mode2_field[0] if name == "mode2" else nonradial_field
+        radii = (0.9, 0.2, 0.55, 0.2)
+        batch = cauchy_coefficient_mode(field, radii, k)
+        assert batch == [cauchy_coefficient_mode(field, [r], k)[0] for r in radii]
+        if k == 1:
+            assert cauchy_functional(field, radii) == batch
 
 
 class TestMeasuredLimit:
@@ -214,7 +221,10 @@ class TestSandwich:
         field = nonradial_field
         lam = lambda_n(3, dipole3_spectrum.potential, dipole3_spectrum.grid).lambda_n
         r_adm = admissible_radius(3, lam, field.q_bound, 1.0)
-        rep = sandwich_check(field, field.q_bound, 1.0, 0.5 * r_adm, dipole3_spectrum)
+        rep = sandwich_check(field, field.q_bound, 1.0, 0.5, dipole3_spectrum)
+        assert rep.admissible_radius == r_adm
+        assert rep.radius == field.radial.points[
+            field.radial.nearest_index(0.5 * min(r_adm, field.radial.r_out))]
         assert rep.ordered
         assert rep.max_lower_violation <= rep.slack
         assert rep.max_upper_violation <= rep.slack
@@ -225,15 +235,15 @@ class TestSandwich:
             3, dipole3_spectrum, 1.0, np.zeros(dipole3_spectrum.grid.size), radial_grid
         )
         rep = sandwich_check(field, 0.0, 1.0, 0.3, dipole3_spectrum)
+        assert rep.radius == field.radial.points[field.radial.nearest_index(0.3)]
         assert rep.ordered
         assert rep.collapse_gap < 1e-10
 
     def test_radius_gate(self, nonradial_field, dipole3_spectrum):
         field = nonradial_field
-        lam = lambda_n(3, dipole3_spectrum.potential, dipole3_spectrum.grid).lambda_n
-        r_adm = admissible_radius(3, lam, field.q_bound, 1.0)
-        with pytest.raises(InputError):
-            sandwich_check(field, field.q_bound, 1.0, 1.5 * r_adm, dipole3_spectrum)
+        for fraction in (1.5, 0.0, -0.5, float("nan")):
+            with pytest.raises(InputError):
+                sandwich_check(field, field.q_bound, 1.0, fraction, dipole3_spectrum)
 
     def test_coarse_trace_rejected(self, radial_grid):
         grid = PolarGrid.build(3, 400)
@@ -241,4 +251,4 @@ class TestSandwich:
         g = 0.3 * spec.axisymmetric_mode(2).psi(grid)
         field = manufactured_nonradial(3, spec, 1.0, g, radial_grid)
         with pytest.raises(ResolutionError):
-            sandwich_check(field, field.q_bound, 1.0, 0.02, spec)
+            sandwich_check(field, field.q_bound, 1.0, 0.5, spec)

@@ -1,9 +1,11 @@
 import json
+import math
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dipolespec.cli import RunConfig, build_parser, main, parse_dims
+from dipolespec.cli import build_parser, main, parse_dims
 from pathlib import Path
 
 SCHEMA = json.loads(
@@ -23,22 +25,53 @@ def validate(payload: str):
     return doc
 
 
-class TestRunConfig:
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            RunConfig(),
-            RunConfig(dim=7, potential="constant:2.5", grid_m=500,
-                      radial_points=100, radial_rmin=1e-6,
-                      output_format="json", output_path="x.json"),
-        ],
-    )
-    def test_parse_print_round_trip(self, cfg):
-        assert RunConfig.parse(cfg.render()) == cfg
-
+class TestParsing:
     def test_dims_range_syntax(self):
         assert parse_dims("3..6") == [3, 4, 5, 6]
         assert parse_dims("5") == [5]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hardy", "--potential", "dipole:abc", "--grid", "100"),
+            ("radial", "--mu", "2", "--perturbation", "power:1", "--points", "40"),
+            ("cauchy", "--scenario", "mode:x", "--grid", "100", "--modes", "8",
+             "--points", "40"),
+            ("hardy", "--table", "3..x", "--grid", "100"),
+            ("cauchy", "--scenario", "manufactured-radial", "--radii", "0.3,x",
+             "--grid", "100", "--modes", "8", "--points", "40"),
+            ("spectrum", "--potential", "dipole:nan", "--grid", "100"),
+        ],
+    )
+    def test_malformed_input_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err
+
+    def test_malformed_grid_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIPOLESPEC_GRID_M", "abc")
+        code, _, err = run(capsys, "sigma", "--dim", "4", "--mu", "0")
+        assert code == 2
+        assert "error:" in err and "DIPOLESPEC_GRID_M" in err
+
+
+SPEC_KINDS = ("constant:", "dipole:", "power:", "manufactured:", "zero", "mode:", "bogus:", "")
+SPEC_ARGS = st.text(alphabet="0123456789.,-+eEinfa:x ", max_size=8)
+FUZZ_COMMANDS = {
+    "--potential": ("hardy", "--grid", "40"),
+    "--perturbation": ("radial", "--mu", "2", "--points", "20", "--rmin", "1e-3"),
+    "--scenario": ("cauchy", "--grid", "60", "--modes", "8", "--points", "20"),
+    "--radii": ("cauchy", "--scenario", "manufactured-radial", "--grid", "60",
+                "--modes", "8", "--points", "20"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FUZZ_COMMANDS))
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(SPEC_KINDS), arg=SPEC_ARGS)
+def test_fuzzed_specs_exit_cleanly(flag, kind, arg):
+    """Any spec string on a tiny grid ends in success, input error or numerical failure."""
+    assert main(list(FUZZ_COMMANDS[flag]) + [f"{flag}={kind}{arg}"]) in (0, 2, 3)
 
 
 class TestSigma:
@@ -164,6 +197,25 @@ class TestCauchyCommand:
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) == pytest.approx(1.0, abs=1e-3)
 
+    def test_limit_table_needs_ground_scenario(self, capsys):
+        code, _, err = run(capsys, "cauchy", "--scenario", "mode:2", "--grid", "300",
+                           "--limit-table")
+        assert code == 2
+        assert "ground-mode scenarios" in err
+
+    def test_sampling_is_honoured_and_recorded(self, capsys):
+        outs = {}
+        for sampling in ("node", "flux"):
+            code, out, _ = run(capsys, "cauchy", "--scenario", "manufactured-radial",
+                               "--dim", "4", "--grid", "300", "--modes", "8",
+                               "--points", "100", "--sampling", sampling,
+                               "--format", "json")
+            assert code == 0
+            doc = validate(out)
+            assert doc["inputs"]["sampling"] == sampling
+            outs[sampling] = doc["results"]
+        assert outs["node"] != outs["flux"]
+
 
 class TestSandwichCommand:
     def test_report_schema(self, capsys):
@@ -171,6 +223,7 @@ class TestSandwichCommand:
         assert code == 0
         doc = validate(out)
         assert doc["results"]["ordered"] is True
+        assert doc["inputs"]["sampling"] == "flux"
 
 
 class TestBkCommand:
@@ -185,6 +238,21 @@ class TestBkCommand:
         code, out, _ = run(capsys, "bk", "--n", "5", "--format", "json")
         doc = validate(out)
         assert len(doc["results"]["rows"]) == 5
+
+    # largest n with q_n = 2 (N/(N-2))^n below the float64 maximum
+    @pytest.mark.parametrize("dim,n_cap", [(3, 645), (4, 1022)])
+    def test_n_past_float_range_rejected(self, capsys, dim, n_cap):
+        code, out, err = run(capsys, "bk", "--dim", str(dim), "--n", str(n_cap + 1))
+        assert code == 2
+        assert f"largest allowed n is {n_cap}" in err
+        code, out, _ = run(capsys, "bk", "--dim", str(dim), "--n", str(n_cap),
+                           "--format", "json")
+        assert code == 0
+        results = validate(out)["results"]
+        rows = results.pop("rows")
+        assert len(rows) == n_cap
+        values = [v for row in rows for v in row.values()] + list(results.values())
+        assert all(math.isfinite(v) for v in values)
 
 
 class TestErrorsAndEnv:

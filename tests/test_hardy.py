@@ -98,6 +98,15 @@ class TestCriticalCoupling:
         assert r1 == pytest.approx(4.0, rel=0.2)
         assert r2 == pytest.approx(4.0, rel=0.2)
 
+    @pytest.mark.parametrize("N,coupling", [(3, 1.0), (5, 0.4)])
+    def test_critical_coupling_ignores_sign(self, N, coupling):
+        g = PolarGrid.build(N, 600)
+        pos = lambda_n(N, AngularPotential.dipole(coupling), g)
+        neg = lambda_n(N, AngularPotential.dipole(-coupling), g)
+        assert neg.lambda_n == pytest.approx(pos.lambda_n, rel=1e-12)
+        assert neg.critical_coupling == pytest.approx(pos.critical_coupling, rel=1e-12)
+        assert neg.critical_coupling > 0
+
     def test_method_validation(self):
         g = PolarGrid.build(4, 100)
         with pytest.raises(InputError):

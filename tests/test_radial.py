@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dipolespec import radial
 from dipolespec.errors import DivergentIntegralError, InputError, NonContractionError
 from dipolespec.exponents import sigma_pair
 from dipolespec.radial import (
     RadialGrid,
     RadialPerturbation,
     cauchy_coefficient_radial,
+    extrapolate_geometric,
     integrate_power_from_zero,
     limit_coefficient,
     ode_residual,
@@ -47,6 +49,33 @@ class TestGridAndQuadrature:
     def test_divergent_power_rejected(self, radial_grid):
         with pytest.raises(DivergentIntegralError):
             integrate_power_from_zero(radial_grid.points, -1.0, np.ones(400))
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(min_value=-0.9, max_value=4.0),
+           columns=st.integers(min_value=1, max_value=5),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_columnwise_equals_stacked_1d(self, alpha, columns, seed):
+        rho = RadialGrid.geometric(60, 1e-6, 1.0).points
+        data = np.random.default_rng(seed).standard_normal((rho.size, columns))
+        stacked = np.column_stack(
+            [integrate_power_from_zero(rho, alpha, data[:, i]) for i in range(columns)]
+        )
+        assert np.array_equal(integrate_power_from_zero(rho, alpha, data), stacked)
+
+
+class TestExtrapolation:
+    @pytest.mark.parametrize("c,A,q", [(1.0, 0.3, 0.5), (-2.5, -4.0, 0.9), (0.7, 1e-3, 0.01)])
+    def test_exact_on_geometric_defects(self, c, A, q):
+        # defect shrinking by q per step toward the origin, samples ordered outward
+        samples = [c + A * q**j for j in (2, 1, 0)]
+        # rounding of the samples is amplified by the conditioning 1/(1-q)^2
+        rounding = 8 * np.finfo(float).eps * (abs(c) + abs(A)) / (1 - q) ** 2
+        assert abs(extrapolate_geometric(*samples) - c) <= rounding
+
+    @pytest.mark.parametrize("samples", [(1.0, 2.0, 2.5), (1.0, 1.0, 1.0), (1.0, 0.5, 0.9)])
+    def test_non_geometric_returns_first(self, samples):
+        assert extrapolate_geometric(*samples) == samples[0]
 
 
 class TestPerturbation:
@@ -123,6 +152,26 @@ class TestBvp:
         exact = manufactured_exact(radial_grid.points, beta)
         assert np.max(np.abs(prof.values - exact) / exact) < 1e-11
         assert prof.boundary_value == pytest.approx(2.0, abs=1e-12)
+
+    def test_one_picard_solve(self, radial_grid, monkeypatch):
+        calls = []
+        picard = radial.solve_mode_picard
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return picard(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "solve_mode_picard", counted)
+        gamma = -0.75
+        h = RadialPerturbation.power(0.5, 1.0)
+        sub = radial_grid.restricted(radial_grid.points[300])
+        prof = solve_mode_bvp(N, MU, h, gamma, sub, tol=1e-12)
+        assert len(calls) == 1
+        assert prof.boundary_value == pytest.approx(gamma, abs=1e-12)
+        # the rescaled constants still describe the rescaled profile
+        assert prof.boundary_value == pytest.approx(prof.c1 * sub.r_out**SIGMA
+                                                    + prof.c2 * sub.r_out**sigma_pair(N, MU).sigma_minus,
+                                                    abs=1e-12)
 
     def test_zero_boundary_gives_zero(self, radial_grid):
         prof = solve_mode_bvp(N, MU, RadialPerturbation.power(0.3, 1.0), 0.0, radial_grid)
