@@ -275,22 +275,27 @@ def polar_eigen(matrix: TridiagonalMatrix, count: int):
 
 @dataclass(frozen=True)
 class AngularMode:
-    """One eigenfunction of a fixed azimuthal tower.
+    """One eigenvalue of a fixed azimuthal tower, with its profile for m = 0.
 
     `polar` holds the w-coordinate profile at the interior nodes, normalized
-    so the full eigenfunction has unit L^2(S^{N-1}) norm: for m = 0 that is
-    |S^{N-2}| sum w_i^2 h = 1, for m > 0 the degree-m factor on S^{N-2} is
-    taken separately normalized and sum w_i^2 h = 1.
+    so the full eigenfunction has unit L^2(S^{N-1}) norm:
+    |S^{N-2}| sum w_i^2 h = 1.  Only m = 0 modes carry it; modes of the
+    towers m >= 1 carry mu and multiplicity only and have `polar` None.
     """
 
     m: int
     mu: float
     multiplicity: int
-    polar: np.ndarray = field(repr=False)
+    polar: np.ndarray | None = field(default=None, repr=False)
     normalized: bool = True
 
     def psi(self, grid: PolarGrid) -> np.ndarray:
         """Polar-angle samples of psi = w / sin^{(N-2)/2} at interior nodes."""
+        if self.polar is None:
+            raise InputError(
+                f"mode of tower m = {self.m} carries mu and multiplicity only; "
+                "polar profiles are computed for the m = 0 tower"
+            )
         return self.polar / np.sin(grid.nodes) ** ((grid.dim - 2) / 2.0)
 
 
@@ -361,12 +366,20 @@ def full_spectrum(
 ) -> AngularSpectrum:
     """Merge azimuthal towers until K flattened eigenvalues are safely collected.
 
-    Towers are scanned while the bottom of the next tower does not exceed
-    the K-th flattened value collected so far, so no tower is truncated
-    prematurely (tower bottoms are strictly increasing in m because the
-    quadratic forms differ by the positive term nu_m / sin^2).  Eigenvalues
-    are probed first without vectors; eigenvectors are computed only for the
-    modes that survive the final cutoff.
+    The m = 0 tower is probed for its K lowest eigenvalues.  Each tower
+    m >= 1 is then asked only for its eigenvalues up to the running K-th
+    flattened value; tower bottoms are strictly increasing in m (the
+    quadratic forms differ by the positive term nu_m / sin^2), so the first
+    tower with none ends the scan and no tower is truncated prematurely.
+    Values above the running K-th value can never enter the K lowest, so
+    only the K lowest flattened values are kept between towers.
+
+    After the final cutoff, eigenvectors are computed for the surviving
+    m = 0 modes only: radial mode indices and psi_1 refer to that tower.
+    Modes of the towers m >= 1 keep their probed values and carry no
+    profile.  Those values come from bisection over a value range instead
+    of an index range, so they agree with an index-range probe to within
+    LAPACK's bisection tolerance (about eps * ||T_m||), not bit for bit.
     """
     if K < 1:
         raise InputError(f"K must be >= 1, got {K}")
@@ -374,47 +387,42 @@ def full_spectrum(
         raise ResolutionError(
             f"K={K} exceeds what the grid resolves per tower (M={grid.size})"
         )
-    area_eq = grid.area_equator
-    per_tower = min(grid.size, K)
 
     # phase one: eigenvalues only, tower by tower
-    matrices: list[TridiagonalMatrix] = []
-    tower_vals: list[np.ndarray] = []
-    flat: list[float] = []
-
-    def kth() -> float:
-        if len(flat) < K:
-            return math.inf
-        return sorted(flat)[K - 1]
-
-    m = 0
+    axial = assemble_polar_operator(N, potential, 0, grid, sampling)
+    axial_vals = eigvalsh_tridiagonal(
+        axial.diag, axial.off, select="i", select_range=(0, K - 1)
+    )
+    lowest = axial_vals  # the K lowest flattened values so far, ascending
+    upper_vals: list[np.ndarray] = []
+    m = 1
     while True:
         mat = assemble_polar_operator(N, potential, m, grid, sampling)
         vals = eigvalsh_tridiagonal(
-            mat.diag, mat.off, select="i", select_range=(0, per_tower - 1)
+            mat.diag, mat.off, select="v", select_range=(-math.inf, lowest[-1])
         )
-        if m > 0 and vals[0] > kth():
+        if vals.size == 0:
             break
-        matrices.append(mat)
-        tower_vals.append(vals)
-        flat.extend(float(v) for v in np.repeat(vals, harmonic_multiplicity(N, m)))
+        upper_vals.append(vals)
+        merged = np.concatenate([lowest, np.repeat(vals, harmonic_multiplicity(N, m))])
+        lowest = np.sort(merged)[:K]
         m += 1
         if m > grid.size:  # pragma: no cover - defensive
             raise ResolutionError("tower merge did not terminate")
 
-    # phase two: final cutoff, eigenvectors only for the surviving modes
-    cutoff = kth()
-    collected: list[AngularMode] = []
-    for m, (mat, vals) in enumerate(zip(matrices, tower_vals)):
-        keep = int(np.searchsorted(vals, cutoff, side="right"))
-        if keep == 0:
-            continue
+    # phase two: final cutoff, eigenvectors only for the surviving m = 0 modes
+    cutoff = lowest[-1]
+    keep = int(np.searchsorted(axial_vals, cutoff, side="right"))
+    collected = [
+        AngularMode(m=0, mu=mu, multiplicity=1, polar=vec / math.sqrt(grid.area_equator))
+        for mu, vec in polar_eigen(axial, keep)
+    ]
+    for m, vals in enumerate(upper_vals, start=1):
         mult = harmonic_multiplicity(N, m)
-        for mu, vec in polar_eigen(mat, keep):
-            w_profile = vec / math.sqrt(area_eq) if m == 0 else vec
-            collected.append(
-                AngularMode(m=m, mu=mu, multiplicity=mult, polar=w_profile)
-            )
+        collected.extend(
+            AngularMode(m=m, mu=float(mu), multiplicity=mult)
+            for mu in vals[vals <= cutoff]
+        )
 
     collected.sort(key=lambda md: (md.mu, md.m))
     spectrum = AngularSpectrum(

@@ -139,7 +139,16 @@ def lambda_n(
     flagged `nonpositive` (the constant is then <= 0 and the inequality
     carries no content).  The dipole maximizer is axisymmetric, but the tower
     scan removes that assumption for tabulated potentials.
+
+    `richardson=True` also solves on the grid of M // 2 nodes and reports
+    the second-order extrapolation from the two step sizes; tabulated
+    potentials are rejected there, since they exist only on `grid`.
     """
+    if richardson and potential.kind == "tabulated":
+        raise InputError(
+            "richardson=True needs the potential on a coarser grid, but a "
+            "tabulated potential has samples only at the given grid's nodes"
+        )
     a_samples = potential.sample(grid)
     best = -math.inf
     best_vec = None
@@ -159,7 +168,8 @@ def lambda_n(
     if richardson:
         half = PolarGrid.build(N, grid.size // 2)
         coarse = lambda_n(N, potential, half, sampling, towers, richardson=False)
-        rich = best + (best - coarse.lambda_n) / 3.0  # second-order extrapolation
+        r = (grid.size + 1) / (half.size + 1)  # step ratio; exactly 2 for odd M
+        rich = best + (best - coarse.lambda_n) / (r * r - 1.0)  # second order
     lam_crit = None
     if potential.kind == "dipole" and best > 0:
         lam_crit = abs(potential.coupling) / best  # the threshold ignores the sign

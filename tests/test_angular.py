@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
+from dipolespec import angular
 from dipolespec.angular import (
     AngularPotential,
     PolarGrid,
@@ -21,6 +24,52 @@ from dipolespec.errors import InputError, ResolutionError
 
 def exact_sphere_eigs(N, lmax):
     return [l * (l + N - 2.0) for l in range(lmax + 1)]
+
+
+def exhaustive_merge(N, potential, K, grid, sampling):
+    """Reference tower merge: every tower is asked for its K lowest values.
+
+    Towers are scanned until one's bottom exceeds the K-th flattened value of
+    the towers before it; each keeps its values up to the final K-th value.
+    Returns (matrix, kept values) per scanned tower, indexed by m.
+    """
+    towers, flat = [], []
+    m = 0
+    while True:
+        mat = assemble_polar_operator(N, potential, m, grid, sampling)
+        vals = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, K - 1))
+        if m > 0 and vals[0] > sorted(flat)[K - 1]:
+            break
+        towers.append((mat, vals))
+        flat.extend(np.repeat(vals, harmonic_multiplicity(N, m)))
+        m += 1
+    cutoff = sorted(flat)[K - 1]
+    return [(mat, vals[vals <= cutoff]) for mat, vals in towers]
+
+
+def one_norm(mat):
+    """||T||_1 of a symmetric tridiagonal matrix: its largest absolute column sum."""
+    off = np.abs(mat.off)
+    return float(np.max(np.abs(mat.diag) + np.append(off, 0.0) + np.insert(off, 0, 0.0)))
+
+
+COUPLINGS = st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)
+
+
+@st.composite
+def spectrum_cases(draw, kinds=("constant", "dipole", "tabulated"), samplings=("flux", "node")):
+    """(N, potential, K, grid, sampling) with N in 3..5, M <= 401 and K <= 60."""
+    N = draw(st.sampled_from([3, 4, 5]))
+    grid = PolarGrid.build(N, draw(st.integers(60, 401)))
+    kind, c1, c2 = draw(st.sampled_from(kinds)), draw(COUPLINGS), draw(COUPLINGS)
+    if kind == "constant":
+        potential = AngularPotential.constant(c1)
+    elif kind == "dipole":
+        potential = AngularPotential.dipole(c1)
+    else:
+        t = grid.nodes
+        potential = AngularPotential.tabulated(c1 * np.cos(t) + c2 * np.cos(2 * t), grid)
+    return N, potential, draw(st.integers(1, 60)), grid, draw(st.sampled_from(samplings))
 
 
 class TestPolarGrid:
@@ -233,6 +282,68 @@ class TestFullSpectrum:
         with pytest.raises(InputError):
             dipole3_spectrum.axisymmetric_mode(len(tower) + 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=spectrum_cases())
+    def test_matches_exhaustive_merge(self, case):
+        N, potential, K, grid, sampling = case
+        spec = full_spectrum(N, potential, K, grid, sampling)
+        ref = exhaustive_merge(N, potential, K, grid, sampling)
+        want = [(m, harmonic_multiplicity(N, m)) for m, (_, vals) in enumerate(ref) for _ in vals]
+        assert sorted((md.m, md.multiplicity) for md in spec.modes) == sorted(want)
+        # value-range and index-range bisection agree to LAPACK's tolerance
+        for m, (mat, vals) in enumerate(ref):
+            got = np.array([md.mu for md in spec.tower(m)])
+            assert np.all(np.abs(got - vals) <= 4 * np.finfo(float).eps * one_norm(mat))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=spectrum_cases())
+    def test_merge_invariants(self, case):
+        N, potential, K, grid, sampling = case
+        spec = full_spectrum(N, potential, K, grid, sampling)
+        towers = sorted({md.m for md in spec.modes})
+        assert towers == list(range(len(towers)))
+        bottoms = [spec.tower(m)[0].mu for m in towers]
+        assert all(lo < hi for lo, hi in zip(bottoms, bottoms[1:]))
+        assert len(spec.flattened()) == sum(md.multiplicity for md in spec.modes) >= K
+        for md in spec.modes:
+            if md.m == 0:
+                assert md.psi(grid).shape == grid.nodes.shape
+            else:
+                assert md.polar is None
+                with pytest.raises(InputError):
+                    md.psi(grid)
+
+    def test_weyl_merge_work_count(self, monkeypatch):
+        # N = 3, K = 500, M = 1200 scans 23 towers; an index-range probe of K
+        # values per tower would request 11500 eigenvalues
+        K = 500
+        probes, vector_diags = [], []
+
+        def counting_values(*args, **kwargs):
+            vals = eigvalsh_tridiagonal(*args, **kwargs)
+            probes.append(vals)
+            return vals
+
+        def counting_vectors(diag, *args, **kwargs):
+            vector_diags.append(diag)
+            return eigh_tridiagonal(diag, *args, **kwargs)
+
+        monkeypatch.setattr(angular, "eigvalsh_tridiagonal", counting_values)
+        monkeypatch.setattr(angular, "eigh_tridiagonal", counting_vectors)
+        grid = PolarGrid.build(3, 1200)
+        potential = AngularPotential.constant(0.0)
+        full_spectrum(3, potential, K, grid)
+
+        assert len(probes) == 23
+        assert sum(vals.size for vals in probes) < 2000
+        assert len(vector_diags) == 1
+        assert np.array_equal(vector_diags[0], assemble_polar_operator(3, potential, 0, grid).diag)
+        flat = list(probes[0])
+        for m, vals in enumerate(probes[1:], start=1):
+            assert vals.size == 0 or vals[-1] <= sorted(flat)[K - 1]
+            flat.extend(np.repeat(vals, harmonic_multiplicity(3, m)))
+        assert probes[-1].size == 0
+
 
 class TestMu1Bounds:
     def test_dipole_bounds_strict(self, dipole3_spectrum):
@@ -252,6 +363,14 @@ class TestMu1Bounds:
         s = full_spectrum(4, AngularPotential.constant(1.0), 1, g)
         with pytest.raises(InputError):
             check_mu1_bounds(s)
+
+    # flux sampling is exact on constants (mu_1 = -kappa), which the discrete
+    # bounds rest on; node sampling is not
+    @settings(max_examples=40, deadline=None)
+    @given(case=spectrum_cases(kinds=("dipole", "tabulated"), samplings=("flux",)))
+    def test_bounds_hold_for_nonconstant_potentials(self, case):
+        rep = check_mu1_bounds(full_spectrum(*case))
+        assert rep.lower_ok and rep.upper_ok
 
 
 class TestSupRatio:

@@ -75,6 +75,29 @@ class TestLambdaN:
         fine = lambda_n(5, AngularPotential.dipole(1.0), PolarGrid.build(5, 6400))
         assert abs(res.richardson - fine.lambda_n) < abs(res.lambda_n - fine.lambda_n)
 
+    def test_richardson_odd_grid_halves_the_step(self):
+        # odd M: the M // 2 grid has exactly twice the step, so the factor is 1/3
+        a = AngularPotential.dipole(1.0)
+        res = lambda_n(5, a, PolarGrid.build(5, 801), richardson=True)
+        coarse = lambda_n(5, a, PolarGrid.build(5, 400))
+        assert res.richardson == res.lambda_n + (res.lambda_n - coarse.lambda_n) / 3.0
+
+    def test_richardson_even_grid_uses_the_step_ratio(self):
+        # with the true step ratio (M+1)/(M//2+1) an even grid extrapolates as
+        # well as its odd neighbour; the halving factor 1/3 left an O(h^3) error
+        # of about 4e-7 here
+        a = AngularPotential.dipole(1.0)
+        even = lambda_n(3, a, PolarGrid.build(3, 200), richardson=True)
+        odd = lambda_n(3, a, PolarGrid.build(3, 201), richardson=True)
+        assert abs(even.lambda_n - odd.lambda_n) > 1e-7
+        assert abs(even.richardson - odd.richardson) < 1e-8
+
+    def test_richardson_rejects_tabulated(self):
+        g = PolarGrid.build(3, 300)
+        a = AngularPotential.tabulated(np.cos(g.nodes), g)
+        with pytest.raises(InputError, match="coarser grid"):
+            lambda_n(3, a, g, richardson=True)
+
 
 class TestCriticalCoupling:
     @pytest.mark.parametrize("N", [4, 5])
