@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -194,6 +195,71 @@ class TridiagonalMatrix:
         return y
 
 
+class PolarTowers:
+    """The tower operators of one (N, potential, grid, sampling), built per m.
+
+    Only the diagonal depends on the azimuthal degree m, through nu_m times
+    an m-independent profile.  The sampled potential, the shared
+    off-diagonal and the m-independent parts of the diagonal are computed
+    once here; `matrix(m)` rebuilds a tower's diagonal in O(M).
+
+    The continuous object is -w'' + [(N-2)(N-4)/4 + nu_m] w / sin^2 t
+    - ((N-2)/2)^2 w - a(t) w with w = 0 at both poles.  The curvature shift
+    makes the discrete eigenvalues approximate the sphere eigenvalues mu_k
+    directly (mu_1 = 0 for a = 0).
+    """
+
+    def __init__(self, N: int, potential: AngularPotential, grid: PolarGrid, sampling: str):
+        if grid.size < 3:
+            raise InputError("grid too small")
+        if sampling not in SAMPLINGS:
+            raise InputError(f"unknown sampling {sampling!r}, expected one of {SAMPLINGS}")
+        if grid.dim != N:
+            raise InputError(f"grid built for dimension {grid.dim}, requested {N}")
+        self.N, self.grid, self.sampling = N, grid, sampling
+        self.a = potential.sample(grid)
+        h = grid.step
+        t = grid.nodes
+        if sampling == "node":
+            self._base = 2.0 / h**2
+            self._sin2 = np.sin(t) ** 2
+            self.off = np.full(grid.size - 1, -1.0 / h**2)
+            return
+
+        # flux form: stiffness of int sin^{N-2} (psi')^2 with midpoint fluxes and
+        # no flux through the poles; the centrifugal energy nu int sin^{N-4} psi^2
+        # integrated exactly over cells; both symmetrized by the lumped
+        # sin^{N-2} mass.
+        tmid = 0.5 * (t[:-1] + t[1:])
+        p = np.sin(tmid) ** (N - 2)
+        w = grid.weights
+        fluxes = np.zeros(grid.size + 1)
+        fluxes[1:-1] = p
+        self._base = (fluxes[:-1] + fluxes[1:]) / (h**2 * w)
+        self._edges = np.concatenate([[t[0] - h / 2], tmid, [t[-1] + h / 2]])
+        self._wh = w * h
+        self.off = -p / (h**2 * np.sqrt(w[:-1] * w[1:]))
+
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        """Cell integrals of sin^{N-4}; only the towers m >= 1 need them."""
+        return _sin_power_cell_integrals(self.N - 4, self._edges)
+
+    def matrix(self, m: int) -> TridiagonalMatrix:
+        """Tower-m operator; eigenvalues approximate the mu_k of that tower."""
+        if m < 0:
+            raise InputError(f"azimuthal degree must be >= 0, got {m}")
+        N = self.N
+        nu = centrifugal_constant(N, m)
+        if self.sampling == "node":
+            beta2 = ((N - 2) / 2.0) ** 2
+            d = self._base + ((N - 2) * (N - 4) / 4.0 + nu) / self._sin2 - beta2 - self.a
+        else:
+            centrifugal = nu * self._cells / self._wh if nu else 0.0
+            d = self._base + centrifugal - self.a
+        return TridiagonalMatrix(d, self.off, self.grid.step)
+
+
 def assemble_polar_operator(
     N: int,
     potential: AngularPotential,
@@ -201,49 +267,24 @@ def assemble_polar_operator(
     grid: PolarGrid,
     sampling: str = "flux",
 ) -> TridiagonalMatrix:
-    """Discrete tower-m operator in the w coordinate; eigenvalues approximate mu_k.
+    """Discrete tower-m operator in the w coordinate (see `PolarTowers`)."""
+    return PolarTowers(N, potential, grid, sampling).matrix(m)
 
-    The continuous object is -w'' + [(N-2)(N-4)/4 + nu_m] w / sin^2 t
-    - ((N-2)/2)^2 w - a(t) w with w = 0 at both poles.  The curvature shift
-    makes the discrete eigenvalues approximate the sphere eigenvalues mu_k
-    directly (mu_1 = 0 for a = 0).
+
+def count_at_most(matrix: TridiagonalMatrix, x: float, solver=None) -> int:
+    """Number of eigenvalues of `matrix` at or below x, by a Sturm count.
+
+    An absolute tolerance spanning the whole range leaves LAPACK's value
+    bisection (stebz) nothing to refine, so it returns after the Sturm
+    counts at the interval ends (Barth, Martin and Wilkinson 1967): two
+    O(M) sweeps and an exact count.  The returned values are meaningless;
+    only their number is used.  `solver` is the `eigvalsh_tridiagonal` to
+    call through, this module's binding by default.
     """
-    if m < 0:
-        raise InputError(f"azimuthal degree must be >= 0, got {m}")
-    if grid.size < 3:
-        raise InputError("grid too small")
-    if sampling not in SAMPLINGS:
-        raise InputError(f"unknown sampling {sampling!r}, expected one of {SAMPLINGS}")
-    if grid.dim != N:
-        raise InputError(f"grid built for dimension {grid.dim}, requested {N}")
-    h = grid.step
-    t = grid.nodes
-    a = potential.sample(grid)
-    nu = centrifugal_constant(N, m)
-    beta2 = ((N - 2) / 2.0) ** 2
-
-    if sampling == "node":
-        d = 2.0 / h**2 + ((N - 2) * (N - 4) / 4.0 + nu) / np.sin(t) ** 2 - beta2 - a
-        e = np.full(grid.size - 1, -1.0 / h**2)
-        return TridiagonalMatrix(d, e, h)
-
-    # flux form: stiffness of int sin^{N-2} (psi')^2 with midpoint fluxes and
-    # no flux through the poles; the centrifugal energy nu int sin^{N-4} psi^2
-    # integrated exactly over cells; both symmetrized by the lumped
-    # sin^{N-2} mass.
-    tmid = 0.5 * (t[:-1] + t[1:])
-    p = np.sin(tmid) ** (N - 2)
-    w = grid.weights
-    fluxes = np.zeros(grid.size + 1)
-    fluxes[1:-1] = p
-    if nu:
-        edges = np.concatenate([[t[0] - h / 2], tmid, [t[-1] + h / 2]])
-        centrifugal = nu * _sin_power_cell_integrals(N - 4, edges) / (w * h)
-    else:
-        centrifugal = 0.0
-    d = (fluxes[:-1] + fluxes[1:]) / (h**2 * w) + centrifugal - a
-    e = -p / (h**2 * np.sqrt(w[:-1] * w[1:]))
-    return TridiagonalMatrix(d, e, h)
+    solve = eigvalsh_tridiagonal if solver is None else solver
+    return solve(
+        matrix.diag, matrix.off, select="v", select_range=(-math.inf, x), tol=math.inf
+    ).size
 
 
 def polar_eigen(matrix: TridiagonalMatrix, count: int):
@@ -287,7 +328,6 @@ class AngularMode:
     mu: float
     multiplicity: int
     polar: np.ndarray | None = field(default=None, repr=False)
-    normalized: bool = True
 
     def psi(self, grid: PolarGrid) -> np.ndarray:
         """Polar-angle samples of psi = w / sin^{(N-2)/2} at interior nodes."""
@@ -357,6 +397,60 @@ class AngularSpectrum:
         return tower[k - 1]
 
 
+# each step costs a Sturm count per tower and halves the bracket's overshoot,
+# which the value probes would pay for; 3 reach the gap above the K-th
+# value's cluster near l(l+N-2) at K = 500
+_BRACKET_BISECTIONS = 3
+
+
+def _probe_towers(towers: PolarTowers, K: int):
+    """(m = 0 matrix, each tower's values up to a bracket of the K-th flattened value).
+
+    Phase one brackets the K-th flattened value by Sturm counts alone;
+    phase two makes one value probe per tower up to the bracket, and the
+    first empty tower ends the scan.
+    """
+    N, grid = towers.N, towers.grid
+    axial = towers.matrix(0)
+
+    def scan():
+        """Tower matrices m = 0, 1, ... in turn, with a guard on the tower count."""
+        yield 0, axial
+        for m in range(1, grid.size + 1):
+            yield m, towers.matrix(m)
+        raise ResolutionError("tower merge did not terminate")  # pragma: no cover
+
+    def reaches(x: float) -> bool:
+        """F(x) >= K, summed tower by tower until it is decided."""
+        total = 0
+        for m, mat in scan():
+            count = count_at_most(mat, x)
+            if count == 0:
+                return False
+            total += harmonic_multiplicity(N, m) * count
+            if total >= K:
+                return True
+
+    mu1 = eigvalsh_tridiagonal(axial.diag, axial.off, select="i", select_range=(0, 0))[0]
+    lo, span = mu1, 1.0
+    while not reaches(mu1 + span):
+        lo, span = mu1 + span, 2.0 * span
+    hi = mu1 + span
+    for _ in range(_BRACKET_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+
+    probed: list[np.ndarray] = []
+    for _, mat in scan():
+        vals = eigvalsh_tridiagonal(mat.diag, mat.off, select="v", select_range=(-math.inf, hi))
+        if vals.size == 0:
+            return axial, probed
+        probed.append(vals.copy())  # not a view that keeps LAPACK's M-long output alive
+
+
 def full_spectrum(
     N: int,
     potential: AngularPotential,
@@ -366,19 +460,22 @@ def full_spectrum(
 ) -> AngularSpectrum:
     """Merge azimuthal towers until K flattened eigenvalues are safely collected.
 
-    The m = 0 tower is probed for its K lowest eigenvalues.  Each tower
-    m >= 1 is then asked only for its eigenvalues up to the running K-th
-    flattened value; tower bottoms are strictly increasing in m (the
-    quadratic forms differ by the positive term nu_m / sin^2), so the first
-    tower with none ends the scan and no tower is truncated prematurely.
-    Values above the running K-th value can never enter the K lowest, so
-    only the K lowest flattened values are kept between towers.
+    The K-th flattened value is bracketed before any value is computed.
+    F(x) = sum_m mult(m) * count_m(x) counts the flattened eigenvalues at or
+    below x with one Sturm count per tower (`count_at_most`); tower bottoms
+    are strictly increasing in m (the quadratic forms differ by the positive
+    term nu_m / sin^2), so the sum stops at the first tower with none.
+    Starting from mu_1, a span above it is doubled until F reaches K, then
+    bisected a few steps; hi is the upper end of that bracket.
 
-    After the final cutoff, eigenvectors are computed for the surviving
-    m = 0 modes only: radial mode indices and psi_1 refer to that tower.
-    Modes of the towers m >= 1 keep their probed values and carry no
-    profile.  Those values come from bisection over a value range instead
-    of an index range, so they agree with an index-range probe to within
+    Each tower up to the first empty one then makes one value probe for its
+    eigenvalues up to hi, and the K-th of the merged values is the cutoff.
+    Eigenvectors are computed for the surviving m = 0 modes only, by the
+    index-range solve `polar_eigen`, so mu_1, psi_1 and the axisymmetric
+    modes are exactly what an index-range probe of that tower gives: radial
+    mode indices and psi_1 refer to it.  Modes of the towers m >= 1 keep
+    their probed values and carry no profile.  Those come from bisection
+    over a value range, so they agree with an index-range probe to within
     LAPACK's bisection tolerance (about eps * ||T_m||), not bit for bit.
     """
     if K < 1:
@@ -387,37 +484,23 @@ def full_spectrum(
         raise ResolutionError(
             f"K={K} exceeds what the grid resolves per tower (M={grid.size})"
         )
+    # PolarTowers dies here, before the eigenvectors: its arrays would otherwise
+    # pin heap pages under them and raise the peak RSS
+    axial, probed = _probe_towers(PolarTowers(N, potential, grid, sampling), K)
+    flat = np.sort(np.concatenate(
+        [np.repeat(vals, harmonic_multiplicity(N, m)) for m, vals in enumerate(probed)]
+    ))
+    if flat.size < K:
+        raise EigenSolveError(f"value probes found {flat.size} of the {K} counted eigenvalues")
 
-    # phase one: eigenvalues only, tower by tower
-    axial = assemble_polar_operator(N, potential, 0, grid, sampling)
-    axial_vals = eigvalsh_tridiagonal(
-        axial.diag, axial.off, select="i", select_range=(0, K - 1)
-    )
-    lowest = axial_vals  # the K lowest flattened values so far, ascending
-    upper_vals: list[np.ndarray] = []
-    m = 1
-    while True:
-        mat = assemble_polar_operator(N, potential, m, grid, sampling)
-        vals = eigvalsh_tridiagonal(
-            mat.diag, mat.off, select="v", select_range=(-math.inf, lowest[-1])
-        )
-        if vals.size == 0:
-            break
-        upper_vals.append(vals)
-        merged = np.concatenate([lowest, np.repeat(vals, harmonic_multiplicity(N, m))])
-        lowest = np.sort(merged)[:K]
-        m += 1
-        if m > grid.size:  # pragma: no cover - defensive
-            raise ResolutionError("tower merge did not terminate")
-
-    # phase two: final cutoff, eigenvectors only for the surviving m = 0 modes
-    cutoff = lowest[-1]
-    keep = int(np.searchsorted(axial_vals, cutoff, side="right"))
+    # final cutoff, eigenvectors only for the surviving m = 0 modes
+    cutoff = flat[K - 1]
+    keep = int(np.searchsorted(probed[0], cutoff, side="right"))
     collected = [
         AngularMode(m=0, mu=mu, multiplicity=1, polar=vec / math.sqrt(grid.area_equator))
         for mu, vec in polar_eigen(axial, keep)
     ]
-    for m, vals in enumerate(upper_vals, start=1):
+    for m, vals in enumerate(probed[1:], start=1):
         mult = harmonic_multiplicity(N, m)
         collected.extend(
             AngularMode(m=m, mu=float(mu), multiplicity=mult)

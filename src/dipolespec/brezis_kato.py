@@ -184,8 +184,13 @@ def iteration_constants(
     ratio = 2.0 / p.two_star
     pref = 0.5 if printed_variant else 2.0
     closed = (1.0 / pref) * ratio / (1.0 - ratio)
-    prefactor = base_constant * p.diam ** (p.sigma * (2.0 - p.two_star))
-    limit = prefactor ** float(inv_q[-1]) * float(partial_products[-1])
+    try:
+        prefactor = base_constant * p.diam ** (p.sigma * (2.0 - p.two_star))
+        limit = prefactor ** float(inv_q[-1]) * float(partial_products[-1])
+    except OverflowError as exc:
+        raise NumericalError(
+            "the diameter factor of the limit constant overflows float64 for these inputs"
+        ) from exc
     rows = tuple(
         (int(n[i]), float(q[i]), float(r[i]), float(b[i]),
          float(partial_sums[i]), float(partial_products[i]))

@@ -35,6 +35,7 @@ from .angular import (
     PolarGrid,
     TridiagonalMatrix,
     assemble_polar_operator,
+    count_at_most,
 )
 from .errors import BracketError, EigenSolveError, IndefiniteFormError, InputError
 
@@ -205,7 +206,10 @@ def critical_dipole_coupling(
     mu_1(lambda cos) = -((N-2)/2)^2; mu_1 is nonincreasing in lambda and
     always comes from the m = 0 tower (higher towers sit above it by at
     least nu_m), so plain bisection on [0, 4(N-2)^2] applies, with geometric
-    expansion of the bracket on failure.
+    expansion of the bracket on failure.  Each step only needs to know
+    whether mu_1 lies at or below the threshold, so it decides by a Sturm
+    count of the m = 0 tower at the threshold (`count_at_most` is zero
+    exactly when mu_1 is above it) instead of solving for mu_1.
     """
     if N < 3:
         raise InputError(f"dimension must be >= 3, got {N}")
@@ -217,9 +221,15 @@ def critical_dipole_coupling(
     if method != "bisection":
         raise InputError(f"unknown method {method!r}")
     target = -(((N - 2) / 2.0) ** 2)
+
+    def positive(lam: float) -> bool:
+        """mu_1(lam cos) > target: no eigenvalue of the m = 0 tower at or below it."""
+        mat = assemble_polar_operator(N, AngularPotential.dipole(lam), 0, grid, sampling)
+        return count_at_most(mat, target, eigvalsh_tridiagonal) == 0
+
     lo, hi = 0.0, 4.0 * (N - 2) ** 2
     for _ in range(8):
-        if _mu1_m0(N, AngularPotential.dipole(hi), grid, sampling) < target:
+        if not positive(hi):
             break
         hi *= 2.0
     else:
@@ -228,7 +238,7 @@ def critical_dipole_coupling(
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _mu1_m0(N, AngularPotential.dipole(mid), grid, sampling) > target:
+        if positive(mid):
             lo = mid
         else:
             hi = mid
@@ -282,7 +292,7 @@ def admissible_radius(N: int, lam: float, C: float, eps: float) -> float:
     """Largest ball radius on which the perturbed form stays coercive.
 
     r_max = [ (N-2)^2 (1 - Lambda) / (4 C^+) ]^{1/eps} for C > 0, +inf for
-    C <= 0.
+    C <= 0 and where the power exceeds the float64 range.
     """
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
@@ -292,4 +302,7 @@ def admissible_radius(N: int, lam: float, C: float, eps: float) -> float:
         )
     if C <= 0:
         return math.inf
-    return ((N - 2) ** 2 * (1.0 - lam) / (4.0 * C)) ** (1.0 / eps)
+    try:
+        return ((N - 2) ** 2 * (1.0 - lam) / (4.0 * C)) ** (1.0 / eps)
+    except OverflowError:
+        return math.inf

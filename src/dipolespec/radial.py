@@ -46,11 +46,12 @@ class RadialGrid:
     """Strictly increasing radii with the outer radius as last point."""
 
     points: np.ndarray = field(repr=False)
+    MIN_POINTS = 8
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 8:
-            raise InputError("radial grid needs at least 8 points")
+        if pts.ndim != 1 or pts.size < self.MIN_POINTS:
+            raise InputError(f"radial grid needs at least {self.MIN_POINTS} points")
         if pts[0] <= 0 or np.any(np.diff(pts) <= 0):
             raise InputError("radial grid must be strictly increasing and positive")
         object.__setattr__(self, "points", pts)
@@ -60,6 +61,8 @@ class RadialGrid:
         """Geometric grid rho_j = r_out * g^{J-j}, clustering at zero."""
         if not (0 < r_min < r_out):
             raise InputError("need 0 < r_min < r_out")
+        if size < cls.MIN_POINTS:
+            raise InputError(f"radial grid needs at least {cls.MIN_POINTS} points, got {size}")
         return cls(r_out * (r_min / r_out) ** np.linspace(1.0, 0.0, size))
 
     @property

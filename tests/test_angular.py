@@ -9,14 +9,17 @@ from dipolespec import angular
 from dipolespec.angular import (
     AngularPotential,
     PolarGrid,
+    PolarTowers,
     TridiagonalMatrix,
     assemble_polar_operator,
     check_mu1_bounds,
+    count_at_most,
     eigenfunction_sup_ratio,
     full_spectrum,
     harmonic_multiplicity,
     polar_eigen,
     unit_sphere_area,
+    _sin_power_cell_integrals,
     weyl_fit,
 )
 from dipolespec.errors import InputError, ResolutionError
@@ -51,6 +54,45 @@ def one_norm(mat):
     """||T||_1 of a symmetric tridiagonal matrix: its largest absolute column sum."""
     off = np.abs(mat.off)
     return float(np.max(np.abs(mat.diag) + np.append(off, 0.0) + np.insert(off, 0, 0.0)))
+
+
+def reference_operator(N, potential, m, grid, sampling):
+    """The tower-m operator written out in one piece, as the shared assembly must build it."""
+    h = grid.step
+    t = grid.nodes
+    a = potential.sample(grid)
+    nu = m * (m + N - 3)
+    beta2 = ((N - 2) / 2.0) ** 2
+    if sampling == "node":
+        d = 2.0 / h**2 + ((N - 2) * (N - 4) / 4.0 + nu) / np.sin(t) ** 2 - beta2 - a
+        return d, np.full(grid.size - 1, -1.0 / h**2)
+    tmid = 0.5 * (t[:-1] + t[1:])
+    p = np.sin(tmid) ** (N - 2)
+    w = grid.weights
+    fluxes = np.zeros(grid.size + 1)
+    fluxes[1:-1] = p
+    if nu:
+        edges = np.concatenate([[t[0] - h / 2], tmid, [t[-1] + h / 2]])
+        centrifugal = nu * _sin_power_cell_integrals(N - 4, edges) / (w * h)
+    else:
+        centrifugal = 0.0
+    d = (fluxes[:-1] + fluxes[1:]) / (h**2 * w) + centrifugal - a
+    return d, -p / (h**2 * np.sqrt(w[:-1] * w[1:]))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def sturm_count(diag, off, x):
+    """Eigenvalues at or below x: negative pivots of the LDL^T factorization of T - x I."""
+    count, pivot = 0, 1.0
+    for i, di in enumerate(diag):
+        pivot = di - x - (off[i - 1] ** 2 / pivot if i else 0.0)
+        if pivot == 0.0:
+            pivot = -1e-300  # a zero pivot means x is an eigenvalue: count it
+        count += pivot < 0
+    return count
 
 
 COUPLINGS = st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)
@@ -186,6 +228,74 @@ class TestAssemble:
         assert bottom == pytest.approx(m * (m + N - 2.0), rel=1e-6)
 
 
+class TestSturmCount:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        diag=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
+        off_seed=st.lists(st.floats(-5.0, 5.0), min_size=39, max_size=39),
+    )
+    def test_matches_ldl_reference(self, diag, off_seed):
+        d = np.array(diag)
+        e = np.array(off_seed[: d.size - 1])
+        mat = TridiagonalMatrix(d, e, 1.0)
+        full = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        eigs = np.linalg.eigvalsh(full)
+        scale = 1e-6 * max(1.0, float(np.max(np.abs(eigs))))
+        points = [eigs[0] - 1.0, eigs[-1] + 1.0] + [
+            0.5 * (lo + hi) for lo, hi in zip(eigs, eigs[1:]) if hi - lo > scale
+        ]
+        for x in points:
+            want = int(np.sum(eigs <= x))
+            assert sturm_count(d, e, x) == want
+            assert count_at_most(mat, x) == want
+
+    def test_solver_is_the_one_passed(self):
+        calls = []
+
+        def solver(*args, **kwargs):
+            calls.append(kwargs)
+            return eigvalsh_tridiagonal(*args, **kwargs)
+
+        mat = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.zeros(2), 1.0)
+        assert count_at_most(mat, 2.5, solver) == 2
+        assert calls == [{"select": "v", "select_range": (-math.inf, 2.5), "tol": math.inf}]
+
+
+class TestPolarTowers:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.integers(3, 7),
+        M=st.integers(3, 300),
+        kind=st.sampled_from(["constant", "dipole", "tabulated"]),
+        c1=COUPLINGS,
+        c2=COUPLINGS,
+        sampling=st.sampled_from(["flux", "node"]),
+    )
+    def test_bit_identical_to_the_one_piece_formula(self, N, M, kind, c1, c2, sampling):
+        grid = PolarGrid.build(N, M)
+        if kind == "constant":
+            potential = AngularPotential.constant(c1)
+        elif kind == "dipole":
+            potential = AngularPotential.dipole(c1)
+        else:
+            t = grid.nodes
+            potential = AngularPotential.tabulated(c1 * np.cos(t) + c2 * np.cos(2 * t), grid)
+        towers = PolarTowers(N, potential, grid, sampling)
+        for m in range(11):
+            d, e = reference_operator(N, potential, m, grid, sampling)
+            for mat in (towers.matrix(m), assemble_polar_operator(N, potential, m, grid, sampling)):
+                assert np.array_equal(bits(mat.diag), bits(d))
+                assert np.array_equal(bits(mat.off), bits(e))
+                assert mat.step == grid.step
+
+    def test_towers_share_the_off_diagonal(self):
+        grid = PolarGrid.build(4, 50)
+        towers = PolarTowers(4, AngularPotential.dipole(1.0), grid, "flux")
+        assert towers.matrix(0).off is towers.matrix(3).off
+        with pytest.raises(InputError):
+            towers.matrix(-1)
+
+
 class TestPolarEigen:
     def test_diagonal_matrix(self):
         mat = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.zeros(2), math.pi / 4)
@@ -294,6 +404,12 @@ class TestFullSpectrum:
         for m, (mat, vals) in enumerate(ref):
             got = np.array([md.mu for md in spec.tower(m)])
             assert np.all(np.abs(got - vals) <= 4 * np.finfo(float).eps * one_norm(mat))
+        # the m = 0 modes are bit for bit the index-range solve of their tower
+        axial, kept = ref[0]
+        want0 = polar_eigen(axial, kept.size)
+        for md, (mu, vec) in zip(spec.tower(0), want0, strict=True):
+            assert md.mu == mu
+            assert np.array_equal(md.polar, vec / math.sqrt(grid.area_equator))
 
     @settings(max_examples=40, deadline=None)
     @given(case=spectrum_cases())
@@ -314,14 +430,17 @@ class TestFullSpectrum:
                     md.psi(grid)
 
     def test_weyl_merge_work_count(self, monkeypatch):
-        # N = 3, K = 500, M = 1200 scans 23 towers; an index-range probe of K
-        # values per tower would request 11500 eigenvalues
+        # N = 3, K = 500, M = 1200: Sturm counts bracket the K-th flattened
+        # value before any value is computed; a value probe per tower bounded
+        # by the running K-th value requested 1623 eigenvalues here, and an
+        # index-range probe of K values per tower 11500
         K = 500
-        probes, vector_diags = [], []
+        value_probes, vector_diags = [], []
 
         def counting_values(*args, **kwargs):
             vals = eigvalsh_tridiagonal(*args, **kwargs)
-            probes.append(vals)
+            if kwargs.get("tol", 0.0) != math.inf:  # a count returns no usable values
+                value_probes.append((kwargs["select"], kwargs["select_range"], vals))
             return vals
 
         def counting_vectors(diag, *args, **kwargs):
@@ -332,17 +451,25 @@ class TestFullSpectrum:
         monkeypatch.setattr(angular, "eigh_tridiagonal", counting_vectors)
         grid = PolarGrid.build(3, 1200)
         potential = AngularPotential.constant(0.0)
-        full_spectrum(3, potential, K, grid)
+        spec = full_spectrum(3, potential, K, grid)
 
-        assert len(probes) == 23
-        assert sum(vals.size for vals in probes) < 2000
+        assert sum(vals.size for _, _, vals in value_probes) < 300
         assert len(vector_diags) == 1
         assert np.array_equal(vector_diags[0], assemble_polar_operator(3, potential, 0, grid).diag)
-        flat = list(probes[0])
-        for m, vals in enumerate(probes[1:], start=1):
-            assert vals.size == 0 or vals[-1] <= sorted(flat)[K - 1]
-            flat.extend(np.repeat(vals, harmonic_multiplicity(3, m)))
-        assert probes[-1].size == 0
+        # mu_1 from one index probe, then one value probe per tower up to the
+        # final bracket, and the first empty tower ends the scan
+        assert [(sel, rng) for sel, rng, _ in value_probes[:1]] == [("i", (0, 0))]
+        ranges = value_probes[1:]
+        assert all(sel == "v" for sel, _, _ in ranges)
+        hi = ranges[0][1][1]
+        assert all(rng == (-math.inf, hi) for _, rng, _ in ranges)
+        assert all(vals.size == 0 or vals[-1] <= hi for _, _, vals in ranges)
+        assert ranges[-1][2].size == 0 and all(vals.size for _, _, vals in ranges[:-1])
+        assert len({md.m for md in spec.modes}) <= len(ranges) - 1
+        flat = np.concatenate(
+            [np.repeat(vals, harmonic_multiplicity(3, m)) for m, (_, _, vals) in enumerate(ranges)]
+        )
+        assert flat.size >= K
 
 
 class TestMu1Bounds:

@@ -130,6 +130,13 @@ class TestIterationConstants:
         assert all(math.isfinite(x) for x in b)
         assert b[-1] < 1e-50
 
+    def test_diameter_factor_overflow_is_a_numerical_failure(self):
+        # diam^{sigma (2 - 2*)} = 1e300 for a tiny diameter, and the printed
+        # variant raises it to sum 1/q_n > 1, past the float64 maximum
+        p = BKParameters(4, 3.0, 1.0, 1.0, 1.0, 1e-300, 0.5)
+        with pytest.raises(NumericalError, match="overflows"):
+            iteration_constants(p, 20, printed_variant=True)
+
     def test_requires_two_stages(self):
         with pytest.raises(InputError):
             iteration_constants(REFERENCE, 1)

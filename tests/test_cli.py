@@ -41,6 +41,9 @@ class TestParsing:
             ("cauchy", "--scenario", "manufactured-radial", "--radii", "0.3,x",
              "--grid", "100", "--modes", "8", "--points", "40"),
             ("spectrum", "--potential", "dipole:nan", "--grid", "100"),
+            ("radial", "--mu", "2", "--points", "-3"),
+            ("cauchy", "--scenario", "manufactured-radial", "--grid", "60",
+             "--modes", "6", "--points", "-1"),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -72,6 +75,64 @@ FUZZ_COMMANDS = {
 def test_fuzzed_specs_exit_cleanly(flag, kind, arg):
     """Any spec string on a tiny grid ends in success, input error or numerical failure."""
     assert main(list(FUZZ_COMMANDS[flag]) + [f"{flag}={kind}{arg}"]) in (0, 2, 3)
+
+
+def exit_code(argv):
+    """main's return value, or the code argparse exits with on a bad flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+INTS = st.integers(-3, 12).map(str) | st.sampled_from(["0", "x", "", "1e3", "2.5"])
+FLOATS = (st.floats(-4.0, 4.0).map(repr)
+          | st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "1e300", "x", ""]))
+# subcommand -> (the arguments it always gets, {flag: value strategy}); grids,
+# counts and point numbers stay small so every example runs in milliseconds
+FLAG_FUZZ = {
+    "spectrum": (("--grid", "40"), {"--dim": INTS, "--grid": INTS, "--count": INTS,
+                                    "--sampling": st.sampled_from(["flux", "node", "x"]),
+                                    "--format": st.sampled_from(["csv", "json", "x"])}),
+    "hardy": (("--grid", "40"), {"--dim": INTS, "--grid": INTS,
+                                 "--table": st.sampled_from(["3..4", "4", "5..3", "2..3", "x"]),
+                                 "--method": st.sampled_from(["pencil", "bisection", "both"])}),
+    "sigma": (("--dim", "4", "--mu", "0"), {"--dim": INTS, "--mu": FLOATS}),
+    "radial": (("--mu", "2", "--points", "20"),
+               {"--dim": INTS, "--mu": FLOATS, "--c1": FLOATS, "--points": INTS,
+                "--rmin": FLOATS, "--tol": FLOATS}),
+    "cauchy": (("--scenario", "manufactured-radial", "--grid", "40", "--modes", "6",
+                "--points", "20"),
+               {"--dim": INTS, "--grid": INTS, "--modes": INTS, "--points": INTS,
+                "--rmin": FLOATS, "--beta": FLOATS, "--eps": FLOATS, "--gscale": FLOATS,
+                "--scenario": st.sampled_from(["manufactured-nonradial", "mode:2", "mode:9"]),
+                "--limit-table": st.just(None)}),
+    "sandwich": (("--grid", "40", "--modes", "6", "--points", "20"),
+                 {"--dim": INTS, "--grid": INTS, "--modes": INTS, "--points": INTS,
+                  "--rmin": FLOATS, "--eps": FLOATS, "--gscale": FLOATS,
+                  "--radius-fraction": FLOATS}),
+    "bk": (("--n", "20"), {"--dim": INTS, "--s": FLOATS, "--vnorm": FLOATS, "--ckn": FLOATS,
+                           "--dist": FLOATS, "--diam": FLOATS, "--sigma": FLOATS,
+                           "--n": INTS, "--printed-variant": st.just(None)}),
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(FLAG_FUZZ)))
+    base, flags = FLAG_FUZZ[command]
+    argv = [command, *base]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        value = draw(flags[flag])
+        argv += [flag] if value is None else [f"{flag}={value}"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_flags_exit_cleanly(argv):
+    """Any flag values on tiny grids end in success, input error or numerical failure."""
+    assert exit_code(argv) in (0, 2, 3)
 
 
 class TestSigma:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
-from dipolespec.angular import AngularPotential, PolarGrid
+from dipolespec import hardy
+from dipolespec.angular import AngularPotential, PolarGrid, assemble_polar_operator
 from dipolespec.errors import InputError
 from dipolespec.hardy import (
     admissible_radius,
@@ -21,6 +24,29 @@ SPECTRAL_CRITICAL = {
     5: 7.58393585,
     8: 26.74203534,
 }
+
+
+def mu1_bisection(N, grid, sampling, tol):
+    """Critical coupling by bisection on a solved mu_1; returns (coupling, mu_1 solves)."""
+    target = -(((N - 2) / 2.0) ** 2)
+    solves = 0
+
+    def mu1(lam):
+        nonlocal solves
+        solves += 1
+        mat = assemble_polar_operator(N, AngularPotential.dipole(lam), 0, grid, sampling)
+        return eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, 0))[0]
+
+    lo, hi = 0.0, 4.0 * (N - 2) ** 2
+    while not mu1(hi) < target:
+        hi *= 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mu1(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), solves
 
 
 class TestLambdaN:
@@ -130,6 +156,40 @@ class TestCriticalCoupling:
         assert neg.critical_coupling == pytest.approx(pos.critical_coupling, rel=1e-12)
         assert neg.critical_coupling > 0
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        N=st.integers(3, 6),
+        M=st.integers(40, 300),
+        coupling=st.floats(0.05, 20.0),
+        sampling=st.sampled_from(["flux", "node"]),
+    )
+    def test_sign_never_changes_the_critical_coupling(self, N, M, coupling, sampling):
+        g = PolarGrid.build(N, M)
+        pos = lambda_n(N, AngularPotential.dipole(coupling), g, sampling)
+        neg = lambda_n(N, AngularPotential.dipole(-coupling), g, sampling)
+        assert neg.critical_coupling == pytest.approx(pos.critical_coupling, rel=1e-12)
+        assert neg.critical_coupling > 0
+
+    @pytest.mark.parametrize("sampling", ["flux", "node"])
+    @pytest.mark.parametrize("N,M", [(3, 800), (4, 600), (5, 400)])
+    def test_count_bisection_matches_mu1_bisection(self, monkeypatch, N, M, sampling):
+        # each step decides by a Sturm count at the threshold; the same
+        # decisions as solving mu_1 give the same coupling and call count
+        tol = 1e-8
+        g = PolarGrid.build(N, M)
+        want, solves = mu1_bisection(N, g, sampling, tol)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return eigvalsh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(hardy, "eigvalsh_tridiagonal", recording)
+        got = critical_dipole_coupling(N, g, "bisection", sampling, tol)
+        assert abs(got - want) <= tol
+        assert len(calls) == solves
+        assert all(kw["select"] == "v" and kw["tol"] == math.inf for kw in calls)
+
     def test_method_validation(self):
         g = PolarGrid.build(4, 100)
         with pytest.raises(InputError):
@@ -166,6 +226,9 @@ class TestAdmissibleRadius:
     def test_nonpositive_coefficient_is_unbounded(self):
         assert admissible_radius(5, 0.5, -3.0, 0.5) == math.inf
         assert admissible_radius(5, 0.5, 0.0, 0.5) == math.inf
+
+    def test_power_past_the_float_range_is_unbounded(self):
+        assert admissible_radius(4, 0.0, 1e-3, 1e-300) == math.inf
 
     def test_direct_substitution(self):
         assert admissible_radius(3, 0.60983, 1.0, 1.0) == pytest.approx(0.0975425, abs=1e-7)
