@@ -255,8 +255,6 @@ def sandwich_check(
     eps: float,
     fraction: float,
     spectrum: AngularSpectrum,
-    n_modes: int = 16,
-    tol: float = 1e-10,
 ) -> SandwichReport:
     """Trap a manufactured field between radial sub/supersolutions.
 
@@ -284,7 +282,7 @@ def sandwich_check(
     trace = field.u[j]
 
     tower = spectrum.tower(0)
-    n_modes = min(n_modes, len(tower))
+    n_modes = min(16, len(tower))
     coeffs = []
     recon = np.zeros_like(trace)
     for k in range(1, n_modes + 1):
@@ -309,7 +307,7 @@ def sandwich_check(
         mode = spectrum.axisymmetric_mode(k)
         psi_k = mode.psi(grid)
         for h, target in ((h_lo, lower), (h_hi, upper)):
-            prof = solve_mode_bvp(N, mode.mu, h, c_k, sub_grid, tol, mode_index=k)
+            prof = solve_mode_bvp(N, mode.mu, h, c_k, sub_grid, 1e-10, mode_index=k)
             target += np.outer(prof.values, psi_k)
             worst_residual = max(worst_residual, prof.residual)
 

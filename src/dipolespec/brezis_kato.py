@@ -148,12 +148,10 @@ class BKTable:
     sum_inv_q_closed: float
 
 
-def iteration_constants(
-    p: BKParameters, n_max: int, printed_variant: bool = False, base_constant: float = 1.0
-) -> BKTable:
+def iteration_constants(p: BKParameters, n_max: int, printed_variant: bool = False) -> BKTable:
     """Stage table and the limit constant of the bootstrap.
 
-    The limit constant is [base * diam^{sigma(2-2*)}]^{sum 1/q_n} exp(sum b_n)
+    The limit constant is [diam^{sigma(2-2*)}]^{sum 1/q_n} exp(sum b_n)
     with the diameter exponent taken as printed (nonpositive for sigma >= 0).
     Divergent partial sums (b_n not decaying by n_max) raise, which is the
     signature of inputs with s at or below N/2.  So does an n_max past the
@@ -185,7 +183,7 @@ def iteration_constants(
     pref = 0.5 if printed_variant else 2.0
     closed = (1.0 / pref) * ratio / (1.0 - ratio)
     try:
-        prefactor = base_constant * p.diam ** (p.sigma * (2.0 - p.two_star))
+        prefactor = p.diam ** (p.sigma * (2.0 - p.two_star))
         limit = prefactor ** float(inv_q[-1]) * float(partial_products[-1])
     except OverflowError as exc:
         raise NumericalError(

@@ -37,8 +37,6 @@ def fmt(x) -> str:
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{float(x):.10g}"
 
 
@@ -59,6 +57,11 @@ def _finite(text: str, spec: str) -> float:
     if not math.isfinite(value):
         raise InputError(f"non-finite number {text!r} in {spec!r}")
     return value
+
+
+def _float_flag(parser, flag: str, **kwargs) -> None:
+    """A float flag whose malformed or non-finite values are input errors."""
+    parser.add_argument(flag, type=lambda text: _finite(text, f"{flag} {text}"), **kwargs)
 
 
 def parse_potential(spec: str, grid: angular.PolarGrid) -> angular.AngularPotential:
@@ -114,11 +117,28 @@ def _emit(lines: list[str], path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_doc(doc: dict, header: str, rows: list, args) -> None:
-    if args.format == "json":
-        _emit([json.dumps(doc, indent=2, sort_keys=True)], args.out)
+def _nonfinite(value) -> bool:
+    """Whether a NaN or an infinity sits anywhere in a JSON-like value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(map(_nonfinite, value))
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _emit_doc(doc: dict, header: str | None, rows: list | None, args, sep: str = ",") -> None:
+    """doc as JSON (always, if rows is None), or the CSV header (if any) and rows.
+
+    The rows hold values of doc only.  A NaN or an infinity among the results
+    is a numerical failure, never output: JSON has neither.
+    """
+    if _nonfinite(doc["results"]):
+        raise NumericalError(f"{doc['command']} produced a non-finite result")
+    if rows is None or args.format == "json":
+        lines = [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)]
     else:
-        _emit([header] + [",".join(fmt(v) for v in row) for row in rows], args.out)
+        lines = ([header] if header else []) + [sep.join(fmt(v) for v in row) for row in rows]
+    _emit(lines, args.out)
 
 
 def cmd_spectrum(args) -> int:
@@ -170,11 +190,11 @@ def cmd_hardy(args) -> int:
         "results": {
             "lambda_n": res.lambda_n,
             "critical_coupling": res.critical_coupling,
-            "maximizer_tower": res.maximizer_tower,
+            "maximizer_tower": 0,  # the maximizer is axisymmetric, see hardy.lambda_n
             "nonpositive": res.nonpositive,
         },
     }
-    rows = [(res.lambda_n, res.critical_coupling, res.maximizer_tower)]
+    rows = [(res.lambda_n, res.critical_coupling, 0)]
     _emit_doc(doc, "lambda_n,critical_coupling,maximizer_tower", rows, args)
     return 0
 
@@ -216,10 +236,7 @@ def cmd_sigma(args) -> int:
             "degenerate": exps.degenerate,
         },
     }
-    if args.format == "json":
-        _emit([json.dumps(doc, indent=2, sort_keys=True)], args.out)
-    else:
-        _emit([f"{fmt(exps.sigma_plus)}, {fmt(exps.sigma_minus)}"], args.out)
+    _emit_doc(doc, None, [(exps.sigma_plus, exps.sigma_minus)], args, sep=", ")
     return 0
 
 
@@ -339,11 +356,13 @@ def cmd_sandwich(args) -> int:
             "power_lower": rep.power_lower,
             "power_upper": rep.power_upper,
             "radius": rep.radius,
-            "admissible_radius": rep.admissible_radius,
+            # unbounded (coercivity coefficient <= 0) is written as null
+            "admissible_radius": None if math.isinf(rep.admissible_radius)
+            else rep.admissible_radius,
             "modes_used": rep.modes_used,
         },
     }
-    _emit([json.dumps(doc, indent=2, sort_keys=True)], args.out)
+    _emit_doc(doc, None, None, args)
     return 0
 
 
@@ -413,20 +432,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma", help="characteristic exponents for (dim, mu)")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--mu", type=float, required=True)
+    _float_flag(p, "--mu", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("radial", help="radial profile and limit coefficient")
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--mu", type=float, required=True)
+    _float_flag(p, "--mu", required=True)
     p.add_argument("--perturbation", default="zero",
                    help="zero | power:C,EPS | manufactured:BETA[,SIGMA]")
-    p.add_argument("--c1", type=float, default=1.0)
+    _float_flag(p, "--c1", default=1.0)
     p.add_argument("--points", type=int, default=400)
-    p.add_argument("--rmin", type=float, default=1e-8)
-    p.add_argument("--tol", type=float, default=1e-12)
+    _float_flag(p, "--rmin", default=1e-8)
+    _float_flag(p, "--tol", default=1e-12)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_radial)
@@ -438,10 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="0.3,0.6,0.9")
     p.add_argument("--modes", type=int, default=40)
     p.add_argument("--points", type=int, default=400)
-    p.add_argument("--rmin", type=float, default=1e-8)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--gscale", type=float, default=0.2)
+    _float_flag(p, "--rmin", default=1e-8)
+    _float_flag(p, "--beta", default=1.0)
+    _float_flag(p, "--eps", default=1.0)
+    _float_flag(p, "--gscale", default=0.2)
     p.add_argument("--limit-table", action="store_true",
                    help="emit the small-radius convergence table "
                         "(rho, estimate, defect) instead of the R sweep")
@@ -451,20 +470,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--modes", type=int, default=80)
     p.add_argument("--points", type=int, default=400)
-    p.add_argument("--rmin", type=float, default=1e-8)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--gscale", type=float, default=0.2)
-    p.add_argument("--radius-fraction", type=float, default=0.5)
+    _float_flag(p, "--rmin", default=1e-8)
+    _float_flag(p, "--eps", default=1.0)
+    _float_flag(p, "--gscale", default=0.2)
+    _float_flag(p, "--radius-fraction", default=0.5)
     p.set_defaults(func=cmd_sandwich)
 
     p = sub.add_parser("bk", help="bootstrap constants table")
     p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--s", type=float, default=3.0)
-    p.add_argument("--vnorm", type=float, default=1.0)
-    p.add_argument("--ckn", type=float, default=1.0)
-    p.add_argument("--dist", type=float, default=1.0)
-    p.add_argument("--diam", type=float, default=2.0)
-    p.add_argument("--sigma", type=float, default=0.5)
+    _float_flag(p, "--s", default=3.0)
+    _float_flag(p, "--vnorm", default=1.0)
+    _float_flag(p, "--ckn", default=1.0)
+    _float_flag(p, "--dist", default=1.0)
+    _float_flag(p, "--diam", default=2.0)
+    _float_flag(p, "--sigma", default=0.5)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--printed-variant", action="store_true",
                    help="use the 1/2 prefactor exponent sequence")

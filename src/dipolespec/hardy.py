@@ -1,11 +1,14 @@
 """Best constant of the Hardy-type inequality and the critical dipole coupling.
 
 The best constant Lambda_N(a) is the largest eigenvalue of the matrix pencil
-B w = Lambda A w per azimuthal tower, maximized over towers, where A
-discretizes the denominator form int(|w'|^2 + [(N-2)(N-4)/4 + nu_m] w^2 /
-sin^2) of the reduced one-dimensional characterization (the ((N-2)/2)^2 mass
-term of the spherical form is absorbed exactly by the w-transform) and
-B = diag(a(t_i)).
+B w = Lambda A w of the axisymmetric (m = 0) tower, where B = diag(a(t_i))
+and A discretizes the denominator form int(|w'|^2 + [(N-2)(N-4)/4] w^2 /
+sin^2) of the reduced one-dimensional characterization (the w-transform
+absorbs the ((N-2)/2)^2 mass term of the spherical form exactly).  Tower m
+has the denominator A + diag(nu_m c), c > 0, under both samplings, so it
+never carries a larger value when a has a positive sample.  If ess sup
+a <= 0, every tower's value is <= 0 and rises to 0 with nu_m: the best
+constant is 0.
 
 Two independent routes to the critical dipole coupling are provided: the
 reciprocal of the pencil value at unit coupling, and monotone bisection on
@@ -41,12 +44,7 @@ from .errors import BracketError, EigenSolveError, IndefiniteFormError, InputErr
 
 _LANCZOS_CAP = 500
 _LANCZOS_TOL = 1e-13
-
-
-def _denominator_matrix(N, m, grid, sampling) -> TridiagonalMatrix:
-    """A = (discrete tower operator at a = 0) + ((N-2)/2)^2 I."""
-    zero = AngularPotential.constant(0.0)
-    return assemble_polar_operator(N, zero, m, grid, sampling).shifted(((N - 2) / 2.0) ** 2)
+_BISECTION_TOL = 1e-8  # width of the final coupling bracket
 
 
 class _PencilOperator:
@@ -73,14 +71,14 @@ class _PencilOperator:
         return solve_banded((1, 0), self.UT, x)    # L^{-1} x = U^{-T} x
 
 
-def _lanczos_largest(op, n: int, tol=_LANCZOS_TOL, cap=_LANCZOS_CAP):
+def _lanczos_largest(op, n: int):
     """Largest eigenvalue and Ritz vector; deterministic all-ones start."""
     q = np.ones(n) / math.sqrt(n)
     basis = [q]
     alphas: list[float] = []
     betas: list[float] = []
     prev = math.inf
-    for _ in range(cap):
+    for _ in range(_LANCZOS_CAP):
         v = op(basis[-1])
         alpha = float(basis[-1] @ v)
         alphas.append(alpha)
@@ -96,7 +94,7 @@ def _lanczos_largest(op, n: int, tol=_LANCZOS_TOL, cap=_LANCZOS_CAP):
         else:
             ritz = eigvalsh_tridiagonal(d, e, select="i", select_range=(d.size - 1, d.size - 1))[0]
         beta = float(np.linalg.norm(v))
-        if abs(ritz - prev) <= tol * max(1.0, abs(ritz)) or beta < 1e-14:
+        if abs(ritz - prev) <= _LANCZOS_TOL * max(1.0, abs(ritz)) or beta < 1e-14:
             from scipy.linalg import eigh_tridiagonal
 
             if d.size == 1:
@@ -111,17 +109,14 @@ def _lanczos_largest(op, n: int, tol=_LANCZOS_TOL, cap=_LANCZOS_CAP):
         prev = ritz
         betas.append(beta)
         basis.append(v / beta)
-    raise EigenSolveError(f"Lanczos did not converge within {cap} iterations")
+    raise EigenSolveError(f"Lanczos did not converge within {_LANCZOS_CAP} iterations")
 
 
 @dataclass(frozen=True)
 class HardyResult:
     lambda_n: float
     critical_coupling: float | None
-    maximizer: np.ndarray
-    maximizer_tower: int
-    method: str
-    grid_size: int
+    maximizer: np.ndarray | None
     nonpositive: bool = False
     richardson: float | None = None
 
@@ -131,15 +126,14 @@ def lambda_n(
     potential: AngularPotential,
     grid: PolarGrid,
     sampling: str = "flux",
-    towers: int = 4,
     richardson: bool = False,
 ) -> HardyResult:
-    """Best constant Lambda_N(a), maximized over the first `towers` azimuthal towers.
+    """Best constant Lambda_N(a): one pencil solve on the m = 0 tower.
 
-    For potentials with ess sup <= 0 the computed maximum is still returned,
-    flagged `nonpositive` (the constant is then <= 0 and the inequality
-    carries no content).  The dipole maximizer is axisymmetric, but the tower
-    scan removes that assumption for tabulated potentials.
+    The towers m >= 1 never carry a larger value (see the module docstring),
+    so the maximizer is axisymmetric; it has unit L^2(S^{N-1}) norm.  For
+    ess sup a <= 0 the best constant is 0: the result is flagged
+    `nonpositive`, has no maximizer, and no pencil is solved.
 
     `richardson=True` also solves on the grid of M // 2 nodes and reports
     the second-order extrapolation from the two step sizes; tabulated
@@ -151,39 +145,28 @@ def lambda_n(
             "tabulated potential has samples only at the given grid's nodes"
         )
     a_samples = potential.sample(grid)
-    best = -math.inf
-    best_vec = None
-    best_m = 0
-    for m in range(max(1, towers)):
-        A = _denominator_matrix(N, m, grid, sampling)
-        op = _PencilOperator(A, a_samples)
-        val, y = _lanczos_largest(op, A.size)
-        if val > best:
-            best, best_m = val, m
-            # pencil eigenvector in w coordinates: w = L^{-T} y
-            best_vec = solve_banded((0, 1), op.U, y)
-    psi = best_vec / np.sin(grid.nodes) ** ((N - 2) / 2.0)
-    norm = math.sqrt(grid.integrate(psi**2)) if best_m == 0 else float(np.linalg.norm(psi))
-    psi = psi / norm
+    if potential.ess_sup <= 0:
+        return HardyResult(lambda_n=0.0, critical_coupling=None, maximizer=None,
+                           nonpositive=True, richardson=0.0 if richardson else None)
+    # A = (discrete m = 0 tower operator at a = 0) + ((N-2)/2)^2 I
+    zero = AngularPotential.constant(0.0)
+    A = assemble_polar_operator(N, zero, 0, grid, sampling).shifted(((N - 2) / 2.0) ** 2)
+    op = _PencilOperator(A, a_samples)
+    best, y = _lanczos_largest(op, A.size)
+    # pencil eigenvector in w coordinates: w = L^{-T} y
+    psi = solve_banded((0, 1), op.U, y) / np.sin(grid.nodes) ** ((N - 2) / 2.0)
+    psi = psi / math.sqrt(grid.integrate(psi**2))
     rich = None
     if richardson:
         half = PolarGrid.build(N, grid.size // 2)
-        coarse = lambda_n(N, potential, half, sampling, towers, richardson=False)
+        coarse = lambda_n(N, potential, half, sampling)
         r = (grid.size + 1) / (half.size + 1)  # step ratio; exactly 2 for odd M
         rich = best + (best - coarse.lambda_n) / (r * r - 1.0)  # second order
     lam_crit = None
     if potential.kind == "dipole" and best > 0:
         lam_crit = abs(potential.coupling) / best  # the threshold ignores the sign
-    return HardyResult(
-        lambda_n=best,
-        critical_coupling=lam_crit,
-        maximizer=psi,
-        maximizer_tower=best_m,
-        method="pencil",
-        grid_size=grid.size,
-        nonpositive=potential.ess_sup <= 0,
-        richardson=rich,
-    )
+    return HardyResult(lambda_n=best, critical_coupling=lam_crit, maximizer=psi,
+                       richardson=rich)
 
 
 def _mu1_m0(N, potential, grid, sampling) -> float:
@@ -198,7 +181,6 @@ def critical_dipole_coupling(
     grid: PolarGrid,
     method: str = "pencil",
     sampling: str = "flux",
-    tol: float = 1e-8,
 ) -> float:
     """Coupling lambda* at which the dipole quadratic form loses positivity.
 
@@ -206,10 +188,10 @@ def critical_dipole_coupling(
     mu_1(lambda cos) = -((N-2)/2)^2; mu_1 is nonincreasing in lambda and
     always comes from the m = 0 tower (higher towers sit above it by at
     least nu_m), so plain bisection on [0, 4(N-2)^2] applies, with geometric
-    expansion of the bracket on failure.  Each step only needs to know
-    whether mu_1 lies at or below the threshold, so it decides by a Sturm
-    count of the m = 0 tower at the threshold (`count_at_most` is zero
-    exactly when mu_1 is above it) instead of solving for mu_1.
+    expansion of the bracket on failure, to a width of _BISECTION_TOL.  Each
+    step only needs to know whether mu_1 lies at or below the threshold, so
+    it decides by a Sturm count of the m = 0 tower at the threshold
+    (`count_at_most` is zero exactly when mu_1 is above it).
     """
     if N < 3:
         raise InputError(f"dimension must be >= 3, got {N}")
@@ -236,7 +218,7 @@ def critical_dipole_coupling(
         raise BracketError(
             f"mu_1 stayed above the threshold on [0, {hi}]; no crossing found"
         )
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if positive(mid):
             lo = mid

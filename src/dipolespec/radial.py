@@ -40,6 +40,8 @@ from .errors import (
 )
 from .exponents import Exponents, sigma_pair
 
+PICARD_MAX_SWEEPS = 200  # sweeps of solve_mode_picard before it gives up
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -264,7 +266,6 @@ def solve_mode_picard(
     c1: float,
     grid: RadialGrid,
     tol: float = 1e-12,
-    max_iter: int = 200,
     mode_index: int = 1,
 ) -> RadialProfile:
     """Fixed-point solve of the Volterra representation with limit coefficient c1.
@@ -292,7 +293,7 @@ def solve_mode_picard(
     if h.is_zero:
         return _finish_profile(mode_index, N, mu, exps, grid, lead, h, c1, 0.0, 1)
     prev_dist = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, PICARD_MAX_SWEEPS + 1):
         Ip, Im = _volterra_integrals(exps, h, rho, phi)
         new = rho**exps.sigma_plus * (c1 - Ip / D) + rho**exps.sigma_minus * (Im / D)
         dist = float(np.max(np.abs(new - phi)))
@@ -307,7 +308,7 @@ def solve_mode_picard(
             )
         prev_dist = dist
     raise NonContractionError(
-        f"no convergence to {tol} within {max_iter} sweeps (last {prev_dist:.3e})"
+        f"no convergence to {tol} within {PICARD_MAX_SWEEPS} sweeps (last {prev_dist:.3e})"
     )
 
 
@@ -366,7 +367,7 @@ class LimitEstimate:
     discrepancy: float
 
 
-def limit_coefficient(profile: RadialProfile, h: RadialPerturbation | None = None) -> LimitEstimate:
+def limit_coefficient(profile: RadialProfile) -> LimitEstimate:
     """Limit of rho^{-sigma_plus} phi by formula and by extrapolation.
 
     The formula route evaluates the representation constant plus the full
@@ -374,7 +375,7 @@ def limit_coefficient(profile: RadialProfile, h: RadialPerturbation | None = Non
     over the three smallest radii and the discrepancy between the two is
     reported.
     """
-    h = profile.perturbation if h is None else h
+    h = profile.perturbation
     exps = profile.exponents
     rho = profile.grid.points
     if h.is_zero:
@@ -390,13 +391,13 @@ def limit_coefficient(profile: RadialProfile, h: RadialPerturbation | None = Non
     )
 
 
-def ode_residual(profile: RadialProfile, h: RadialPerturbation | None = None) -> np.ndarray:
+def ode_residual(profile: RadialProfile) -> np.ndarray:
     """Pointwise residual of phi'' + (N-1)/rho phi' - mu/rho^2 phi + h phi.
 
     Nonuniform three-point differences at the interior nodes; the residual
     decays at second order in the logarithmic step away from zero.
     """
-    h = profile.perturbation if h is None else h
+    h = profile.perturbation
     rho, phi = profile.grid.points, profile.values
     hm = rho[1:-1] - rho[:-2]
     hp = rho[2:] - rho[1:-1]

@@ -44,6 +44,16 @@ class TestParsing:
             ("radial", "--mu", "2", "--points", "-3"),
             ("cauchy", "--scenario", "manufactured-radial", "--grid", "60",
              "--modes", "6", "--points", "-1"),
+            ("sigma", "--dim", "4", "--mu", "nan"),
+            ("radial", "--mu=-inf", "--points", "20"),
+            ("radial", "--mu", "2", "--points", "20", "--rmin", "inf"),
+            ("radial", "--mu", "2", "--points", "20", "--tol", "nan"),
+            ("cauchy", "--scenario", "manufactured-radial", "--grid", "60",
+             "--modes", "6", "--points", "20", "--beta", "inf"),
+            ("sandwich", "--grid", "60", "--modes", "6", "--points", "20",
+             "--radius-fraction", "nan"),
+            ("bk", "--n", "20", "--vnorm", "inf"),
+            ("bk", "--n", "20", "--sigma", "nan"),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -171,6 +181,13 @@ class TestHardyTable:
         rows = doc["results"]["rows"]
         assert [r["N"] for r in rows] == [4, 4, 5, 5]
         assert [r["method"] for r in rows] == ["pencil", "bisection"] * 2
+
+    def test_nonpositive_potential_at_default_grid(self, capsys, monkeypatch):
+        # ess sup a <= 0: the best constant is 0, whatever the grid
+        monkeypatch.delenv("DIPOLESPEC_GRID_M", raising=False)
+        code, out, _ = run(capsys, "hardy", "--dim", "4", "--potential", "constant:-1")
+        assert code == 0
+        assert out.splitlines() == ["lambda_n,critical_coupling,maximizer_tower", "0,,0"]
 
     def test_single_potential_mode(self, capsys):
         code, out, _ = run(capsys, "hardy", "--dim", "4", "--potential", "constant:1",
@@ -317,6 +334,31 @@ class TestBkCommand:
 
 
 class TestErrorsAndEnv:
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (("bk", "--n", "20", "--vnorm", "1e300"), 3),
+            (("radial", "--mu", "100", "--rmin", "1e-300", "--points", "20",
+              "--format", "json"), 3),
+            (("cauchy", "--scenario", "manufactured-nonradial", "--grid", "60",
+              "--modes", "6", "--points", "40", "--rmin", "1e-300"), 3),
+            (("sandwich", "--grid", "60", "--modes", "6", "--points", "40",
+              "--gscale", "0"), 0),
+        ],
+    )
+    def test_nonfinite_results_are_never_printed(self, capsys, argv, want):
+        # a NaN or infinity among the results is a numerical failure; the one
+        # value infinite by definition, an unbounded admissible radius, is null
+        code, out, err = run(capsys, *argv)
+        assert code == want
+        assert not any(word in out for word in ("NaN", "Infinity", "nan", "inf"))
+        if want == 3:
+            assert out == ""
+            assert "numerical failure" in err
+        else:
+            assert validate(out)["results"]["admissible_radius"] is None
+
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

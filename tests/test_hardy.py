@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigvalsh_tridiagonal
+from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from dipolespec import hardy
 from dipolespec.angular import AngularPotential, PolarGrid, assemble_polar_operator
@@ -24,6 +24,42 @@ SPECTRAL_CRITICAL = {
     5: 7.58393585,
     8: 26.74203534,
 }
+
+
+def tower_scan(N, potential, grid, sampling):
+    """Reference best constant: the pencil of each tower m = 0..3, maximized over m.
+
+    Returns (value, argmax tower, maximizer); a maximizer of a tower m >= 1 is
+    normalized in the Euclidean norm, as no quadrature weights it.
+    """
+    a = potential.sample(grid)
+    zero = AngularPotential.constant(0.0)
+    best, best_m, best_vec = -math.inf, 0, None
+    for m in range(4):
+        A = assemble_polar_operator(N, zero, m, grid, sampling).shifted(((N - 2) / 2.0) ** 2)
+        op = hardy._PencilOperator(A, a)
+        val, y = hardy._lanczos_largest(op, A.size)
+        if val > best:
+            best, best_m = val, m
+            best_vec = solve_banded((0, 1), op.U, y)
+    psi = best_vec / np.sin(grid.nodes) ** ((N - 2) / 2.0)
+    norm = math.sqrt(grid.integrate(psi**2)) if best_m == 0 else float(np.linalg.norm(psi))
+    return best, best_m, psi / norm
+
+
+@st.composite
+def positive_potentials(draw, grid):
+    """A dipole, a positive constant, or a tabulated potential with a positive sample."""
+    kind = draw(st.sampled_from(["dipole", "constant", "tabulated"]))
+    if kind == "dipole":
+        coupling = draw(st.floats(0.05, 5.0)) * draw(st.sampled_from([1.0, -1.0]))
+        return AngularPotential.dipole(coupling)
+    if kind == "constant":
+        return AngularPotential.constant(draw(st.floats(0.01, 3.0)))
+    c0, c1, c2 = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    values = c0 + c1 * np.cos(grid.nodes) + c2 * np.cos(2 * grid.nodes)
+    assume(np.max(values) > 1e-3)
+    return AngularPotential.tabulated(values, grid)
 
 
 def mu1_bisection(N, grid, sampling, tol):
@@ -68,6 +104,23 @@ class TestLambdaN:
         res = lambda_n(3, AngularPotential.dipole(1.0), g)
         assert res.lambda_n == pytest.approx(1 / SPECTRAL_CRITICAL[3], rel=1e-5)
 
+    @pytest.mark.parametrize("kind", ["constant", "dipole", "tabulated"])
+    def test_nonpositive_potential_has_constant_zero(self, monkeypatch, kind):
+        # every tower's value is <= 0 and rises to 0 with nu_m, so the best
+        # constant is 0 and no pencil is solved
+        g = PolarGrid.build(4, 300)
+        a = {"constant": AngularPotential.constant(-1.0),
+             "dipole": AngularPotential.dipole(0.0),
+             "tabulated": AngularPotential.tabulated(-1.0 - np.cos(g.nodes) ** 2, g)}[kind]
+        richardson = kind != "tabulated"
+        monkeypatch.setattr(hardy, "cholesky_banded", None)
+        res = lambda_n(4, a, g, richardson=richardson)
+        assert res.lambda_n == 0.0
+        assert res.nonpositive
+        assert res.maximizer is None
+        assert res.critical_coupling is None
+        assert res.richardson == (0.0 if richardson else None)
+
     def test_zero_potential_flagged(self):
         g = PolarGrid.build(5, 300)
         a = AngularPotential.tabulated(np.zeros(300), g)
@@ -87,11 +140,21 @@ class TestLambdaN:
         res = lambda_n(4, AngularPotential.dipole(1.0), g)
         assert 0.0 < res.lambda_n < 4.0 / (4 - 2) ** 2
 
-    def test_maximizer_is_axisymmetric_for_dipole(self):
-        g = PolarGrid.build(4, 600)
-        res = lambda_n(4, AngularPotential.dipole(1.0), g, towers=4)
-        assert res.maximizer_tower == 0
-        assert res.maximizer.shape == g.nodes.shape
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), N=st.integers(3, 7), M=st.integers(60, 400),
+           sampling=st.sampled_from(["flux", "node"]))
+    def test_maximizer_is_axisymmetric(self, data, N, M, sampling):
+        # tower m adds nu_m c (c > 0) to the m = 0 denominator, so a potential
+        # with a positive sample has its best constant on the m = 0 tower
+        g = PolarGrid.build(N, M)
+        a = data.draw(positive_potentials(g))
+        value, tower, psi = tower_scan(N, a, g, sampling)
+        res = lambda_n(N, a, g, sampling)
+        assert tower == 0
+        assert res.lambda_n == value
+        assert np.array_equal(res.maximizer, psi)
+        assert not res.nonpositive
+        assert g.integrate(res.maximizer**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_richardson_reported(self):
         g = PolarGrid.build(5, 800)
@@ -175,7 +238,7 @@ class TestCriticalCoupling:
     def test_count_bisection_matches_mu1_bisection(self, monkeypatch, N, M, sampling):
         # each step decides by a Sturm count at the threshold; the same
         # decisions as solving mu_1 give the same coupling and call count
-        tol = 1e-8
+        tol = hardy._BISECTION_TOL
         g = PolarGrid.build(N, M)
         want, solves = mu1_bisection(N, g, sampling, tol)
         calls = []
@@ -185,7 +248,7 @@ class TestCriticalCoupling:
             return eigvalsh_tridiagonal(*args, **kwargs)
 
         monkeypatch.setattr(hardy, "eigvalsh_tridiagonal", recording)
-        got = critical_dipole_coupling(N, g, "bisection", sampling, tol)
+        got = critical_dipole_coupling(N, g, "bisection", sampling)
         assert abs(got - want) <= tol
         assert len(calls) == solves
         assert all(kw["select"] == "v" and kw["tol"] == math.inf for kw in calls)
