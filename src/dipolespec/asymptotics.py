@@ -6,10 +6,12 @@ with a common radial perturbation, and the manufactured nonradial family
 u = rho^sigma psi_1 (1 + rho^eps g) whose compatible perturbation
 q = -(Delta u + a rho^{-2} u)/u is assembled from the discrete angular
 operator, with the radial powers handled analytically.  Everything the
-limit functionals need about the source is rank-structured: a known
-power of rho times a bounded factor, so the power-law quadrature of the
-radial module applies columnwise and the discrete identities (value 1,
-independence of the evaluation radius) hold to rounding.
+limit functionals need about the source is a known power of rho times a
+bounded factor.  The functionals project onto the angular mode first (the
+angular quadrature commutes with the radial integrals), so the power-law
+quadrature of the radial module runs on one radial vector and the discrete
+identities (value 1, independence of the evaluation radius) hold to
+rounding.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class SolutionField:
     defect_power: float | None = None
     eps: float | None = None
     q_bound: float | None = None  # sup of |q| rho^{2-eps} for manufactured fields
-    g: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -149,8 +150,17 @@ def manufactured_nonradial(
     return SolutionField(
         spectrum=spectrum, radial=grid, u=u, source=F, sigma=sig,
         source_power=sig + eps - 2.0, tag="manufactured-nonradial",
-        defect_power=eps, eps=eps, q_bound=float(np.max(q_scaled)), g=g,
+        defect_power=eps, eps=eps, q_bound=float(np.max(q_scaled)),
     )
+
+
+def _weighted(grid, values: np.ndarray) -> np.ndarray:
+    """values times the polar quadrature weights.
+
+    v @ _weighted(grid, w) equals grid.integrate(v * w) up to rounding, for
+    every row v of a matrix at once.
+    """
+    return grid.area_equator * grid.step * grid.weights * values
 
 
 def cauchy_coefficient_mode(field: SolutionField, radii, k: int) -> list[float]:
@@ -166,7 +176,10 @@ def cauchy_coefficient_mode(field: SolutionField, radii, k: int) -> list[float]:
             ] psi_k dV,
 
     independent of r for solution/source pairs of the perturbed problem.
-    Each cumulative integral is built once and read at every radius.
+    The angular quadrature commutes with the radial integrals, so the source
+    is projected onto psi_k first: the two cumulative integrals are 1-D,
+    built once and read at every radius.  u is projected row by row at the
+    requested radii only.
     """
     spectrum = field.spectrum
     grid = spectrum.grid
@@ -178,15 +191,15 @@ def cauchy_coefficient_mode(field: SolutionField, radii, k: int) -> list[float]:
         raise InputError("2 sigma + N - 2 must be positive")
     rho = field.radial.points
     rows = [field.radial.nearest_index(r) for r in radii]
-    data = field.source / rho[:, None] ** field.source_power
-    I1 = integrate_power_from_zero(rho, 1.0 - sig + field.source_power, data)[rows]
-    I2 = integrate_power_from_zero(rho, N - 1.0 + sig + field.source_power, data)[rows]
     psi = mode.psi(grid)
+    data = field.source @ _weighted(grid, psi) / rho ** field.source_power
+    I1 = integrate_power_from_zero(rho, 1.0 - sig + field.source_power, data)
+    I2 = integrate_power_from_zero(rho, N - 1.0 + sig + field.source_power, data)
     values = []
-    for j, i1, i2 in zip(rows, I1, I2):
+    for j in rows:
         r = rho[j]
-        bracket = r ** (-sig) * field.u[j] + i1 / gap - r ** (-gap) * i2 / gap
-        values.append(float(grid.integrate(bracket * psi)))
+        u_k = grid.integrate(field.u[j] * psi)
+        values.append(float(r ** (-sig) * u_k + I1[j] / gap - r ** (-gap) * I2[j] / gap))
     return values
 
 
@@ -249,28 +262,25 @@ class SandwichReport:
     modes_used: int
 
 
-def sandwich_check(
-    field: SolutionField,
-    c_bound: float,
-    eps: float,
-    fraction: float,
-    spectrum: AngularSpectrum,
-) -> SandwichReport:
+def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
     """Trap a manufactured field between radial sub/supersolutions.
 
     The comparison radius is `fraction` of the smaller of the admissible
     radius of the coercivity gate and the field's outer radius, so the
     fraction must lie in (0, 1].  The boundary trace at that radius is
     expanded over the m = 0 tower; each coefficient is propagated inward
-    with perturbation -c_bound s^{eps-2} (subsolution) and +c_bound
-    s^{eps-2} (supersolution).  The field must sit between the two
-    reconstructions at every common sample, up to 1e-6 absolute plus five
-    times the worst per-mode solver residual.
+    with perturbation -q s^{eps-2} (subsolution) and +q s^{eps-2}
+    (supersolution), where q is the field's q_bound and eps its exponent.
+    The field must sit between the two reconstructions at every common
+    sample, up to 1e-6 absolute plus five times the worst per-mode solver
+    residual.
     """
     if field.tag != "manufactured-nonradial":
         raise InputError("sandwich check expects a manufactured nonradial field")
     if not 0.0 < fraction <= 1.0:
         raise InputError(f"radius fraction {fraction} must lie in (0, 1]")
+    spectrum = field.spectrum
+    c_bound, eps = field.q_bound, field.eps
     grid = spectrum.grid
     N = grid.dim
     lam = hardy.lambda_n(N, spectrum.potential, grid, spectrum.sampling).lambda_n
@@ -281,16 +291,11 @@ def sandwich_check(
     sub_grid = field.radial.restricted(r_snap)
     trace = field.u[j]
 
-    tower = spectrum.tower(0)
-    n_modes = min(16, len(tower))
-    coeffs = []
-    recon = np.zeros_like(trace)
-    for k in range(1, n_modes + 1):
-        psi_k = spectrum.axisymmetric_mode(k).psi(grid)
-        c_k = grid.integrate(trace * psi_k)
-        coeffs.append(c_k)
-        recon += c_k * psi_k
-    trace_residual = float(np.max(np.abs(trace - recon)))
+    n_modes = min(16, len(spectrum.tower(0)))
+    modes = [spectrum.axisymmetric_mode(k) for k in range(1, n_modes + 1)]
+    basis = np.array([mode.psi(grid) for mode in modes])  # (n_modes, M)
+    coeffs = basis @ _weighted(grid, trace)
+    trace_residual = float(np.max(np.abs(trace - coeffs @ basis)))
     if trace_residual > 5e-7:
         raise ResolutionError(
             f"boundary trace truncation {trace_residual:.2e} is too coarse "
@@ -300,16 +305,16 @@ def sandwich_check(
 
     h_lo = RadialPerturbation.power(-c_bound, eps) if c_bound else RadialPerturbation.zero()
     h_hi = RadialPerturbation.power(+c_bound, eps) if c_bound else RadialPerturbation.zero()
-    lower = np.zeros((sub_grid.size, grid.size))
-    upper = np.zeros((sub_grid.size, grid.size))
+    lower_profiles, upper_profiles = [], []
     worst_residual = 0.0
-    for k, c_k in enumerate(coeffs, start=1):
-        mode = spectrum.axisymmetric_mode(k)
-        psi_k = mode.psi(grid)
-        for h, target in ((h_lo, lower), (h_hi, upper)):
+    for k, (mode, c_k) in enumerate(zip(modes, coeffs.tolist()), start=1):
+        for h, profiles in ((h_lo, lower_profiles), (h_hi, upper_profiles)):
             prof = solve_mode_bvp(N, mode.mu, h, c_k, sub_grid, 1e-10, mode_index=k)
-            target += np.outer(prof.values, psi_k)
+            profiles.append(prof.values)
             worst_residual = max(worst_residual, prof.residual)
+    # (radius x mode) profiles times (mode x polar node) eigenfunctions
+    lower = np.column_stack(lower_profiles) @ basis
+    upper = np.column_stack(upper_profiles) @ basis
 
     slack = 1e-6 + 5.0 * worst_residual
     u_cut = field.u[: sub_grid.size]

@@ -156,7 +156,8 @@ def iteration_constants(p: BKParameters, n_max: int, printed_variant: bool = Fal
     Divergent partial sums (b_n not decaying by n_max) raise, which is the
     signature of inputs with s at or below N/2.  So does an n_max past the
     float64 range of q_n: the error names the largest n with q_n finite,
-    about log(float_max / prefactor) / log(2*/2).
+    about log(float_max / prefactor) / log(2*/2).  A partial product or a
+    limit constant past the float64 range is a NumericalError naming n.
     """
     if n_max < 2:
         raise InputError(f"n_max must be >= 2, got {n_max}")
@@ -177,7 +178,13 @@ def iteration_constants(p: BKParameters, n_max: int, printed_variant: bool = Fal
             "for these inputs (s too close to N/2)"
         )
     partial_sums = np.cumsum(b)
-    partial_products = np.exp(partial_sums)
+    with np.errstate(over="ignore"):
+        partial_products = np.exp(partial_sums)
+    if not np.all(np.isfinite(partial_products)):
+        first = int(np.argmin(np.isfinite(partial_products))) + 1
+        raise NumericalError(
+            f"the partial product exp(b_1 + ... + b_n) overflows float64 at n = {first}"
+        )
     inv_q = np.cumsum(1.0 / q)
     ratio = 2.0 / p.two_star
     pref = 0.5 if printed_variant else 2.0
@@ -189,6 +196,10 @@ def iteration_constants(p: BKParameters, n_max: int, printed_variant: bool = Fal
         raise NumericalError(
             "the diameter factor of the limit constant overflows float64 for these inputs"
         ) from exc
+    if not math.isfinite(limit):
+        raise NumericalError(
+            f"the limit constant overflows float64 at n = {n_max} for these inputs"
+        )
     rows = tuple(
         (int(n[i]), float(q[i]), float(r[i]), float(b[i]),
          float(partial_sums[i]), float(partial_products[i]))

@@ -340,8 +340,7 @@ def cmd_sandwich(args) -> int:
     rgrid = radial.RadialGrid.geometric(args.points, args.rmin, 1.0)
     g = args.gscale * spec.axisymmetric_mode(2).psi(grid)
     field = asymptotics.manufactured_nonradial(args.dim, spec, args.eps, g, rgrid)
-    rep = asymptotics.sandwich_check(field, field.q_bound, args.eps,
-                                     args.radius_fraction, spec)
+    rep = asymptotics.sandwich_check(field, args.radius_fraction)
     doc = {
         "command": "sandwich",
         "inputs": {"dim": args.dim, "potential": args.potential, "eps": args.eps,
@@ -403,14 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid=True):
+    def common(p, formats=("csv", "json")):
         p.add_argument("--dim", type=int, default=3)
         p.add_argument("--potential", default="dipole:1.0",
                        help="constant:K | dipole:L | table:PATH")
-        if grid:
-            p.add_argument("--grid", type=int, default=default_grid_size(),
-                           help=f"polar grid size (default from ${GRID_ENV} or 10000)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--grid", type=int, default=default_grid_size(),
+                       help=f"polar grid size (default from ${GRID_ENV} or 10000)")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--sampling", choices=["flux", "node"], default=None,
                        help="treatment of the singular polar coefficient "
@@ -467,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cauchy)
 
     p = sub.add_parser("sandwich", help="sub/supersolution trapping report (json)")
-    common(p)
+    common(p, formats=("json",))
     p.add_argument("--modes", type=int, default=80)
     p.add_argument("--points", type=int, default=400)
     _float_flag(p, "--rmin", default=1e-8)

@@ -151,8 +151,11 @@ def lambda_n(
     # A = (discrete m = 0 tower operator at a = 0) + ((N-2)/2)^2 I
     zero = AngularPotential.constant(0.0)
     A = assemble_polar_operator(N, zero, 0, grid, sampling).shifted(((N - 2) / 2.0) ** 2)
-    op = _PencilOperator(A, a_samples)
+    # Lambda is homogeneous of degree 1 in a; Lanczos stops on absolute
+    # thresholds, so it runs on a / ess sup a and the value is scaled back
+    op = _PencilOperator(A, a_samples / potential.ess_sup)
     best, y = _lanczos_largest(op, A.size)
+    best *= potential.ess_sup
     # pencil eigenvector in w coordinates: w = L^{-T} y
     psi = solve_banded((0, 1), op.U, y) / np.sin(grid.nodes) ** ((N - 2) / 2.0)
     psi = psi / math.sqrt(grid.integrate(psi**2))

@@ -192,24 +192,18 @@ def _power_cell_weights(rho: np.ndarray, alpha: float):
 
 
 def integrate_power_from_zero(rho: np.ndarray, alpha: float, data: np.ndarray) -> np.ndarray:
-    """Cumulative int_0^{rho_j} s^alpha data(s) ds along axis 0, data piecewise linear.
+    """Cumulative int_0^{rho_j} s^alpha data(s) ds, data sampled at rho, piecewise linear.
 
-    Axis 0 of data runs over the radii rho; any further axes are integrated
-    columnwise with the same weights.  The head cell (0, rho_1] takes the
-    constant data value; it needs alpha > -1, otherwise the integral does not
-    exist at this resolution.
+    The head cell (0, rho_1] takes the constant data value; it needs
+    alpha > -1, otherwise the integral does not exist at this resolution.
     """
     if alpha + 1.0 <= 0:
         raise DivergentIntegralError(
             f"power s^{alpha} is not integrable at zero"
         )
     wl, wr = _power_cell_weights(rho, alpha)
-    column = (-1,) + (1,) * (data.ndim - 1)
-    wl, wr = wl.reshape(column), wr.reshape(column)
-    out = np.empty(data.shape)
-    out[0] = rho[0] ** (alpha + 1) / (alpha + 1) * data[0]
-    out[1:] = out[0] + np.cumsum(wl * data[:-1] + wr * data[1:], axis=0)
-    return out
+    head = rho[0] ** (alpha + 1) / (alpha + 1) * data[0]
+    return np.concatenate(([head], head + np.cumsum(wl * data[:-1] + wr * data[1:])))
 
 
 def extrapolate_geometric(s0: float, s1: float, s2: float) -> float:
@@ -411,43 +405,3 @@ def ode_residual(profile: RadialProfile) -> np.ndarray:
         - profile.mu / mid**2 * phi[1:-1]
         + h.values(mid) * phi[1:-1]
     )
-
-
-def cauchy_coefficient_radial(u_modes, h: RadialPerturbation, r: float, spectrum) -> float:
-    """Limit coefficient of u against the ground mode, from data at radius r.
-
-    u = sum_k phi_k psi_k with radial perturbation h; evaluates
-
-      int_S [ r^{-s} u(r eta) + int_0^r s^{1-s}/(2s+N-2) h u ds
-              - r^{-2s-N+2} int_0^r s^{N-1+s}/(2s+N-2) h u ds ] psi_1 dV
-
-    with s the ground characteristic exponent, reducing the angular integral
-    to the weighted polar quadrature.  Orthogonality of the discrete modes
-    makes contributions of k >= 2 vanish to rounding; the value is
-    independent of r for solutions of the perturbed problem.
-    """
-    grid = spectrum.grid
-    N = grid.dim
-    ground = sigma_pair(N, spectrum.mu_1)
-    s = ground.sigma_plus
-    D = ground.gap
-    psi1 = spectrum.psi_1.psi(grid)
-    total = 0.0
-    for k, prof in u_modes:
-        mode = spectrum.axisymmetric_mode(k)
-        rho = prof.grid.points
-        j = prof.grid.nearest_index(r)
-        r_snap = rho[j]
-        mode_exp = prof.exponents.sigma_plus
-        data = h.data(rho) * (prof.values / rho**mode_exp)
-        a_plus = 1.0 - s + h.singular_power + mode_exp
-        a_minus = N - 1.0 + s + h.singular_power + mode_exp
-        Ip = integrate_power_from_zero(rho, a_plus, data)[j]
-        Im = integrate_power_from_zero(rho, a_minus, data)[j]
-        bracket = (
-            r_snap ** (-s) * prof.values[j]
-            + Ip / D
-            - r_snap ** (-2 * s - N + 2) * Im / D
-        )
-        total += bracket * grid.integrate(mode.psi(grid) * psi1)
-    return float(total)

@@ -217,10 +217,10 @@ def test_criterion_09_sandwich(acceptance_spectrum):
     field = manufactured_nonradial(3, spec, 1.0, g, rgrid)
     lam = lambda_n(3, spec.potential, spec.grid).lambda_n
     r_adm = admissible_radius(3, lam, field.q_bound, 1.0)
-    rep = sandwich_check(field, field.q_bound, 1.0, 0.5, spec)
+    rep = sandwich_check(field, 0.5)
 
     zero_field = manufactured_nonradial(3, spec, 1.0, np.zeros(spec.grid.size), rgrid)
-    rep0 = sandwich_check(zero_field, 0.0, 1.0, 0.3, spec)
+    rep0 = sandwich_check(zero_field, 0.3)
     ok = (rep.ordered and rep0.ordered and rep0.collapse_gap < 1e-10
           and rep.admissible_radius == r_adm)
     report(9, ok,

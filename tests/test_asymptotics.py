@@ -11,17 +11,49 @@ from dipolespec.asymptotics import (
     sandwich_check,
     synthesize_solution,
 )
-from dipolespec.errors import InputError, NumericalError, ResolutionError
+from dipolespec.errors import (
+    DivergentIntegralError,
+    InputError,
+    NumericalError,
+    ResolutionError,
+)
 from dipolespec.exponents import sigma_pair
 from dipolespec.hardy import admissible_radius, lambda_n
 from dipolespec.radial import (
     RadialGrid,
     RadialPerturbation,
-    cauchy_coefficient_radial,
+    integrate_power_from_zero,
     solve_mode_picard,
 )
 
 R_GRID = (0.2, 0.35, 0.5, 0.7, 0.9)
+
+
+def integrate_then_project(field, radii, k):
+    """Reference Cauchy coefficient: the bracket on the whole (radius x polar
+    node) field, both power-law integrals taken column by column, and the
+    projection onto psi_k only at the end, row by row."""
+    grid = field.spectrum.grid
+    N = grid.dim
+    sig = sigma_pair(N, field.spectrum.axisymmetric_mode(k).mu).sigma_plus
+    gap = 2.0 * sig + N - 2.0
+    rho = field.radial.points
+    rows = [field.radial.nearest_index(r) for r in radii]
+    data = field.source / rho[:, None] ** field.source_power
+
+    def columnwise(alpha):
+        return np.apply_along_axis(
+            lambda col: integrate_power_from_zero(rho, alpha, col), 0, data)
+
+    I1 = columnwise(1.0 - sig + field.source_power)[rows]
+    I2 = columnwise(N - 1.0 + sig + field.source_power)[rows]
+    psi = field.spectrum.axisymmetric_mode(k).psi(grid)
+    values = []
+    for j, i1, i2 in zip(rows, I1, I2):
+        r = rho[j]
+        bracket = r ** (-sig) * field.u[j] + i1 / gap - r ** (-gap) * i2 / gap
+        values.append(float(grid.integrate(bracket * psi)))
+    return values
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +70,30 @@ def radial_field(dipole3_spectrum, radial_grid):
     h = RadialPerturbation.manufactured(1.2, sig, 3)
     prof = solve_mode_picard(3, mu1, h, 1.0, radial_grid, tol=1e-13)
     return synthesize_solution([(1, prof)], dipole3_spectrum), h
+
+
+@pytest.fixture(scope="module")
+def mode2_field(dipole3_spectrum, radial_grid):
+    mu2 = dipole3_spectrum.axisymmetric_mode(2).mu
+    s2 = sigma_pair(3, mu2).sigma_plus
+    h = RadialPerturbation.manufactured(1.0, s2, 3)
+    prof = solve_mode_picard(3, mu2, h, 1.0, radial_grid, tol=1e-13, mode_index=2)
+    return synthesize_solution([(2, prof)], dipole3_spectrum), h
+
+
+@pytest.fixture(scope="module")
+def two_mode_field(dipole3_spectrum, radial_grid):
+    """Modes 1 and 2 under one power perturbation, so the source is nonzero.
+
+    eps = 1.5 exceeds the exponent gap of the two modes, so the mode-2
+    bracket of the mode-1 source is integrable at zero.
+    """
+    h = RadialPerturbation.power(0.4, 1.5)
+    profs = []
+    for k in (1, 2):
+        mu = dipole3_spectrum.axisymmetric_mode(k).mu
+        profs.append((k, solve_mode_picard(3, mu, h, 1.0, radial_grid, mode_index=k)))
+    return synthesize_solution(profs, dipole3_spectrum)
 
 
 class TestSynthesize:
@@ -107,13 +163,28 @@ class TestCauchyFunctional:
         assert np.all(np.abs(vals - 1.0) < 1e-3)
         assert np.std(vals) <= 1e-3 * abs(np.mean(vals))
 
-    def test_matches_radial_route(self, radial_field, dipole3_spectrum):
-        field, h = radial_field
-        mu1 = dipole3_spectrum.mu_1
-        prof = solve_mode_picard(3, mu1, h, 1.0, field.radial, tol=1e-13)
-        for r, a in zip((0.3, 0.7), cauchy_functional(field, (0.3, 0.7))):
-            b = cauchy_coefficient_radial([(1, prof)], h, r, dipole3_spectrum)
-            assert abs(a - b) < 1e-6
+    def test_matches_integrate_then_project(self, nonradial_field, radial_field,
+                                            mode2_field, two_mode_field):
+        # projecting the source first is the same bracket: the angular
+        # quadrature commutes with the radial integrals
+        radii = (0.05, 0.3, 0.55, 0.9)
+        fields = (nonradial_field, radial_field[0], mode2_field[0], two_mode_field)
+        compared = 0
+        for field in fields:
+            for k in (1, 2):
+                try:
+                    ref = integrate_then_project(field, radii, k)
+                except DivergentIntegralError:
+                    # the k = 2 bracket of a source decaying slower than the
+                    # exponent gap: both routes refuse it
+                    with pytest.raises(DivergentIntegralError):
+                        cauchy_coefficient_mode(field, radii, k)
+                    continue
+                got = cauchy_coefficient_mode(field, radii, k)
+                # atol: the leakage of a mode-2 field into k = 1 is rounding
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+                compared += 1
+        assert compared == 6
 
     def test_limit_consistency(self, nonradial_field):
         # the functional value agrees with the measured limit
@@ -137,13 +208,6 @@ class TestCauchyFunctional:
         assert abs(extrapolated - val) < 1e-3 * abs(val)
 
 
-@pytest.fixture(scope="module")
-def mode2_field(dipole3_spectrum, radial_grid):
-    mu2 = dipole3_spectrum.axisymmetric_mode(2).mu
-    s2 = sigma_pair(3, mu2).sigma_plus
-    h = RadialPerturbation.manufactured(1.0, s2, 3)
-    prof = solve_mode_picard(3, mu2, h, 1.0, radial_grid, tol=1e-13, mode_index=2)
-    return synthesize_solution([(2, prof)], dipole3_spectrum), h
 
 
 class TestModeCoefficient:
@@ -221,7 +285,7 @@ class TestSandwich:
         field = nonradial_field
         lam = lambda_n(3, dipole3_spectrum.potential, dipole3_spectrum.grid).lambda_n
         r_adm = admissible_radius(3, lam, field.q_bound, 1.0)
-        rep = sandwich_check(field, field.q_bound, 1.0, 0.5, dipole3_spectrum)
+        rep = sandwich_check(field, 0.5)
         assert rep.admissible_radius == r_adm
         assert rep.radius == field.radial.points[
             field.radial.nearest_index(0.5 * min(r_adm, field.radial.r_out))]
@@ -234,7 +298,7 @@ class TestSandwich:
         field = manufactured_nonradial(
             3, dipole3_spectrum, 1.0, np.zeros(dipole3_spectrum.grid.size), radial_grid
         )
-        rep = sandwich_check(field, 0.0, 1.0, 0.3, dipole3_spectrum)
+        rep = sandwich_check(field, 0.3)
         assert rep.radius == field.radial.points[field.radial.nearest_index(0.3)]
         assert rep.ordered
         assert rep.collapse_gap < 1e-10
@@ -243,7 +307,7 @@ class TestSandwich:
         field = nonradial_field
         for fraction in (1.5, 0.0, -0.5, float("nan")):
             with pytest.raises(InputError):
-                sandwich_check(field, field.q_bound, 1.0, fraction, dipole3_spectrum)
+                sandwich_check(field, fraction)
 
     def test_coarse_trace_rejected(self, radial_grid):
         grid = PolarGrid.build(3, 400)
@@ -251,4 +315,4 @@ class TestSandwich:
         g = 0.3 * spec.axisymmetric_mode(2).psi(grid)
         field = manufactured_nonradial(3, spec, 1.0, g, radial_grid)
         with pytest.raises(ResolutionError):
-            sandwich_check(field, field.q_bound, 1.0, 0.5, spec)
+            sandwich_check(field, 0.5)

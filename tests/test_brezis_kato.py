@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,19 @@ class TestIterationConstants:
         p = BKParameters(4, 3.0, 1.0, 1.0, 1.0, 1e-300, 0.5)
         with pytest.raises(NumericalError, match="overflows"):
             iteration_constants(p, 20, printed_variant=True)
+
+    @pytest.mark.parametrize("v_norm,diam,match", [
+        (1e300, 2.0, "partial product .* at n = 2"),
+        (1e150, 1e-300, "limit constant overflows float64 at n = 20"),
+    ])
+    def test_overflow_raises_without_warnings(self, v_norm, diam, match):
+        # an infinite partial product or limit constant is never returned,
+        # and the overflow is not reported on stderr by numpy
+        p = BKParameters(4, 3.0, v_norm, 1.0, 1.0, diam, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=match):
+                iteration_constants(p, 20)
 
     def test_requires_two_stages(self):
         with pytest.raises(InputError):

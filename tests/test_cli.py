@@ -54,12 +54,14 @@ class TestParsing:
              "--radius-fraction", "nan"),
             ("bk", "--n", "20", "--vnorm", "inf"),
             ("bk", "--n", "20", "--sigma", "nan"),
+            ("sandwich", "--format", "csv"),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
+        # a flag value outside its choices exits 2 inside argparse
+        code = exit_code(list(argv))
         assert code == 2
-        assert "error:" in err
+        assert "error:" in capsys.readouterr().err
 
     def test_malformed_grid_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("DIPOLESPEC_GRID_M", "abc")
@@ -196,6 +198,15 @@ class TestHardyTable:
         doc = validate(out)
         assert doc["results"]["lambda_n"] == pytest.approx(1.0, abs=1e-8)
 
+    def test_critical_coupling_ignores_the_scale(self, capsys):
+        # Lambda is homogeneous of degree 1, so a tiny coupling gives the
+        # same critical coupling as the unit one
+        for coupling in ("1", "1e-15"):
+            code, out, _ = run(capsys, "hardy", "--dim", "4", "--grid", "400",
+                               "--potential", f"dipole:{coupling}")
+            assert code == 0
+            assert out.splitlines()[1].split(",")[1] == "3.789835711"
+
 
 class TestSpectrumCommand:
     def test_csv_and_determinism(self, capsys):
@@ -302,6 +313,13 @@ class TestSandwichCommand:
         doc = validate(out)
         assert doc["results"]["ordered"] is True
         assert doc["inputs"]["sampling"] == "flux"
+
+    def test_json_is_the_only_format(self, capsys):
+        argv = ("sandwich", "--grid", "400", "--points", "200")
+        _, default, _ = run(capsys, *argv)
+        _, explicit, _ = run(capsys, *argv, "--format", "json")
+        assert default == explicit
+        validate(default)
 
 
 class TestBkCommand:

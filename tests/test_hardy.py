@@ -30,15 +30,17 @@ def tower_scan(N, potential, grid, sampling):
     """Reference best constant: the pencil of each tower m = 0..3, maximized over m.
 
     Returns (value, argmax tower, maximizer); a maximizer of a tower m >= 1 is
-    normalized in the Euclidean norm, as no quadrature weights it.
+    normalized in the Euclidean norm, as no quadrature weights it.  Each pencil
+    is solved for a / ess sup a and scaled back, as lambda_n does.
     """
-    a = potential.sample(grid)
+    a = potential.sample(grid) / potential.ess_sup
     zero = AngularPotential.constant(0.0)
     best, best_m, best_vec = -math.inf, 0, None
     for m in range(4):
         A = assemble_polar_operator(N, zero, m, grid, sampling).shifted(((N - 2) / 2.0) ** 2)
         op = hardy._PencilOperator(A, a)
         val, y = hardy._lanczos_largest(op, A.size)
+        val *= potential.ess_sup
         if val > best:
             best, best_m = val, m
             best_vec = solve_banded((0, 1), op.U, y)
@@ -133,6 +135,18 @@ class TestLambdaN:
         r1 = lambda_n(5, AngularPotential.dipole(0.7), g)
         r3 = lambda_n(5, AngularPotential.dipole(2.1), g)
         assert r3.lambda_n == pytest.approx(3 * r1.lambda_n, rel=1e-13)
+
+    @settings(max_examples=25, deadline=None)
+    @given(exponent=st.floats(min_value=-15.0, max_value=6.0),
+           sampling=st.sampled_from(["flux", "node"]))
+    def test_homogeneity_across_scales(self, exponent, sampling):
+        # the pencil runs on a / ess sup a, so Lambda(c a) = c Lambda(a)
+        # holds for tiny and huge couplings alike
+        c = 10.0**exponent
+        g = PolarGrid.build(4, 400)
+        unit = lambda_n(4, AngularPotential.dipole(1.0), g, sampling).lambda_n
+        scaled = lambda_n(4, AngularPotential.dipole(c), g, sampling).lambda_n
+        assert scaled / c == pytest.approx(unit, rel=1e-12)
 
     def test_strict_dimension_bounds(self):
         # for nonconstant a: 4 mean / (N-2)^2 < Lambda < 4 ess sup / (N-2)^2

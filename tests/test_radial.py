@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dipolespec import radial
+from dipolespec.asymptotics import cauchy_coefficient_mode, synthesize_solution
 from dipolespec.errors import DivergentIntegralError, InputError, NonContractionError
 from dipolespec.exponents import sigma_pair
 from dipolespec.radial import (
     RadialGrid,
     RadialPerturbation,
-    cauchy_coefficient_radial,
     extrapolate_geometric,
     integrate_power_from_zero,
     limit_coefficient,
@@ -49,19 +49,6 @@ class TestGridAndQuadrature:
     def test_divergent_power_rejected(self, radial_grid):
         with pytest.raises(DivergentIntegralError):
             integrate_power_from_zero(radial_grid.points, -1.0, np.ones(400))
-
-
-    @settings(max_examples=30, deadline=None)
-    @given(alpha=st.floats(min_value=-0.9, max_value=4.0),
-           columns=st.integers(min_value=1, max_value=5),
-           seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_columnwise_equals_stacked_1d(self, alpha, columns, seed):
-        rho = RadialGrid.geometric(60, 1e-6, 1.0).points
-        data = np.random.default_rng(seed).standard_normal((rho.size, columns))
-        stacked = np.column_stack(
-            [integrate_power_from_zero(rho, alpha, data[:, i]) for i in range(columns)]
-        )
-        assert np.array_equal(integrate_power_from_zero(rho, alpha, data), stacked)
 
 
 class TestExtrapolation:
@@ -214,10 +201,13 @@ class TestOdeResidual:
 
 
 class TestCauchyCoefficientRadial:
+    """The ground-mode Cauchy coefficient of a mode-sum field."""
+
     def test_pure_ground_mode_normalization(self, dipole3_spectrum, radial_grid):
         h = RadialPerturbation.zero()
         prof = solve_mode_picard(3, dipole3_spectrum.mu_1, h, 1.0, radial_grid)
-        val = cauchy_coefficient_radial([(1, prof)], h, 0.5, dipole3_spectrum)
+        field = synthesize_solution([(1, prof)], dipole3_spectrum)
+        (val,) = cauchy_coefficient_mode(field, [0.5], 1)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_r_independence_manufactured(self, dipole3_spectrum, radial_grid):
@@ -225,8 +215,8 @@ class TestCauchyCoefficientRadial:
         sig = sigma_pair(3, mu1).sigma_plus
         h = RadialPerturbation.manufactured(1.0, sig, 3)
         prof = solve_mode_picard(3, mu1, h, 1.0, radial_grid)
-        vals = [cauchy_coefficient_radial([(1, prof)], h, r, dipole3_spectrum)
-                for r in (0.3, 0.6, 0.9)]
+        field = synthesize_solution([(1, prof)], dipole3_spectrum)
+        vals = cauchy_coefficient_mode(field, (0.3, 0.6, 0.9), 1)
         assert max(abs(v - 1.0) for v in vals) < 1e-4
         assert max(vals) - min(vals) < 1e-4
 
@@ -234,7 +224,8 @@ class TestCauchyCoefficientRadial:
         mu2 = dipole3_spectrum.axisymmetric_mode(2).mu
         h = RadialPerturbation.zero()
         prof = solve_mode_picard(3, mu2, h, 1.0, radial_grid, mode_index=2)
-        val = cauchy_coefficient_radial([(2, prof)], h, 0.5, dipole3_spectrum)
+        field = synthesize_solution([(2, prof)], dipole3_spectrum)
+        (val,) = cauchy_coefficient_mode(field, [0.5], 1)
         assert abs(val) < 1e-12
 
 
