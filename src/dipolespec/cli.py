@@ -126,19 +126,35 @@ def _nonfinite(value) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
 
 
-def _emit_doc(doc: dict, header: str | None, rows: list | None, args, sep: str = ",") -> None:
-    """doc as JSON (always, if rows is None), or the CSV header (if any) and rows.
+# parsed arguments that route the output, not the computation
+_ROUTING = ("command", "func", "format", "out")
 
-    The rows hold values of doc only.  A NaN or an infinity among the results
-    is a numerical failure, never output: JSON has neither.
+
+def _emit_doc(args, results: dict, header: str | None, rows: list | None,
+              sep: str = ",", command: str | None = None) -> None:
+    """The JSON document (always, if rows is None), or the CSV header (if any) and rows.
+
+    The document records as inputs every parsed argument that was set,
+    except the routing ones.  The rows hold values of the results only.  A
+    NaN or an infinity among the results is a numerical failure, never
+    output: JSON has neither.
     """
-    if _nonfinite(doc["results"]):
-        raise NumericalError(f"{doc['command']} produced a non-finite result")
+    command = command or args.command
+    if _nonfinite(results):
+        raise NumericalError(f"{command} produced a non-finite result")
     if rows is None or args.format == "json":
+        inputs = {k: v for k, v in vars(args).items() if k not in _ROUTING and v is not None}
+        doc = {"command": command, "inputs": inputs, "results": results}
         lines = [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)]
     else:
         lines = ([header] if header else []) + [sep.join(fmt(v) for v in row) for row in rows]
     _emit(lines, args.out)
+
+
+def _records(header: str, rows) -> list[dict]:
+    """CSV rows as JSON records keyed by the header's column names."""
+    names = header.split(",")
+    return [dict(zip(names, row)) for row in rows]
 
 
 def cmd_spectrum(args) -> int:
@@ -167,76 +183,49 @@ def cmd_spectrum(args) -> int:
         results["sup_ratio"] = angular.eigenfunction_sup_ratio(spec)
     except InputError:
         pass
-    doc = {
-        "command": "spectrum",
-        "inputs": {"dim": args.dim, "potential": args.potential,
-                   "grid": args.grid, "count": args.count, "sampling": args.sampling},
-        "results": results,
-    }
-    _emit_doc(doc, "k,mu", rows, args)
+    _emit_doc(args, results, "k,mu", rows)
     return 0
 
 
 def cmd_hardy(args) -> int:
-    if args.table is not None:
+    if args.dims is not None:
         return _hardy_table(args)
     grid = angular.PolarGrid.build(args.dim, args.grid)
     potential = parse_potential(args.potential, grid)
     res = hardy.lambda_n(args.dim, potential, grid, args.sampling)
-    doc = {
-        "command": "hardy",
-        "inputs": {"dim": args.dim, "potential": args.potential,
-                   "grid": args.grid, "sampling": args.sampling},
-        "results": {
-            "lambda_n": res.lambda_n,
-            "critical_coupling": res.critical_coupling,
-            "maximizer_tower": 0,  # the maximizer is axisymmetric, see hardy.lambda_n
-            "nonpositive": res.nonpositive,
-        },
+    results = {
+        "lambda_n": res.lambda_n,
+        "critical_coupling": res.critical_coupling,
+        "maximizer_tower": 0,  # the maximizer is axisymmetric, see hardy.lambda_n
+        "nonpositive": res.nonpositive,
     }
     rows = [(res.lambda_n, res.critical_coupling, 0)]
-    _emit_doc(doc, "lambda_n,critical_coupling,maximizer_tower", rows, args)
+    _emit_doc(args, results, "lambda_n,critical_coupling,maximizer_tower", rows)
     return 0
 
 
 def _hardy_table(args) -> int:
-    dims = parse_dims(args.table)
     methods = ["pencil", "bisection"] if args.method == "both" else [args.method]
     rows = []
-    for N in dims:  # buffered, deterministic row order
+    for N in parse_dims(args.dims):  # buffered, deterministic row order
         grid = angular.PolarGrid.build(N, args.grid)
         for method in methods:
             lam_star = hardy.critical_dipole_coupling(N, grid, method, args.sampling)
             rows.append((N, (N - 2) ** 2 / 4.0, lam_star, method, args.grid))
-    doc = {
-        "command": "hardy-table",
-        "inputs": {"dims": args.table, "grid": args.grid,
-                   "method": args.method, "sampling": args.sampling},
-        "results": {
-            "rows": [
-                {"N": r[0], "classical": r[1], "dipole_inverse_lambda": r[2],
-                 "method": r[3], "grid": r[4]}
-                for r in rows
-            ]
-        },
-    }
-    _emit_doc(doc, "N,classical,dipole_inverse_lambda,method,grid", rows, args)
+    header = "N,classical,dipole_inverse_lambda,method,grid"
+    _emit_doc(args, {"rows": _records(header, rows)}, header, rows, command="hardy-table")
     return 0
 
 
 def cmd_sigma(args) -> int:
     exps = sigma_pair(args.dim, args.mu)
-    doc = {
-        "command": "sigma",
-        "inputs": {"dim": args.dim, "mu": args.mu},
-        "results": {
-            "sigma_plus": exps.sigma_plus,
-            "sigma_minus": exps.sigma_minus,
-            "discriminant": exps.discriminant,
-            "degenerate": exps.degenerate,
-        },
+    results = {
+        "sigma_plus": exps.sigma_plus,
+        "sigma_minus": exps.sigma_minus,
+        "discriminant": exps.discriminant,
+        "degenerate": exps.degenerate,
     }
-    _emit_doc(doc, None, [(exps.sigma_plus, exps.sigma_minus)], args, sep=", ")
+    _emit_doc(args, results, None, [(exps.sigma_plus, exps.sigma_minus)], sep=", ")
     return 0
 
 
@@ -246,65 +235,61 @@ def cmd_radial(args) -> int:
     grid = radial.RadialGrid.geometric(args.points, args.rmin, 1.0)
     prof = radial.solve_mode_picard(args.dim, args.mu, pert, args.c1, grid, args.tol)
     est = radial.limit_coefficient(prof)
-    scaled = prof.values / grid.points**exps.sigma_plus
+    with np.errstate(divide="ignore", invalid="ignore"):  # a NaN is reported below
+        scaled = prof.values / grid.points**exps.sigma_plus
+    header = "rho,phi,phi_over_rho_sigma"
     rows = list(zip(grid.points, prof.values, scaled))
-    doc = {
-        "command": "radial",
-        "inputs": {"dim": args.dim, "mu": args.mu, "perturbation": args.perturbation,
-                   "c1": args.c1, "points": args.points, "rmin": args.rmin},
-        "results": {
-            "limit_coefficient": est.value,
-            "measured_limit": est.measured,
-            "discrepancy": est.discrepancy,
-            "c1_representation": prof.c1,
-            "c2": prof.c2,
-            "iterations": prof.iterations,
-            "profile": [
-                {"rho": float(r), "phi": float(p), "phi_over_rho_sigma": float(s)}
-                for r, p, s in rows
-            ],
-        },
+    results = {
+        "limit_coefficient": est.value,
+        "measured_limit": est.measured,
+        "discrepancy": est.discrepancy,
+        "c1_representation": prof.c1,
+        "c2": prof.c2,
+        "iterations": prof.iterations,
+        "profile": _records(header, rows),
     }
-    _emit_doc(doc, "rho,phi,phi_over_rho_sigma", rows, args)
+    _emit_doc(args, results, header, rows)
     return 0
 
 
-def _cauchy_scenario(args):
-    """(field, k): the scenario's solution field and the mode its functional reads."""
+def _cauchy_mode(scenario: str) -> int:
+    """The axisymmetric mode whose functional a scenario reads (1 = ground)."""
+    if scenario in ("manufactured-radial", "manufactured-nonradial"):
+        return 1
+    kind, _, arg = scenario.partition(":")
+    if kind != "mode":
+        raise InputError(f"unknown scenario {scenario!r}")
+    try:
+        return int(arg)
+    except ValueError as exc:
+        raise InputError(f"malformed scenario {scenario!r}") from exc
+
+
+def _solution_field(args, scenario: str, k: int = 1):
+    """The scenario's solution field: the manufactured nonradial one, or mode k alone.
+
+    manufactured-radial is mode:1, the ground mode.
+    """
     grid = angular.PolarGrid.build(args.dim, args.grid)
     potential = parse_potential(args.potential, grid)
     spec = angular.full_spectrum(args.dim, potential, args.modes, grid, args.sampling)
     rgrid = radial.RadialGrid.geometric(args.points, args.rmin, 1.0)
-    sig = sigma_pair(args.dim, spec.mu_1).sigma_plus
-    if args.scenario == "manufactured-radial":
-        pert = radial.RadialPerturbation.manufactured(args.beta, sig, args.dim)
-        prof = radial.solve_mode_picard(args.dim, spec.mu_1, pert, 1.0, rgrid)
-        return asymptotics.synthesize_solution([(1, prof)], spec), 1
-    if args.scenario == "manufactured-nonradial":
+    if scenario == "manufactured-nonradial":
         g = args.gscale * spec.axisymmetric_mode(2).psi(grid)
-        return asymptotics.manufactured_nonradial(args.dim, spec, args.eps, g, rgrid), 1
-    kind, _, arg = args.scenario.partition(":")
-    if kind == "mode":
-        try:
-            k = int(arg)
-        except ValueError as exc:
-            raise InputError(f"malformed scenario {args.scenario!r}") from exc
-        mode = spec.axisymmetric_mode(k)
-        sk = sigma_pair(args.dim, mode.mu).sigma_plus
-        pert = radial.RadialPerturbation.manufactured(args.beta, sk, args.dim)
-        prof = radial.solve_mode_picard(args.dim, mode.mu, pert, 1.0, rgrid,
-                                        mode_index=k)
-        return asymptotics.synthesize_solution([(k, prof)], spec), k
-    raise InputError(f"unknown scenario {args.scenario!r}")
+        return asymptotics.manufactured_nonradial(args.dim, spec, args.eps, g, rgrid)
+    mode = spec.axisymmetric_mode(k)
+    sk = sigma_pair(args.dim, mode.mu).sigma_plus
+    pert = radial.RadialPerturbation.manufactured(args.beta, sk, args.dim)
+    prof = radial.solve_mode_picard(args.dim, mode.mu, pert, 1.0, rgrid)
+    return asymptotics.synthesize_solution([(k, prof)], spec)
 
 
 def cmd_cauchy(args) -> int:
-    radii = [_finite(x, args.radii) for x in args.radii.split(",")]
-    ground = not args.scenario.startswith("mode:")
-    if args.limit_table and not ground:
+    k = _cauchy_mode(args.scenario)
+    if args.limit_table and k != 1:
         raise InputError("the convergence table applies to ground-mode scenarios")
-    field, k = _cauchy_scenario(args)
-    values = asymptotics.cauchy_coefficient_mode(field, radii, k)
+    field = _solution_field(args, args.scenario, k)
+    values = asymptotics.cauchy_coefficient_mode(field, args.radii, k)
     ref = values[0]
     spread = max(abs(v - ref) for v in values)
     rel_spread = spread / abs(ref) if ref != 0 else spread
@@ -314,54 +299,35 @@ def cmd_cauchy(args) -> int:
         "relative_spread": rel_spread,
         "limit_table": None,
     }
-    if ground:
+    header, rows = "R,value", list(zip(args.radii, values))
+    if k == 1:
         table = asymptotics.measured_limit(field)
-        results["limit_table"] = {
-            "estimate": table.estimate,
-            "rows": [{"rho": r, "estimate": c, "defect": d} for r, c, d in table.rows],
-        }
-    doc = {
-        "command": "cauchy",
-        "inputs": {"scenario": args.scenario, "radii": radii, "dim": args.dim,
-                   "potential": args.potential, "sampling": args.sampling},
-        "results": results,
-    }
-    if args.limit_table:
-        _emit_doc(doc, "rho,estimate,defect", list(table.rows), args)
-    else:
-        _emit_doc(doc, "R,value", list(zip(radii, values)), args)
+        records = _records("rho,estimate,defect", table.rows)
+        results["limit_table"] = {"estimate": table.estimate, "rows": records}
+        if args.limit_table:
+            header, rows = "rho,estimate,defect", list(table.rows)
+    _emit_doc(args, results, header, rows)
     return 0
 
 
 def cmd_sandwich(args) -> int:
-    grid = angular.PolarGrid.build(args.dim, args.grid)
-    potential = parse_potential(args.potential, grid)
-    spec = angular.full_spectrum(args.dim, potential, args.modes, grid, args.sampling)
-    rgrid = radial.RadialGrid.geometric(args.points, args.rmin, 1.0)
-    g = args.gscale * spec.axisymmetric_mode(2).psi(grid)
-    field = asymptotics.manufactured_nonradial(args.dim, spec, args.eps, g, rgrid)
+    field = _solution_field(args, "manufactured-nonradial")
     rep = asymptotics.sandwich_check(field, args.radius_fraction)
-    doc = {
-        "command": "sandwich",
-        "inputs": {"dim": args.dim, "potential": args.potential, "eps": args.eps,
-                   "gscale": args.gscale, "radius_fraction": args.radius_fraction,
-                   "sampling": args.sampling},
-        "results": {
-            "ordered": rep.ordered,
-            "max_lower_violation": rep.max_lower_violation,
-            "max_upper_violation": rep.max_upper_violation,
-            "slack": rep.slack,
-            "trace_residual": rep.trace_residual,
-            "power_lower": rep.power_lower,
-            "power_upper": rep.power_upper,
-            "radius": rep.radius,
-            # unbounded (coercivity coefficient <= 0) is written as null
-            "admissible_radius": None if math.isinf(rep.admissible_radius)
-            else rep.admissible_radius,
-            "modes_used": rep.modes_used,
-        },
+    results = {
+        "ordered": rep.ordered,
+        "max_lower_violation": rep.max_lower_violation,
+        "max_upper_violation": rep.max_upper_violation,
+        "slack": rep.slack,
+        "trace_residual": rep.trace_residual,
+        "power_lower": rep.power_lower,
+        "power_upper": rep.power_upper,
+        "radius": rep.radius,
+        # unbounded (coercivity coefficient <= 0) is written as null
+        "admissible_radius": None if math.isinf(rep.admissible_radius)
+        else rep.admissible_radius,
+        "modes_used": rep.modes_used,
     }
-    _emit_doc(doc, None, None, args)
+    _emit_doc(args, results, None, None)
     return 0
 
 
@@ -371,24 +337,15 @@ def cmd_bk(args) -> int:
         dist=args.dist, diam=args.diam, sigma=args.sigma,
     )
     table = brezis_kato.iteration_constants(params, args.n, args.printed_variant)
-    doc = {
-        "command": "bk",
-        "inputs": {"dim": args.dim, "s": args.s, "vnorm": args.vnorm,
-                   "ckn": args.ckn, "dist": args.dist, "diam": args.diam,
-                   "sigma": args.sigma, "n": args.n},
-        "results": {
-            "limit_constant": table.limit_constant,
-            "sum_b": table.sum_b,
-            "sum_inv_q": table.sum_inv_q,
-            "sum_inv_q_closed": table.sum_inv_q_closed,
-            "rows": [
-                {"n": r[0], "q_n": r[1], "r_n": r[2], "b_n": r[3],
-                 "partial_sum": r[4], "partial_product": r[5]}
-                for r in table.rows
-            ],
-        },
+    header = "n,q_n,r_n,b_n,partial_sum,partial_product"
+    results = {
+        "limit_constant": table.limit_constant,
+        "sum_b": table.sum_b,
+        "sum_inv_q": table.sum_inv_q,
+        "sum_inv_q_closed": table.sum_inv_q_closed,
+        "rows": _records(header, table.rows),
     }
-    _emit_doc(doc, "n,q_n,r_n,b_n,partial_sum,partial_product", list(table.rows), args)
+    _emit_doc(args, results, header, list(table.rows))
     return 0
 
 
@@ -410,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"polar grid size (default from ${GRID_ENV} or 10000)")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--sampling", choices=["flux", "node"], default=None,
+        p.add_argument("--sampling", choices=["flux", "node"], default="flux",
                        help="treatment of the singular polar coefficient "
                             "(default flux; hardy table defaults to node, the "
                             "convention of the reference table)")
@@ -422,11 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hardy", help="best constant; 'table' mode sweeps dimensions")
     common(p)
-    p.add_argument("--table", default=None, metavar="DIMS",
+    p.add_argument("--table", dest="dims", default=None, metavar="DIMS",
                    help="emit the critical-coupling table for dims 'a..b'")
-    p.add_argument("--method", choices=["pencil", "bisection", "both"],
-                   default="pencil")
-    p.set_defaults(func=cmd_hardy)
+    p.add_argument("--method", choices=["pencil", "bisection", "both"], default=None,
+                   help="table only (default pencil)")
+    # None until main resolves them for the mode the run is in
+    p.set_defaults(func=cmd_hardy, dim=None, potential=None, sampling=None)
 
     p = sub.add_parser("sigma", help="characteristic exponents for (dim, mu)")
     p.add_argument("--dim", type=int, required=True)
@@ -452,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scenario", required=True,
                    help="manufactured-radial | manufactured-nonradial | mode:K")
-    p.add_argument("--radii", default="0.3,0.6,0.9")
+    p.add_argument("--radii", default="0.3,0.6,0.9",
+                   type=lambda text: [_finite(x, text) for x in text.split(",")])
     p.add_argument("--modes", type=int, default=40)
     p.add_argument("--points", type=int, default=400)
     _float_flag(p, "--rmin", default=1e-8)
@@ -492,13 +451,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve_hardy_mode(args) -> None:
+    """Reject the flags of the other hardy mode, then fill in this mode's defaults.
+
+    The table takes --method and samples by node, the convention of the
+    reference table; one potential takes --dim and --potential.
+    """
+    table = args.dims is not None
+    defaults = ({"method": "pencil", "sampling": "node"} if table
+                else {"dim": 3, "potential": "dipole:1.0", "sampling": "flux"})
+    for name in ("method", "dim", "potential"):
+        if name not in defaults and getattr(args, name) is not None:
+            raise InputError(f"--{name} does not apply to hardy "
+                             f"{'with' if table else 'without'} --table")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def main(argv=None) -> int:
     try:
         # inside the try: the grid default is read from the environment here
         args = build_parser().parse_args(argv)
-        if getattr(args, "sampling", "flux") is None:
-            table_mode = args.command == "hardy" and args.table is not None
-            args.sampling = "node" if table_mode else "flux"
+        if args.command == "hardy":
+            _resolve_hardy_mode(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

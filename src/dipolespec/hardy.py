@@ -194,7 +194,9 @@ def critical_dipole_coupling(
     expansion of the bracket on failure, to a width of _BISECTION_TOL.  Each
     step only needs to know whether mu_1 lies at or below the threshold, so
     it decides by a Sturm count of the m = 0 tower at the threshold
-    (`count_at_most` is zero exactly when mu_1 is above it).
+    (`count_at_most` is zero exactly when mu_1 is above it).  The coupling
+    enters the diagonal only, as -lam cos t: the zero-potential tower is
+    assembled once, and each step's shift of it is the assembled tower bit for bit.
     """
     if N < 3:
         raise InputError(f"dimension must be >= 3, got {N}")
@@ -206,10 +208,12 @@ def critical_dipole_coupling(
     if method != "bisection":
         raise InputError(f"unknown method {method!r}")
     target = -(((N - 2) / 2.0) ** 2)
+    free = assemble_polar_operator(N, AngularPotential.constant(0.0), 0, grid, sampling)
+    cos_t = np.cos(grid.nodes)
 
     def positive(lam: float) -> bool:
         """mu_1(lam cos) > target: no eigenvalue of the m = 0 tower at or below it."""
-        mat = assemble_polar_operator(N, AngularPotential.dipole(lam), 0, grid, sampling)
+        mat = TridiagonalMatrix(free.diag - lam * cos_t, free.off, free.step)
         return count_at_most(mat, target, eigvalsh_tridiagonal) == 0
 
     lo, hi = 0.0, 4.0 * (N - 2) ** 2

@@ -224,7 +224,6 @@ def extrapolate_geometric(s0: float, s1: float, s2: float) -> float:
 class RadialProfile:
     """Solved coefficient phi_k on its grid with representation constants."""
 
-    mode_index: int
     dim: int
     mu: float
     exponents: Exponents
@@ -260,7 +259,6 @@ def solve_mode_picard(
     c1: float,
     grid: RadialGrid,
     tol: float = 1e-12,
-    mode_index: int = 1,
 ) -> RadialProfile:
     """Fixed-point solve of the Volterra representation with limit coefficient c1.
 
@@ -285,7 +283,7 @@ def solve_mode_picard(
     lead = c1 * rho**exps.sigma_plus
     phi = lead.copy()
     if h.is_zero:
-        return _finish_profile(mode_index, N, mu, exps, grid, lead, h, c1, 0.0, 1)
+        return _finish_profile(N, mu, exps, grid, lead, h, c1, 0.0, 1)
     prev_dist = math.inf
     for it in range(1, PICARD_MAX_SWEEPS + 1):
         Ip, Im = _volterra_integrals(exps, h, rho, phi)
@@ -293,7 +291,7 @@ def solve_mode_picard(
         dist = float(np.max(np.abs(new - phi)))
         phi = new
         if dist <= tol:
-            return _finish_profile(mode_index, N, mu, exps, grid, phi, h, c1, dist, it)
+            return _finish_profile(N, mu, exps, grid, phi, h, c1, dist, it)
         if it > 5 and dist >= prev_dist:
             raise NonContractionError(
                 f"Picard distance stopped decreasing ({prev_dist:.3e} -> "
@@ -306,7 +304,7 @@ def solve_mode_picard(
     )
 
 
-def _finish_profile(mode_index, N, mu, exps, grid, phi, h, c_limit, dist, iters):
+def _finish_profile(N, mu, exps, grid, phi, h, c_limit, dist, iters):
     rho = grid.points
     D = exps.gap
     if h.is_zero:
@@ -317,7 +315,7 @@ def _finish_profile(mode_index, N, mu, exps, grid, phi, h, c_limit, dist, iters)
         c1_repr = c_limit - float(Ip[-1]) / D
         c2 = float(Im[-1]) / D
     return RadialProfile(
-        mode_index=mode_index, dim=N, mu=mu, exponents=exps, grid=grid,
+        dim=N, mu=mu, exponents=exps, grid=grid,
         values=phi, perturbation=h, c_limit=c_limit, c1=c1_repr, c2=c2,
         residual=dist, iterations=iters,
     )
@@ -330,7 +328,6 @@ def solve_mode_bvp(
     gamma: float,
     grid: RadialGrid,
     tol: float = 1e-12,
-    mode_index: int = 1,
 ) -> RadialProfile:
     """Boundary-value solve: phi at the outer radius equals gamma.
 
@@ -342,9 +339,9 @@ def solve_mode_bvp(
     if not math.isfinite(gamma):
         raise InputError("boundary value must be finite")
     if gamma == 0.0:
-        return solve_mode_picard(N, mu, h, 0.0, grid, tol, mode_index=mode_index)
+        return solve_mode_picard(N, mu, h, 0.0, grid, tol)
     c = gamma / grid.r_out ** sigma_pair(N, mu).sigma_plus
-    prof = solve_mode_picard(N, mu, h, c, grid, tol, mode_index=mode_index)
+    prof = solve_mode_picard(N, mu, h, c, grid, tol)
     if prof.boundary_value == 0.0:
         raise NumericalError("boundary value of the homogeneous solve vanished")
     scale = gamma / prof.boundary_value
@@ -356,33 +353,26 @@ def solve_mode_bvp(
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    value: float          # c1 + (1/D) int_0^R s^{1-s+} h phi  (formula route)
+    value: float          # the profile's limit coefficient c_limit
     measured: float       # Richardson extrapolation of rho^{-s+} phi
     discrepancy: float
 
 
 def limit_coefficient(profile: RadialProfile) -> LimitEstimate:
-    """Limit of rho^{-sigma_plus} phi by formula and by extrapolation.
+    """Limit of rho^{-sigma_plus} phi, as solved for and as measured.
 
-    The formula route evaluates the representation constant plus the full
-    integral; the measured route Richardson-extrapolates the scaled profile
-    over the three smallest radii and the discrepancy between the two is
-    reported.
+    The Volterra representation ties the profile to its limit coefficient
+    c_limit exactly (c1 + (1/D) int_0^R s^{1-s+} h phi is c_limit by the
+    construction of c1), so that is the value.  The measured route
+    Richardson-extrapolates the scaled profile over the three smallest radii
+    and the discrepancy between the two is reported.
     """
-    h = profile.perturbation
-    exps = profile.exponents
     rho = profile.grid.points
-    if h.is_zero:
-        formula = profile.c1
-    else:
-        Ip, _ = _volterra_integrals(exps, h, rho, profile.values)
-        formula = profile.c1 + float(Ip[-1]) / exps.gap
-    measured = extrapolate_geometric(*(profile.values[:3] / rho[:3] ** exps.sigma_plus))
-    return LimitEstimate(
-        value=float(formula),
-        measured=measured,
-        discrepancy=abs(float(formula) - measured),
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # the caller sees a NaN
+        scaled = profile.values[:3] / rho[:3] ** profile.exponents.sigma_plus
+    measured = extrapolate_geometric(*scaled)
+    value = float(profile.c_limit)
+    return LimitEstimate(value=value, measured=measured, discrepancy=abs(value - measured))
 
 
 def ode_residual(profile: RadialProfile) -> np.ndarray:

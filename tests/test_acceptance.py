@@ -199,7 +199,7 @@ def test_criterion_08_sign_changing_mode(acceptance_spectrum):
     mu2 = spec.axisymmetric_mode(2).mu
     s2 = sigma_pair(3, mu2).sigma_plus
     h = RadialPerturbation.manufactured(1.0, s2, 3)
-    prof = solve_mode_picard(3, mu2, h, 1.0, rgrid, tol=1e-13, mode_index=2)
+    prof = solve_mode_picard(3, mu2, h, 1.0, rgrid, tol=1e-13)
     field = synthesize_solution([(2, prof)], spec)
     vals = cauchy_coefficient_mode(field, (0.3, 0.6, 0.9), 2)
     spread = max(vals) - min(vals)

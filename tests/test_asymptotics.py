@@ -77,7 +77,7 @@ def mode2_field(dipole3_spectrum, radial_grid):
     mu2 = dipole3_spectrum.axisymmetric_mode(2).mu
     s2 = sigma_pair(3, mu2).sigma_plus
     h = RadialPerturbation.manufactured(1.0, s2, 3)
-    prof = solve_mode_picard(3, mu2, h, 1.0, radial_grid, tol=1e-13, mode_index=2)
+    prof = solve_mode_picard(3, mu2, h, 1.0, radial_grid, tol=1e-13)
     return synthesize_solution([(2, prof)], dipole3_spectrum), h
 
 
@@ -92,7 +92,7 @@ def two_mode_field(dipole3_spectrum, radial_grid):
     profs = []
     for k in (1, 2):
         mu = dipole3_spectrum.axisymmetric_mode(k).mu
-        profs.append((k, solve_mode_picard(3, mu, h, 1.0, radial_grid, mode_index=k)))
+        profs.append((k, solve_mode_picard(3, mu, h, 1.0, radial_grid)))
     return synthesize_solution(profs, dipole3_spectrum)
 
 
@@ -111,7 +111,7 @@ class TestSynthesize:
         profs = []
         for k in (1, 2, 3):
             mu = dipole3_spectrum.axisymmetric_mode(k).mu
-            profs.append((k, solve_mode_picard(3, mu, h, 1.0, radial_grid, mode_index=k)))
+            profs.append((k, solve_mode_picard(3, mu, h, 1.0, radial_grid)))
         field = synthesize_solution(profs, dipole3_spectrum)
         assert parseval_residual(field, profs) < 1e-6
 
@@ -119,8 +119,7 @@ class TestSynthesize:
         h = RadialPerturbation.zero()
         p1 = solve_mode_picard(3, dipole3_spectrum.mu_1, h, 1.0, radial_grid)
         other = RadialGrid.geometric(200, 1e-6, 1.0)
-        p2 = solve_mode_picard(3, dipole3_spectrum.axisymmetric_mode(2).mu, h, 1.0,
-                               other, mode_index=2)
+        p2 = solve_mode_picard(3, dipole3_spectrum.axisymmetric_mode(2).mu, h, 1.0, other)
         with pytest.raises(InputError):
             synthesize_solution([(1, p1), (2, p2)], dipole3_spectrum)
 
@@ -214,7 +213,7 @@ class TestModeCoefficient:
     def test_pure_power_mode(self, dipole3_spectrum, radial_grid):
         mu2 = dipole3_spectrum.axisymmetric_mode(2).mu
         h = RadialPerturbation.zero()
-        prof = solve_mode_picard(3, mu2, h, 1.0, radial_grid, mode_index=2)
+        prof = solve_mode_picard(3, mu2, h, 1.0, radial_grid)
         field = synthesize_solution([(2, prof)], dipole3_spectrum)
         assert cauchy_coefficient_mode(field, [0.5], 2) == pytest.approx([1.0], abs=1e-10)
         assert abs(cauchy_coefficient_mode(field, [0.5], 1)[0]) < 1e-8
@@ -259,7 +258,7 @@ class TestMeasuredLimit:
         h = RadialPerturbation.zero()
         p1 = solve_mode_picard(3, dipole3_spectrum.mu_1, h, 1.0, radial_grid)
         mu2 = dipole3_spectrum.axisymmetric_mode(2).mu
-        p2 = solve_mode_picard(3, mu2, h, 1.0, radial_grid, mode_index=2)
+        p2 = solve_mode_picard(3, mu2, h, 1.0, radial_grid)
         field = synthesize_solution([(1, p1), (2, p2)], dipole3_spectrum)
         table = measured_limit(field)
         # limit equals the ground-mode coefficient; subleading mode decays

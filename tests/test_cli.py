@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dipolespec.cli import build_parser, main, parse_dims
 from pathlib import Path
@@ -55,6 +58,10 @@ class TestParsing:
             ("bk", "--n", "20", "--vnorm", "inf"),
             ("bk", "--n", "20", "--sigma", "nan"),
             ("sandwich", "--format", "csv"),
+            # a flag of the other hardy mode is rejected, not ignored
+            ("hardy", "--method", "bisection", "--grid", "100"),
+            ("hardy", "--table", "3..4", "--dim", "9", "--grid", "100"),
+            ("hardy", "--table", "3..4", "--potential", "constant:5", "--grid", "100"),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -147,6 +154,34 @@ def test_fuzzed_flags_exit_cleanly(argv):
     assert exit_code(argv) in (0, 2, 3)
 
 
+@settings(max_examples=100, deadline=None)
+@given(argv=fuzzed_argv())
+# flags that once changed the results without being recorded
+@example(argv=["radial", "--mu", "2", "--points", "20", "--tol=1e-10"])
+@example(argv=["cauchy", "--scenario", "mode:2", "--grid", "40", "--modes", "6",
+               "--points", "20", "--rmin=1e-6", "--beta=0.5"])
+@example(argv=["cauchy", "--scenario", "manufactured-nonradial", "--grid", "40",
+               "--modes", "6", "--points", "20", "--eps=0.5", "--gscale=0.1",
+               "--limit-table"])
+@example(argv=["sandwich", "--grid", "60", "--modes", "6", "--points", "20",
+               "--rmin=1e-6", "--gscale=0"])
+@example(argv=["bk", "--n", "20", "--printed-variant"])
+def test_json_inputs_record_every_flag(argv):
+    """A successful JSON run records each flag it was given, with its parsed value."""
+    argv = [a for a in argv if not a.startswith("--format")] + ["--format", "json"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        if exit_code(argv) != 0:
+            return
+    inputs = validate(buf.getvalue())["inputs"]
+    parsed = vars(build_parser().parse_args(argv))
+    for arg in argv[1:]:
+        if arg.startswith("--") and arg != "--format":
+            dest = arg[2:].partition("=")[0].replace("-", "_")
+            dest = "dims" if dest == "table" else dest
+            assert inputs[dest] == parsed[dest], arg
+
+
 class TestSigma:
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "sigma", "--dim", "4", "--mu", "0")
@@ -190,6 +225,18 @@ class TestHardyTable:
         code, out, _ = run(capsys, "hardy", "--dim", "4", "--potential", "constant:-1")
         assert code == 0
         assert out.splitlines() == ["lambda_n,critical_coupling,maximizer_tower", "0,,0"]
+
+    @pytest.mark.parametrize("argv,keys", [
+        (("hardy", "--grid", "300"), ["dim", "grid", "potential", "sampling"]),
+        (("hardy", "--table", "4", "--grid", "300"), ["dims", "grid", "method", "sampling"]),
+    ])
+    def test_inputs_of_each_mode(self, capsys, argv, keys):
+        # each mode records its own flags, with the defaults it resolved
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        inputs = validate(out)["inputs"]
+        assert sorted(inputs) == keys
+        assert inputs["sampling"] == ("node" if "--table" in argv else "flux")
 
     def test_single_potential_mode(self, capsys):
         code, out, _ = run(capsys, "hardy", "--dim", "4", "--potential", "constant:1",
@@ -286,6 +333,20 @@ class TestCauchyCommand:
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) == pytest.approx(1.0, abs=1e-3)
 
+    def test_manufactured_radial_is_the_ground_mode(self, capsys):
+        docs = []
+        for scenario in ("manufactured-radial", "mode:1"):
+            code, out, _ = run(capsys, "cauchy", "--scenario", scenario, "--grid", "300",
+                               "--modes", "8", "--points", "100", "--format", "json")
+            assert code == 0
+            docs.append(validate(out))
+        assert docs[0]["results"] == docs[1]["results"]
+        assert docs[1]["results"]["limit_table"] is not None
+        code, out, _ = run(capsys, "cauchy", "--scenario", "mode:1", "--grid", "300",
+                           "--modes", "8", "--points", "100", "--limit-table")
+        assert code == 0
+        assert out.splitlines()[0] == "rho,estimate,defect"
+
     def test_limit_table_needs_ground_scenario(self, capsys):
         code, _, err = run(capsys, "cauchy", "--scenario", "mode:2", "--grid", "300",
                            "--limit-table")
@@ -367,12 +428,17 @@ class TestErrorsAndEnv:
     def test_nonfinite_results_are_never_printed(self, capsys, argv, want):
         # a NaN or infinity among the results is a numerical failure; the one
         # value infinite by definition, an unbounded admissible radius, is null
-        code, out, err = run(capsys, *argv)
+        # pytest would keep a warning off stderr, so record any that is raised
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
         assert code == want
         assert not any(word in out for word in ("NaN", "Infinity", "nan", "inf"))
         if want == 3:
             assert out == ""
-            assert "numerical failure" in err
+            # no numpy RuntimeWarning comes before the failure line
+            assert [str(w.message) for w in caught] == []
+            assert err.startswith("numerical failure") and err.count("\n") == 1
         else:
             assert validate(out)["results"]["admissible_radius"] is None
 

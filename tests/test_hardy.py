@@ -6,7 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from dipolespec import hardy
-from dipolespec.angular import AngularPotential, PolarGrid, assemble_polar_operator
+from dipolespec.angular import (
+    AngularPotential,
+    PolarGrid,
+    assemble_polar_operator,
+    count_at_most,
+)
 from dipolespec.errors import InputError
 from dipolespec.hardy import (
     admissible_radius,
@@ -85,6 +90,33 @@ def mu1_bisection(N, grid, sampling, tol):
         else:
             hi = mid
     return 0.5 * (lo + hi), solves
+
+
+def assembled_count_bisection(N, grid, sampling):
+    """Count-decided bisection that assembles the dipole tower at every step.
+
+    Returns (coupling, Sturm counts).  critical_dipole_coupling assembles the
+    zero-potential tower once instead; the steps must see the same matrices.
+    """
+    target = -(((N - 2) / 2.0) ** 2)
+    counts = 0
+
+    def positive(lam):
+        nonlocal counts
+        counts += 1
+        mat = assemble_polar_operator(N, AngularPotential.dipole(lam), 0, grid, sampling)
+        return count_at_most(mat, target, eigvalsh_tridiagonal) == 0
+
+    lo, hi = 0.0, 4.0 * (N - 2) ** 2
+    while positive(hi):
+        hi *= 2.0
+    while hi - lo > hardy._BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), counts
 
 
 class TestLambdaN:
@@ -266,6 +298,23 @@ class TestCriticalCoupling:
         assert abs(got - want) <= tol
         assert len(calls) == solves
         assert all(kw["select"] == "v" and kw["tol"] == math.inf for kw in calls)
+
+    @pytest.mark.parametrize("sampling", ["flux", "node"])
+    @pytest.mark.parametrize("N,M", [(3, 1000), (4, 700), (7, 500), (10, 300)])
+    def test_one_assembly_matches_per_step_assembly(self, monkeypatch, N, M, sampling):
+        # the zero-potential tower shifted by -lam cos t is the assembled
+        # dipole tower bit for bit, so every decision and the coupling agree
+        g = PolarGrid.build(N, M)
+        want, counts = assembled_count_bisection(N, g, sampling)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(hardy, "eigvalsh_tridiagonal", recording)
+        assert critical_dipole_coupling(N, g, "bisection", sampling) == want
+        assert len(calls) == counts
 
     def test_method_validation(self):
         g = PolarGrid.build(4, 100)

@@ -179,6 +179,21 @@ class TestLimitCoefficient:
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est.measured == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("picard", [True, False])
+    @pytest.mark.parametrize("h", [RadialPerturbation.power(0.4, 1.0),
+                                   RadialPerturbation.manufactured(1.2, SIGMA, N)])
+    def test_value_is_the_solved_limit(self, radial_grid, h, picard):
+        # the representation constant plus the full integral gives back the
+        # limit coefficient the profile was solved for, up to rounding
+        if picard:
+            prof = solve_mode_picard(N, MU, h, 0.7, radial_grid)
+        else:
+            prof = solve_mode_bvp(N, MU, h, 2.0, radial_grid)
+        est = limit_coefficient(prof)
+        assert est.value == prof.c_limit
+        Ip, _ = radial._volterra_integrals(prof.exponents, h, radial_grid.points, prof.values)
+        assert prof.c1 + Ip[-1] / GAP == pytest.approx(est.value, rel=1e-14)
+
     def test_formula_matches_measured_for_power(self, radial_grid):
         h = RadialPerturbation.power(0.4, 1.0)
         prof = solve_mode_picard(N, MU, h, 1.0, radial_grid)
@@ -223,7 +238,7 @@ class TestCauchyCoefficientRadial:
     def test_higher_mode_orthogonal(self, dipole3_spectrum, radial_grid):
         mu2 = dipole3_spectrum.axisymmetric_mode(2).mu
         h = RadialPerturbation.zero()
-        prof = solve_mode_picard(3, mu2, h, 1.0, radial_grid, mode_index=2)
+        prof = solve_mode_picard(3, mu2, h, 1.0, radial_grid)
         field = synthesize_solution([(2, prof)], dipole3_spectrum)
         (val,) = cauchy_coefficient_mode(field, [0.5], 1)
         assert abs(val) < 1e-12
