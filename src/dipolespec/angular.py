@@ -348,12 +348,10 @@ def _quadratic_pole_value(x0: float, x: np.ndarray, y: np.ndarray) -> float:
 def mode_sup_norm(mode: AngularMode, grid: PolarGrid) -> float:
     """Sup norm of psi over interior nodes plus quadratic extrapolation to poles."""
     psi = mode.psi(grid)
-    vals = [float(np.max(np.abs(psi)))]
-    if mode.m == 0:
-        t = grid.nodes
-        vals.append(abs(_quadratic_pole_value(0.0, t[:3], psi[:3])))
-        vals.append(abs(_quadratic_pole_value(math.pi, t[-3:], psi[-3:])))
-    return max(vals)
+    t = grid.nodes
+    return max(float(np.max(np.abs(psi))),
+               abs(_quadratic_pole_value(0.0, t[:3], psi[:3])),
+               abs(_quadratic_pole_value(math.pi, t[-3:], psi[-3:])))
 
 
 @dataclass(frozen=True)

@@ -44,14 +44,9 @@ class SolutionField:
     source: np.ndarray = field(repr=False)
     sigma: float = 0.0
     source_power: float = 0.0     # F / rho^{source_power} stays bounded at zero
-    tag: str = "mode-sum"
     defect_power: float | None = None
     eps: float | None = None
     q_bound: float | None = None  # sup of |q| rho^{2-eps} for manufactured fields
-
-    @property
-    def dim(self) -> int:
-        return self.spectrum.grid.dim
 
     def psi_1(self) -> np.ndarray:
         return self.spectrum.psi_1.psi(self.spectrum.grid)
@@ -80,16 +75,15 @@ def synthesize_solution(modes, spectrum: AngularSpectrum) -> SolutionField:
         psi_k = spectrum.axisymmetric_mode(k).psi(grid)
         u += np.outer(prof.values, psi_k)
         lead = min(lead, prof.exponents.sigma_plus)
-    hvals = h.values(rgrid.points)
-    F = hvals[:, None] * u
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite F fails downstream
+        F = h.values(rgrid.points)[:, None] * u
     sig = sigma_pair(grid.dim, spectrum.mu_1).sigma_plus
     exps = sorted(sigma_pair(grid.dim, spectrum.axisymmetric_mode(k).mu).sigma_plus
                   for k, _ in modes)
     defect = exps[1] - exps[0] if len(exps) > 1 else None
     return SolutionField(
         spectrum=spectrum, radial=rgrid, u=u, source=F, sigma=sig,
-        source_power=lead + h.singular_power, tag="mode-sum",
-        defect_power=defect,
+        source_power=lead + h.singular_power, defect_power=defect,
     )
 
 
@@ -150,8 +144,8 @@ def manufactured_nonradial(
     q_scaled = np.abs(W[None, :] / (psi1[None, :] * angular_factor))
     return SolutionField(
         spectrum=spectrum, radial=grid, u=u, source=F, sigma=sig,
-        source_power=sig + eps - 2.0, tag="manufactured-nonradial",
-        defect_power=eps, eps=eps, q_bound=float(np.max(q_scaled)),
+        source_power=sig + eps - 2.0, defect_power=eps, eps=eps,
+        q_bound=float(np.max(q_scaled)),
     )
 
 
@@ -242,8 +236,11 @@ def measured_limit(field: SolutionField) -> LimitTable:
         rows.append((float(rho[j]), float(c), float(np.max(np.abs(ratio - c)))))
         cs.append(c)
     if field.defect_power is not None:
-        q = (rho[1] / rho[0]) ** field.defect_power
-        estimate = cs[0] - (cs[1] - cs[0]) / (q - 1.0)
+        # q = inf leaves cs[0], the right limit; q = 1 (a defect power too
+        # small for these radii) gives a non-finite estimate, which fails
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            q = (rho[1] / rho[0]) ** field.defect_power
+            estimate = cs[0] - (cs[1] - cs[0]) / (q - 1.0)
     else:
         estimate = extrapolate_geometric(*cs)
     return LimitTable(estimate=float(estimate), rows=tuple(rows))
@@ -277,7 +274,7 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
     sample, up to 1e-6 absolute plus five times the worst per-mode solver
     residual.
     """
-    if field.tag != "manufactured-nonradial":
+    if field.q_bound is None:
         raise InputError("sandwich check expects a manufactured nonradial field")
     if not 0.0 < fraction <= 1.0:
         raise InputError(f"radius fraction {fraction} must lie in (0, 1]")

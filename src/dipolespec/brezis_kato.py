@@ -214,7 +214,7 @@ def iteration_constants(p: BKParameters, n_max: int, printed_variant: bool = Fal
     )
 
 
-def asymptotic_cost_ratio(p: BKParameters, n: int, printed_variant: bool = False) -> float:
+def asymptotic_cost_ratio(p: BKParameters, n: int) -> float:
     """b_n over its predicted tail (1/q_n) log(K q_n^{2s/(2s-N)}) -> 1.
 
     K is the exact coefficient of the dominant truncation term,
@@ -223,7 +223,7 @@ def asymptotic_cost_ratio(p: BKParameters, n: int, printed_variant: bool = False
     if p.v_norm == 0:
         raise InputError("asymptotic ratio needs a nonzero potential norm")
     narr = np.array([float(n)])
-    q = exponent_sequence(p, narr, printed_variant)
+    q = exponent_sequence(p, narr)
     b = float((_log_step_constant(p, narr, q) / q)[0])
     theta = p.dim / (2.0 * p.s - p.dim)
     logK = theta * (

@@ -108,15 +108,6 @@ def parse_dims(spec: str):
     return list(range(lo, hi + 1))
 
 
-def _emit(lines: list[str], path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _nonfinite(value) -> bool:
     """Whether a NaN or an infinity sits anywhere in a JSON-like value."""
     if isinstance(value, dict):
@@ -148,13 +139,23 @@ def _emit_doc(args, results: dict, header: str | None, rows: list | None,
         lines = [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)]
     else:
         lines = ([header] if header else []) + [sep.join(fmt(v) for v in row) for row in rows]
-    _emit(lines, args.out)
+    text = "\n".join(lines) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _records(header: str, rows) -> list[dict]:
     """CSV rows as JSON records keyed by the header's column names."""
     names = header.split(",")
     return [dict(zip(names, row)) for row in rows]
+
+
+def _fields(result, *drop) -> dict:
+    """A result object's fields as JSON results, less the named ones (no copies)."""
+    return {k: v for k, v in vars(result).items() if k not in drop}
 
 
 def cmd_spectrum(args) -> int:
@@ -171,12 +172,7 @@ def cmd_spectrum(args) -> int:
     }
     if flat.size >= 100:
         try:
-            wf = angular.weyl_fit(spec)
-            results["weyl"] = {
-                "exponent": wf.exponent,
-                "constant": wf.constant,
-                "max_rel_residual": wf.max_rel_residual,
-            }
+            results["weyl"] = _fields(angular.weyl_fit(spec), "window")
         except NumericalError:
             pass
     try:
@@ -193,12 +189,8 @@ def cmd_hardy(args) -> int:
     grid = angular.PolarGrid.build(args.dim, args.grid)
     potential = parse_potential(args.potential, grid)
     res = hardy.lambda_n(args.dim, potential, grid, args.sampling)
-    results = {
-        "lambda_n": res.lambda_n,
-        "critical_coupling": res.critical_coupling,
-        "maximizer_tower": 0,  # the maximizer is axisymmetric, see hardy.lambda_n
-        "nonpositive": res.nonpositive,
-    }
+    # the maximizer is axisymmetric, see hardy.lambda_n
+    results = {**_fields(res, "maximizer", "richardson"), "maximizer_tower": 0}
     rows = [(res.lambda_n, res.critical_coupling, 0)]
     _emit_doc(args, results, "lambda_n,critical_coupling,maximizer_tower", rows)
     return 0
@@ -219,12 +211,7 @@ def _hardy_table(args) -> int:
 
 def cmd_sigma(args) -> int:
     exps = sigma_pair(args.dim, args.mu)
-    results = {
-        "sigma_plus": exps.sigma_plus,
-        "sigma_minus": exps.sigma_minus,
-        "discriminant": exps.discriminant,
-        "degenerate": exps.degenerate,
-    }
+    results = _fields(exps, "dim", "mu")
     _emit_doc(args, results, None, [(exps.sigma_plus, exps.sigma_minus)], sep=", ")
     return 0
 
@@ -313,20 +300,9 @@ def cmd_cauchy(args) -> int:
 def cmd_sandwich(args) -> int:
     field = _solution_field(args, "manufactured-nonradial")
     rep = asymptotics.sandwich_check(field, args.radius_fraction)
-    results = {
-        "ordered": rep.ordered,
-        "max_lower_violation": rep.max_lower_violation,
-        "max_upper_violation": rep.max_upper_violation,
-        "slack": rep.slack,
-        "trace_residual": rep.trace_residual,
-        "power_lower": rep.power_lower,
-        "power_upper": rep.power_upper,
-        "radius": rep.radius,
-        # unbounded (coercivity coefficient <= 0) is written as null
-        "admissible_radius": None if math.isinf(rep.admissible_radius)
-        else rep.admissible_radius,
-        "modes_used": rep.modes_used,
-    }
+    results = _fields(rep, "collapse_gap")
+    if math.isinf(rep.admissible_radius):  # unbounded (coercivity coefficient <= 0)
+        results["admissible_radius"] = None
     _emit_doc(args, results, None, None)
     return 0
 
@@ -338,13 +314,7 @@ def cmd_bk(args) -> int:
     )
     table = brezis_kato.iteration_constants(params, args.n, args.printed_variant)
     header = "n,q_n,r_n,b_n,partial_sum,partial_product"
-    results = {
-        "limit_constant": table.limit_constant,
-        "sum_b": table.sum_b,
-        "sum_inv_q": table.sum_inv_q,
-        "sum_inv_q_closed": table.sum_inv_q_closed,
-        "rows": _records(header, table.rows),
-    }
+    results = {**_fields(table), "rows": _records(header, table.rows)}
     _emit_doc(args, results, header, list(table.rows))
     return 0
 
@@ -415,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=40)
     p.add_argument("--points", type=int, default=400)
     _float_flag(p, "--rmin", default=1e-8)
-    _float_flag(p, "--beta", default=1.0)
-    _float_flag(p, "--eps", default=1.0)
-    _float_flag(p, "--gscale", default=0.2)
+    _float_flag(p, "--beta", help="mode scenarios (default 1)")
+    _float_flag(p, "--eps", help="manufactured-nonradial (default 1)")
+    _float_flag(p, "--gscale", help="manufactured-nonradial (default 0.2)")
     p.add_argument("--limit-table", action="store_true",
                    help="emit the small-radius convergence table "
                         "(rho, estimate, defect) instead of the R sweep")
@@ -451,19 +421,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_hardy_mode(args) -> None:
-    """Reject the flags of the other hardy mode, then fill in this mode's defaults.
+def _resolve_mode(args) -> None:
+    """Reject the flags of another mode of the command, then fill in this mode's defaults.
 
-    The table takes --method and samples by node, the convention of the
-    reference table; one potential takes --dim and --potential.
+    The hardy table takes --method and samples by node, the convention of
+    the reference table; one potential takes --dim and --potential.  The
+    cauchy scenario manufactured-nonradial takes --eps and --gscale; the
+    mode scenarios (manufactured-radial is mode:1) take --beta.
     """
-    table = args.dims is not None
-    defaults = ({"method": "pencil", "sampling": "node"} if table
-                else {"dim": 3, "potential": "dipole:1.0", "sampling": "flux"})
-    for name in ("method", "dim", "potential"):
+    if args.command == "hardy":
+        table = args.dims is not None
+        mode = f"hardy {'with' if table else 'without'} --table"
+        flags = ("method", "dim", "potential")
+        defaults = ({"method": "pencil", "sampling": "node"} if table
+                    else {"dim": 3, "potential": "dipole:1.0", "sampling": "flux"})
+    elif args.command == "cauchy":
+        mode = f"cauchy --scenario {args.scenario}"
+        flags = ("beta", "eps", "gscale")
+        defaults = ({"eps": 1.0, "gscale": 0.2} if args.scenario == "manufactured-nonradial"
+                    else {"beta": 1.0})
+    else:
+        return
+    for name in flags:
         if name not in defaults and getattr(args, name) is not None:
-            raise InputError(f"--{name} does not apply to hardy "
-                             f"{'with' if table else 'without'} --table")
+            raise InputError(f"--{name} does not apply to {mode}")
     for name, value in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
@@ -473,8 +454,7 @@ def main(argv=None) -> int:
     try:
         # inside the try: the grid default is read from the environment here
         args = build_parser().parse_args(argv)
-        if args.command == "hardy":
-            _resolve_hardy_mode(args)
+        _resolve_mode(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -182,10 +182,7 @@ def _power_cell_weights(rho: np.ndarray, alpha: float):
         P1 = np.log(b / a)
     else:
         P1 = (b ** (alpha + 1) - a ** (alpha + 1)) / (alpha + 1)
-    if abs(alpha + 2.0) < 1e-12:
-        P2 = np.log(b / a)
-    else:
-        P2 = (b ** (alpha + 2) - a ** (alpha + 2)) / (alpha + 2)
+    P2 = (b ** (alpha + 2) - a ** (alpha + 2)) / (alpha + 2)  # alpha > -1 here
     wl = (b * P1 - P2) / (b - a)
     wr = (P2 - a * P1) / (b - a)
     return wl, wr
@@ -240,6 +237,13 @@ class RadialProfile:
     def boundary_value(self) -> float:
         return float(self.values[-1])
 
+    def scaled(self, s: float) -> "RadialProfile":
+        """The profile of limit coefficient s c_limit: the Volterra map is linear."""
+        return replace(
+            self, values=self.values * s, c_limit=self.c_limit * s, c1=self.c1 * s,
+            c2=self.c2 * s, residual=self.residual * abs(s),
+        )
+
 
 def _volterra_integrals(exps: Exponents, h: RadialPerturbation, rho, phi):
     """(I_plus, I_minus): cumulative integrals of s^{1-s_pm} h phi from zero."""
@@ -262,12 +266,14 @@ def solve_mode_picard(
 ) -> RadialProfile:
     """Fixed-point solve of the Volterra representation with limit coefficient c1.
 
-    The iterate starts at c1 rho^{sigma_plus} (exact for h = 0) and maps
-    through the two cumulative integrals; the representation constant against
-    the upper-limit form is re-tied to c1 every sweep, so the converged
-    profile satisfies lim rho^{-sigma_plus} phi = c1.  If the sup-distance
-    stops decreasing after a burn-in, the perturbation is too strong for
-    this outer radius and NonContractionError advises shrinking it.
+    The map is linear in the limit coefficient, so the iteration runs at c = 1
+    and the profile is scaled by c1 at the end: tol bounds the sup-distance of
+    the unit-coefficient sweeps, whatever c1.  The iterate starts at
+    rho^{sigma_plus} (exact for h = 0) and maps through the two cumulative
+    integrals, with the upper-limit representation constant re-tied to 1
+    every sweep.  If the sup-distance stops decreasing after a burn-in, the
+    perturbation is too strong for this outer radius and NonContractionError
+    advises shrinking it; a non-finite sweep is a NumericalError at once.
     """
     exps = sigma_pair(N, mu)
     if exps.degenerate:
@@ -280,18 +286,20 @@ def solve_mode_picard(
         raise InputError("tol must be positive")
     rho = grid.points
     D = exps.gap
-    lead = c1 * rho**exps.sigma_plus
-    phi = lead.copy()
+    phi = rho**exps.sigma_plus
     if h.is_zero:
-        return _finish_profile(N, mu, exps, grid, lead, h, c1, 0.0, 1)
+        return _finish_profile(N, mu, exps, grid, phi, h, 0.0, 1).scaled(c1)
     prev_dist = math.inf
     for it in range(1, PICARD_MAX_SWEEPS + 1):
-        Ip, Im = _volterra_integrals(exps, h, rho, phi)
-        new = rho**exps.sigma_plus * (c1 - Ip / D) + rho**exps.sigma_minus * (Im / D)
-        dist = float(np.max(np.abs(new - phi)))
+        with np.errstate(all="ignore"):  # a non-finite sweep raises below
+            Ip, Im = _volterra_integrals(exps, h, rho, phi)
+            new = rho**exps.sigma_plus * (1.0 - Ip / D) + rho**exps.sigma_minus * (Im / D)
+            dist = float(np.max(np.abs(new - phi)))
+        if not math.isfinite(dist):
+            raise NumericalError(f"Picard sweep {it} is not finite on this radial grid")
         phi = new
         if dist <= tol:
-            return _finish_profile(N, mu, exps, grid, phi, h, c1, dist, it)
+            return _finish_profile(N, mu, exps, grid, phi, h, dist, it).scaled(c1)
         if it > 5 and dist >= prev_dist:
             raise NonContractionError(
                 f"Picard distance stopped decreasing ({prev_dist:.3e} -> "
@@ -304,19 +312,19 @@ def solve_mode_picard(
     )
 
 
-def _finish_profile(N, mu, exps, grid, phi, h, c_limit, dist, iters):
-    rho = grid.points
+def _finish_profile(N, mu, exps, grid, phi, h, dist, iters):
+    """The unit-coefficient profile (c_limit = 1) of the converged iterate phi."""
     D = exps.gap
     if h.is_zero:
-        c1_repr, c2 = c_limit, 0.0
+        c1_repr, c2 = 1.0, 0.0
     else:
-        Ip, Im = _volterra_integrals(exps, h, rho, phi)
+        Ip, Im = _volterra_integrals(exps, h, grid.points, phi)
         # upper-limit representation constants: c1 = c - (1/D) int_0^R, c2 = (1/D) int_0^R
-        c1_repr = c_limit - float(Ip[-1]) / D
+        c1_repr = 1.0 - float(Ip[-1]) / D
         c2 = float(Im[-1]) / D
     return RadialProfile(
         dim=N, mu=mu, exponents=exps, grid=grid,
-        values=phi, perturbation=h, c_limit=c_limit, c1=c1_repr, c2=c2,
+        values=phi, perturbation=h, c_limit=1.0, c1=c1_repr, c2=c2,
         residual=dist, iterations=iters,
     )
 
@@ -331,24 +339,16 @@ def solve_mode_bvp(
 ) -> RadialProfile:
     """Boundary-value solve: phi at the outer radius equals gamma.
 
-    The Volterra map is linear in the limit coefficient, so one Picard solve
-    from the h = 0 guess c = gamma / R^{sigma_plus}, rescaled by
-    gamma / phi(R), is the solution; the rescale carries over to the
+    The Volterra map is linear in the limit coefficient, so the unit solve
+    scaled by gamma / phi(R) is the solution; the scale carries over to the
     representation constants and the Picard residual.
     """
     if not math.isfinite(gamma):
         raise InputError("boundary value must be finite")
-    if gamma == 0.0:
-        return solve_mode_picard(N, mu, h, 0.0, grid, tol)
-    c = gamma / grid.r_out ** sigma_pair(N, mu).sigma_plus
-    prof = solve_mode_picard(N, mu, h, c, grid, tol)
+    prof = solve_mode_picard(N, mu, h, 1.0, grid, tol)
     if prof.boundary_value == 0.0:
         raise NumericalError("boundary value of the homogeneous solve vanished")
-    scale = gamma / prof.boundary_value
-    return replace(
-        prof, values=prof.values * scale, c_limit=prof.c_limit * scale,
-        c1=prof.c1 * scale, c2=prof.c2 * scale, residual=prof.residual * abs(scale),
-    )
+    return prof.scaled(gamma / prof.boundary_value)
 
 
 @dataclass(frozen=True)

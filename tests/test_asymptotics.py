@@ -302,6 +302,13 @@ class TestSandwich:
         assert rep.ordered
         assert rep.collapse_gap < 1e-10
 
+    def test_mode_sum_rejected(self, radial_field):
+        # a mode sum carries no perturbation bound to build the comparison from
+        field, _ = radial_field
+        assert field.q_bound is None
+        with pytest.raises(InputError, match="manufactured nonradial"):
+            sandwich_check(field, 0.5)
+
     def test_radius_gate(self, nonradial_field, dipole3_spectrum):
         field = nonradial_field
         for fraction in (1.5, 0.0, -0.5, float("nan")):

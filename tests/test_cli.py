@@ -62,6 +62,15 @@ class TestParsing:
             ("hardy", "--method", "bisection", "--grid", "100"),
             ("hardy", "--table", "3..4", "--dim", "9", "--grid", "100"),
             ("hardy", "--table", "3..4", "--potential", "constant:5", "--grid", "100"),
+            # a flag of another cauchy scenario is rejected, not ignored
+            ("cauchy", "--scenario", "manufactured-nonradial", "--grid", "100",
+             "--modes", "8", "--points", "40", "--beta", "2"),
+            ("cauchy", "--scenario", "manufactured-radial", "--grid", "100",
+             "--modes", "8", "--points", "40", "--eps", "0.5"),
+            ("cauchy", "--scenario", "mode:2", "--grid", "300", "--modes", "8",
+             "--points", "100", "--eps", "0.5", "--gscale", "0.1"),
+            ("cauchy", "--scenario", "mode:1", "--grid", "100", "--modes", "8",
+             "--points", "40", "--gscale", "0.1"),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):
@@ -353,6 +362,19 @@ class TestCauchyCommand:
         assert code == 2
         assert "ground-mode scenarios" in err
 
+    @pytest.mark.parametrize("scenario,flags", [
+        ("manufactured-radial", {"beta": 1.0}),
+        ("mode:2", {"beta": 1.0}),
+        ("manufactured-nonradial", {"eps": 1.0, "gscale": 0.2}),
+    ])
+    def test_inputs_of_each_scenario(self, capsys, scenario, flags):
+        # each scenario records its own flags, with the defaults it resolved
+        code, out, _ = run(capsys, "cauchy", "--scenario", scenario, "--grid", "300",
+                           "--modes", "8", "--points", "100", "--format", "json")
+        assert code == 0
+        inputs = validate(out)["inputs"]
+        assert {k: v for k, v in inputs.items() if k in ("beta", "eps", "gscale")} == flags
+
     def test_sampling_is_honoured_and_recorded(self, capsys):
         outs = {}
         for sampling in ("node", "flux"):
@@ -423,6 +445,16 @@ class TestErrorsAndEnv:
               "--modes", "6", "--points", "40", "--rmin", "1e-300"), 3),
             (("sandwich", "--grid", "60", "--modes", "6", "--points", "40",
               "--gscale", "0"), 0),
+            (("cauchy", "--scenario", "manufactured-radial", "--grid", "60",
+              "--modes", "6", "--points", "40", "--rmin", "1e-300"), 3),
+            (("cauchy", "--scenario", "manufactured-nonradial", "--grid", "60",
+              "--modes", "6", "--points", "8", "--rmin", "1e-300", "--eps", "60"), 3),
+            (("sandwich", "--grid", "60", "--modes", "6", "--points", "40",
+              "--rmin", "1e-300"), 3),
+            # (rho_1 / rho_0)^eps rounds to 1: the limit extrapolation is 0/0
+            (("cauchy", "--scenario", "manufactured-nonradial", "--grid", "40",
+              "--modes", "6", "--points", "20", "--rmin", "0.99", "--radii", "0.995",
+              "--eps", "1e-15"), 3),
         ],
     )
     def test_nonfinite_results_are_never_printed(self, capsys, argv, want):
@@ -466,3 +498,32 @@ class TestErrorsAndEnv:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "0, -2"
+
+
+# one small successful run of each command, keyed by the command its document names
+RESULT_RUNS = {
+    "spectrum": ("spectrum", "--potential", "constant:0.3", "--grid", "200", "--count", "100"),
+    "hardy": ("hardy", "--grid", "200"),
+    "hardy-table": ("hardy", "--table", "3", "--grid", "200"),
+    "sigma": ("sigma", "--dim", "4", "--mu", "0"),
+    "radial": ("radial", "--mu", "2", "--points", "20"),
+    "cauchy": ("cauchy", "--scenario", "manufactured-radial", "--grid", "100",
+               "--modes", "8", "--points", "40"),
+    "sandwich": ("sandwich", "--grid", "400", "--points", "200"),
+    "bk": ("bk", "--n", "5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RESULT_RUNS))
+def test_results_keys_are_the_required_ones(capsys, command):
+    """The result objects define the JSON keys; no field leaks in or drops out."""
+    code, out, _ = run(capsys, *RESULT_RUNS[command], "--format", "json")
+    assert code == 0
+    doc = validate(out)
+    assert doc["command"] == command
+    schema = next(branch["properties"]["results"] for branch in SCHEMA["oneOf"]
+                  if branch["properties"]["command"]["const"] == command)
+    assert sorted(doc["results"]) == sorted(schema["required"])
+    if command == "spectrum":  # the Weyl block, from its own result object
+        weyl = schema["properties"]["weyl"]["oneOf"][1]
+        assert sorted(doc["results"]["weyl"]) == sorted(weyl["required"])

@@ -4,7 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from dipolespec import radial
 from dipolespec.asymptotics import cauchy_coefficient_mode, synthesize_solution
-from dipolespec.errors import DivergentIntegralError, InputError, NonContractionError
+from dipolespec.errors import (
+    DivergentIntegralError,
+    InputError,
+    NonContractionError,
+    NumericalError,
+)
 from dipolespec.exponents import sigma_pair
 from dipolespec.radial import (
     RadialGrid,
@@ -124,6 +129,13 @@ class TestPicard:
     def test_degenerate_exponents_rejected(self, radial_grid):
         with pytest.raises(InputError):
             solve_mode_picard(3, -0.25, RadialPerturbation.zero(), 1.0, radial_grid)
+
+    def test_nonfinite_sweep_raises_at_once(self):
+        # rho^{sigma_minus} = rho^{-2} overflows at 1e-300, so the first
+        # sweep is not finite; it raises without a numpy warning
+        grid = RadialGrid.geometric(40, 1e-300, 1.0)
+        with pytest.raises(NumericalError, match="sweep 1 is not finite"):
+            solve_mode_picard(N, MU, RadialPerturbation.power(1.0, 1.0), 1.0, grid)
 
 
 class TestBvp:
@@ -254,3 +266,25 @@ def test_manufactured_family_property(c, beta):
     prof = solve_mode_picard(N, MU, h, c, grid, tol=1e-12)
     exact = c * manufactured_exact(grid.points, beta)
     assert np.max(np.abs(prof.values - exact)) < 1e-10 * max(1.0, abs(c))
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.floats(min_value=-30, max_value=6))
+def test_solves_run_at_unit_scale(x, radial_grid):
+    """Any coefficient takes the unit solve's sweeps and is its exact multiple.
+
+    The stop rule is relative to the unit-coefficient profile, so a tiny
+    coefficient is not accepted after one sweep.
+    """
+    c = 10.0**x
+    h = RadialPerturbation.manufactured(1.5, SIGMA, N)
+    unit = solve_mode_picard(N, MU, h, 1.0, radial_grid)
+    prof = solve_mode_picard(N, MU, h, c, radial_grid)
+    assert prof.iterations == unit.iterations
+    assert np.max(np.abs(prof.values / (c * unit.values) - 1.0)) < 1e-14
+    assert prof.c_limit == c and prof.c1 == pytest.approx(c * unit.c1, rel=1e-14)
+    # a boundary value of that size is hit by the same profile shape
+    bvp = solve_mode_bvp(N, MU, h, c, radial_grid)
+    assert bvp.boundary_value == pytest.approx(c, rel=1e-14)
+    shape = unit.values / unit.boundary_value
+    assert np.max(np.abs(bvp.values / (c * shape) - 1.0)) < 1e-14
