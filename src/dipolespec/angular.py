@@ -40,6 +40,8 @@ from .errors import EigenSolveError, InputError, ResolutionError
 
 SAMPLINGS = ("flux", "node")
 
+_EPS = float(np.finfo(float).eps)  # also polar_eigen's absolute bisection tolerance
+
 
 def unit_sphere_area(d: int) -> float:
     """Surface area |S^{d-1}| = 2 pi^{d/2} / Gamma(d/2) of the unit sphere in R^d."""
@@ -150,6 +152,8 @@ class AngularPotential:
             raise InputError(
                 f"tabulated potential has {vals.size} samples, grid has {grid.size} nodes"
             )
+        if not np.all(np.isfinite(vals)):
+            raise InputError("tabulated potential has a non-finite sample")
         return cls(
             kind="tabulated",
             ess_sup=float(np.max(vals)),
@@ -187,6 +191,10 @@ class TridiagonalMatrix:
 
     def shifted(self, s: float) -> "TridiagonalMatrix":
         return TridiagonalMatrix(self.diag + s, self.off, self.step)
+
+    def one_norm(self) -> float:
+        off = np.abs(self.off)  # ||T||_1, the largest absolute column sum
+        return float(np.max(np.abs(self.diag) + np.append(off, 0.0) + np.insert(off, 0, 0.0)))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
@@ -290,16 +298,18 @@ def count_at_most(matrix: TridiagonalMatrix, x: float, solver=None) -> int:
 def polar_eigen(matrix: TridiagonalMatrix, count: int):
     """First `count` eigenpairs, ascending.
 
-    Eigenvectors are orthonormal in the step-weighted inner product
-    sum_i v_i u_i h and carry a deterministic sign: first nonzero component
-    positive.  LAPACK's bisection/inverse-iteration backend either converges
+    The absolute bisection tolerance eps, far below LAPACK's default
+    eps * ||T||_1, leaves each value within an ulp or so of max(1, |mu|) of
+    where its Sturm count flips, whatever `count` is.  Eigenvectors are
+    orthonormal in the step-weighted inner product sum_i v_i u_i h and carry
+    a deterministic sign: first nonzero component positive.  LAPACK's bisection/inverse-iteration backend either converges
     or raises; a failure is re-raised as EigenSolveError, never truncated.
     """
     if count < 1 or count > matrix.size:
         raise InputError(f"count must be in [1, {matrix.size}], got {count}")
     try:
         vals, vecs = eigh_tridiagonal(
-            matrix.diag, matrix.off, select="i", select_range=(0, count - 1)
+            matrix.diag, matrix.off, select="i", select_range=(0, count - 1), tol=_EPS
         )
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise EigenSolveError(f"tridiagonal eigensolver failed: {exc}") from exc
@@ -361,6 +371,7 @@ class AngularSpectrum:
     grid: PolarGrid
     potential: AngularPotential
     modes: tuple
+    m0_rounding: float  # eps ||T_0||_1, the rounding in the m = 0 eigenvalues
     sampling: str = "flux"
 
     @property
@@ -402,26 +413,27 @@ _BRACKET_BISECTIONS = 3
 
 
 def _probe_towers(towers: PolarTowers, K: int):
-    """(m = 0 matrix, each tower's values up to a bracket of the K-th flattened value).
+    """(m = 0 matrix, its Sturm count at hi, the values up to hi of the towers m >= 1).
 
-    Phase one brackets the K-th flattened value by Sturm counts alone;
-    phase two makes one value probe per tower up to the bracket, and the
-    first empty tower ends the scan.
+    hi bounds the K-th flattened value and comes from Sturm counts alone;
+    the first tower with no value up to hi ends the scan.
     """
     N, grid = towers.N, towers.grid
+    start = -float(np.max(towers.a))  # below mu_1 for flux sampling (Weyl)
+    if start + 1.0 == start:
+        raise ResolutionError(f"float64 cannot resolve eigenvalues next to a = {-start:.3g}")
     axial = towers.matrix(0)
 
-    def scan():
-        """Tower matrices m = 0, 1, ... in turn, with a guard on the tower count."""
-        yield 0, axial
-        for m in range(1, grid.size + 1):
-            yield m, towers.matrix(m)
+    def scan(first: int):
+        """Tower matrices m = first, first + 1, ... in turn, with a guard on the tower count."""
+        for m in range(first, grid.size + 1):
+            yield m, axial if m == 0 else towers.matrix(m)
         raise ResolutionError("tower merge did not terminate")  # pragma: no cover
 
     def reaches(x: float) -> bool:
         """F(x) >= K, summed tower by tower until it is decided."""
         total = 0
-        for m, mat in scan():
+        for m, mat in scan(0):
             count = count_at_most(mat, x)
             if count == 0:
                 return False
@@ -429,11 +441,10 @@ def _probe_towers(towers: PolarTowers, K: int):
             if total >= K:
                 return True
 
-    mu1 = eigvalsh_tridiagonal(axial.diag, axial.off, select="i", select_range=(0, 0))[0]
-    lo, span = mu1, 1.0
-    while not reaches(mu1 + span):
-        lo, span = mu1 + span, 2.0 * span
-    hi = mu1 + span
+    lo, span = start, 1.0
+    while not reaches(start + span):
+        lo, span = start + span, 2.0 * span
+    hi = start + span
     for _ in range(_BRACKET_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if reaches(mid):
@@ -442,10 +453,10 @@ def _probe_towers(towers: PolarTowers, K: int):
             lo = mid
 
     probed: list[np.ndarray] = []
-    for _, mat in scan():
+    for _, mat in scan(1):
         vals = eigvalsh_tridiagonal(mat.diag, mat.off, select="v", select_range=(-math.inf, hi))
         if vals.size == 0:
-            return axial, probed
+            return axial, count_at_most(axial, hi), probed
         probed.append(vals.copy())  # not a view that keeps LAPACK's M-long output alive
 
 
@@ -463,18 +474,16 @@ def full_spectrum(
     below x with one Sturm count per tower (`count_at_most`); tower bottoms
     are strictly increasing in m (the quadratic forms differ by the positive
     term nu_m / sin^2), so the sum stops at the first tower with none.
-    Starting from mu_1, a span above it is doubled until F reaches K, then
-    bisected a few steps; hi is the upper end of that bracket.
+    Starting from -max a (a lower bound of mu_1 under flux sampling, but hi
+    only moves to points where F reaches K), a span is doubled until F
+    reaches K, then bisected a few steps; hi is the bracket's upper end.  If
+    float64 cannot add 1 to -max a, nothing is solved: ResolutionError.
 
-    Each tower up to the first empty one then makes one value probe for its
-    eigenvalues up to hi, and the K-th of the merged values is the cutoff.
-    Eigenvectors are computed for the surviving m = 0 modes only, by the
-    index-range solve `polar_eigen`, so mu_1, psi_1 and the axisymmetric
-    modes are exactly what an index-range probe of that tower gives: radial
-    mode indices and psi_1 refer to it.  Modes of the towers m >= 1 keep
-    their probed values and carry no profile.  Those come from bisection
-    over a value range, so they agree with an index-range probe to within
-    LAPACK's bisection tolerance (about eps * ||T_m||), not bit for bit.
+    The m = 0 tower is solved once, with eigenvectors, by `polar_eigen` up
+    to its count at hi, so mu_1, psi_1 and the axisymmetric modes depend on
+    K by an ulp or so at most.  Each tower m >= 1 up to the first empty one makes one
+    value probe up to hi, at LAPACK's tolerance (about eps * ||T_m||), and
+    carries no profile.  The K-th of the merged values is the cutoff.
     """
     if K < 1:
         raise InputError(f"K must be >= 1, got {K}")
@@ -484,30 +493,27 @@ def full_spectrum(
         )
     # PolarTowers dies here, before the eigenvectors: its arrays would otherwise
     # pin heap pages under them and raise the peak RSS
-    axial, probed = _probe_towers(PolarTowers(N, potential, grid, sampling), K)
+    axial, count, probed = _probe_towers(PolarTowers(N, potential, grid, sampling), K)
+    pairs = polar_eigen(axial, count)
     flat = np.sort(np.concatenate(
-        [np.repeat(vals, harmonic_multiplicity(N, m)) for m, vals in enumerate(probed)]
+        [[mu for mu, _ in pairs]]
+        + [np.repeat(vals, harmonic_multiplicity(N, m)) for m, vals in enumerate(probed, 1)]
     ))
     if flat.size < K:
         raise EigenSolveError(f"value probes found {flat.size} of the {K} counted eigenvalues")
 
-    # final cutoff, eigenvectors only for the surviving m = 0 modes
     cutoff = flat[K - 1]
-    keep = int(np.searchsorted(probed[0], cutoff, side="right"))
     collected = [
         AngularMode(m=0, mu=mu, multiplicity=1, polar=vec / math.sqrt(grid.area_equator))
-        for mu, vec in polar_eigen(axial, keep)
+        for mu, vec in pairs if mu <= cutoff
     ]
-    for m, vals in enumerate(probed[1:], start=1):
-        mult = harmonic_multiplicity(N, m)
-        collected.extend(
-            AngularMode(m=m, mu=float(mu), multiplicity=mult)
-            for mu in vals[vals <= cutoff]
-        )
+    collected += [AngularMode(m=m, mu=float(mu), multiplicity=harmonic_multiplicity(N, m))
+                  for m, vals in enumerate(probed, 1) for mu in vals[vals <= cutoff]]
 
     collected.sort(key=lambda md: (md.mu, md.m))
     spectrum = AngularSpectrum(
-        grid=grid, potential=potential, modes=tuple(collected), sampling=sampling
+        grid=grid, potential=potential, modes=tuple(collected),
+        m0_rounding=_EPS * axial.one_norm(), sampling=sampling,
     )
     ground = spectrum.psi_1
     if ground.m != 0:
@@ -543,18 +549,13 @@ def check_mu1_bounds(spectrum: AngularSpectrum) -> Mu1BoundsReport:
 
 
 def _sup_ratios(spectrum: AngularSpectrum):
-    N = spectrum.grid.dim
-    power = math.floor((N - 1) / 4) + 1
-    ratios = []
-    for md in spectrum.modes:
-        if md.m != 0 or md.mu == 0.0:
-            continue
-        ratios.append(mode_sup_norm(md, spectrum.grid) / abs(md.mu) ** power)
-    return ratios
+    power = math.floor((spectrum.grid.dim - 1) / 4) + 1
+    return [mode_sup_norm(md, spectrum.grid) / abs(md.mu) ** power
+            for md in spectrum.tower(0) if abs(md.mu) > 4.0 * spectrum.m0_rounding]
 
 
 def eigenfunction_sup_ratio(spectrum: AngularSpectrum) -> float:
-    """max over m=0 modes with mu != 0 of |psi_k|_inf / |mu_k|^{floor((N-1)/4)+1}."""
+    """max over m=0 modes with |mu| > 4 eps ||T_0||_1 of |psi_k|_inf / |mu_k|^{floor((N-1)/4)+1}."""
     if len(spectrum.tower(0)) < 2:
         raise InputError("need at least two m = 0 modes")
     ratios = _sup_ratios(spectrum)

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -73,9 +74,13 @@ def parse_potential(spec: str, grid: angular.PolarGrid) -> angular.AngularPotent
         return angular.AngularPotential.dipole(_finite(arg, spec))
     if kind == "table":
         try:
-            values = np.loadtxt(arg, ndmin=1)
+            with warnings.catch_warnings():  # an empty file is the size mismatch below
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(arg, ndmin=1)
         except OSError as exc:
             raise InputError(f"cannot read potential table {arg!r}: {exc}") from exc
+        except ValueError as exc:
+            raise InputError(f"malformed potential table {arg!r}: {exc}") from exc
         return angular.AngularPotential.tabulated(values, grid)
     raise InputError(f"unknown potential spec {spec!r}")
 

@@ -39,6 +39,7 @@ from .angular import (
     TridiagonalMatrix,
     assemble_polar_operator,
     count_at_most,
+    polar_eigen,
 )
 from .errors import BracketError, EigenSolveError, IndefiniteFormError, InputError
 
@@ -172,13 +173,6 @@ def lambda_n(
                        richardson=rich)
 
 
-def _mu1_m0(N, potential, grid, sampling) -> float:
-    mat = assemble_polar_operator(N, potential, 0, grid, sampling)
-    return float(
-        eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, 0))[0]
-    )
-
-
 def critical_dipole_coupling(
     N: int,
     grid: PolarGrid,
@@ -255,10 +249,10 @@ def positivity_equivalences(
     """Check Lambda_N(a) < 1  <=>  mu_1 > -((N-2)/2)^2 on one grid.
 
     Values within 1e-9 of either threshold yield the indeterminate flag
-    instead of booleans.
+    instead of booleans.  mu_1 is the m = 0 solve of `full_spectrum`.
     """
     lam = lambda_n(N, potential, grid, sampling).lambda_n
-    mu1 = _mu1_m0(N, potential, grid, sampling)
+    mu1 = polar_eigen(assemble_polar_operator(N, potential, 0, grid, sampling), 1)[0][0]
     threshold = -(((N - 2) / 2.0) ** 2)
     lam_margin = 1.0 - lam
     mu_margin = mu1 - threshold

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from dipolespec import angular
@@ -50,12 +50,6 @@ def exhaustive_merge(N, potential, K, grid, sampling):
     return [(mat, vals[vals <= cutoff]) for mat, vals in towers]
 
 
-def one_norm(mat):
-    """||T||_1 of a symmetric tridiagonal matrix: its largest absolute column sum."""
-    off = np.abs(mat.off)
-    return float(np.max(np.abs(mat.diag) + np.append(off, 0.0) + np.insert(off, 0, 0.0)))
-
-
 def reference_operator(N, potential, m, grid, sampling):
     """The tower-m operator written out in one piece, as the shared assembly must build it."""
     h = grid.step
@@ -85,12 +79,18 @@ def bits(x):
 
 
 def sturm_count(diag, off, x):
-    """Eigenvalues at or below x: negative pivots of the LDL^T factorization of T - x I."""
+    """Eigenvalues at or below x: negative pivots of the LDL^T factorization of T - x I.
+
+    A pivot smaller in size than LAPACK's pivmin = safmin * max(1, max e^2)
+    (dstebz) is replaced by -pivmin, which counts it and keeps every
+    e^2 / pivot finite.
+    """
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(np.square(off), initial=0.0)))
     count, pivot = 0, 1.0
     for i, di in enumerate(diag):
         pivot = di - x - (off[i - 1] ** 2 / pivot if i else 0.0)
-        if pivot == 0.0:
-            pivot = -1e-300  # a zero pivot means x is an eigenvalue: count it
+        if abs(pivot) < pivmin:
+            pivot = -pivmin
         count += pivot < 0
     return count
 
@@ -234,6 +234,8 @@ class TestSturmCount:
         diag=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
         off_seed=st.lists(st.floats(-5.0, 5.0), min_size=39, max_size=39),
     )
+    # a subnormal first pivot once overflowed the reference's next division
+    @example(diag=[5e-324, 0.0], off_seed=[1.0] + [0.0] * 38)
     def test_matches_ldl_reference(self, diag, off_seed):
         d = np.array(diag)
         e = np.array(off_seed[: d.size - 1])
@@ -259,6 +261,12 @@ class TestSturmCount:
         mat = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.zeros(2), 1.0)
         assert count_at_most(mat, 2.5, solver) == 2
         assert calls == [{"select": "v", "select_range": (-math.inf, 2.5), "tol": math.inf}]
+
+
+def test_one_norm_is_the_dense_one_norm():
+    mat = TridiagonalMatrix(np.array([1.0, -7.0, 3.0, 0.5]), np.array([2.0, -4.0, 0.25]), 1.0)
+    dense = np.diag(mat.diag) + np.diag(mat.off, 1) + np.diag(mat.off, -1)
+    assert mat.one_norm() == np.linalg.norm(dense, 1) == 13.0
 
 
 class TestPolarTowers:
@@ -403,13 +411,14 @@ class TestFullSpectrum:
         # value-range and index-range bisection agree to LAPACK's tolerance
         for m, (mat, vals) in enumerate(ref):
             got = np.array([md.mu for md in spec.tower(m)])
-            assert np.all(np.abs(got - vals) <= 4 * np.finfo(float).eps * one_norm(mat))
-        # the m = 0 modes are bit for bit the index-range solve of their tower
+            assert np.all(np.abs(got - vals) <= 4 * np.finfo(float).eps * mat.one_norm())
+        # the m = 0 modes are the tight solve of their tower, whatever the count
         axial, kept = ref[0]
         want0 = polar_eigen(axial, kept.size)
         for md, (mu, vec) in zip(spec.tower(0), want0, strict=True):
-            assert md.mu == mu
-            assert np.array_equal(md.polar, vec / math.sqrt(grid.area_equator))
+            assert abs(md.mu - mu) <= 4 * np.finfo(float).eps * max(1.0, abs(mu))
+            profile = vec / math.sqrt(grid.area_equator)
+            assert np.max(np.abs(md.polar - profile)) <= 1e-11 * np.max(np.abs(profile))
 
     @settings(max_examples=40, deadline=None)
     @given(case=spectrum_cases())
@@ -435,16 +444,16 @@ class TestFullSpectrum:
         # by the running K-th value requested 1623 eigenvalues here, and an
         # index-range probe of K values per tower 11500
         K = 500
-        value_probes, vector_diags = [], []
+        value_probes, vector_solves = [], []
 
         def counting_values(*args, **kwargs):
             vals = eigvalsh_tridiagonal(*args, **kwargs)
             if kwargs.get("tol", 0.0) != math.inf:  # a count returns no usable values
-                value_probes.append((kwargs["select"], kwargs["select_range"], vals))
+                value_probes.append((args[0], kwargs["select"], kwargs["select_range"], vals))
             return vals
 
         def counting_vectors(diag, *args, **kwargs):
-            vector_diags.append(diag)
+            vector_solves.append((diag, kwargs))
             return eigh_tridiagonal(diag, *args, **kwargs)
 
         monkeypatch.setattr(angular, "eigvalsh_tridiagonal", counting_values)
@@ -452,24 +461,52 @@ class TestFullSpectrum:
         grid = PolarGrid.build(3, 1200)
         potential = AngularPotential.constant(0.0)
         spec = full_spectrum(3, potential, K, grid)
+        axial = assemble_polar_operator(3, potential, 0, grid)
 
-        assert sum(vals.size for _, _, vals in value_probes) < 300
-        assert len(vector_diags) == 1
-        assert np.array_equal(vector_diags[0], assemble_polar_operator(3, potential, 0, grid).diag)
-        # mu_1 from one index probe, then one value probe per tower up to the
-        # final bracket, and the first empty tower ends the scan
-        assert [(sel, rng) for sel, rng, _ in value_probes[:1]] == [("i", (0, 0))]
-        ranges = value_probes[1:]
-        assert all(sel == "v" for sel, _, _ in ranges)
-        hi = ranges[0][1][1]
-        assert all(rng == (-math.inf, hi) for _, rng, _ in ranges)
-        assert all(vals.size == 0 or vals[-1] <= hi for _, _, vals in ranges)
-        assert ranges[-1][2].size == 0 and all(vals.size for _, _, vals in ranges[:-1])
-        assert len({md.m for md in spec.modes}) <= len(ranges) - 1
+        assert sum(vals.size for *_, vals in value_probes) < 300
+        # the m = 0 tower: one tight vector solve of its values up to the
+        # final bracket hi, and no value probe at all
+        assert len(vector_solves) == 1
+        diag, kwargs = vector_solves[0]
+        assert np.array_equal(diag, axial.diag)
+        assert kwargs["select"] == "i" and kwargs["tol"] == angular._EPS
+        # one value probe per tower m >= 1 up to hi; the first empty tower ends the scan
+        assert all(sel == "v" for _, sel, _, _ in value_probes)
+        assert not any(np.array_equal(d, axial.diag) for d, *_ in value_probes)
+        hi = value_probes[0][2][1]
+        assert all(rng == (-math.inf, hi) for _, _, rng, _ in value_probes)
+        assert kwargs["select_range"] == (0, count_at_most(axial, hi) - 1)
+        assert all(vals.size == 0 or vals[-1] <= hi for *_, vals in value_probes)
+        assert value_probes[-1][3].size == 0 and all(v.size for *_, v in value_probes[:-1])
+        assert len({md.m for md in spec.modes}) <= len(value_probes)
         flat = np.concatenate(
-            [np.repeat(vals, harmonic_multiplicity(3, m)) for m, (_, _, vals) in enumerate(ranges)]
+            [np.repeat(vals, harmonic_multiplicity(3, m))
+             for m, (*_, vals) in enumerate(value_probes, 1)]
         )
-        assert flat.size >= K
+        assert flat.size + count_at_most(axial, hi) >= K
+
+    @pytest.mark.parametrize("potential", [AngularPotential.constant(-1e300),
+                                           AngularPotential.dipole(1e300),
+                                           AngularPotential.dipole(-1e17)])
+    def test_unresolvable_potential_fails_before_any_solve(self, monkeypatch, potential):
+        # once |max a| >= 2^53, -max a + 1 rounds to -max a: every tower's
+        # values would round to the bracket and the scan would probe all towers
+        calls = []
+        monkeypatch.setattr(angular, "eigvalsh_tridiagonal", lambda *a, **k: calls.append(k))
+        monkeypatch.setattr(angular, "eigh_tridiagonal", lambda *a, **k: calls.append(k))
+        with pytest.raises(ResolutionError, match="float64 cannot resolve"):
+            full_spectrum(3, potential, 5, PolarGrid.build(3, 2000))
+        assert calls == []
+
+    @pytest.mark.parametrize("sampling", ["flux", "node"])
+    def test_m0_values_do_not_depend_on_the_count(self, sampling):
+        grid = PolarGrid.build(3, 2000)
+        towers = {K: full_spectrum(3, AngularPotential.dipole(1.0), K, grid, sampling).tower(0)
+                  for K in (5, 20, 80, 200)}
+        eps = np.finfo(float).eps
+        for K, tower in towers.items():
+            for md, ref in zip(tower, towers[200]):
+                assert abs(md.mu - ref.mu) <= 4 * eps * max(1.0, abs(ref.mu)), K
 
 
 class TestMu1Bounds:
@@ -504,9 +541,13 @@ class TestSupRatio:
     def test_free_sphere_ratios_bounded(self, free3_spectrum):
         from dipolespec.angular import _sup_ratios
 
+        # the ground value is zero to rounding and is skipped; the zonal
+        # harmonic of degree l has sup sqrt((2l+1)/(4 pi)) and mu = l(l+1),
+        # so the ratios fall from l = 1 on
         ratios = _sup_ratios(free3_spectrum)
-        assert len(ratios) >= 5
-        assert max(ratios) <= 10 * ratios[0]
+        assert len(ratios) == len(free3_spectrum.tower(0)) - 1 >= 5
+        assert ratios[0] == pytest.approx(math.sqrt(3 / (4 * math.pi)) / 2, rel=1e-3)
+        assert max(ratios) <= ratios[0] * (1 + 1e-9)
 
     def test_dipole_ratio_finite(self, dipole3_spectrum):
         assert eigenfunction_sup_ratio(dipole3_spectrum) < 50.0

@@ -283,6 +283,57 @@ class TestSpectrumCommand:
         assert doc["results"]["weyl"] is None
 
 
+    def test_mu1_line_does_not_depend_on_the_count(self, capsys):
+        lines = set()
+        for count in ("5", "20", "80"):
+            code, out, _ = run(capsys, "spectrum", "--grid", "2000", "--count", count)
+            assert code == 0
+            lines.add(out.splitlines()[1])
+        assert lines == {"1,-0.1576633627"}
+
+    @pytest.mark.parametrize("dim", ["3", "5"])
+    def test_free_sup_ratio_skips_the_rounded_zero(self, capsys, dim):
+        # the free ground value is zero up to rounding, about 1e-11 here
+        code, out, _ = run(capsys, "spectrum", "--dim", dim, "--potential", "constant:0",
+                           "--grid", "1200", "--count", "30", "--format", "json")
+        assert code == 0
+        assert 0.0 < validate(out)["results"]["sup_ratio"] < 0.25
+
+    @pytest.mark.parametrize("potential", ["constant:-1e300", "dipole:1e300"])
+    def test_unresolvable_potential_exits_3(self, capsys, potential):
+        code, out, err = run(capsys, "spectrum", "--potential", potential)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure") and "float64 cannot resolve" in err
+
+
+TABLE_COMMANDS = {
+    "spectrum": ("spectrum", "--count", "2"),
+    "hardy": ("hardy",),
+    "cauchy": ("cauchy", "--scenario", "manufactured-radial", "--modes", "2",
+               "--points", "20"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_COMMANDS))
+@pytest.mark.parametrize("content", ["1\n2\nx\n1\n1\n1\n1\n1\n",
+                                     "1\n2\n3 4\n1\n1\n1\n1\n1\n",
+                                     "1\nnan\n1\n1\n1\n1\n1\n1\n",
+                                     "1\n-inf\n1\n1\n1\n1\n1\n1\n",
+                                     ""],
+                         ids=["non-numeric", "ragged", "nan", "-inf", "empty"])
+def test_malformed_table_exits_2(capsys, tmp_path, command, content):
+    table = tmp_path / "a.txt"
+    table.write_text(content)
+    # pytest would keep a warning off stderr, so record any that is raised
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *TABLE_COMMANDS[command], "--grid", "8",
+                             "--potential", f"table:{table}")
+    assert code == 2 and out == ""
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestRadialCommand:
     def test_profile_csv(self, capsys):
         code, out, _ = run(capsys, "radial", "--dim", "3", "--mu", "2",
