@@ -1,17 +1,17 @@
 """Axisymmetric solution fields on the punctured ball and their limit functionals.
 
-Fields are sampled on the product of a polar grid (angular) and a geometric
-radial grid.  Two constructions are provided: mode sums u = sum phi_k psi_k
-with a common radial perturbation, and the manufactured nonradial family
-u = rho^sigma psi_1 (1 + rho^eps g) whose compatible perturbation
-q = -(Delta u + a rho^{-2} u)/u is assembled from the discrete angular
+Fields on a geometric radial grid times a polar grid are stored as radial x
+angular factors (LowRank); no (radius x polar node) array is formed.  Mode
+sums u = sum phi_k psi_k (rank = mode count) share one radial perturbation;
+the manufactured nonradial u = rho^sigma psi_1 (1 + rho^eps g) (rank 2,
+source rank 1) gets q = -(Delta u + a rho^{-2} u)/u from the discrete angular
 operator, with the radial powers handled analytically.  Everything the
 limit functionals need about the source is a known power of rho times a
 bounded factor.  The functionals project onto the angular mode first (the
 angular quadrature commutes with the radial integrals), so the power-law
 quadrature of the radial module runs on one radial vector and the discrete
 identities (value 1, independence of the evaluation radius) hold to
-rounding.
+rounding.  The sandwich bounds are reduced in row blocks of about 1 MB.
 """
 
 from __future__ import annotations
@@ -35,13 +35,33 @@ from .radial import (
 
 
 @dataclass(frozen=True)
+class LowRank:
+    """A (radius x polar node) array held as radial (R x r) @ angular (r x M)."""
+
+    radial: np.ndarray
+    angular: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.radial.nbytes + self.angular.nbytes
+
+    def rows(self, idx) -> np.ndarray:
+        """The rows at radial index (int, slice or index list) idx only."""
+        return self.radial[idx] @ self.angular
+
+    def project(self, w: np.ndarray) -> np.ndarray:
+        """The array times the polar vector w: one value per radius."""
+        return self.radial @ (self.angular @ w)
+
+
+@dataclass(frozen=True)
 class SolutionField:
-    """Samples u(rho_j, t_i) with the source F of -Delta u = a rho^{-2} u + F."""
+    """u(rho_j, t_i) and the source F of -Delta u = a rho^{-2} u + F, as LowRank."""
 
     spectrum: AngularSpectrum
     radial: RadialGrid
-    u: np.ndarray = field(repr=False)
-    source: np.ndarray = field(repr=False)
+    u: LowRank = field(repr=False)
+    source: LowRank = field(repr=False)
     sigma: float = 0.0
     source_power: float = 0.0     # F / rho^{source_power} stays bounded at zero
     defect_power: float | None = None
@@ -56,27 +76,26 @@ def synthesize_solution(modes, spectrum: AngularSpectrum) -> SolutionField:
     """Mode sum u = sum_k phi_k psi_k over the m = 0 tower.
 
     All profiles must share one radial grid and one perturbation; the source
-    is then F = h u.  The Parseval identity between sum_k phi_k(rho)^2 and
-    the angular quadrature of u(rho, .)^2 holds to rounding because the
-    discrete modes are orthonormal in exactly that quadrature.
+    is then F = h u, with factors phi_k x psi_k.  The Parseval identity
+    between sum_k phi_k(rho)^2 and the angular quadrature of u(rho, .)^2
+    holds to rounding: the discrete modes are orthonormal in that quadrature.
     """
     if not modes:
         raise InputError("need at least one mode")
     grid = spectrum.grid
     rgrid = modes[0][1].grid
     h = modes[0][1].perturbation
-    u = np.zeros((rgrid.size, grid.size))
-    lead = math.inf
     for k, prof in modes:
         if prof.grid is not rgrid and not np.array_equal(prof.grid.points, rgrid.points):
             raise InputError("all modes must share the radial grid")
         if prof.perturbation is not h and prof.perturbation != h:
             raise InputError("all modes must share the radial perturbation")
-        psi_k = spectrum.axisymmetric_mode(k).psi(grid)
-        u += np.outer(prof.values, psi_k)
-        lead = min(lead, prof.exponents.sigma_plus)
+    lead = min(prof.exponents.sigma_plus for _, prof in modes)
+    phi = np.column_stack([prof.values for _, prof in modes])
+    psi = np.array([spectrum.axisymmetric_mode(k).psi(grid) for k, _ in modes])
+    u = LowRank(phi, psi)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite F fails downstream
-        F = h.values(rgrid.points)[:, None] * u
+        F = LowRank(h.values(rgrid.points)[:, None] * phi, psi)
     sig = sigma_pair(grid.dim, spectrum.mu_1).sigma_plus
     exps = sorted(sigma_pair(grid.dim, spectrum.axisymmetric_mode(k).mu).sigma_plus
                   for k, _ in modes)
@@ -85,14 +104,6 @@ def synthesize_solution(modes, spectrum: AngularSpectrum) -> SolutionField:
         spectrum=spectrum, radial=rgrid, u=u, source=F, sigma=sig,
         source_power=lead + h.singular_power, defect_power=defect,
     )
-
-
-def parseval_residual(field: SolutionField, modes) -> float:
-    """Max over radii of |sum_k phi_k^2 - angular quadrature of u^2|."""
-    grid = field.spectrum.grid
-    sq = sum(prof.values**2 for _, prof in modes)
-    quad = np.array([grid.integrate(row**2) for row in field.u])
-    return float(np.max(np.abs(sq - quad)))
 
 
 def manufactured_nonradial(
@@ -109,7 +120,9 @@ def manufactured_nonradial(
     W = (eps(eps + 2 sigma + N - 2) + mu_1) psi_1 g - L[psi_1 g], where L is
     the discrete angular operator of the spectrum.  The ground-mode part of
     u annihilates identically, so q = O(rho^{eps-2}) with the verified bound
-    stored as q_bound; in particular g = 0 gives q = 0 exactly.
+    stored as q_bound; in particular g = 0 gives q = 0 exactly.  u has the
+    factors [rho^sigma, rho^{sigma+eps}] x [psi_1, psi_1 g].  1 + rho^eps g is
+    monotone in rho, so the sign gate and q_bound read the extreme radii only.
     """
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
@@ -125,12 +138,12 @@ def manufactured_nonradial(
     gap = sigma_pair(N, mu1).gap
     psi1 = spectrum.psi_1.psi(pgrid)
 
-    angular_factor = 1.0 + rho[:, None] ** eps * g[None, :]
+    angular_factor = 1.0 + rho[[0, -1], None] ** eps * g[None, :]
     if np.min(angular_factor) <= 0.0:
         raise InputError(
             "1 + rho^eps g changes sign on the sampled set; scale g down"
         )
-    u = rho[:, None] ** sig * psi1[None, :] * angular_factor
+    u = LowRank(np.column_stack([rho**sig, rho ** (sig + eps)]), np.array([psi1, psi1 * g]))
 
     # discrete angular operator applied to G = psi_1 g, in psi coordinates
     mat = assemble_polar_operator(N, spectrum.potential, 0, pgrid, spectrum.sampling)
@@ -140,7 +153,7 @@ def manufactured_nonradial(
     W = (eps * (eps + gap) + mu1) * G - LG
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite F fails downstream
-        F = -(rho[:, None] ** (sig + eps - 2.0)) * W[None, :]
+        F = LowRank(-(rho[:, None] ** (sig + eps - 2.0)), W[None, :])
     q_scaled = np.abs(W[None, :] / (psi1[None, :] * angular_factor))
     return SolutionField(
         spectrum=spectrum, radial=grid, u=u, source=F, sigma=sig,
@@ -173,8 +186,8 @@ def cauchy_coefficient_mode(field: SolutionField, radii, k: int) -> list[float]:
     independent of r for solution/source pairs of the perturbed problem.
     The angular quadrature commutes with the radial integrals, so the source
     is projected onto psi_k first: the two cumulative integrals are 1-D,
-    built once and read at every radius.  u is projected row by row at the
-    requested radii only.
+    built once and read at every radius.  u is evaluated and projected at
+    the requested radii only.
     """
     spectrum = field.spectrum
     grid = spectrum.grid
@@ -188,13 +201,13 @@ def cauchy_coefficient_mode(field: SolutionField, radii, k: int) -> list[float]:
     rows = [field.radial.nearest_index(r) for r in radii]
     psi = mode.psi(grid)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are returned
-        data = field.source @ _weighted(grid, psi) / rho ** field.source_power
+        data = field.source.project(_weighted(grid, psi)) / rho ** field.source_power
     I1 = integrate_power_from_zero(rho, 1.0 - sig + field.source_power, data)
     I2 = integrate_power_from_zero(rho, N - 1.0 + sig + field.source_power, data)
     values = []
     for j in rows:
         r = rho[j]
-        u_k = grid.integrate(field.u[j] * psi)
+        u_k = grid.integrate(field.u.rows(j) * psi)
         values.append(float(r ** (-sig) * u_k + I1[j] / gap - r ** (-gap) * I2[j] / gap))
     return values
 
@@ -224,14 +237,15 @@ def measured_limit(field: SolutionField) -> LimitTable:
     grid = field.spectrum.grid
     psi1 = field.psi_1()
     rho = field.radial.points[:3]
+    u = field.u.rows(slice(0, 3))
     if np.any(psi1 <= 0):
         raise NumericalError("ground-mode samples must be positive")
-    if np.any(field.u[:3] <= 0):
+    if np.any(u <= 0):
         raise NumericalError("field is not positive near the origin")
     rows = []
     cs = []
     for j in range(3):
-        ratio = field.u[j] / (rho[j] ** field.sigma * psi1)
+        ratio = u[j] / (rho[j] ** field.sigma * psi1)
         c = grid.average(ratio)
         rows.append((float(rho[j]), float(c), float(np.max(np.abs(ratio - c)))))
         cs.append(c)
@@ -285,10 +299,15 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
     lam = hardy.lambda_n(N, spectrum.potential, grid, spectrum.sampling).lambda_n
     r_adm = hardy.admissible_radius(N, lam, c_bound, eps)
     r = fraction * min(r_adm, field.radial.r_out)
-    j = field.radial.nearest_index(r)
-    r_snap = field.radial.points[j]
-    sub_grid = field.radial.restricted(r_snap)
-    trace = field.u[j]
+    rho = field.radial.points
+    j = field.radial.nearest_index(r) if r >= rho[0] else -1
+    if j + 1 < RadialGrid.MIN_POINTS:
+        raise InputError(f"comparison radius {r:.6g} = {fraction:g} x min(admissible radius "
+                         f"{r_adm:.6g}, outer radius {rho[-1]:.6g}) keeps {j + 1} radial nodes "
+                         f"(innermost {rho[0]:.6g}), fewer than {RadialGrid.MIN_POINTS}")
+    r_snap = rho[j]
+    sub_grid = RadialGrid(rho[: j + 1])
+    trace = field.u.rows(j)
 
     n_modes = min(16, len(spectrum.tower(0)))
     modes = [spectrum.axisymmetric_mode(k) for k in range(1, n_modes + 1)]
@@ -311,26 +330,34 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
             prof = solve_mode_bvp(N, mode.mu, h, c_k, sub_grid, 1e-10)
             profiles.append(prof.values)
             worst_residual = max(worst_residual, prof.residual)
-    # (radius x mode) profiles times (mode x polar node) eigenfunctions
-    lower = np.column_stack(lower_profiles) @ basis
-    upper = np.column_stack(upper_profiles) @ basis
+    # each bound: (radius x term) coefficients @ [eigenfunctions; u's angular factors]
+    lower, upper = np.column_stack(lower_profiles), np.column_stack(upper_profiles)
+    u_cut = field.u.radial[: sub_grid.size]
+    zeros = np.zeros_like(u_cut)
+    rho_scale = sub_grid.points[:, None] ** field.sigma
+    terms = [(lower, -u_cut), (-upper, u_cut),
+             (-lower / rho_scale, zeros), (upper / rho_scale, zeros)]
+    if c_bound == 0:
+        terms += [(upper - lower, zeros), (lower - upper, zeros)]
+    coef = np.vstack([np.hstack(pair) for pair in terms])
+    angular = np.vstack([basis, field.u.angular])
+    step = max(1, (1 << 20) // angular[0].nbytes)  # row blocks of about 1 MB
+    maxima = np.concatenate([np.max(coef[i:i + step] @ angular, axis=1)
+                             for i in range(0, len(coef), step)])
+    maxima = maxima.reshape(len(terms), -1).max(axis=1).tolist()
 
     slack = 1e-6 + 5.0 * worst_residual
-    u_cut = field.u[: sub_grid.size]
-    low_viol = float(np.max(lower - u_cut))
-    up_viol = float(np.max(u_cut - upper))
-    rho_scale = sub_grid.points[:, None] ** field.sigma
-    report = SandwichReport(
+    low_viol, up_viol = maxima[0], maxima[1]
+    return SandwichReport(
         ordered=(low_viol <= slack) and (up_viol <= slack),
         max_lower_violation=low_viol,
         max_upper_violation=up_viol,
         slack=slack,
-        collapse_gap=float(np.max(np.abs(upper - lower))) if c_bound == 0 else None,
-        power_lower=float(np.min(lower / rho_scale)),
-        power_upper=float(np.max(upper / rho_scale)),
+        collapse_gap=max(maxima[4:]) if c_bound == 0 else None,
+        power_lower=-maxima[2],
+        power_upper=maxima[3],
         trace_residual=trace_residual,
         radius=r_snap,
         admissible_radius=r_adm,
         modes_used=n_modes,
     )
-    return report

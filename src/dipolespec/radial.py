@@ -75,10 +75,6 @@ class RadialGrid:
     def r_out(self) -> float:
         return float(self.points[-1])
 
-    def restricted(self, r: float) -> "RadialGrid":
-        """Sub-grid of all nodes <= r (r should be a node)."""
-        return RadialGrid(self.points[self.points <= r * (1 + 1e-12)])
-
     def nearest_index(self, r: float) -> int:
         if not (self.points[0] <= r <= self.points[-1]):
             raise InputError(f"radius {r} outside grid range")

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dipolespec.angular import AngularPotential, PolarGrid, full_spectrum
 from dipolespec.asymptotics import (
@@ -7,7 +10,6 @@ from dipolespec.asymptotics import (
     cauchy_functional,
     manufactured_nonradial,
     measured_limit,
-    parseval_residual,
     sandwich_check,
     synthesize_solution,
 )
@@ -29,6 +31,25 @@ from dipolespec.radial import (
 R_GRID = (0.2, 0.35, 0.5, 0.7, 0.9)
 
 
+def dense(lr):
+    """The (radius x polar node) array a LowRank factorization stands for."""
+    return lr.radial @ lr.angular
+
+
+def parseval_residual(field, modes) -> float:
+    """Max over radii of |sum_k phi_k^2 - angular quadrature of u^2|."""
+    grid = field.spectrum.grid
+    sq = sum(prof.values**2 for _, prof in modes)
+    quad = np.array([grid.integrate(row**2) for row in dense(field.u)])
+    return float(np.max(np.abs(sq - quad)))
+
+
+def assert_rows_close(got, ref, rtol):
+    """|got - ref| within rtol of the largest |ref| of the same radius."""
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= rtol * scale)
+
+
 def integrate_then_project(field, radii, k):
     """Reference Cauchy coefficient: the bracket on the whole (radius x polar
     node) field, both power-law integrals taken column by column, and the
@@ -39,7 +60,7 @@ def integrate_then_project(field, radii, k):
     gap = 2.0 * sig + N - 2.0
     rho = field.radial.points
     rows = [field.radial.nearest_index(r) for r in radii]
-    data = field.source / rho[:, None] ** field.source_power
+    data = dense(field.source) / rho[:, None] ** field.source_power
 
     def columnwise(alpha):
         return np.apply_along_axis(
@@ -48,10 +69,11 @@ def integrate_then_project(field, radii, k):
     I1 = columnwise(1.0 - sig + field.source_power)[rows]
     I2 = columnwise(N - 1.0 + sig + field.source_power)[rows]
     psi = field.spectrum.axisymmetric_mode(k).psi(grid)
+    u = dense(field.u)
     values = []
     for j, i1, i2 in zip(rows, I1, I2):
         r = rho[j]
-        bracket = r ** (-sig) * field.u[j] + i1 / gap - r ** (-gap) * i2 / gap
+        bracket = r ** (-sig) * u[j] + i1 / gap - r ** (-gap) * i2 / gap
         values.append(float(grid.integrate(bracket * psi)))
     return values
 
@@ -103,8 +125,8 @@ class TestSynthesize:
         field = synthesize_solution([(1, prof)], dipole3_spectrum)
         psi1 = dipole3_spectrum.psi_1.psi(dipole3_spectrum.grid)
         expect = np.outer(radial_grid.points**field.sigma, psi1)
-        assert np.allclose(field.u, expect, atol=1e-14)
-        assert np.all(field.source == 0.0)
+        assert np.allclose(dense(field.u), expect, atol=1e-14)
+        assert np.all(dense(field.source) == 0.0)
 
     def test_parseval_three_modes(self, dipole3_spectrum, radial_grid):
         h = RadialPerturbation.zero()
@@ -129,7 +151,7 @@ class TestManufacturedNonradial:
         field = manufactured_nonradial(
             3, dipole3_spectrum, 1.0, np.zeros(dipole3_spectrum.grid.size), radial_grid
         )
-        assert np.all(field.source == 0.0)
+        assert np.all(dense(field.source) == 0.0)
         assert field.q_bound == 0.0
 
     def test_source_power_bounded(self, nonradial_field):
@@ -141,6 +163,99 @@ class TestManufacturedNonradial:
         g = -2.0 * np.ones(grid.size)
         with pytest.raises(InputError):
             manufactured_nonradial(3, dipole3_spectrum, 1.0, g, radial_grid)
+
+
+class TestFactors:
+    def test_mode_sum_matches_outer_products(self, two_mode_field, dipole3_spectrum,
+                                             radial_grid):
+        field = two_mode_field
+        grid = dipole3_spectrum.grid
+        h = RadialPerturbation.power(0.4, 1.5)
+        u = 0.0
+        for k in (1, 2):
+            mode = dipole3_spectrum.axisymmetric_mode(k)
+            prof = solve_mode_picard(3, mode.mu, h, 1.0, radial_grid)
+            u = u + np.outer(prof.values, mode.psi(grid))
+        source = h.values(radial_grid.points)[:, None] * u
+        assert field.u.radial.shape == (radial_grid.size, 2)
+        assert field.source.angular.shape == (2, grid.size)
+        assert_rows_close(dense(field.u), u, 1e-14)
+        assert_rows_close(dense(field.source), source, 1e-14)
+
+    def test_manufactured_matches_dense_formula(self, nonradial_field, dipole3_spectrum,
+                                                radial_grid):
+        field = nonradial_field
+        grid = dipole3_spectrum.grid
+        rho = radial_grid.points
+        psi1 = field.psi_1()
+        g = 0.3 * dipole3_spectrum.axisymmetric_mode(2).psi(grid)
+        u = rho[:, None] ** field.sigma * psi1 * (1.0 + rho[:, None] ** 1.0 * g)
+        assert field.u.radial.shape == (rho.size, 2)
+        assert field.source.radial.shape == (rho.size, 1)
+        assert_rows_close(dense(field.u), u, 1e-14)
+        np.testing.assert_allclose(field.u.rows([0, 7, -1]), u[[0, 7, -1]], rtol=1e-14)
+        w = np.linspace(-1.0, 2.0, grid.size)
+        np.testing.assert_array_equal(field.source.project(w),
+                                      field.source.radial[:, 0] * (field.source.angular[0] @ w))
+
+    @staticmethod
+    def _critical_scale(spectrum, sign):
+        """The g-scale of sign `sign` at which 1 + g first reaches 0 (at rho = 1)."""
+        psi2 = spectrum.axisymmetric_mode(2).psi(spectrum.grid)
+        return 1.0 / np.max(-sign * psi2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.floats(1e-3, 3.0), sign=st.sampled_from((-1.0, 1.0)),
+           t=st.floats(0.0, 2.0))
+    @example(eps=1.0, sign=1.0, t=1.0 + 1e-9)
+    @example(eps=1.0, sign=-1.0, t=1.0 + 1e-9)
+    @example(eps=3.0, sign=-1.0, t=1.0)
+    @example(eps=0.5, sign=1.0, t=0.999999)
+    def test_extreme_radii_decide_like_every_radius(self, dipole3_spectrum, radial_grid,
+                                                    eps, sign, t):
+        # q_bound and the sign gate read two radii; the dense evaluation
+        # over all of them decides the same, bit for bit
+        scale = sign * t * self._critical_scale(dipole3_spectrum, sign)
+        g = scale * dipole3_spectrum.axisymmetric_mode(2).psi(dipole3_spectrum.grid)
+        rho = radial_grid.points
+        factor = 1.0 + rho[:, None] ** eps * g[None, :]
+        if np.min(factor) <= 0.0:
+            with pytest.raises(InputError, match="changes sign"):
+                manufactured_nonradial(3, dipole3_spectrum, eps, g, radial_grid)
+            return
+        field = manufactured_nonradial(3, dipole3_spectrum, eps, g, radial_grid)
+        W = field.source.angular[0]   # the rank-1 source is -rho^{sigma+eps-2} W
+        dense_bound = np.max(np.abs(W[None, :] / (field.psi_1()[None, :] * factor)))
+        assert field.q_bound == float(dense_bound)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_sign_change_at_the_outer_radius_only(self, dipole3_spectrum, radial_grid, sign):
+        scale = sign * (1.0 + 1e-9) * self._critical_scale(dipole3_spectrum, sign)
+        g = scale * dipole3_spectrum.axisymmetric_mode(2).psi(dipole3_spectrum.grid)
+        factor = 1.0 + radial_grid.points[:, None] * g[None, :]
+        assert np.min(factor[-1]) <= 0.0 < np.min(factor[:-1])
+        with pytest.raises(InputError, match="changes sign"):
+            manufactured_nonradial(3, dipole3_spectrum, 1.0, g, radial_grid)
+
+
+class TestFieldMemory:
+    def test_m10000_pipeline_stays_small(self):
+        # the dense (radius x polar node) field alone took about 160 MB traced
+        grid = PolarGrid.build(3, 10000)
+        spec = full_spectrum(3, AngularPotential.dipole(0.9), 80, grid)
+        rgrid = RadialGrid.geometric(400, 1e-8, 1.0)
+        g = 0.2 * spec.axisymmetric_mode(2).psi(grid)
+        tracemalloc.start()
+        try:
+            field = manufactured_nonradial(3, spec, 1.0, g, rgrid)
+            cauchy_coefficient_mode(field, (0.3, 0.6, 0.9), 1)
+            measured_limit(field)
+            assert sandwich_check(field, 0.5).ordered
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.u.nbytes + field.source.nbytes < 1 << 20
+        assert peak < 32 << 20
 
 
 class TestCauchyFunctional:
@@ -197,8 +312,9 @@ class TestCauchyFunctional:
         grid = dipole3_spectrum.grid
         psi1 = nonradial_field.psi_1()
         rho = nonradial_field.radial.points
+        u = dense(nonradial_field.u)
         proj = np.array([
-            rho[j] ** (-nonradial_field.sigma) * grid.integrate(nonradial_field.u[j] * psi1)
+            rho[j] ** (-nonradial_field.sigma) * grid.integrate(u[j] * psi1)
             for j in range(3)
         ])
         d1, d2 = proj[1] - proj[0], proj[2] - proj[1]

@@ -455,6 +455,19 @@ class TestSandwichCommand:
         assert default == explicit
         validate(default)
 
+    @pytest.mark.parametrize("flags,names", [
+        (("--eps", "1e-9"), "keeps 0 radial nodes (innermost 1e-08)"),  # admissible radius 0
+        (("--rmin", "0.999"), "keeps 0 radial nodes (innermost 0.999)"),
+        (("--points", "8"), "keeps 7 radial nodes"),
+    ])
+    def test_comparison_radius_off_the_grid_exits_2(self, capsys, flags, names):
+        argv = ("sandwich", "--grid", "400", "--points", "200") + flags
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        (line,) = err.strip().splitlines()
+        assert line.startswith("error: comparison radius")
+        assert "admissible radius" in line and names in line
+
 
 class TestBkCommand:
     def test_csv_header_and_values(self, capsys):
