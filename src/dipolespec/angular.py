@@ -172,10 +172,6 @@ class AngularPotential:
             )
         return self.values
 
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "constant"
-
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
@@ -302,8 +298,9 @@ def polar_eigen(matrix: TridiagonalMatrix, count: int):
     eps * ||T||_1, leaves each value within an ulp or so of max(1, |mu|) of
     where its Sturm count flips, whatever `count` is.  Eigenvectors are
     orthonormal in the step-weighted inner product sum_i v_i u_i h and carry
-    a deterministic sign: first nonzero component positive.  LAPACK's bisection/inverse-iteration backend either converges
-    or raises; a failure is re-raised as EigenSolveError, never truncated.
+    a deterministic sign: first nonzero component positive.  LAPACK's
+    bisection/inverse-iteration backend either converges or raises; a failure
+    is re-raised as EigenSolveError, never truncated.
     """
     if count < 1 or count > matrix.size:
         raise InputError(f"count must be in [1, {matrix.size}], got {count}")
@@ -523,29 +520,6 @@ def full_spectrum(
         # a sign change here means the grid cannot resolve the potential
         raise ResolutionError("ground-mode profile is not strictly positive")
     return spectrum
-
-
-@dataclass(frozen=True)
-class Mu1BoundsReport:
-    lower_ok: bool
-    upper_ok: bool
-    lower_margin: float
-    upper_margin: float
-
-
-def check_mu1_bounds(spectrum: AngularSpectrum) -> Mu1BoundsReport:
-    """Strict bounds -ess sup a < mu_1 < -mean(a) for nonconstant potentials."""
-    a = spectrum.potential
-    if a.is_constant:
-        raise InputError(
-            "bounds are vacuous for constant potentials (mu_1 = -kappa exactly)"
-        )
-    mu1 = spectrum.mu_1
-    lower = mu1 - (-a.ess_sup)
-    upper = (-a.mean) - mu1
-    return Mu1BoundsReport(
-        lower_ok=lower > 0, upper_ok=upper > 0, lower_margin=lower, upper_margin=upper
-    )
 
 
 def _sup_ratios(spectrum: AngularSpectrum):

@@ -16,7 +16,6 @@ rounding.  The sandwich bounds are reduced in row blocks of about 1 MB.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,7 +265,7 @@ class SandwichReport:
     max_lower_violation: float
     max_upper_violation: float
     slack: float
-    collapse_gap: float | None     # sup |upper - lower| when the bound is zero
+    collapse_gap: float | None     # sup |upper - lower|: 0.0 when the bound is zero
     power_lower: float             # min over samples of lower / rho^sigma
     power_upper: float             # max over samples of upper / rho^sigma
     trace_residual: float
@@ -283,10 +282,10 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
     fraction must lie in (0, 1].  The boundary trace at that radius is
     expanded over the m = 0 tower; each coefficient is propagated inward
     with perturbation -q s^{eps-2} (subsolution) and +q s^{eps-2}
-    (supersolution), where q is the field's q_bound and eps its exponent.
-    The field must sit between the two reconstructions at every common
-    sample, up to 1e-6 absolute plus five times the worst per-mode solver
-    residual.
+    (supersolution), where q is the field's q_bound and eps its exponent; at
+    q = 0 both are one unperturbed solve per mode.  The field must sit
+    between the two reconstructions at every common sample, up to 1e-6
+    absolute plus five times the worst per-mode solver residual.
     """
     if field.q_bound is None:
         raise InputError("sandwich check expects a manufactured nonradial field")
@@ -321,15 +320,17 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
             "modes"
         )
 
-    h_lo = RadialPerturbation.power(-c_bound, eps) if c_bound else RadialPerturbation.zero()
-    h_hi = RadialPerturbation.power(+c_bound, eps) if c_bound else RadialPerturbation.zero()
+    if c_bound:
+        bounds = (RadialPerturbation.power(-c_bound, eps), RadialPerturbation.power(c_bound, eps))
+    else:
+        bounds = (RadialPerturbation.zero(),)
     lower_profiles, upper_profiles = [], []
     worst_residual = 0.0
     for mode, c_k in zip(modes, coeffs.tolist()):
-        for h, profiles in ((h_lo, lower_profiles), (h_hi, upper_profiles)):
-            prof = solve_mode_bvp(N, mode.mu, h, c_k, sub_grid, 1e-10)
-            profiles.append(prof.values)
-            worst_residual = max(worst_residual, prof.residual)
+        profs = [solve_mode_bvp(N, mode.mu, h, c_k, sub_grid, 1e-10) for h in bounds]
+        lower_profiles.append(profs[0].values)
+        upper_profiles.append(profs[-1].values)
+        worst_residual = max(worst_residual, *(prof.residual for prof in profs))
     # each bound: (radius x term) coefficients @ [eigenfunctions; u's angular factors]
     lower, upper = np.column_stack(lower_profiles), np.column_stack(upper_profiles)
     u_cut = field.u.radial[: sub_grid.size]
@@ -337,8 +338,6 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
     rho_scale = sub_grid.points[:, None] ** field.sigma
     terms = [(lower, -u_cut), (-upper, u_cut),
              (-lower / rho_scale, zeros), (upper / rho_scale, zeros)]
-    if c_bound == 0:
-        terms += [(upper - lower, zeros), (lower - upper, zeros)]
     coef = np.vstack([np.hstack(pair) for pair in terms])
     angular = np.vstack([basis, field.u.angular])
     step = max(1, (1 << 20) // angular[0].nbytes)  # row blocks of about 1 MB
@@ -353,7 +352,7 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
         max_lower_violation=low_viol,
         max_upper_violation=up_viol,
         slack=slack,
-        collapse_gap=max(maxima[4:]) if c_bound == 0 else None,
+        collapse_gap=0.0 if c_bound == 0 else None,
         power_lower=-maxima[2],
         power_upper=maxima[3],
         trace_residual=trace_residual,

@@ -87,8 +87,10 @@ def parse_potential(spec: str, grid: angular.PolarGrid) -> angular.AngularPotent
 
 def parse_perturbation(spec: str, N: int, sigma: float) -> radial.RadialPerturbation:
     """'zero' | 'power:C,EPS' | 'manufactured:BETA[,SIGMA]'."""
-    kind, _, arg = spec.partition(":")
+    kind, colon, arg = spec.partition(":")
     if kind == "zero":
+        if colon:
+            raise InputError(f"perturbation 'zero' takes no argument, got {spec!r}")
         return radial.RadialPerturbation.zero()
     if kind not in ("power", "manufactured"):
         raise InputError(f"unknown perturbation spec {spec!r}")

@@ -39,7 +39,6 @@ from .angular import (
     TridiagonalMatrix,
     assemble_polar_operator,
     count_at_most,
-    polar_eigen,
 )
 from .errors import BracketError, EigenSolveError, IndefiniteFormError, InputError
 
@@ -226,49 +225,6 @@ def critical_dipole_coupling(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    lambda_n: float
-    mu_1: float
-    lambda_lt_1: bool | None
-    mu1_gt_threshold: bool | None
-    consistent: bool | None
-    lambda_margin: float
-    mu1_margin: float
-    indeterminate: bool
-
-
-def positivity_equivalences(
-    N: int,
-    potential: AngularPotential,
-    grid: PolarGrid,
-    sampling: str = "flux",
-) -> PositivityReport:
-    """Check Lambda_N(a) < 1  <=>  mu_1 > -((N-2)/2)^2 on one grid.
-
-    Values within 1e-9 of either threshold yield the indeterminate flag
-    instead of booleans.  mu_1 is the m = 0 solve of `full_spectrum`.
-    """
-    lam = lambda_n(N, potential, grid, sampling).lambda_n
-    mu1 = polar_eigen(assemble_polar_operator(N, potential, 0, grid, sampling), 1)[0][0]
-    threshold = -(((N - 2) / 2.0) ** 2)
-    lam_margin = 1.0 - lam
-    mu_margin = mu1 - threshold
-    if abs(lam_margin) < 1e-9 or abs(mu_margin) < 1e-9:
-        return PositivityReport(
-            lambda_n=lam, mu_1=mu1, lambda_lt_1=None, mu1_gt_threshold=None,
-            consistent=None, lambda_margin=lam_margin, mu1_margin=mu_margin,
-            indeterminate=True,
-        )
-    lam_ok = lam < 1.0
-    mu_ok = mu1 > threshold
-    return PositivityReport(
-        lambda_n=lam, mu_1=mu1, lambda_lt_1=lam_ok, mu1_gt_threshold=mu_ok,
-        consistent=lam_ok == mu_ok, lambda_margin=lam_margin, mu1_margin=mu_margin,
-        indeterminate=False,
-    )
 
 
 def admissible_radius(N: int, lam: float, C: float, eps: float) -> float:

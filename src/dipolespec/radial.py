@@ -1,8 +1,9 @@
 """Radial Fourier-coefficient solver via the Volterra representation.
 
-Sign convention.  The perturbation h stored here is the one appearing on
-the potential side of the equation -Delta u = [a(x/|x|)/|x|^2 + h(|x|)] u,
-so the coefficient phi_k of the k-th angular mode satisfies
+Sign convention.  The perturbation h stored here (zero, a power C s^{eps-2},
+or the manufactured form of known solution) is the one appearing on the
+potential side of the equation -Delta u = [a(x/|x|)/|x|^2 + h(|x|)] u, so
+the coefficient phi_k of the k-th angular mode satisfies
 
     phi'' + (N-1)/rho phi' - mu_k/rho^2 phi = -h(rho) phi.
 
@@ -91,7 +92,6 @@ class RadialPerturbation:
       manufactured  h = -beta (beta + 2 sigma + N - 2) s^{beta-2}/(1+s^beta);
                     the solution with limit coefficient 1 and angular
                     eigenvalue matching sigma is exactly rho^sigma (1+rho^beta)
-      tabulated     bounded samples on a grid, piecewise linear
 
     The sign stored is the potential-side one (see module docstring): a
     positive C strengthens the attractive singularity.
@@ -100,39 +100,25 @@ class RadialPerturbation:
     form: str
     singular_power: float
     coeff: float = 0.0
-    eps: float | None = None
     beta: float | None = None
-    sigma: float | None = None
-    table: tuple | None = field(default=None, repr=False)
-    integrability_exponent: float | None = None
 
     @classmethod
     def zero(cls):
         return cls(form="zero", singular_power=0.0)
 
     @classmethod
-    def power(cls, C: float, eps: float, p: float | None = None):
+    def power(cls, C: float, eps: float):
         if eps <= 0:
             raise InputError(f"eps must be positive, got {eps}")
-        return cls(form="power", singular_power=eps - 2.0, coeff=float(C),
-                   eps=float(eps), integrability_exponent=p)
+        return cls(form="power", singular_power=eps - 2.0, coeff=float(C))
 
     @classmethod
-    def manufactured(cls, beta: float, sigma: float, N: int, p: float | None = None):
+    def manufactured(cls, beta: float, sigma: float, N: int):
         if beta <= 0:
             raise InputError(f"beta must be positive, got {beta}")
         K = beta * (beta + 2.0 * sigma + N - 2.0)
         return cls(form="manufactured", singular_power=beta - 2.0, coeff=-K,
-                   beta=float(beta), sigma=float(sigma), integrability_exponent=p)
-
-    @classmethod
-    def tabulated(cls, radii, values, p: float | None = None):
-        r = tuple(float(x) for x in radii)
-        v = tuple(float(x) for x in values)
-        if len(r) != len(v):
-            raise InputError("tabulated radii and values must have equal length")
-        return cls(form="tabulated", singular_power=0.0, table=(r, v),
-                   integrability_exponent=p)
+                   beta=float(beta))
 
     def data(self, s: np.ndarray) -> np.ndarray:
         """Bounded factor so that h(s) = s^{singular_power} * data(s)."""
@@ -140,10 +126,7 @@ class RadialPerturbation:
             return np.zeros_like(s)
         if self.form == "power":
             return np.full_like(s, self.coeff)
-        if self.form == "manufactured":
-            return self.coeff / (1.0 + s**self.beta)
-        r, v = self.table
-        return np.interp(s, r, v)
+        return self.coeff / (1.0 + s**self.beta)
 
     def values(self, s: np.ndarray) -> np.ndarray:
         return s**self.singular_power * self.data(s)
@@ -151,24 +134,6 @@ class RadialPerturbation:
     @property
     def is_zero(self) -> bool:
         return self.form == "zero"
-
-    def check_integrability(self, N: int) -> None:
-        """Validate the claimed L^p exponent against the form's decay at zero.
-
-        h = C s^{eps-2} lies in L^p(0,1) (radially, against s^{N-1} ds) iff
-        p < N/(2-eps) when eps < 2; and the claim must satisfy p > N/2.
-        """
-        p = self.integrability_exponent
-        if p is None:
-            return
-        if p <= N / 2:
-            raise InputError(f"claimed p = {p} must exceed N/2 = {N/2}")
-        e = self.eps if self.form == "power" else self.beta
-        if e is not None and e < 2 and p >= N / (2.0 - e):
-            raise InputError(
-                f"claimed p = {p} not attained: the form lies in L^p only "
-                f"for p < {N/(2.0-e)}"
-            )
 
 
 def _power_cell_weights(rho: np.ndarray, alpha: float):
@@ -277,7 +242,6 @@ def solve_mode_picard(
             "degenerate exponents (zero discriminant): the representation "
             "divides by sigma_plus - sigma_minus"
         )
-    h.check_integrability(N)
     if tol <= 0:
         raise InputError("tol must be positive")
     rho = grid.points
@@ -369,25 +333,3 @@ def limit_coefficient(profile: RadialProfile) -> LimitEstimate:
     measured = extrapolate_geometric(*scaled)
     value = float(profile.c_limit)
     return LimitEstimate(value=value, measured=measured, discrepancy=abs(value - measured))
-
-
-def ode_residual(profile: RadialProfile) -> np.ndarray:
-    """Pointwise residual of phi'' + (N-1)/rho phi' - mu/rho^2 phi + h phi.
-
-    Nonuniform three-point differences at the interior nodes; the residual
-    decays at second order in the logarithmic step away from zero.
-    """
-    h = profile.perturbation
-    rho, phi = profile.grid.points, profile.values
-    hm = rho[1:-1] - rho[:-2]
-    hp = rho[2:] - rho[1:-1]
-    denom = hm * hp * (hm + hp)
-    d2 = 2.0 * (hm * phi[2:] - (hm + hp) * phi[1:-1] + hp * phi[:-2]) / denom
-    d1 = (hm**2 * phi[2:] + (hp**2 - hm**2) * phi[1:-1] - hp**2 * phi[:-2]) / denom
-    mid = rho[1:-1]
-    return (
-        d2
-        + (profile.dim - 1) / mid * d1
-        - profile.mu / mid**2 * phi[1:-1]
-        + h.values(mid) * phi[1:-1]
-    )

@@ -12,7 +12,6 @@ from dipolespec.angular import (
     PolarTowers,
     TridiagonalMatrix,
     assemble_polar_operator,
-    check_mu1_bounds,
     count_at_most,
     eigenfunction_sup_ratio,
     full_spectrum,
@@ -510,31 +509,24 @@ class TestFullSpectrum:
 
 
 class TestMu1Bounds:
+    """-ess sup a < mu_1 < -mean(a), strictly for a nonconstant potential."""
+
     def test_dipole_bounds_strict(self, dipole3_spectrum):
-        rep = check_mu1_bounds(dipole3_spectrum)
-        assert rep.lower_ok and rep.upper_ok
-        assert rep.lower_margin > 0 and rep.upper_margin > 0
+        s = dipole3_spectrum
+        assert -s.potential.ess_sup < s.mu_1 < -s.potential.mean
 
     def test_n5_strong_coupling(self):
         g = PolarGrid.build(5, 400)
         s = full_spectrum(5, AngularPotential.dipole(2.0), 1, g)
-        assert -2.0 < s.mu_1 < 0.0
-        rep = check_mu1_bounds(s)
-        assert rep.lower_ok and rep.upper_ok
-
-    def test_constant_rejected(self):
-        g = PolarGrid.build(4, 300)
-        s = full_spectrum(4, AngularPotential.constant(1.0), 1, g)
-        with pytest.raises(InputError):
-            check_mu1_bounds(s)
+        assert -s.potential.ess_sup < s.mu_1 < -s.potential.mean
 
     # flux sampling is exact on constants (mu_1 = -kappa), which the discrete
     # bounds rest on; node sampling is not
     @settings(max_examples=40, deadline=None)
     @given(case=spectrum_cases(kinds=("dipole", "tabulated"), samplings=("flux",)))
     def test_bounds_hold_for_nonconstant_potentials(self, case):
-        rep = check_mu1_bounds(full_spectrum(*case))
-        assert rep.lower_ok and rep.upper_ok
+        s = full_spectrum(*case)
+        assert -s.potential.ess_sup < s.mu_1 < -s.potential.mean
 
 
 class TestSupRatio:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dipolespec import asymptotics
 from dipolespec.angular import AngularPotential, PolarGrid, full_spectrum
 from dipolespec.asymptotics import (
     cauchy_coefficient_mode,
@@ -417,6 +418,24 @@ class TestSandwich:
         assert rep.radius == field.radial.points[field.radial.nearest_index(0.3)]
         assert rep.ordered
         assert rep.collapse_gap < 1e-10
+
+    def test_bvp_solves_per_mode(self, nonradial_field, dipole3_spectrum, radial_grid,
+                                 monkeypatch):
+        # a zero bound makes the sub- and supersolution one and the same solve
+        calls = []
+        solve = asymptotics.solve_mode_bvp
+        monkeypatch.setattr(asymptotics, "solve_mode_bvp",
+                            lambda *args: calls.append(args) or solve(*args))
+        degenerate = manufactured_nonradial(
+            3, dipole3_spectrum, 1.0, np.zeros(dipole3_spectrum.grid.size), radial_grid
+        )
+        rep = sandwich_check(degenerate, 0.3)
+        assert len(calls) == rep.modes_used
+        assert rep.collapse_gap == 0.0
+        calls.clear()
+        rep = sandwich_check(nonradial_field, 0.5)
+        assert len(calls) == 2 * rep.modes_used
+        assert rep.collapse_gap is None
 
     def test_mode_sum_rejected(self, radial_field):
         # a mode sum carries no perturbation bound to build the comparison from

@@ -71,6 +71,10 @@ class TestParsing:
              "--points", "100", "--eps", "0.5", "--gscale", "0.1"),
             ("cauchy", "--scenario", "mode:1", "--grid", "100", "--modes", "8",
              "--points", "40", "--gscale", "0.1"),
+            # 'zero' takes no argument: one given is rejected, not ignored
+            ("radial", "--mu", "0.5", "--perturbation", "zero:5", "--points", "40"),
+            ("radial", "--mu", "0.5", "--perturbation", "zero:abc", "--points", "40"),
+            ("radial", "--mu", "0.5", "--perturbation", "zero:", "--points", "40"),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

@@ -11,13 +11,13 @@ from dipolespec.angular import (
     PolarGrid,
     assemble_polar_operator,
     count_at_most,
+    polar_eigen,
 )
 from dipolespec.errors import InputError
 from dipolespec.hardy import (
     admissible_radius,
     critical_dipole_coupling,
     lambda_n,
-    positivity_equivalences,
 )
 
 # critical couplings 1/Lambda_N(cos) on the convergent scheme; frozen from a
@@ -324,25 +324,30 @@ class TestCriticalCoupling:
             critical_dipole_coupling(2, g)
 
 
+def positivity_sides(N, potential, grid):
+    """(1 - Lambda_N(a), mu_1 + ((N-2)/2)^2): the two sides of the equivalence
+    Lambda_N(a) < 1 <=> mu_1 > -((N-2)/2)^2, with mu_1 from the m = 0 tower."""
+    lam = lambda_n(N, potential, grid).lambda_n
+    mu1 = polar_eigen(assemble_polar_operator(N, potential, 0, grid), 1)[0][0]
+    return 1.0 - lam, mu1 + ((N - 2) / 2.0) ** 2
+
+
 class TestPositivity:
     def test_subcritical_dipole(self):
         g = PolarGrid.build(3, 800)
-        rep = positivity_equivalences(3, AngularPotential.dipole(1.0), g)
-        assert rep.lambda_lt_1 and rep.mu1_gt_threshold and rep.consistent
+        lam_margin, mu_margin = positivity_sides(3, AngularPotential.dipole(1.0), g)
+        assert lam_margin >= 1e-9 and mu_margin >= 1e-9
 
     def test_supercritical_dipole(self):
         g = PolarGrid.build(3, 800)
-        rep = positivity_equivalences(3, AngularPotential.dipole(2.0), g)
-        assert rep.lambda_lt_1 is False
-        assert rep.mu1_gt_threshold is False
-        assert rep.consistent
+        lam_margin, mu_margin = positivity_sides(3, AngularPotential.dipole(2.0), g)
+        assert lam_margin <= -1e-9 and mu_margin <= -1e-9
 
     def test_threshold_is_indeterminate(self):
-        # Lambda = 1 exactly for kappa = 1 at N = 4
+        # Lambda = 1 exactly for kappa = 1 at N = 4, and mu_1 = -1 on the threshold
         g = PolarGrid.build(4, 2000)
-        rep = positivity_equivalences(4, AngularPotential.constant(1.0), g)
-        assert rep.indeterminate
-        assert rep.lambda_lt_1 is None and rep.consistent is None
+        lam_margin, mu_margin = positivity_sides(4, AngularPotential.constant(1.0), g)
+        assert abs(lam_margin) < 1e-9 and abs(mu_margin) < 1e-9
 
 
 class TestAdmissibleRadius:

@@ -16,3 +16,13 @@ def test_critical_coupling_table_runs():
             if line.split() and line.split()[0].isdigit()]
     assert [row[0] for row in rows] == ["3", "4"]
     assert all(len(row) == 5 for row in rows)
+
+
+def test_grid_sensitivity_runs():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "grid_sensitivity.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "free sphere at N = 3, m = 0 tower: deviation from l(l+1)" in proc.stdout
+    assert "critical dipole coupling at N = 3" in proc.stdout
