@@ -368,8 +368,12 @@ class AngularSpectrum:
     grid: PolarGrid
     potential: AngularPotential
     modes: tuple
-    m0_rounding: float  # eps ||T_0||_1, the rounding in the m = 0 eigenvalues
+    axial: TridiagonalMatrix = field(repr=False)  # the m = 0 operator that was solved
     sampling: str = "flux"
+
+    @property
+    def m0_rounding(self) -> float:  # eps ||T_0||_1, the rounding in the m = 0 eigenvalues
+        return _EPS * self.axial.one_norm()
 
     @property
     def mu_1(self) -> float:
@@ -510,7 +514,7 @@ def full_spectrum(
     collected.sort(key=lambda md: (md.mu, md.m))
     spectrum = AngularSpectrum(
         grid=grid, potential=potential, modes=tuple(collected),
-        m0_rounding=_EPS * axial.one_norm(), sampling=sampling,
+        axial=axial, sampling=sampling,
     )
     ground = spectrum.psi_1
     if ground.m != 0:
@@ -543,7 +547,6 @@ class WeylFit:
     exponent: float
     constant: float
     max_rel_residual: float
-    window: tuple
 
 
 def weyl_fit(spectrum: AngularSpectrum) -> WeylFit:
@@ -570,5 +573,4 @@ def weyl_fit(spectrum: AngularSpectrum) -> WeylFit:
         exponent=float(p),
         constant=float(np.exp(logc)),
         max_rel_residual=resid,
-        window=(k0 + 1, flat.size),
     )

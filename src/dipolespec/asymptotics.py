@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hardy
-from .angular import AngularSpectrum, assemble_polar_operator
+from .angular import AngularSpectrum
 from .errors import InputError, NumericalError, ResolutionError
 from .exponents import sigma_pair
 from .radial import (
@@ -63,8 +63,7 @@ class SolutionField:
     source: LowRank = field(repr=False)
     sigma: float = 0.0
     source_power: float = 0.0     # F / rho^{source_power} stays bounded at zero
-    defect_power: float | None = None
-    eps: float | None = None
+    defect_power: float | None = None  # defect decay power; eps for manufactured fields
     q_bound: float | None = None  # sup of |q| rho^{2-eps} for manufactured fields
 
     def psi_1(self) -> np.ndarray:
@@ -117,7 +116,7 @@ def manufactured_nonradial(
     The perturbation q = -(Delta u + a rho^{-2} u)/u is exactly
     -rho^{eps-2} W / (psi_1 (1 + rho^eps g)) with the angular vector
     W = (eps(eps + 2 sigma + N - 2) + mu_1) psi_1 g - L[psi_1 g], where L is
-    the discrete angular operator of the spectrum.  The ground-mode part of
+    the spectrum's m = 0 operator `axial`.  The ground-mode part of
     u annihilates identically, so q = O(rho^{eps-2}) with the verified bound
     stored as q_bound; in particular g = 0 gives q = 0 exactly.  u has the
     factors [rho^sigma, rho^{sigma+eps}] x [psi_1, psi_1 g].  1 + rho^eps g is
@@ -145,10 +144,9 @@ def manufactured_nonradial(
     u = LowRank(np.column_stack([rho**sig, rho ** (sig + eps)]), np.array([psi1, psi1 * g]))
 
     # discrete angular operator applied to G = psi_1 g, in psi coordinates
-    mat = assemble_polar_operator(N, spectrum.potential, 0, pgrid, spectrum.sampling)
     half_weight = np.sqrt(pgrid.weights)
     G = psi1 * g
-    LG = mat.matvec(G * half_weight) / half_weight
+    LG = spectrum.axial.matvec(G * half_weight) / half_weight
     W = (eps * (eps + gap) + mu1) * G - LG
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite F fails downstream
@@ -156,7 +154,7 @@ def manufactured_nonradial(
     q_scaled = np.abs(W[None, :] / (psi1[None, :] * angular_factor))
     return SolutionField(
         spectrum=spectrum, radial=grid, u=u, source=F, sigma=sig,
-        source_power=sig + eps - 2.0, defect_power=eps, eps=eps,
+        source_power=sig + eps - 2.0, defect_power=eps,
         q_bound=float(np.max(q_scaled)),
     )
 
@@ -265,7 +263,6 @@ class SandwichReport:
     max_lower_violation: float
     max_upper_violation: float
     slack: float
-    collapse_gap: float | None     # sup |upper - lower|: 0.0 when the bound is zero
     power_lower: float             # min over samples of lower / rho^sigma
     power_upper: float             # max over samples of upper / rho^sigma
     trace_residual: float
@@ -282,7 +279,7 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
     fraction must lie in (0, 1].  The boundary trace at that radius is
     expanded over the m = 0 tower; each coefficient is propagated inward
     with perturbation -q s^{eps-2} (subsolution) and +q s^{eps-2}
-    (supersolution), where q is the field's q_bound and eps its exponent; at
+    (supersolution), where q is the field's q_bound and eps its defect power; at
     q = 0 both are one unperturbed solve per mode.  The field must sit
     between the two reconstructions at every common sample, up to 1e-6
     absolute plus five times the worst per-mode solver residual.
@@ -292,7 +289,7 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
     if not 0.0 < fraction <= 1.0:
         raise InputError(f"radius fraction {fraction} must lie in (0, 1]")
     spectrum = field.spectrum
-    c_bound, eps = field.q_bound, field.eps
+    c_bound, eps = field.q_bound, field.defect_power
     grid = spectrum.grid
     N = grid.dim
     lam = hardy.lambda_n(N, spectrum.potential, grid, spectrum.sampling).lambda_n
@@ -352,7 +349,6 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
         max_lower_violation=low_viol,
         max_upper_violation=up_viol,
         slack=slack,
-        collapse_gap=0.0 if c_bound == 0 else None,
         power_lower=-maxima[2],
         power_upper=maxima[3],
         trace_residual=trace_residual,

@@ -10,7 +10,9 @@ at stage k, with C(q) = min(1/4, 4/(q+4)), the truncation level l_q chosen
 from the weighted norm of the potential, R = dist/4 and shell radii
 r_k = 1/k^2.  Iterating with exponents q_n growing geometrically makes
 sum b_n = sum (1/q_n) log(step_constant(q_n)) converge, which is the whole
-content verified here.
+content verified here.  The log-space kernel `_log_step_constant` holds
+the only copy of C(q) and, through `_log_ell`, of l_q; `ell_q` is the
+exponential of that same l_q.
 
 The exponent sequence is q_n = 2 (2*/2)^n, the variant consistent with the
 first two explicit bootstrap steps (q_1 = 2*, q_2 = (2*)^2/2); the
@@ -21,6 +23,7 @@ alternative prefactor 1/2 sometimes quoted is exposed behind
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,13 +63,6 @@ class BKParameters:
         return 2.0 * self.dim / (self.dim - 2.0)
 
 
-def c_of_q(q: float) -> float:
-    """min(1/4, 4/(q+4)); the branches cross at q = 12."""
-    if q <= 1:
-        raise InputError(f"q must exceed 1, got {q}")
-    return min(0.25, 4.0 / (q + 4.0))
-
-
 class EllQ(NamedTuple):
     value: float
     no_truncation: bool
@@ -75,7 +71,8 @@ class EllQ(NamedTuple):
 def ell_q(q: float, p: BKParameters) -> EllQ:
     """Truncation level l_q = [max(8, (q+4)/2) ckn |V|^{2s/N}]^{N/(2s-N)}.
 
-    The defining property, checked here to 1e-12 relative, is
+    The exponential of `_log_ell`, the l_q of the bootstrap kernel.  The
+    defining property, checked here to 1e-12 relative, is
     |V|^s l_q^{-s+N/2} = min(1/(8 ckn), 2/((q+4) ckn))^{N/2}.
     v_norm = 0 needs no truncation at all and returns 0 with a flag.
     """
@@ -84,9 +81,7 @@ def ell_q(q: float, p: BKParameters) -> EllQ:
     if p.v_norm == 0:
         return EllQ(0.0, True)
     N, s = p.dim, p.s
-    branch = max(8.0, (q + 4.0) / 2.0)
-    base = branch * p.ckn_constant * p.v_norm ** (2.0 * s / N)
-    value = base ** (N / (2.0 * s - N))
+    value = float(np.exp(_log_ell(p, q)))
     lhs = p.v_norm**s * value ** (-s + N / 2.0)
     rhs = min(1.0 / (8.0 * p.ckn_constant), 2.0 / ((q + 4.0) * p.ckn_constant)) ** (N / 2.0)
     if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs)):
@@ -103,15 +98,22 @@ def exponent_sequence(p: BKParameters, n: np.ndarray, printed_variant: bool = Fa
     return pref * np.exp(n * math.log(ratio))
 
 
+def _log_ell(p: BKParameters, q: np.ndarray) -> np.ndarray:
+    """log l_q for v_norm > 0, the one copy of the truncation level."""
+    theta, log_v = p.dim / (2.0 * p.s - p.dim), (2.0 * p.s / p.dim) * math.log(p.v_norm)
+    # exact l_q uses max(8, (q+4)/2); the branch 8 holds below q = 12
+    return np.where(q < 12.0, theta * (math.log(8.0 * p.ckn_constant) + log_v),
+                    theta * (np.log((q + 4.0) / 2.0) + math.log(p.ckn_constant) + log_v))
+
+
 def _log_step_constant(p: BKParameters, n: np.ndarray, q: np.ndarray) -> np.ndarray:
     """log of the bracket 16 n^4/(R^2 C(q)) + 4 n^4 (q+2)/R^2 + 2 l_q/C(q).
 
+    The only C(q) of the package, as logC, and the l_q of `_log_ell`.
     Evaluated in log space: the truncation term grows like q^{2s/(2s-N)}
     and overflows float64 long before the sums settle.
     """
-    N, s = p.dim, p.s
     R = p.dist / 4.0
-    logq = np.log(q)
     # C(q) = 4/(q+4) once q > 12; keep the exact min via logs
     logC = np.minimum(math.log(0.25), math.log(4.0) - np.log(q + 4.0))
     log_t1 = math.log(16.0) + 4.0 * np.log(n) - 2.0 * math.log(R) - logC
@@ -119,21 +121,7 @@ def _log_step_constant(p: BKParameters, n: np.ndarray, q: np.ndarray) -> np.ndar
     if p.v_norm == 0:
         log_t3 = np.full_like(q, -np.inf)
     else:
-        theta = N / (2.0 * s - N)
-        log_ell = theta * (
-            np.log((q + 4.0) / 2.0)
-            + math.log(p.ckn_constant)
-            + (2.0 * s / N) * math.log(p.v_norm)
-        )
-        # exact l_q uses max(8, (q+4)/2); switch branch below q = 12
-        small = q < 12.0
-        if np.any(small):
-            log_ell = np.where(
-                small,
-                theta * (math.log(8.0 * p.ckn_constant) + (2.0 * s / N) * math.log(p.v_norm)),
-                log_ell,
-            )
-        log_t3 = math.log(2.0) + log_ell - logC
+        log_t3 = math.log(2.0) + _log_ell(p, q) - logC
     stack = np.vstack([log_t1, log_t2, log_t3])
     peak = np.max(stack, axis=0)
     return peak + np.log(np.sum(np.exp(stack - peak), axis=0))
@@ -156,12 +144,16 @@ def iteration_constants(p: BKParameters, n_max: int, printed_variant: bool = Fal
     Divergent partial sums (b_n not decaying by n_max) raise, which is the
     signature of inputs with s at or below N/2.  So does an n_max past the
     float64 range of q_n: the error names the largest n with q_n finite,
-    about log(float_max / prefactor) / log(2*/2).  A partial product or a
+    and no stage array past that n is built.  A partial product or a
     limit constant past the float64 range is a NumericalError naming n.
     """
     if n_max < 2:
         raise InputError(f"n_max must be >= 2, got {n_max}")
-    n = np.arange(1, n_max + 1, dtype=float)
+    pref = 0.5 if printed_variant else 2.0
+    # q_n = pref exp(n log(2*/2)) overflows past log(float_max / max(pref, 1)) / log(2*/2),
+    # up to rounding; two stages beyond that always hold an infinite q_n, and none further is built
+    last = math.log(sys.float_info.max / max(pref, 1.0)) / math.log(p.two_star / 2.0) + 2
+    n = np.arange(1, min(n_max, math.floor(last)) + 1, dtype=float)
     with np.errstate(over="ignore"):
         q = exponent_sequence(p, n, printed_variant)
     if not np.isfinite(q[-1]):
@@ -187,7 +179,6 @@ def iteration_constants(p: BKParameters, n_max: int, printed_variant: bool = Fal
         )
     inv_q = np.cumsum(1.0 / q)
     ratio = 2.0 / p.two_star
-    pref = 0.5 if printed_variant else 2.0
     closed = (1.0 / pref) * ratio / (1.0 - ratio)
     try:
         prefactor = p.diam ** (p.sigma * (2.0 - p.two_star))

@@ -3,8 +3,8 @@
 Everything is seedless and deterministic: identical invocations produce
 byte-identical primary output.  Numeric values print with 10 significant
 digits.  Exit codes: 0 success, 2 input error (including unknown flags,
-which argparse reports with usage text on stderr), 3 numerical failure as
-defined by the operation contracts.
+which argparse reports with usage text on stderr, and an unwritable --out),
+3 numerical failure as defined by the operation contracts or out of memory.
 
 The default polar grid size is 10000 and can be overridden with the
 DIPOLESPEC_GRID_M environment variable.
@@ -149,9 +149,12 @@ def _emit_doc(args, results: dict, header: str | None, rows: list | None,
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
 
 
 def _records(header: str, rows) -> list[dict]:
@@ -179,7 +182,7 @@ def cmd_spectrum(args) -> int:
     }
     if flat.size >= 100:
         try:
-            results["weyl"] = _fields(angular.weyl_fit(spec), "window")
+            results["weyl"] = _fields(angular.weyl_fit(spec))
         except NumericalError:
             pass
     try:
@@ -218,8 +221,7 @@ def _hardy_table(args) -> int:
 
 def cmd_sigma(args) -> int:
     exps = sigma_pair(args.dim, args.mu)
-    results = _fields(exps, "dim", "mu")
-    _emit_doc(args, results, None, [(exps.sigma_plus, exps.sigma_minus)], sep=", ")
+    _emit_doc(args, _fields(exps), None, [(exps.sigma_plus, exps.sigma_minus)], sep=", ")
     return 0
 
 
@@ -307,7 +309,7 @@ def cmd_cauchy(args) -> int:
 def cmd_sandwich(args) -> int:
     field = _solution_field(args, "manufactured-nonradial")
     rep = asymptotics.sandwich_check(field, args.radius_fraction)
-    results = _fields(rep, "collapse_gap")
+    results = _fields(rep)
     if math.isinf(rep.admissible_radius):  # unbounded (coercivity coefficient <= 0)
         results["admissible_radius"] = None
     _emit_doc(args, results, None, None)
@@ -466,8 +468,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (NumericalError, MemoryError) as exc:
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -19,8 +19,6 @@ DEGENERATE_DISCRIMINANT = 1e-14
 
 @dataclass(frozen=True)
 class Exponents:
-    dim: int
-    mu: float
     sigma_plus: float
     sigma_minus: float
     discriminant: float
@@ -49,8 +47,6 @@ def sigma_pair(N: int, mu: float) -> Exponents:
         )
     root = math.sqrt(disc)
     return Exponents(
-        dim=N,
-        mu=mu,
         sigma_plus=-half + root,
         sigma_minus=-half - root,
         discriminant=disc,

@@ -182,8 +182,6 @@ def extrapolate_geometric(s0: float, s1: float, s2: float) -> float:
 class RadialProfile:
     """Solved coefficient phi_k on its grid with representation constants."""
 
-    dim: int
-    mu: float
     exponents: Exponents
     grid: RadialGrid
     values: np.ndarray = field(repr=False)
@@ -248,7 +246,7 @@ def solve_mode_picard(
     D = exps.gap
     phi = rho**exps.sigma_plus
     if h.is_zero:
-        return _finish_profile(N, mu, exps, grid, phi, h, 0.0, 1).scaled(c1)
+        return _finish_profile(exps, grid, phi, h, 0.0, 1).scaled(c1)
     prev_dist = math.inf
     for it in range(1, PICARD_MAX_SWEEPS + 1):
         with np.errstate(all="ignore"):  # a non-finite sweep raises below
@@ -259,7 +257,7 @@ def solve_mode_picard(
             raise NumericalError(f"Picard sweep {it} is not finite on this radial grid")
         phi = new
         if dist <= tol:
-            return _finish_profile(N, mu, exps, grid, phi, h, dist, it).scaled(c1)
+            return _finish_profile(exps, grid, phi, h, dist, it).scaled(c1)
         if it > 5 and dist >= prev_dist:
             raise NonContractionError(
                 f"Picard distance stopped decreasing ({prev_dist:.3e} -> "
@@ -272,7 +270,7 @@ def solve_mode_picard(
     )
 
 
-def _finish_profile(N, mu, exps, grid, phi, h, dist, iters):
+def _finish_profile(exps, grid, phi, h, dist, iters):
     """The unit-coefficient profile (c_limit = 1) of the converged iterate phi."""
     D = exps.gap
     if h.is_zero:
@@ -283,8 +281,7 @@ def _finish_profile(N, mu, exps, grid, phi, h, dist, iters):
         c1_repr = 1.0 - float(Ip[-1]) / D
         c2 = float(Im[-1]) / D
     return RadialProfile(
-        dim=N, mu=mu, exponents=exps, grid=grid,
-        values=phi, perturbation=h, c_limit=1.0, c1=c1_repr, c2=c2,
+        exponents=exps, grid=grid, values=phi, perturbation=h, c_limit=1.0, c1=c1_repr, c2=c2,
         residual=dist, iterations=iters,
     )
 

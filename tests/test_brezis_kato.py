@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from dipolespec.brezis_kato import (
     BKParameters,
+    _log_step_constant,
     asymptotic_cost_ratio,
-    c_of_q,
     ell_q,
     exponent_sequence,
     iteration_constants,
@@ -22,20 +22,37 @@ REFERENCE = BKParameters(dim=4, s=3.0, v_norm=1.0, ckn_constant=1.0,
 REFERENCE_PRODUCT_200 = 133.14139380502718
 
 
+def kernel_bracket(q: float) -> float:
+    """The kernel's log bracket at stage n = 2 with no potential (no l_q term)."""
+    p = BKParameters(4, 3.0, 0.0, 1.0, 1.0, 2.0, 0.5)
+    return float(_log_step_constant(p, np.array([2.0]), np.array([q]))[0])
+
+
+def free_bracket(q: float, C: float) -> float:
+    """log(16 n^4/(R^2 C) + 4 n^4 (q+2)/R^2) at n = 2, R = dist/4 = 1/4."""
+    n, R = 2.0, 0.25
+    return math.log(16 * n**4 / (R**2 * C) + 4 * n**4 * (q + 2) / R**2)
+
+
 class TestCOfQ:
+    """C(q) = min(1/4, 4/(q+4)), as the kernel that `bk` prints evaluates it."""
+
     def test_small_q_uses_quarter(self):
-        assert c_of_q(2.0) == 0.25
+        assert kernel_bracket(2.0) == pytest.approx(free_bracket(2.0, 0.25), rel=1e-12)
 
     def test_crossover_at_twelve(self):
-        assert c_of_q(12.0) == 0.25
-        assert c_of_q(12.0) == 4.0 / 16.0
+        # both branches give 1/4 at q = 12; 4/(q+4) takes over above it
+        assert kernel_bracket(12.0) == pytest.approx(free_bracket(12.0, 0.25), rel=1e-12)
+        assert kernel_bracket(12.0) == pytest.approx(free_bracket(12.0, 4.0 / 16.0), rel=1e-12)
+        assert kernel_bracket(11.5) == pytest.approx(free_bracket(11.5, 0.25), rel=1e-12)
+        assert kernel_bracket(12.5) == pytest.approx(free_bracket(12.5, 4.0 / 16.5), rel=1e-12)
 
     def test_large_q(self):
-        assert c_of_q(28.0) == 0.125
+        assert kernel_bracket(28.0) == pytest.approx(free_bracket(28.0, 0.125), rel=1e-12)
 
     def test_rejects_q_at_most_one(self):
         with pytest.raises(InputError):
-            c_of_q(1.0)
+            ell_q(1.0, REFERENCE)
 
 
 class TestEllQ:

@@ -501,6 +501,13 @@ class TestBkCommand:
         values = [v for row in rows for v in row.values()] + list(results.values())
         assert all(math.isfinite(v) for v in values)
 
+    def test_n_far_past_float_range_rejected_before_allocating(self, capsys):
+        # a stage array of this size (7.11 PiB) cannot be allocated at all
+        code, out, err = run(capsys, "bk", "--n", "1000000000000000")
+        assert code == 2 and out == ""
+        assert err == ("error: q_n overflows float64 for n > 1022: the largest allowed n "
+                       "is 1022 for these inputs, got 1000000000000000\n")
+
 
 class TestErrorsAndEnv:
     @pytest.mark.parametrize(
@@ -558,6 +565,23 @@ class TestErrorsAndEnv:
         parser = build_parser()
         args = parser.parse_args(["spectrum"])
         assert args.grid == 123
+
+    # grids this size (7.11 PiB of float64) cannot be allocated at all
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--grid", "1000000000000000"),
+        ("radial", "--mu", "1", "--points", "1000000000000000"),
+    ])
+    def test_unallocatable_size_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", [".", "missing/x.csv"], ids=["directory", "no-parent"])
+    def test_unwritable_output_file_exits_2(self, capsys, tmp_path, target):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "sigma", "--dim", "3", "--mu", "1", "--out", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path!r}") and err.count("\n") == 1
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"

@@ -30,7 +30,7 @@ def manufactured_exact(rho, beta):
     return rho**SIGMA * (1 + rho**beta)
 
 
-def ode_residual(profile) -> np.ndarray:
+def ode_residual(profile, N: int, mu: float) -> np.ndarray:
     """Pointwise residual of phi'' + (N-1)/rho phi' - mu/rho^2 phi + h phi.
 
     Nonuniform three-point differences at the interior nodes; the residual
@@ -46,8 +46,8 @@ def ode_residual(profile) -> np.ndarray:
     mid = rho[1:-1]
     return (
         d2
-        + (profile.dim - 1) / mid * d1
-        - profile.mu / mid**2 * phi[1:-1]
+        + (N - 1) / mid * d1
+        - mu / mid**2 * phi[1:-1]
         + h.values(mid) * phi[1:-1]
     )
 
@@ -230,7 +230,7 @@ class TestOdeResidual:
         for J in (200, 400, 800):
             grid = RadialGrid.geometric(J, 1e-8, 1.0)
             prof = solve_mode_picard(N, MU, h, 1.0, grid, tol=1e-13)
-            res = ode_residual(prof)
+            res = ode_residual(prof, N, MU)
             mask = grid.points[1:-1] > 0.01
             maxres[J] = np.max(np.abs(res[mask]))
         assert maxres[200] / maxres[400] == pytest.approx(4.0, rel=0.3)
