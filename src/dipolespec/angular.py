@@ -7,8 +7,10 @@ one per azimuthal tower, with centrifugal constant nu_m = m(m+N-3).
 
 Each tower is discretized in the transformed variable
 w(t) = psi(t) * sin^{(N-2)/2}(t), which vanishes at both poles, so the
-matrices are symmetric tridiagonal with homogeneous Dirichlet ends.  Two
-treatments of the singular sin^{-2} coefficient are provided:
+matrices are symmetric tridiagonal with homogeneous Dirichlet ends.  w stays
+inside the tower solves: modes carry psi, and `PolarGrid` holds the factor
+sin^{(N-2)/2} between the two and the sphere quadrature.  Two treatments of
+the singular sin^{-2} coefficient are provided:
 
 ``flux``
     Coefficients derived from the quadratic form of the weighted problem
@@ -86,15 +88,21 @@ def _sin_power_cell_integrals(k: int, edges: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Uniform grid of M interior nodes t_i = i pi/(M+1) on (0, pi)."""
+    """Uniform grid of M interior nodes t_i = i pi/(M+1) on (0, pi).
+
+    Axisymmetric functions on S^{N-1} are sampled as psi at the nodes; the
+    tower solves use w = psi * `half_weights`, and int_S f ~ f @ `quadrature`.
+    """
 
     dim: int
     size: int
     nodes: np.ndarray = field(repr=False)
-    step: float = 0.0
-    weights: np.ndarray = field(default=None, repr=False)  # sin^{N-2}(t_i)
-    area_full: float = 0.0      # |S^{N-1}|
-    area_equator: float = 0.0   # |S^{N-2}|
+    step: float
+    weights: np.ndarray = field(repr=False)       # sin^{N-2}(t_i)
+    half_weights: np.ndarray = field(repr=False)  # sin^{(N-2)/2}(t_i), w = psi * half_weights
+    quadrature: np.ndarray = field(repr=False)    # |S^{N-2}| h sin^{N-2}(t_i)
+    area_full: float      # |S^{N-1}|
+    area_equator: float   # |S^{N-2}|
 
     @classmethod
     def build(cls, N: int, M: int) -> "PolarGrid":
@@ -102,24 +110,21 @@ class PolarGrid:
             raise InputError(f"dimension must be >= 3, got {N}")
         if M < 3:
             raise InputError(f"grid needs at least 3 interior nodes, got {M}")
+        try:
+            area_full, area_equator = unit_sphere_area(N), unit_sphere_area(N - 1)
+        except OverflowError:
+            raise ResolutionError(f"|S^(N-1)| overflows float64 at N = {N} (grid M = {M})") from None
         h = math.pi / (M + 1)
         t = h * np.arange(1, M + 1)
-        return cls(
-            dim=N,
-            size=M,
-            nodes=t,
-            step=h,
-            weights=np.sin(t) ** (N - 2),
-            area_full=unit_sphere_area(N),
-            area_equator=unit_sphere_area(N - 1),
-        )
+        weights = np.sin(t) ** (N - 2)
+        return cls(dim=N, size=M, nodes=t, step=h, weights=weights,
+                   half_weights=np.sin(t) ** ((N - 2) / 2.0),
+                   quadrature=area_equator * h * weights,
+                   area_full=area_full, area_equator=area_equator)
 
     def integrate(self, values: np.ndarray) -> float:
         """Integral over S^{N-1} of an axisymmetric sampled function."""
         return self.area_equator * float(np.sum(values * self.weights)) * self.step
-
-    def spherical_mean(self, values: np.ndarray) -> float:
-        return self.integrate(values) / self.area_full
 
     def average(self, values: np.ndarray) -> float:
         """Quadrature-normalized mean; exact on constants at any resolution."""
@@ -157,7 +162,7 @@ class AngularPotential:
         return cls(
             kind="tabulated",
             ess_sup=float(np.max(vals)),
-            mean=grid.spherical_mean(vals),
+            mean=grid.integrate(vals) / grid.area_full,
             values=vals,
         )
 
@@ -214,8 +219,6 @@ class PolarTowers:
     """
 
     def __init__(self, N: int, potential: AngularPotential, grid: PolarGrid, sampling: str):
-        if grid.size < 3:
-            raise InputError("grid too small")
         if sampling not in SAMPLINGS:
             raise InputError(f"unknown sampling {sampling!r}, expected one of {SAMPLINGS}")
         if grid.dim != N:
@@ -239,6 +242,9 @@ class PolarTowers:
         w = grid.weights
         fluxes = np.zeros(grid.size + 1)
         fluxes[1:-1] = p
+        if np.min(w[:-1] * w[1:]) == 0.0:
+            raise ResolutionError(f"flux sampling at N = {N} on M = {grid.size} polar nodes: "
+                                  "sin^(N-2) underflows next to the poles")
         self._base = (fluxes[:-1] + fluxes[1:]) / (h**2 * w)
         self._edges = np.concatenate([[t[0] - h / 2], tmid, [t[-1] + h / 2]])
         self._wh = w * h
@@ -311,54 +317,34 @@ def polar_eigen(matrix: TridiagonalMatrix, count: int):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise EigenSolveError(f"tridiagonal eigensolver failed: {exc}") from exc
     vecs = vecs / math.sqrt(matrix.step)
-    out = []
-    for j in range(count):
-        v = vecs[:, j]
-        nz = np.flatnonzero(v)
-        if nz.size and v[nz[0]] < 0:
-            v = -v
-        out.append((float(vals[j]), v))
-    return out
+    first = vecs[np.argmax(vecs != 0, axis=0), np.arange(count)]
+    vecs[:, first < 0] *= -1.0
+    return [(float(mu), v) for mu, v in zip(vals, vecs.T)]
 
 
 @dataclass(frozen=True)
 class AngularMode:
     """One eigenvalue of a fixed azimuthal tower, with its profile for m = 0.
 
-    `polar` holds the w-coordinate profile at the interior nodes, normalized
-    so the full eigenfunction has unit L^2(S^{N-1}) norm:
-    |S^{N-2}| sum w_i^2 h = 1.  Only m = 0 modes carry it; modes of the
-    towers m >= 1 carry mu and multiplicity only and have `polar` None.
+    `psi` holds the eigenfunction's samples at the interior polar nodes,
+    normalized to unit L^2(S^{N-1}) norm: psi**2 @ grid.quadrature = 1 up
+    to rounding.  Only m = 0 modes carry it; modes of the towers m >= 1
+    carry mu and multiplicity only and have `psi` None.
     """
 
     m: int
     mu: float
     multiplicity: int
-    polar: np.ndarray | None = field(default=None, repr=False)
-
-    def psi(self, grid: PolarGrid) -> np.ndarray:
-        """Polar-angle samples of psi = w / sin^{(N-2)/2} at interior nodes."""
-        if self.polar is None:
-            raise InputError(
-                f"mode of tower m = {self.m} carries mu and multiplicity only; "
-                "polar profiles are computed for the m = 0 tower"
-            )
-        return self.polar / np.sin(grid.nodes) ** ((grid.dim - 2) / 2.0)
+    psi: np.ndarray | None = field(default=None, repr=False)
 
 
-def _quadratic_pole_value(x0: float, x: np.ndarray, y: np.ndarray) -> float:
-    """Value at x0 of the quadratic through three (x, y) samples."""
-    c = np.polyfit(x, y, 2)
-    return float(np.polyval(c, x0))
-
-
-def mode_sup_norm(mode: AngularMode, grid: PolarGrid) -> float:
-    """Sup norm of psi over interior nodes plus quadratic extrapolation to poles."""
-    psi = mode.psi(grid)
-    t = grid.nodes
+def mode_sup_norm(mode: AngularMode) -> float:
+    """Sup norm of psi over the nodes and at the poles, where the quadratic through the
+    three nearest equispaced samples y1, y2, y3 (y1 nearest) takes 3 y1 - 3 y2 + y3."""
+    psi = mode.psi
     return max(float(np.max(np.abs(psi))),
-               abs(_quadratic_pole_value(0.0, t[:3], psi[:3])),
-               abs(_quadratic_pole_value(math.pi, t[-3:], psi[-3:])))
+               abs(float(3.0 * psi[0] - 3.0 * psi[1] + psi[2])),
+               abs(float(3.0 * psi[-1] - 3.0 * psi[-2] + psi[-3])))
 
 
 @dataclass(frozen=True)
@@ -504,10 +490,10 @@ def full_spectrum(
         raise EigenSolveError(f"value probes found {flat.size} of the {K} counted eigenvalues")
 
     cutoff = flat[K - 1]
-    collected = [
-        AngularMode(m=0, mu=mu, multiplicity=1, polar=vec / math.sqrt(grid.area_equator))
-        for mu, vec in pairs if mu <= cutoff
-    ]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        collected = [AngularMode(m=0, mu=mu, multiplicity=1,
+                                 psi=vec / math.sqrt(grid.area_equator) / grid.half_weights)
+                     for mu, vec in pairs if mu <= cutoff]
     collected += [AngularMode(m=m, mu=float(mu), multiplicity=harmonic_multiplicity(N, m))
                   for m, vals in enumerate(probed, 1) for mu in vals[vals <= cutoff]]
 
@@ -519,7 +505,10 @@ def full_spectrum(
     ground = spectrum.psi_1
     if ground.m != 0:
         raise EigenSolveError("ground mode did not come from the m = 0 tower")
-    if np.any(ground.polar <= 0):
+    if not all(np.all(np.isfinite(md.psi)) for md in spectrum.tower(0)):
+        raise ResolutionError(f"psi = w / sin^((N-2)/2) overflows float64 next to the poles "
+                              f"at N = {N} on M = {grid.size} polar nodes")
+    if np.any(ground.psi <= 0):
         # the sign convention makes the nodeless ground profile positive;
         # a sign change here means the grid cannot resolve the potential
         raise ResolutionError("ground-mode profile is not strictly positive")
@@ -528,7 +517,7 @@ def full_spectrum(
 
 def _sup_ratios(spectrum: AngularSpectrum):
     power = math.floor((spectrum.grid.dim - 1) / 4) + 1
-    return [mode_sup_norm(md, spectrum.grid) / abs(md.mu) ** power
+    return [mode_sup_norm(md) / abs(md.mu) ** power
             for md in spectrum.tower(0) if abs(md.mu) > 4.0 * spectrum.m0_rounding]
 
 

@@ -1,17 +1,19 @@
 """Axisymmetric solution fields on the punctured ball and their limit functionals.
 
 Fields on a geometric radial grid times a polar grid are stored as radial x
-angular factors (LowRank); no (radius x polar node) array is formed.  Mode
-sums u = sum phi_k psi_k (rank = mode count) share one radial perturbation;
-the manufactured nonradial u = rho^sigma psi_1 (1 + rho^eps g) (rank 2,
-source rank 1) gets q = -(Delta u + a rho^{-2} u)/u from the discrete angular
-operator, with the radial powers handled analytically.  Everything the
-limit functionals need about the source is a known power of rho times a
-bounded factor.  The functionals project onto the angular mode first (the
-angular quadrature commutes with the radial integrals), so the power-law
-quadrature of the radial module runs on one radial vector and the discrete
-identities (value 1, independence of the evaluation radius) hold to
-rounding.  The sandwich bounds are reduced in row blocks of about 1 MB.
+angular factors (LowRank); no (radius x polar node) array is formed.  The
+angular factors are the modes' psi, and sphere integrals are products with
+the polar grid's `quadrature`.  Mode sums u = sum phi_k psi_k (rank = mode
+count) share one radial perturbation; the manufactured nonradial
+u = rho^sigma psi_1 (1 + rho^eps g) (rank 2, source rank 1) gets
+q = -(Delta u + a rho^{-2} u)/u from the discrete angular operator, with the
+radial powers handled analytically.  Everything the limit functionals need
+about the source is a known power of rho times a bounded factor.  The
+functionals project onto the angular mode first (the angular quadrature
+commutes with the radial integrals), so the power-law quadrature of the
+radial module runs on one radial vector and the discrete identities (value
+1, independence of the evaluation radius) hold to rounding.  The sandwich
+bounds are reduced in row blocks of about 1 MB.
 """
 
 from __future__ import annotations
@@ -66,9 +68,6 @@ class SolutionField:
     defect_power: float | None = None  # defect decay power; eps for manufactured fields
     q_bound: float | None = None  # sup of |q| rho^{2-eps} for manufactured fields
 
-    def psi_1(self) -> np.ndarray:
-        return self.spectrum.psi_1.psi(self.spectrum.grid)
-
 
 def synthesize_solution(modes, spectrum: AngularSpectrum) -> SolutionField:
     """Mode sum u = sum_k phi_k psi_k over the m = 0 tower.
@@ -90,7 +89,7 @@ def synthesize_solution(modes, spectrum: AngularSpectrum) -> SolutionField:
             raise InputError("all modes must share the radial perturbation")
     lead = min(prof.exponents.sigma_plus for _, prof in modes)
     phi = np.column_stack([prof.values for _, prof in modes])
-    psi = np.array([spectrum.axisymmetric_mode(k).psi(grid) for k, _ in modes])
+    psi = np.array([spectrum.axisymmetric_mode(k).psi for k, _ in modes])
     u = LowRank(phi, psi)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite F fails downstream
         F = LowRank(h.values(rgrid.points)[:, None] * phi, psi)
@@ -134,7 +133,7 @@ def manufactured_nonradial(
     mu1 = spectrum.mu_1
     sig = sigma_pair(N, mu1).sigma_plus
     gap = sigma_pair(N, mu1).gap
-    psi1 = spectrum.psi_1.psi(pgrid)
+    psi1 = spectrum.psi_1.psi
 
     angular_factor = 1.0 + rho[[0, -1], None] ** eps * g[None, :]
     if np.min(angular_factor) <= 0.0:
@@ -144,9 +143,8 @@ def manufactured_nonradial(
     u = LowRank(np.column_stack([rho**sig, rho ** (sig + eps)]), np.array([psi1, psi1 * g]))
 
     # discrete angular operator applied to G = psi_1 g, in psi coordinates
-    half_weight = np.sqrt(pgrid.weights)
     G = psi1 * g
-    LG = spectrum.axial.matvec(G * half_weight) / half_weight
+    LG = spectrum.axial.matvec(G * pgrid.half_weights) / pgrid.half_weights
     W = (eps * (eps + gap) + mu1) * G - LG
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite F fails downstream
@@ -157,15 +155,6 @@ def manufactured_nonradial(
         source_power=sig + eps - 2.0, defect_power=eps,
         q_bound=float(np.max(q_scaled)),
     )
-
-
-def _weighted(grid, values: np.ndarray) -> np.ndarray:
-    """values times the polar quadrature weights.
-
-    v @ _weighted(grid, w) equals grid.integrate(v * w) up to rounding, for
-    every row v of a matrix at once.
-    """
-    return grid.area_equator * grid.step * grid.weights * values
 
 
 def cauchy_coefficient_mode(field: SolutionField, radii, k: int) -> list[float]:
@@ -196,9 +185,9 @@ def cauchy_coefficient_mode(field: SolutionField, radii, k: int) -> list[float]:
         raise InputError("2 sigma + N - 2 must be positive")
     rho = field.radial.points
     rows = [field.radial.nearest_index(r) for r in radii]
-    psi = mode.psi(grid)
+    psi = mode.psi
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are returned
-        data = field.source.project(_weighted(grid, psi)) / rho ** field.source_power
+        data = field.source.project(grid.quadrature * psi) / rho ** field.source_power
     I1 = integrate_power_from_zero(rho, 1.0 - sig + field.source_power, data)
     I2 = integrate_power_from_zero(rho, N - 1.0 + sig + field.source_power, data)
     values = []
@@ -232,11 +221,9 @@ def measured_limit(field: SolutionField) -> LimitTable:
     field's known defect power when available.
     """
     grid = field.spectrum.grid
-    psi1 = field.psi_1()
+    psi1 = field.spectrum.psi_1.psi
     rho = field.radial.points[:3]
     u = field.u.rows(slice(0, 3))
-    if np.any(psi1 <= 0):
-        raise NumericalError("ground-mode samples must be positive")
     if np.any(u <= 0):
         raise NumericalError("field is not positive near the origin")
     rows = []
@@ -307,8 +294,8 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
 
     n_modes = min(16, len(spectrum.tower(0)))
     modes = [spectrum.axisymmetric_mode(k) for k in range(1, n_modes + 1)]
-    basis = np.array([mode.psi(grid) for mode in modes])  # (n_modes, M)
-    coeffs = basis @ _weighted(grid, trace)
+    basis = np.array([mode.psi for mode in modes])  # (n_modes, M)
+    coeffs = basis @ (grid.quadrature * trace)
     trace_residual = float(np.max(np.abs(trace - coeffs @ basis)))
     if trace_residual > 5e-7:
         raise ResolutionError(

@@ -271,7 +271,7 @@ def _solution_field(args, scenario: str, k: int = 1):
     spec = angular.full_spectrum(args.dim, potential, args.modes, grid, args.sampling)
     rgrid = radial.RadialGrid.geometric(args.points, args.rmin, 1.0)
     if scenario == "manufactured-nonradial":
-        g = args.gscale * spec.axisymmetric_mode(2).psi(grid)
+        g = args.gscale * spec.axisymmetric_mode(2).psi
         return asymptotics.manufactured_nonradial(args.dim, spec, args.eps, g, rgrid)
     mode = spec.axisymmetric_mode(k)
     sk = sigma_pair(args.dim, mode.mu).sigma_plus

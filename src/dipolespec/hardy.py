@@ -133,7 +133,8 @@ def lambda_n(
     The towers m >= 1 never carry a larger value (see the module docstring),
     so the maximizer is axisymmetric; it has unit L^2(S^{N-1}) norm.  For
     ess sup a <= 0 the best constant is 0: the result is flagged
-    `nonpositive`, has no maximizer, and no pencil is solved.
+    `nonpositive`, has no maximizer, and no pencil is solved.  The maximizer
+    is also None where psi overflows float64 next to the poles (large N).
 
     `richardson=True` also solves on the grid of M // 2 nodes and reports
     the second-order extrapolation from the two step sizes; tabulated
@@ -157,8 +158,10 @@ def lambda_n(
     best, y = _lanczos_largest(op, A.size)
     best *= potential.ess_sup
     # pencil eigenvector in w coordinates: w = L^{-T} y
-    psi = solve_banded((0, 1), op.U, y) / np.sin(grid.nodes) ** ((N - 2) / 2.0)
-    psi = psi / math.sqrt(grid.integrate(psi**2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        psi = solve_banded((0, 1), op.U, y) / grid.half_weights
+        norm2 = grid.integrate(psi**2)
+    psi = psi / math.sqrt(norm2) if math.isfinite(norm2) else None
     rich = None
     if richardson:
         half = PolarGrid.build(N, grid.size // 2)

@@ -112,7 +112,7 @@ def test_criterion_04_ground_mode_checks():
         spec = full_spectrum(3, AngularPotential.dipole(lam), 5, grid)
         flat = spec.flattened()
         gap = flat[1] - flat[0]
-        positive = bool(np.all(spec.psi_1.polar > 0))
+        positive = bool(np.all(spec.psi_1.psi > 0))
         strict = -lam < spec.mu_1 < 0.0
         ok = ok and gap > 0 and positive and strict
         details.append(f"lam={lam}: gap={gap:.3f}, mu_1={spec.mu_1:.5f}")
@@ -177,7 +177,7 @@ def test_criterion_07_radius_independence(acceptance_spectrum):
     prof = solve_mode_picard(3, spec.mu_1, h, 1.0, rgrid, tol=1e-13)
     field_r = synthesize_solution([(1, prof)], spec)
 
-    g = 0.3 * spec.axisymmetric_mode(2).psi(spec.grid)
+    g = 0.3 * spec.axisymmetric_mode(2).psi
     field_n = manufactured_nonradial(3, spec, 1.0, g, rgrid)
 
     ok = True
@@ -213,7 +213,7 @@ def test_criterion_08_sign_changing_mode(acceptance_spectrum):
 def test_criterion_09_sandwich(acceptance_spectrum):
     spec = acceptance_spectrum
     rgrid = RadialGrid.geometric(400, 1e-8, 1.0)
-    g = 0.3 * spec.axisymmetric_mode(2).psi(spec.grid)
+    g = 0.3 * spec.axisymmetric_mode(2).psi
     field = manufactured_nonradial(3, spec, 1.0, g, rgrid)
     lam = lambda_n(3, spec.potential, spec.grid).lambda_n
     r_adm = admissible_radius(3, lam, field.q_bound, 1.0)

@@ -16,6 +16,7 @@ from dipolespec.angular import (
     eigenfunction_sup_ratio,
     full_spectrum,
     harmonic_multiplicity,
+    mode_sup_norm,
     polar_eigen,
     unit_sphere_area,
     _sin_power_cell_integrals,
@@ -136,6 +137,18 @@ class TestPolarGrid:
             PolarGrid.build(2, 100)
         with pytest.raises(InputError):
             PolarGrid.build(3, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(3, 12), M=st.integers(3, 2000), seed=st.integers(0, 2**32 - 1))
+    def test_half_weights_and_quadrature(self, N, M, seed):
+        g = PolarGrid.build(N, M)
+        assert np.all(np.abs(g.half_weights**2 - g.weights) <= 4 * np.spacing(g.weights))
+        v = np.random.default_rng(seed).standard_normal(M)
+        assert abs(v @ g.quadrature - g.integrate(v)) <= 1e-14 * (np.abs(v) @ g.quadrature)
+
+    def test_sphere_area_overflow_is_a_resolution_error(self):
+        with pytest.raises(ResolutionError, match="N = 344"):
+            PolarGrid.build(344, 100)
 
 
 class TestPotential:
@@ -371,9 +384,8 @@ class TestFullSpectrum:
         assert flat[1] - flat[0] > 0.1
 
     def test_ground_profile_positive(self, dipole3_spectrum):
-        assert np.all(dipole3_spectrum.psi_1.polar > 0)
         grid = dipole3_spectrum.grid
-        psi1 = dipole3_spectrum.psi_1.psi(grid)
+        psi1 = dipole3_spectrum.psi_1.psi
         assert np.all(psi1 > 0)
         # unit norm on the sphere
         assert grid.integrate(psi1**2) == pytest.approx(1.0, abs=1e-10)
@@ -416,8 +428,8 @@ class TestFullSpectrum:
         want0 = polar_eigen(axial, kept.size)
         for md, (mu, vec) in zip(spec.tower(0), want0, strict=True):
             assert abs(md.mu - mu) <= 4 * np.finfo(float).eps * max(1.0, abs(mu))
-            profile = vec / math.sqrt(grid.area_equator)
-            assert np.max(np.abs(md.polar - profile)) <= 1e-11 * np.max(np.abs(profile))
+            profile = vec / math.sqrt(grid.area_equator) / np.sin(grid.nodes) ** ((N - 2) / 2.0)
+            assert np.max(np.abs(md.psi - profile)) <= 1e-11 * np.max(np.abs(profile))
 
     @settings(max_examples=40, deadline=None)
     @given(case=spectrum_cases())
@@ -431,11 +443,9 @@ class TestFullSpectrum:
         assert len(spec.flattened()) == sum(md.multiplicity for md in spec.modes) >= K
         for md in spec.modes:
             if md.m == 0:
-                assert md.psi(grid).shape == grid.nodes.shape
+                assert md.psi.shape == grid.nodes.shape
             else:
-                assert md.polar is None
-                with pytest.raises(InputError):
-                    md.psi(grid)
+                assert md.psi is None
 
     def test_weyl_merge_work_count(self, monkeypatch):
         # N = 3, K = 500, M = 1200: Sturm counts bracket the K-th flattened
@@ -543,6 +553,20 @@ class TestSupRatio:
 
     def test_dipole_ratio_finite(self, dipole3_spectrum):
         assert eigenfunction_sup_ratio(dipole3_spectrum) < 50.0
+
+    @pytest.mark.parametrize("name", ["dipole3_spectrum", "free3_spectrum"])
+    def test_pole_value_matches_quadratic_fit(self, request, name):
+        spectrum = request.getfixturevalue(name)
+        t = spectrum.grid.nodes
+
+        def at_pole(x, y, x0):  # the quadratic through three samples, by least squares
+            return abs(float(np.polyval(np.polyfit(x, y, 2), x0)))
+
+        for md in spectrum.tower(0):
+            psi = md.psi
+            want = max(float(np.max(np.abs(psi))), at_pole(t[:3], psi[:3], 0.0),
+                       at_pole(t[-3:], psi[-3:], math.pi))
+            assert mode_sup_norm(md) == pytest.approx(want, rel=1e-12)
 
     def test_needs_two_modes(self):
         g = PolarGrid.build(3, 300)

@@ -69,7 +69,7 @@ def integrate_then_project(field, radii, k):
 
     I1 = columnwise(1.0 - sig + field.source_power)[rows]
     I2 = columnwise(N - 1.0 + sig + field.source_power)[rows]
-    psi = field.spectrum.axisymmetric_mode(k).psi(grid)
+    psi = field.spectrum.axisymmetric_mode(k).psi
     u = dense(field.u)
     values = []
     for j, i1, i2 in zip(rows, I1, I2):
@@ -82,7 +82,7 @@ def integrate_then_project(field, radii, k):
 @pytest.fixture(scope="module")
 def nonradial_field(dipole3_spectrum, radial_grid):
     grid = dipole3_spectrum.grid
-    g = 0.3 * dipole3_spectrum.axisymmetric_mode(2).psi(grid)
+    g = 0.3 * dipole3_spectrum.axisymmetric_mode(2).psi
     return manufactured_nonradial(3, dipole3_spectrum, 1.0, g, radial_grid)
 
 
@@ -124,7 +124,7 @@ class TestSynthesize:
         h = RadialPerturbation.zero()
         prof = solve_mode_picard(3, dipole3_spectrum.mu_1, h, 1.0, radial_grid)
         field = synthesize_solution([(1, prof)], dipole3_spectrum)
-        psi1 = dipole3_spectrum.psi_1.psi(dipole3_spectrum.grid)
+        psi1 = dipole3_spectrum.psi_1.psi
         expect = np.outer(radial_grid.points**field.sigma, psi1)
         assert np.allclose(dense(field.u), expect, atol=1e-14)
         assert np.all(dense(field.source) == 0.0)
@@ -176,7 +176,7 @@ class TestFactors:
         for k in (1, 2):
             mode = dipole3_spectrum.axisymmetric_mode(k)
             prof = solve_mode_picard(3, mode.mu, h, 1.0, radial_grid)
-            u = u + np.outer(prof.values, mode.psi(grid))
+            u = u + np.outer(prof.values, mode.psi)
         source = h.values(radial_grid.points)[:, None] * u
         assert field.u.radial.shape == (radial_grid.size, 2)
         assert field.source.angular.shape == (2, grid.size)
@@ -188,8 +188,8 @@ class TestFactors:
         field = nonradial_field
         grid = dipole3_spectrum.grid
         rho = radial_grid.points
-        psi1 = field.psi_1()
-        g = 0.3 * dipole3_spectrum.axisymmetric_mode(2).psi(grid)
+        psi1 = field.spectrum.psi_1.psi
+        g = 0.3 * dipole3_spectrum.axisymmetric_mode(2).psi
         u = rho[:, None] ** field.sigma * psi1 * (1.0 + rho[:, None] ** 1.0 * g)
         assert field.u.radial.shape == (rho.size, 2)
         assert field.source.radial.shape == (rho.size, 1)
@@ -202,7 +202,7 @@ class TestFactors:
     @staticmethod
     def _critical_scale(spectrum, sign):
         """The g-scale of sign `sign` at which 1 + g first reaches 0 (at rho = 1)."""
-        psi2 = spectrum.axisymmetric_mode(2).psi(spectrum.grid)
+        psi2 = spectrum.axisymmetric_mode(2).psi
         return 1.0 / np.max(-sign * psi2)
 
     @settings(max_examples=60, deadline=None)
@@ -217,7 +217,7 @@ class TestFactors:
         # q_bound and the sign gate read two radii; the dense evaluation
         # over all of them decides the same, bit for bit
         scale = sign * t * self._critical_scale(dipole3_spectrum, sign)
-        g = scale * dipole3_spectrum.axisymmetric_mode(2).psi(dipole3_spectrum.grid)
+        g = scale * dipole3_spectrum.axisymmetric_mode(2).psi
         rho = radial_grid.points
         factor = 1.0 + rho[:, None] ** eps * g[None, :]
         if np.min(factor) <= 0.0:
@@ -226,13 +226,13 @@ class TestFactors:
             return
         field = manufactured_nonradial(3, dipole3_spectrum, eps, g, radial_grid)
         W = field.source.angular[0]   # the rank-1 source is -rho^{sigma+eps-2} W
-        dense_bound = np.max(np.abs(W[None, :] / (field.psi_1()[None, :] * factor)))
+        dense_bound = np.max(np.abs(W[None, :] / (field.spectrum.psi_1.psi[None, :] * factor)))
         assert field.q_bound == float(dense_bound)
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_sign_change_at_the_outer_radius_only(self, dipole3_spectrum, radial_grid, sign):
         scale = sign * (1.0 + 1e-9) * self._critical_scale(dipole3_spectrum, sign)
-        g = scale * dipole3_spectrum.axisymmetric_mode(2).psi(dipole3_spectrum.grid)
+        g = scale * dipole3_spectrum.axisymmetric_mode(2).psi
         factor = 1.0 + radial_grid.points[:, None] * g[None, :]
         assert np.min(factor[-1]) <= 0.0 < np.min(factor[:-1])
         with pytest.raises(InputError, match="changes sign"):
@@ -245,7 +245,7 @@ class TestFieldMemory:
         grid = PolarGrid.build(3, 10000)
         spec = full_spectrum(3, AngularPotential.dipole(0.9), 80, grid)
         rgrid = RadialGrid.geometric(400, 1e-8, 1.0)
-        g = 0.2 * spec.axisymmetric_mode(2).psi(grid)
+        g = 0.2 * spec.axisymmetric_mode(2).psi
         tracemalloc.start()
         try:
             field = manufactured_nonradial(3, spec, 1.0, g, rgrid)
@@ -311,7 +311,7 @@ class TestCauchyFunctional:
         # the scaled ground-mode projection rho^{-sigma} int u psi_1 dV
         # extrapolates to the same value as the functional
         grid = dipole3_spectrum.grid
-        psi1 = nonradial_field.psi_1()
+        psi1 = nonradial_field.spectrum.psi_1.psi
         rho = nonradial_field.radial.points
         u = dense(nonradial_field.u)
         proj = np.array([
@@ -450,7 +450,7 @@ class TestSandwich:
     def test_coarse_trace_rejected(self, radial_grid):
         grid = PolarGrid.build(3, 400)
         spec = full_spectrum(3, AngularPotential.dipole(1.0), 24, grid)  # 4 modes
-        g = 0.3 * spec.axisymmetric_mode(2).psi(grid)
+        g = 0.3 * spec.axisymmetric_mode(2).psi
         field = manufactured_nonradial(3, spec, 1.0, g, radial_grid)
         with pytest.raises(ResolutionError):
             sandwich_check(field, 0.5)

@@ -550,6 +550,41 @@ class TestErrorsAndEnv:
             assert validate(out)["results"]["admissible_radius"] is None
 
 
+    # sin^(N-2) or |S^(N-1)| leaves the float64 range: flux off-diagonal, sphere areas
+    @pytest.mark.parametrize("argv,N,M", [
+        (("spectrum", "--dim", "60", "--count", "5", "--grid", "10000"), 60, 10000),
+        (("sandwich", "--dim", "60", "--grid", "10000"), 60, 10000),
+        (("spectrum", "--dim", "80", "--grid", "800"), 80, 800),
+        (("hardy", "--dim", "80", "--grid", "800"), 80, 800),
+        (("hardy", "--dim", "345", "--grid", "100"), 345, 100),
+        (("hardy", "--table", "340..346", "--grid", "100"), 344, 100),
+        # node sampling: psi = w / sin^((N-2)/2) overflows next to the poles
+        (("spectrum", "--dim", "300", "--grid", "10000", "--sampling", "node",
+          "--count", "5"), 300, 10000),
+    ])
+    def test_large_dimension_exits_3(self, capsys, argv, N, M):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert f"N = {N}" in err and f"M = {M}" in err
+
+    # node sampling has no product of weights; the best constant survives a
+    # maximizer that leaves the float64 range next to the poles
+    @pytest.mark.parametrize("argv", [
+        ("hardy", "--dim", "80", "--grid", "800", "--sampling", "node"),
+        ("hardy", "--table", "80..80", "--grid", "800"),
+        ("hardy", "--dim", "140", "--grid", "800", "--sampling", "node"),
+    ])
+    def test_large_dimension_node_sampling_exits_0(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert code == 0 and err == ""
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -619,3 +654,24 @@ def test_results_keys_are_the_required_ones(capsys, command):
     if command == "spectrum":  # the Weyl block, from its own result object
         weyl = schema["properties"]["weyl"]["oneOf"][1]
         assert sorted(doc["results"]["weyl"]) == sorted(weyl["required"])
+
+
+def _readme_commands():
+    """The argv of each `dipolespec ...` line in README's CLI code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [tuple(words[1:]) for words in lines if words[:1] == ["dipolespec"]]
+
+
+def test_readme_cli_block_has_the_commands():
+    assert len(_readme_commands()) == 9
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_cli_block_runs(capsys, tmp_path, argv):
+    target = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and out == "" and err == ""
+    if argv == ("sigma", "--dim", "4", "--mu", "0"):
+        assert target.read_text().strip() == "0, -2"

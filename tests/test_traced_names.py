@@ -36,7 +36,7 @@ def test_traced_name_is_bound(module, name):
 def _fields(spectrum, rgrid):
     grid = spectrum.grid
     prof = solve_mode_picard(3, spectrum.mu_1, RadialPerturbation.power(0.4, 1.5), 1.0, rgrid)
-    g = 0.3 * spectrum.axisymmetric_mode(2).psi(grid)
+    g = 0.3 * spectrum.axisymmetric_mode(2).psi
     return {
         "asymptotics.synthesize_solution": synthesize_solution([(1, prof)], spectrum),
         "asymptotics.manufactured_nonradial": manufactured_nonradial(3, spectrum, 1.0, g, rgrid),
