@@ -81,8 +81,10 @@ def _sin_power_cell_integrals(k: int, edges: np.ndarray) -> np.ndarray:
     """
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    pts = mid[:, None] + half[:, None] * _GAUSS7_NODES[None, :]
-    vals = np.sin(pts) ** k
+    vals = half[:, None] * _GAUSS7_NODES[None, :]  # one (cells x 7) array, updated in place
+    vals += mid[:, None]
+    np.sin(vals, out=vals)
+    vals **= k
     return half * (vals @ _GAUSS7_WEIGHTS)
 
 
@@ -349,7 +351,10 @@ def mode_sup_norm(mode: AngularMode) -> float:
 
 @dataclass(frozen=True)
 class AngularSpectrum:
-    """Merged sphere spectrum with multiplicities, sorted ascending."""
+    """Merged sphere spectrum with multiplicities, sorted ascending.
+
+    From `axisymmetric_spectrum`, `modes` hold the m = 0 tower alone.
+    """
 
     grid: PolarGrid
     potential: AngularPotential
@@ -399,34 +404,47 @@ class AngularSpectrum:
 _BRACKET_BISECTIONS = 3
 
 
-def _probe_towers(towers: PolarTowers, K: int):
-    """(m = 0 matrix, its Sturm count at hi, the values up to hi of the towers m >= 1).
+def _scan(towers: PolarTowers, first: int, axial: TridiagonalMatrix | None = None):
+    """Tower matrices m = first, first + 1, ... in turn, with a guard on the tower count."""
+    for m in range(first, towers.grid.size + 1):
+        yield m, axial if m == 0 else towers.matrix(m)
+    raise ResolutionError("tower merge did not terminate")  # pragma: no cover
 
-    hi bounds the K-th flattened value and comes from Sturm counts alone;
-    the first tower with no value up to hi ends the scan.
+
+def _count_from(towers: PolarTowers, first: int, x: float, limit: int,
+                axial: TridiagonalMatrix | None = None) -> int:
+    """sum_{m >= first} mult(m) * count_m(x), one Sturm count per tower.
+
+    Tower bottoms increase with m, so the sum stops at the first tower with
+    no value up to x; it also stops once it exceeds `limit`.
     """
-    N, grid = towers.N, towers.grid
+    total = 0
+    for m, mat in _scan(towers, first, axial):
+        count = count_at_most(mat, x)
+        if count == 0:
+            return total
+        total += harmonic_multiplicity(towers.N, m) * count
+        if total > limit:
+            return total
+
+
+def _check_count(K: int, grid: PolarGrid) -> None:
+    if K < 1:
+        raise InputError(f"K must be >= 1, got {K}")
+    if K > grid.size:
+        raise ResolutionError(f"K={K} exceeds what the grid resolves per tower (M={grid.size})")
+
+
+def _bracket(towers: PolarTowers, K: int):
+    """(m = 0 matrix, hi), where hi bounds the K-th flattened value; Sturm counts alone."""
     start = -float(np.max(towers.a))  # below mu_1 for flux sampling (Weyl)
     if start + 1.0 == start:
         raise ResolutionError(f"float64 cannot resolve eigenvalues next to a = {-start:.3g}")
     axial = towers.matrix(0)
 
-    def scan(first: int):
-        """Tower matrices m = first, first + 1, ... in turn, with a guard on the tower count."""
-        for m in range(first, grid.size + 1):
-            yield m, axial if m == 0 else towers.matrix(m)
-        raise ResolutionError("tower merge did not terminate")  # pragma: no cover
-
     def reaches(x: float) -> bool:
         """F(x) >= K, summed tower by tower until it is decided."""
-        total = 0
-        for m, mat in scan(0):
-            count = count_at_most(mat, x)
-            if count == 0:
-                return False
-            total += harmonic_multiplicity(N, m) * count
-            if total >= K:
-                return True
+        return _count_from(towers, 0, x, K - 1, axial) >= K
 
     lo, span = start, 1.0
     while not reaches(start + span):
@@ -438,13 +456,33 @@ def _probe_towers(towers: PolarTowers, K: int):
             hi = mid
         else:
             lo = mid
+    return axial, hi
 
+
+def _value_probes(towers: PolarTowers, hi: float) -> list[np.ndarray]:
+    """The values up to hi of the towers m >= 1; the first tower with none ends the scan."""
     probed: list[np.ndarray] = []
-    for _, mat in scan(1):
+    for _, mat in _scan(towers, 1):
         vals = eigvalsh_tridiagonal(mat.diag, mat.off, select="v", select_range=(-math.inf, hi))
         if vals.size == 0:
-            return axial, count_at_most(axial, hi), probed
+            return probed
         probed.append(vals.copy())  # not a view that keeps LAPACK's M-long output alive
+
+
+def _axial_modes(grid: PolarGrid, pairs) -> list[AngularMode]:
+    """The m = 0 modes of `polar_eigen` pairs, ground first, with psi = w / sin^((N-2)/2)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        modes = [AngularMode(m=0, mu=mu, multiplicity=1,
+                             psi=vec / math.sqrt(grid.area_equator) / grid.half_weights)
+                 for mu, vec in pairs]
+    if not all(np.all(np.isfinite(md.psi)) for md in modes):
+        raise ResolutionError(f"psi = w / sin^((N-2)/2) overflows float64 next to the poles "
+                              f"at N = {grid.dim} on M = {grid.size} polar nodes")
+    if np.any(modes[0].psi <= 0):
+        # the sign convention makes the nodeless ground profile positive;
+        # a sign change here means the grid cannot resolve the potential
+        raise ResolutionError("ground-mode profile is not strictly positive")
+    return modes
 
 
 def full_spectrum(
@@ -472,47 +510,69 @@ def full_spectrum(
     value probe up to hi, at LAPACK's tolerance (about eps * ||T_m||), and
     carries no profile.  The K-th of the merged values is the cutoff.
     """
-    if K < 1:
-        raise InputError(f"K must be >= 1, got {K}")
-    if K > grid.size:
-        raise ResolutionError(
-            f"K={K} exceeds what the grid resolves per tower (M={grid.size})"
-        )
-    # PolarTowers dies here, before the eigenvectors: its arrays would otherwise
-    # pin heap pages under them and raise the peak RSS
-    axial, count, probed = _probe_towers(PolarTowers(N, potential, grid, sampling), K)
-    pairs = polar_eigen(axial, count)
+    _check_count(K, grid)
+    towers = PolarTowers(N, potential, grid, sampling)
+    axial, hi = _bracket(towers, K)
+    probed = _value_probes(towers, hi)
+    # the towers die before the eigenvectors: their arrays would otherwise pin
+    # heap pages under them and raise the peak RSS
+    del towers
+    pairs = polar_eigen(axial, count_at_most(axial, hi))
     flat = np.sort(np.concatenate(
         [[mu for mu, _ in pairs]]
         + [np.repeat(vals, harmonic_multiplicity(N, m)) for m, vals in enumerate(probed, 1)]
     ))
     if flat.size < K:
         raise EigenSolveError(f"value probes found {flat.size} of the {K} counted eigenvalues")
-
     cutoff = flat[K - 1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
-        collected = [AngularMode(m=0, mu=mu, multiplicity=1,
-                                 psi=vec / math.sqrt(grid.area_equator) / grid.half_weights)
-                     for mu, vec in pairs if mu <= cutoff]
+    if flat[0] < pairs[0][0]:
+        raise EigenSolveError("ground mode did not come from the m = 0 tower")
+
+    collected = _axial_modes(grid, [(mu, vec) for mu, vec in pairs if mu <= cutoff])
     collected += [AngularMode(m=m, mu=float(mu), multiplicity=harmonic_multiplicity(N, m))
                   for m, vals in enumerate(probed, 1) for mu in vals[vals <= cutoff]]
-
     collected.sort(key=lambda md: (md.mu, md.m))
-    spectrum = AngularSpectrum(
-        grid=grid, potential=potential, modes=tuple(collected),
-        axial=axial, sampling=sampling,
-    )
-    ground = spectrum.psi_1
-    if ground.m != 0:
+    return AngularSpectrum(grid=grid, potential=potential, modes=tuple(collected),
+                           axial=axial, sampling=sampling)
+
+
+def axisymmetric_spectrum(
+    N: int,
+    potential: AngularPotential,
+    K: int,
+    grid: PolarGrid,
+    sampling: str = "flux",
+) -> AngularSpectrum:
+    """The m = 0 modes among the K lowest flattened eigenvalues, without the values of m >= 1.
+
+    The same modes as `full_spectrum(...).tower(0)`, bit for bit, from the
+    same Sturm-count bracket hi and the same `polar_eigen` of the m = 0
+    tower up to its count at hi; the towers m >= 1 make Sturm counts only.
+    mu_j is kept exactly when j + sum_{m >= 1} mult(m) * count_m(mu_j) <= K.
+    The tower-0 term is j, not a count at mu_j, which sits within an ulp of
+    where that count flips.  The kept modes are a prefix, found by
+    bisection over j.  The result's `modes` are the m = 0 tower alone, so
+    its `flattened()` is not the sphere spectrum.
+    """
+    _check_count(K, grid)
+    axial, hi = _bracket(PolarTowers(N, potential, grid, sampling), K)
+    pairs = polar_eigen(axial, count_at_most(axial, hi))
+    # the bracket's towers died before the eigenvectors, as in full_spectrum;
+    # the keep rule rebuilds them and drops them before psi is formed (peak RSS)
+    towers = PolarTowers(N, potential, grid, sampling)
+    lo, top = 0, len(pairs)
+    while lo < top:
+        j = (lo + top + 1) // 2
+        if j + _count_from(towers, 1, pairs[j - 1][0], K - j) <= K:
+            lo = j
+        else:
+            top = j - 1
+    del towers
+    if lo == 0:
         raise EigenSolveError("ground mode did not come from the m = 0 tower")
-    if not all(np.all(np.isfinite(md.psi)) for md in spectrum.tower(0)):
-        raise ResolutionError(f"psi = w / sin^((N-2)/2) overflows float64 next to the poles "
-                              f"at N = {N} on M = {grid.size} polar nodes")
-    if np.any(ground.psi <= 0):
-        # the sign convention makes the nodeless ground profile positive;
-        # a sign change here means the grid cannot resolve the potential
-        raise ResolutionError("ground-mode profile is not strictly positive")
-    return spectrum
+    modes = tuple(_axial_modes(grid, pairs[:lo]))
+    return AngularSpectrum(grid=grid, potential=potential, modes=modes, axial=axial,
+                           sampling=sampling)
 
 
 def _sup_ratios(spectrum: AngularSpectrum):

@@ -13,6 +13,7 @@ DIPOLESPEC_GRID_M environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,19 +27,6 @@ from .errors import InputError, NumericalError
 from .exponents import sigma_pair
 
 GRID_ENV = "DIPOLESPEC_GRID_M"
-
-
-def fmt(x) -> str:
-    """10-significant-digit rendering used for every number we print."""
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.10g}"
 
 
 def default_grid_size() -> int:
@@ -124,28 +112,61 @@ def _nonfinite(value) -> bool:
     return isinstance(value, float) and not math.isfinite(value)
 
 
+def _finite_rows(rows) -> bool:
+    """Whether every number in the rows (tuples of numbers, strings and None) is finite."""
+    numbers = [v for row in rows for v in row if v is not None and not isinstance(v, str)]
+    return bool(np.all(np.isfinite(np.array(numbers, dtype=float))))
+
+
+def _conversion(kind: type) -> str:
+    """The printf conversion of a row value: every float prints with 10 significant digits."""
+    if kind is type(None):
+        return "%.0s"  # an empty field
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.10g"
+
+
+def _csv_lines(rows, sep: str) -> list[str]:
+    """The rows as CSV lines, through one template per row layout of value types."""
+    templates, lines = {}, []
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = sep.join(map(_conversion, kinds))
+        lines.append(template % row)
+    return lines
+
+
 # parsed arguments that route the output, not the computation
-_ROUTING = ("command", "func", "format", "out")
+_ROUTING = ("command", "format", "out")
 
 
 def _emit_doc(args, results: dict, header: str | None, rows: list | None,
-              sep: str = ",", command: str | None = None) -> None:
+              sep: str = ",", command: str | None = None, records: str | None = None) -> None:
     """The JSON document (always, if rows is None), or the CSV header (if any) and rows.
 
     The document records as inputs every parsed argument that was set,
-    except the routing ones.  The rows hold values of the results only.  A
-    NaN or an infinity among the results is a numerical failure, never
-    output: JSON has neither.
+    except the routing ones; if `records` names a results key, the rows go
+    there as records keyed by the header's column names.  Otherwise the
+    rows hold values of the results only.  A NaN or an infinity among the
+    results or the rows is a numerical failure, never output: JSON has
+    neither.
     """
     command = command or args.command
-    if _nonfinite(results):
+    if _nonfinite(results) or (rows is not None and not _finite_rows(rows)):
         raise NumericalError(f"{command} produced a non-finite result")
     if rows is None or args.format == "json":
+        if records is not None:
+            results = {**results, records: _records(header, rows)}
         inputs = {k: v for k, v in vars(args).items() if k not in _ROUTING and v is not None}
         doc = {"command": command, "inputs": inputs, "results": results}
         lines = [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)]
     else:
-        lines = ([header] if header else []) + [sep.join(fmt(v) for v in row) for row in rows]
+        lines = ([header] if header else []) + _csv_lines(rows, sep)
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -215,7 +236,7 @@ def _hardy_table(args) -> int:
             lam_star = hardy.critical_dipole_coupling(N, grid, method, args.sampling)
             rows.append((N, (N - 2) ** 2 / 4.0, lam_star, method, args.grid))
     header = "N,classical,dipole_inverse_lambda,method,grid"
-    _emit_doc(args, {"rows": _records(header, rows)}, header, rows, command="hardy-table")
+    _emit_doc(args, {}, header, rows, command="hardy-table", records="rows")
     return 0
 
 
@@ -242,9 +263,8 @@ def cmd_radial(args) -> int:
         "c1_representation": prof.c1,
         "c2": prof.c2,
         "iterations": prof.iterations,
-        "profile": _records(header, rows),
     }
-    _emit_doc(args, results, header, rows)
+    _emit_doc(args, results, header, rows, records="profile")
     return 0
 
 
@@ -264,11 +284,17 @@ def _cauchy_mode(scenario: str) -> int:
 def _solution_field(args, scenario: str, k: int = 1):
     """The scenario's solution field: the manufactured nonradial one, or mode k alone.
 
-    manufactured-radial is mode:1, the ground mode.
+    manufactured-radial is mode:1, the ground mode.  The field expands over
+    the m = 0 modes among the --modes lowest sphere eigenvalues; the
+    nonradial one needs two of them.
     """
     grid = angular.PolarGrid.build(args.dim, args.grid)
     potential = parse_potential(args.potential, grid)
-    spec = angular.full_spectrum(args.dim, potential, args.modes, grid, args.sampling)
+    spec = angular.axisymmetric_spectrum(args.dim, potential, args.modes, grid, args.sampling)
+    need = 2 if scenario == "manufactured-nonradial" else k
+    if need > len(spec.modes):
+        raise InputError(f"mode {need} needs a larger --modes: the {args.modes} lowest sphere "
+                         f"eigenvalues include {len(spec.modes)} axisymmetric (m = 0) mode(s)")
     rgrid = radial.RadialGrid.geometric(args.points, args.rmin, 1.0)
     if scenario == "manufactured-nonradial":
         g = args.gscale * spec.axisymmetric_mode(2).psi
@@ -323,12 +349,17 @@ def cmd_bk(args) -> int:
     )
     table = brezis_kato.iteration_constants(params, args.n, args.printed_variant)
     header = "n,q_n,r_n,b_n,partial_sum,partial_product"
-    results = {**_fields(table), "rows": _records(header, table.rows)}
-    _emit_doc(args, results, header, list(table.rows))
+    _emit_doc(args, _fields(table, "rows"), header, table.rows, records="rows")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser for the current DIPOLESPEC_GRID_M default, built once per process."""
+    return _parser(default_grid_size())
+
+
+@functools.lru_cache(maxsize=4)
+def _parser(grid_default: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dipolespec",
         description="Spectral quantities of anisotropic inverse-square "
@@ -342,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, default=3)
         p.add_argument("--potential", default="dipole:1.0",
                        help="constant:K | dipole:L | table:PATH")
-        p.add_argument("--grid", type=int, default=default_grid_size(),
+        p.add_argument("--grid", type=int, default=grid_default,
                        help=f"polar grid size (default from ${GRID_ENV} or 10000)")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -354,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="sphere eigenvalues, counting fit, sup-norm ratio")
     common(p)
     p.add_argument("--count", type=int, default=20)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("hardy", help="best constant; 'table' mode sweeps dimensions")
     common(p)
@@ -363,14 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["pencil", "bisection", "both"], default=None,
                    help="table only (default pencil)")
     # None until main resolves them for the mode the run is in
-    p.set_defaults(func=cmd_hardy, dim=None, potential=None, sampling=None)
+    p.set_defaults(dim=None, potential=None, sampling=None)
 
     p = sub.add_parser("sigma", help="characteristic exponents for (dim, mu)")
     p.add_argument("--dim", type=int, required=True)
     _float_flag(p, "--mu", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("radial", help="radial profile and limit coefficient")
     p.add_argument("--dim", type=int, default=3)
@@ -383,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     _float_flag(p, "--tol", default=1e-12)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_radial)
 
     p = sub.add_parser("cauchy", help="limit-functional independence of the radius")
     common(p)
@@ -400,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit-table", action="store_true",
                    help="emit the small-radius convergence table "
                         "(rho, estimate, defect) instead of the R sweep")
-    p.set_defaults(func=cmd_cauchy)
 
     p = sub.add_parser("sandwich", help="sub/supersolution trapping report (json)")
     common(p, formats=("json",))
@@ -410,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     _float_flag(p, "--eps", default=1.0)
     _float_flag(p, "--gscale", default=0.2)
     _float_flag(p, "--radius-fraction", default=0.5)
-    p.set_defaults(func=cmd_sandwich)
 
     p = sub.add_parser("bk", help="bootstrap constants table")
     p.add_argument("--dim", type=int, default=4)
@@ -425,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the 1/2 prefactor exponent sequence")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bk)
 
     return parser
 
@@ -464,7 +489,9 @@ def main(argv=None) -> int:
         # inside the try: the grid default is read from the environment here
         args = build_parser().parse_args(argv)
         _resolve_mode(args)
-        return args.func(args)
+        # looked up per call, not bound into the cached parser, so a rebinding
+        # of a command function (a profiler's wrapper) takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

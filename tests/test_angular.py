@@ -12,6 +12,7 @@ from dipolespec.angular import (
     PolarTowers,
     TridiagonalMatrix,
     assemble_polar_operator,
+    axisymmetric_spectrum,
     count_at_most,
     eigenfunction_sup_ratio,
     full_spectrum,
@@ -177,6 +178,19 @@ class TestPotential:
 
 
 class TestAssemble:
+    @pytest.mark.parametrize("M", [3, 100, 2001])
+    def test_cell_integrals_match_the_expression_form(self, M):
+        # the in-place evaluation does the same arithmetic as this one-line form
+        grid = PolarGrid.build(3, M)
+        t, h = grid.nodes, grid.step
+        edges = np.concatenate([[t[0] - h / 2], 0.5 * (t[:-1] + t[1:]), [t[-1] + h / 2]])
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        pts = mid[:, None] + half[:, None] * nodes[None, :]
+        for k in range(-1, 13):
+            want = half * ((np.sin(pts) ** k) @ weights)
+            assert np.array_equal(bits(_sin_power_cell_integrals(k, edges)), bits(want)), k
+
     def test_free_ground_state_is_zero(self):
         # constant eigenfunction of the sphere Laplacian
         g = PolarGrid.build(3, 300)
@@ -507,15 +521,57 @@ class TestFullSpectrum:
             full_spectrum(3, potential, 5, PolarGrid.build(3, 2000))
         assert calls == []
 
-    @pytest.mark.parametrize("sampling", ["flux", "node"])
-    def test_m0_values_do_not_depend_on_the_count(self, sampling):
+    @pytest.mark.parametrize("sampling,solve", [
+        pytest.param("flux", full_spectrum, id="flux"),
+        pytest.param("node", full_spectrum, id="node"),
+        pytest.param("flux", axisymmetric_spectrum, id="flux-axisymmetric_spectrum"),
+        pytest.param("node", axisymmetric_spectrum, id="node-axisymmetric_spectrum"),
+    ])
+    def test_m0_values_do_not_depend_on_the_count(self, sampling, solve):
         grid = PolarGrid.build(3, 2000)
-        towers = {K: full_spectrum(3, AngularPotential.dipole(1.0), K, grid, sampling).tower(0)
+        towers = {K: solve(3, AngularPotential.dipole(1.0), K, grid, sampling).tower(0)
                   for K in (5, 20, 80, 200)}
         eps = np.finfo(float).eps
         for K, tower in towers.items():
             for md, ref in zip(tower, towers[200]):
                 assert abs(md.mu - ref.mu) <= 4 * eps * max(1.0, abs(ref.mu)), K
+
+
+class TestAxisymmetricSpectrum:
+    @settings(max_examples=60, deadline=None)
+    @given(case=spectrum_cases())
+    # a near tie: mu_9 = 72.0017266 of the m = 0 tower sits just above tower
+    # 1's 72.0016462, the K-th flattened value, and a Sturm count of tower 0
+    # at mu_9 itself returns 8, not 9
+    @example(case=(3, AngularPotential.dipole(1.0), 80, PolarGrid.build(3, 10000), "flux"))
+    def test_matches_the_m0_tower_of_the_merge(self, case):
+        N, potential, K, grid, sampling = case
+        want = full_spectrum(N, potential, K, grid, sampling).tower(0)
+        got = axisymmetric_spectrum(N, potential, K, grid, sampling)
+        assert len(got.modes) == len(want)
+        assert all(md.m == 0 and md.multiplicity == 1 for md in got.modes)
+        assert np.array_equal(bits([md.mu for md in got.modes]), bits([md.mu for md in want]))
+        for md, ref in zip(got.modes, want):
+            assert np.array_equal(bits(md.psi), bits(ref.psi))
+
+    def test_near_tie_keeps_what_the_merge_keeps(self):
+        grid = PolarGrid.build(3, 10000)
+        potential = AngularPotential.dipole(1.0)
+        full = full_spectrum(3, potential, 80, grid)
+        spec = axisymmetric_spectrum(3, potential, 80, grid)
+        assert len(spec.modes) == len(full.tower(0)) == 8
+        mu9 = polar_eigen(spec.axial, 9)[8][0]
+        cutoff = full.flattened()[79]
+        assert spec.modes[-1].mu < cutoff < mu9 < cutoff + 1e-3
+        # the keep rule's tower-0 term is the index j = 9, which rejects mu_9
+        towers = PolarTowers(3, potential, grid, "flux")
+        assert 9 + sum(harmonic_multiplicity(3, m) * count_at_most(towers.matrix(m), mu9)
+                       for m in range(1, 12)) == 81
+
+    @pytest.mark.parametrize("K,error", [(0, InputError), (801, ResolutionError)])
+    def test_count_out_of_range(self, K, error):
+        with pytest.raises(error):
+            axisymmetric_spectrum(3, AngularPotential.dipole(1.0), K, PolarGrid.build(3, 800))
 
 
 class TestMu1Bounds:

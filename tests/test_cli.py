@@ -5,9 +5,11 @@ import math
 import warnings
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dipolespec import angular
 from dipolespec.cli import build_parser, main, parse_dims
 from pathlib import Path
 
@@ -444,6 +446,36 @@ class TestCauchyCommand:
         assert outs["node"] != outs["flux"]
 
 
+# a field job makes no value probe of a tower m >= 1: every eigenvalue call of
+# `angular` is a Sturm count (tol = inf), and one vector solve, of the m = 0 tower
+@pytest.mark.parametrize("argv", [
+    ("cauchy", "--scenario", "manufactured-radial", "--grid", "400", "--modes", "12",
+     "--points", "100"),
+    ("sandwich", "--grid", "400", "--points", "200"),
+])
+def test_field_commands_solve_only_the_m0_tower(capsys, monkeypatch, argv):
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+
+    tols, vector_solves = [], []
+
+    def counting_values(*args, **kwargs):
+        tols.append(kwargs.get("tol"))
+        return eigvalsh_tridiagonal(*args, **kwargs)
+
+    def counting_vectors(diag, *args, **kwargs):
+        vector_solves.append(diag)
+        return eigh_tridiagonal(diag, *args, **kwargs)
+
+    monkeypatch.setattr(angular, "eigvalsh_tridiagonal", counting_values)
+    monkeypatch.setattr(angular, "eigh_tridiagonal", counting_vectors)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert tols and set(tols) == {math.inf}
+    axial = angular.assemble_polar_operator(3, angular.AngularPotential.dipole(1.0), 0,
+                                            angular.PolarGrid.build(3, 400))
+    assert len(vector_solves) == 1 and np.array_equal(vector_solves[0], axial.diag)
+
+
 class TestSandwichCommand:
     def test_report_schema(self, capsys):
         code, out, _ = run(capsys, "sandwich", "--grid", "400", "--points", "200")
@@ -595,6 +627,28 @@ class TestErrorsAndEnv:
             main(["sigma", "--dim", "4", "--mu", "0", "--frob"])
         assert exc.value.code == 2
 
+    # the m = 0 modes among the --modes lowest values are fewer than the run needs
+    @pytest.mark.parametrize("argv,want", [
+        (("sandwich", "--grid", "200", "--points", "50", "--modes", "2"),
+         "mode 2 needs a larger --modes: the 2 lowest sphere eigenvalues include 1 "),
+        (("cauchy", "--scenario", "mode:99", "--modes", "10"),
+         "mode 99 needs a larger --modes: the 10 lowest sphere eigenvalues include 3 "),
+    ], ids=["sandwich", "cauchy"])
+    def test_too_few_modes_names_the_flag(self, capsys, argv, want):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: " + want) and err.count("\n") == 1
+
+    def test_parser_follows_the_grid_env_across_calls(self, capsys, monkeypatch):
+        grids = []
+        for size in ("50", "60", "50"):
+            monkeypatch.setenv("DIPOLESPEC_GRID_M", size)
+            assert build_parser() is build_parser()
+            code, out, _ = run(capsys, "spectrum", "--count", "3", "--format", "json")
+            assert code == 0
+            grids.append(validate(out)["inputs"]["grid"])
+        assert grids == [50, 60, 50]
+
     def test_grid_env_default(self, monkeypatch):
         monkeypatch.setenv("DIPOLESPEC_GRID_M", "123")
         parser = build_parser()
@@ -625,6 +679,34 @@ class TestErrorsAndEnv:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "0, -2"
+
+
+def reference_field(x) -> str:
+    """One CSV field rendered value by value: None empty, ints whole, floats to 10 digits."""
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, int):
+        return str(x)
+    return f"{float(x):.10g}"
+
+
+# CSV rows and the JSON records of the same run carry the same values
+@pytest.mark.parametrize("argv,key", [
+    (("radial", "--mu", "2", "--perturbation", "manufactured:1.5", "--points", "300"), "profile"),
+    (("bk", "--n", "40"), "rows"),
+    (("hardy", "--table", "3..4", "--grid", "200", "--method", "both"), "rows"),
+])
+def test_csv_rows_render_like_the_reference(capsys, argv, key):
+    code, csv_out, _ = run(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    header, *lines = csv_out.splitlines()
+    names = header.split(",")
+    records = validate(json_out)["results"][key]
+    assert lines == [",".join(reference_field(r[n]) for n in names) for r in records]
 
 
 # one small successful run of each command, keyed by the command its document names
