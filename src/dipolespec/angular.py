@@ -485,6 +485,14 @@ def _axial_modes(grid: PolarGrid, pairs) -> list[AngularMode]:
     return modes
 
 
+def _axial_solve(N: int, potential: AngularPotential, K: int, grid: PolarGrid, sampling: str):
+    """(towers, m = 0 matrix, hi, its `polar_eigen` pairs up to hi): what both spectra share."""
+    _check_count(K, grid)
+    towers = PolarTowers(N, potential, grid, sampling)
+    axial, hi = _bracket(towers, K)
+    return towers, axial, hi, polar_eigen(axial, count_at_most(axial, hi))
+
+
 def full_spectrum(
     N: int,
     potential: AngularPotential,
@@ -510,14 +518,8 @@ def full_spectrum(
     value probe up to hi, at LAPACK's tolerance (about eps * ||T_m||), and
     carries no profile.  The K-th of the merged values is the cutoff.
     """
-    _check_count(K, grid)
-    towers = PolarTowers(N, potential, grid, sampling)
-    axial, hi = _bracket(towers, K)
+    towers, axial, hi, pairs = _axial_solve(N, potential, K, grid, sampling)
     probed = _value_probes(towers, hi)
-    # the towers die before the eigenvectors: their arrays would otherwise pin
-    # heap pages under them and raise the peak RSS
-    del towers
-    pairs = polar_eigen(axial, count_at_most(axial, hi))
     flat = np.sort(np.concatenate(
         [[mu for mu, _ in pairs]]
         + [np.repeat(vals, harmonic_multiplicity(N, m)) for m, vals in enumerate(probed, 1)]
@@ -554,12 +556,7 @@ def axisymmetric_spectrum(
     bisection over j.  The result's `modes` are the m = 0 tower alone, so
     its `flattened()` is not the sphere spectrum.
     """
-    _check_count(K, grid)
-    axial, hi = _bracket(PolarTowers(N, potential, grid, sampling), K)
-    pairs = polar_eigen(axial, count_at_most(axial, hi))
-    # the bracket's towers died before the eigenvectors, as in full_spectrum;
-    # the keep rule rebuilds them and drops them before psi is formed (peak RSS)
-    towers = PolarTowers(N, potential, grid, sampling)
+    towers, axial, _, pairs = _axial_solve(N, potential, K, grid, sampling)
     lo, top = 0, len(pairs)
     while lo < top:
         j = (lo + top + 1) // 2
@@ -567,7 +564,6 @@ def axisymmetric_spectrum(
             lo = j
         else:
             top = j - 1
-    del towers
     if lo == 0:
         raise EigenSolveError("ground mode did not come from the m = 0 tower")
     modes = tuple(_axial_modes(grid, pairs[:lo]))

@@ -31,10 +31,7 @@ GRID_ENV = "DIPOLESPEC_GRID_M"
 
 def default_grid_size() -> int:
     raw = os.environ.get(GRID_ENV, "10000")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{GRID_ENV} must be an integer, got {raw!r}") from exc
+    return _integer(raw, f"{GRID_ENV}={raw}")
 
 
 def _finite(text: str, spec: str) -> float:
@@ -46,6 +43,22 @@ def _finite(text: str, spec: str) -> float:
     if not math.isfinite(value):
         raise InputError(f"non-finite number {text!r} in {spec!r}")
     return value
+
+
+def _integer(text: str, spec: str) -> int:
+    """One integer of a spec, within +-2^53 (where float64 still holds every integer)."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise InputError(f"malformed integer {text!r} in {spec!r}") from exc
+    if abs(value) > 2**53:
+        raise InputError(f"integer outside +-2^53 in {spec!r}")
+    return value
+
+
+def _int_flag(parser, flag: str, **kwargs) -> None:
+    """An integer flag whose malformed or out-of-range values are input errors."""
+    parser.add_argument(flag, type=lambda text: _integer(text, f"{flag} {text}"), **kwargs)
 
 
 def _float_flag(parser, flag: str, **kwargs) -> None:
@@ -94,10 +107,7 @@ def parse_perturbation(spec: str, N: int, sigma: float) -> radial.RadialPerturba
 def parse_dims(spec: str):
     """Inclusive range syntax 'a..b' or a single dimension."""
     bounds = spec.split("..")
-    try:
-        lo, hi = int(bounds[0]), int(bounds[-1])
-    except ValueError as exc:
-        raise InputError(f"malformed dimension range {spec!r}") from exc
+    lo, hi = _integer(bounds[0], spec), _integer(bounds[-1], spec)
     if len(bounds) > 2 or hi < lo:
         raise InputError(f"malformed or empty dimension range {spec!r}")
     return list(range(lo, hi + 1))
@@ -220,8 +230,8 @@ def cmd_hardy(args) -> int:
     grid = angular.PolarGrid.build(args.dim, args.grid)
     potential = parse_potential(args.potential, grid)
     res = hardy.lambda_n(args.dim, potential, grid, args.sampling)
-    # the maximizer is axisymmetric, see hardy.lambda_n
-    results = {**_fields(res, "maximizer", "richardson"), "maximizer_tower": 0}
+    # the maximizer is axisymmetric, see the hardy module docstring
+    results = {**_fields(res), "maximizer_tower": 0}
     rows = [(res.lambda_n, res.critical_coupling, 0)]
     _emit_doc(args, results, "lambda_n,critical_coupling,maximizer_tower", rows)
     return 0
@@ -275,10 +285,7 @@ def _cauchy_mode(scenario: str) -> int:
     kind, _, arg = scenario.partition(":")
     if kind != "mode":
         raise InputError(f"unknown scenario {scenario!r}")
-    try:
-        return int(arg)
-    except ValueError as exc:
-        raise InputError(f"malformed scenario {scenario!r}") from exc
+    return _integer(arg, scenario)
 
 
 def _solution_field(args, scenario: str, k: int = 1):
@@ -370,11 +377,11 @@ def _parser(grid_default: int) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, formats=("csv", "json")):
-        p.add_argument("--dim", type=int, default=3)
+        _int_flag(p, "--dim", default=3)
         p.add_argument("--potential", default="dipole:1.0",
                        help="constant:K | dipole:L | table:PATH")
-        p.add_argument("--grid", type=int, default=grid_default,
-                       help=f"polar grid size (default from ${GRID_ENV} or 10000)")
+        _int_flag(p, "--grid", default=grid_default,
+                  help=f"polar grid size (default from ${GRID_ENV} or 10000)")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--sampling", choices=["flux", "node"], default="flux",
@@ -384,7 +391,7 @@ def _parser(grid_default: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="sphere eigenvalues, counting fit, sup-norm ratio")
     common(p)
-    p.add_argument("--count", type=int, default=20)
+    _int_flag(p, "--count", default=20)
 
     p = sub.add_parser("hardy", help="best constant; 'table' mode sweeps dimensions")
     common(p)
@@ -396,18 +403,18 @@ def _parser(grid_default: int) -> argparse.ArgumentParser:
     p.set_defaults(dim=None, potential=None, sampling=None)
 
     p = sub.add_parser("sigma", help="characteristic exponents for (dim, mu)")
-    p.add_argument("--dim", type=int, required=True)
+    _int_flag(p, "--dim", required=True)
     _float_flag(p, "--mu", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("radial", help="radial profile and limit coefficient")
-    p.add_argument("--dim", type=int, default=3)
+    _int_flag(p, "--dim", default=3)
     _float_flag(p, "--mu", required=True)
     p.add_argument("--perturbation", default="zero",
                    help="zero | power:C,EPS | manufactured:BETA[,SIGMA]")
     _float_flag(p, "--c1", default=1.0)
-    p.add_argument("--points", type=int, default=400)
+    _int_flag(p, "--points", default=400)
     _float_flag(p, "--rmin", default=1e-8)
     _float_flag(p, "--tol", default=1e-12)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -419,8 +426,8 @@ def _parser(grid_default: int) -> argparse.ArgumentParser:
                    help="manufactured-radial | manufactured-nonradial | mode:K")
     p.add_argument("--radii", default="0.3,0.6,0.9",
                    type=lambda text: [_finite(x, text) for x in text.split(",")])
-    p.add_argument("--modes", type=int, default=40)
-    p.add_argument("--points", type=int, default=400)
+    _int_flag(p, "--modes", default=40)
+    _int_flag(p, "--points", default=400)
     _float_flag(p, "--rmin", default=1e-8)
     _float_flag(p, "--beta", help="mode scenarios (default 1)")
     _float_flag(p, "--eps", help="manufactured-nonradial (default 1)")
@@ -431,22 +438,22 @@ def _parser(grid_default: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("sandwich", help="sub/supersolution trapping report (json)")
     common(p, formats=("json",))
-    p.add_argument("--modes", type=int, default=80)
-    p.add_argument("--points", type=int, default=400)
+    _int_flag(p, "--modes", default=80)
+    _int_flag(p, "--points", default=400)
     _float_flag(p, "--rmin", default=1e-8)
     _float_flag(p, "--eps", default=1.0)
     _float_flag(p, "--gscale", default=0.2)
     _float_flag(p, "--radius-fraction", default=0.5)
 
     p = sub.add_parser("bk", help="bootstrap constants table")
-    p.add_argument("--dim", type=int, default=4)
+    _int_flag(p, "--dim", default=4)
     _float_flag(p, "--s", default=3.0)
     _float_flag(p, "--vnorm", default=1.0)
     _float_flag(p, "--ckn", default=1.0)
     _float_flag(p, "--dist", default=1.0)
     _float_flag(p, "--diam", default=2.0)
     _float_flag(p, "--sigma", default=0.5)
-    p.add_argument("--n", type=int, default=200)
+    _int_flag(p, "--n", default=200)
     p.add_argument("--printed-variant", action="store_true",
                    help="use the 1/2 prefactor exponent sequence")
     p.add_argument("--format", choices=["csv", "json"], default="csv")

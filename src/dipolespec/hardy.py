@@ -71,8 +71,8 @@ class _PencilOperator:
         return solve_banded((1, 0), self.UT, x)    # L^{-1} x = U^{-T} x
 
 
-def _lanczos_largest(op, n: int):
-    """Largest eigenvalue and Ritz vector; deterministic all-ones start."""
+def _lanczos_largest(op, n: int) -> float:
+    """Largest eigenvalue of `op` (the Ritz value only); deterministic all-ones start."""
     q = np.ones(n) / math.sqrt(n)
     basis = [q]
     alphas: list[float] = []
@@ -95,17 +95,7 @@ def _lanczos_largest(op, n: int):
             ritz = eigvalsh_tridiagonal(d, e, select="i", select_range=(d.size - 1, d.size - 1))[0]
         beta = float(np.linalg.norm(v))
         if abs(ritz - prev) <= _LANCZOS_TOL * max(1.0, abs(ritz)) or beta < 1e-14:
-            from scipy.linalg import eigh_tridiagonal
-
-            if d.size == 1:
-                y = np.array([1.0])
-            else:
-                _, vec = eigh_tridiagonal(d, e, select="i", select_range=(d.size - 1, d.size - 1))
-                y = vec[:, 0]
-            ritz_vec = np.zeros(n)
-            for coef, qq in zip(y, basis):
-                ritz_vec += coef * qq
-            return float(ritz), ritz_vec
+            return float(ritz)
         prev = ritz
         betas.append(beta)
         basis.append(v / beta)
@@ -116,9 +106,7 @@ def _lanczos_largest(op, n: int):
 class HardyResult:
     lambda_n: float
     critical_coupling: float | None
-    maximizer: np.ndarray | None
     nonpositive: bool = False
-    richardson: float | None = None
 
 
 def lambda_n(
@@ -126,53 +114,29 @@ def lambda_n(
     potential: AngularPotential,
     grid: PolarGrid,
     sampling: str = "flux",
-    richardson: bool = False,
 ) -> HardyResult:
-    """Best constant Lambda_N(a): one pencil solve on the m = 0 tower.
+    """Best constant Lambda_N(a): the largest value of one pencil, the m = 0 tower's.
 
-    The towers m >= 1 never carry a larger value (see the module docstring),
-    so the maximizer is axisymmetric; it has unit L^2(S^{N-1}) norm.  For
-    ess sup a <= 0 the best constant is 0: the result is flagged
-    `nonpositive`, has no maximizer, and no pencil is solved.  The maximizer
-    is also None where psi overflows float64 next to the poles (large N).
-
-    `richardson=True` also solves on the grid of M // 2 nodes and reports
-    the second-order extrapolation from the two step sizes; tabulated
-    potentials are rejected there, since they exist only on `grid`.
+    The towers m >= 1 never carry a larger value (see the module docstring).
+    For ess sup a <= 0 the best constant is 0: the result is flagged
+    `nonpositive` and no pencil is solved.  The potential is sampled on
+    `grid` first either way, so a tabulated potential of another size is
+    an input error.
     """
-    if richardson and potential.kind == "tabulated":
-        raise InputError(
-            "richardson=True needs the potential on a coarser grid, but a "
-            "tabulated potential has samples only at the given grid's nodes"
-        )
     a_samples = potential.sample(grid)
     if potential.ess_sup <= 0:
-        return HardyResult(lambda_n=0.0, critical_coupling=None, maximizer=None,
-                           nonpositive=True, richardson=0.0 if richardson else None)
+        return HardyResult(lambda_n=0.0, critical_coupling=None, nonpositive=True)
     # A = (discrete m = 0 tower operator at a = 0) + ((N-2)/2)^2 I
     zero = AngularPotential.constant(0.0)
     A = assemble_polar_operator(N, zero, 0, grid, sampling).shifted(((N - 2) / 2.0) ** 2)
     # Lambda is homogeneous of degree 1 in a; Lanczos stops on absolute
     # thresholds, so it runs on a / ess sup a and the value is scaled back
-    op = _PencilOperator(A, a_samples / potential.ess_sup)
-    best, y = _lanczos_largest(op, A.size)
+    best = _lanczos_largest(_PencilOperator(A, a_samples / potential.ess_sup), A.size)
     best *= potential.ess_sup
-    # pencil eigenvector in w coordinates: w = L^{-T} y
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
-        psi = solve_banded((0, 1), op.U, y) / grid.half_weights
-        norm2 = grid.integrate(psi**2)
-    psi = psi / math.sqrt(norm2) if math.isfinite(norm2) else None
-    rich = None
-    if richardson:
-        half = PolarGrid.build(N, grid.size // 2)
-        coarse = lambda_n(N, potential, half, sampling)
-        r = (grid.size + 1) / (half.size + 1)  # step ratio; exactly 2 for odd M
-        rich = best + (best - coarse.lambda_n) / (r * r - 1.0)  # second order
     lam_crit = None
     if potential.kind == "dipole" and best > 0:
         lam_crit = abs(potential.coupling) / best  # the threshold ignores the sign
-    return HardyResult(lambda_n=best, critical_coupling=lam_crit, maximizer=psi,
-                       richardson=rich)
+    return HardyResult(lambda_n=best, critical_coupling=lam_crit)
 
 
 def critical_dipole_coupling(

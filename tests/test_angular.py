@@ -568,6 +568,21 @@ class TestAxisymmetricSpectrum:
         assert 9 + sum(harmonic_multiplicity(3, m) * count_at_most(towers.matrix(m), mu9)
                        for m in range(1, 12)) == 81
 
+    @pytest.mark.parametrize("solve", [full_spectrum, axisymmetric_spectrum])
+    def test_one_tower_build_per_call(self, monkeypatch, solve):
+        # the bracket, the m >= 1 scan and the keep rule share one PolarTowers,
+        # and with it the sin^(N-4) cell integrals
+        builds = []
+
+        class Counting(PolarTowers):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(angular, "PolarTowers", Counting)
+        solve(4, AngularPotential.dipole(1.0), 30, PolarGrid.build(4, 400))
+        assert len(builds) == 1
+
     @pytest.mark.parametrize("K,error", [(0, InputError), (801, ResolutionError)])
     def test_count_out_of_range(self, K, error):
         with pytest.raises(error):

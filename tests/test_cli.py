@@ -603,8 +603,8 @@ class TestErrorsAndEnv:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert f"N = {N}" in err and f"M = {M}" in err
 
-    # node sampling has no product of weights; the best constant survives a
-    # maximizer that leaves the float64 range next to the poles
+    # node sampling has no product of weights, and the best constant needs no
+    # profile psi, which would leave the float64 range next to the poles
     @pytest.mark.parametrize("argv", [
         ("hardy", "--dim", "80", "--grid", "800", "--sampling", "node"),
         ("hardy", "--table", "80..80", "--grid", "800"),
@@ -654,6 +654,19 @@ class TestErrorsAndEnv:
         parser = build_parser()
         args = parser.parse_args(["spectrum"])
         assert args.grid == 123
+
+    # integers past 2^53 in magnitude, where float64 stops holding every
+    # integer, are rejected before they reach a float or a range
+    @pytest.mark.parametrize("argv", [
+        ("sigma", "--dim", "9" * 400, "--mu", "1"),
+        ("radial", "--dim", "9" * 400, "--mu", "1"),
+        ("bk", "--dim", "9" * 400),
+        ("hardy", "--table", "3..10000000000000000000000"),
+    ], ids=["sigma", "radial", "bk", "hardy-table"])
+    def test_huge_integer_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: integer outside +-2^53") and err.count("\n") == 1
 
     # grids this size (7.11 PiB of float64) cannot be allocated at all
     @pytest.mark.parametrize("argv", [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigvalsh_tridiagonal
 
 from dipolespec import hardy
 from dipolespec.angular import (
@@ -34,24 +34,18 @@ SPECTRAL_CRITICAL = {
 def tower_scan(N, potential, grid, sampling):
     """Reference best constant: the pencil of each tower m = 0..3, maximized over m.
 
-    Returns (value, argmax tower, maximizer); a maximizer of a tower m >= 1 is
-    normalized in the Euclidean norm, as no quadrature weights it.  Each pencil
-    is solved for a / ess sup a and scaled back, as lambda_n does.
+    Returns (value, argmax tower).  Each pencil is solved for a / ess sup a
+    and scaled back, as lambda_n does.
     """
     a = potential.sample(grid) / potential.ess_sup
     zero = AngularPotential.constant(0.0)
-    best, best_m, best_vec = -math.inf, 0, None
+    best, best_m = -math.inf, 0
     for m in range(4):
         A = assemble_polar_operator(N, zero, m, grid, sampling).shifted(((N - 2) / 2.0) ** 2)
-        op = hardy._PencilOperator(A, a)
-        val, y = hardy._lanczos_largest(op, A.size)
-        val *= potential.ess_sup
+        val = hardy._lanczos_largest(hardy._PencilOperator(A, a), A.size) * potential.ess_sup
         if val > best:
             best, best_m = val, m
-            best_vec = solve_banded((0, 1), op.U, y)
-    psi = best_vec / np.sin(grid.nodes) ** ((N - 2) / 2.0)
-    norm = math.sqrt(grid.integrate(psi**2)) if best_m == 0 else float(np.linalg.norm(psi))
-    return best, best_m, psi / norm
+    return best, best_m
 
 
 @st.composite
@@ -146,14 +140,17 @@ class TestLambdaN:
         a = {"constant": AngularPotential.constant(-1.0),
              "dipole": AngularPotential.dipole(0.0),
              "tabulated": AngularPotential.tabulated(-1.0 - np.cos(g.nodes) ** 2, g)}[kind]
-        richardson = kind != "tabulated"
         monkeypatch.setattr(hardy, "cholesky_banded", None)
-        res = lambda_n(4, a, g, richardson=richardson)
+        res = lambda_n(4, a, g)
         assert res.lambda_n == 0.0
         assert res.nonpositive
-        assert res.maximizer is None
         assert res.critical_coupling is None
-        assert res.richardson == (0.0 if richardson else None)
+
+    def test_nonpositive_table_of_another_size_is_rejected(self):
+        # the potential is sampled on the grid before the ess sup a <= 0 return
+        a = AngularPotential.tabulated(-np.ones(300), PolarGrid.build(4, 300))
+        with pytest.raises(InputError, match="300 samples, grid has 200 nodes"):
+            lambda_n(4, a, PolarGrid.build(4, 200))
 
     def test_zero_potential_flagged(self):
         g = PolarGrid.build(5, 300)
@@ -194,44 +191,11 @@ class TestLambdaN:
         # with a positive sample has its best constant on the m = 0 tower
         g = PolarGrid.build(N, M)
         a = data.draw(positive_potentials(g))
-        value, tower, psi = tower_scan(N, a, g, sampling)
+        value, tower = tower_scan(N, a, g, sampling)
         res = lambda_n(N, a, g, sampling)
         assert tower == 0
         assert res.lambda_n == value
-        assert np.array_equal(res.maximizer, psi)
         assert not res.nonpositive
-        assert g.integrate(res.maximizer**2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_richardson_reported(self):
-        g = PolarGrid.build(5, 800)
-        res = lambda_n(5, AngularPotential.dipole(1.0), g, richardson=True)
-        assert res.richardson is not None
-        # extrapolation should sit closer to the fine-grid limit
-        fine = lambda_n(5, AngularPotential.dipole(1.0), PolarGrid.build(5, 6400))
-        assert abs(res.richardson - fine.lambda_n) < abs(res.lambda_n - fine.lambda_n)
-
-    def test_richardson_odd_grid_halves_the_step(self):
-        # odd M: the M // 2 grid has exactly twice the step, so the factor is 1/3
-        a = AngularPotential.dipole(1.0)
-        res = lambda_n(5, a, PolarGrid.build(5, 801), richardson=True)
-        coarse = lambda_n(5, a, PolarGrid.build(5, 400))
-        assert res.richardson == res.lambda_n + (res.lambda_n - coarse.lambda_n) / 3.0
-
-    def test_richardson_even_grid_uses_the_step_ratio(self):
-        # with the true step ratio (M+1)/(M//2+1) an even grid extrapolates as
-        # well as its odd neighbour; the halving factor 1/3 left an O(h^3) error
-        # of about 4e-7 here
-        a = AngularPotential.dipole(1.0)
-        even = lambda_n(3, a, PolarGrid.build(3, 200), richardson=True)
-        odd = lambda_n(3, a, PolarGrid.build(3, 201), richardson=True)
-        assert abs(even.lambda_n - odd.lambda_n) > 1e-7
-        assert abs(even.richardson - odd.richardson) < 1e-8
-
-    def test_richardson_rejects_tabulated(self):
-        g = PolarGrid.build(3, 300)
-        a = AngularPotential.tabulated(np.cos(g.nodes), g)
-        with pytest.raises(InputError, match="coarser grid"):
-            lambda_n(3, a, g, richardson=True)
 
 
 class TestCriticalCoupling:
