@@ -124,10 +124,6 @@ class PolarGrid:
                    quadrature=area_equator * h * weights,
                    area_full=area_full, area_equator=area_equator)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integral over S^{N-1} of an axisymmetric sampled function."""
-        return self.area_equator * float(np.sum(values * self.weights)) * self.step
-
     def average(self, values: np.ndarray) -> float:
         """Quadrature-normalized mean; exact on constants at any resolution."""
         return float(np.sum(values * self.weights) / np.sum(self.weights))
@@ -139,18 +135,17 @@ class AngularPotential:
 
     kind: str
     ess_sup: float
-    mean: float
     kappa: float | None = None
     coupling: float | None = None
     values: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def constant(cls, kappa: float) -> "AngularPotential":
-        return cls(kind="constant", ess_sup=float(kappa), mean=float(kappa), kappa=float(kappa))
+        return cls(kind="constant", ess_sup=float(kappa), kappa=float(kappa))
 
     @classmethod
     def dipole(cls, lam: float) -> "AngularPotential":
-        return cls(kind="dipole", ess_sup=abs(float(lam)), mean=0.0, coupling=float(lam))
+        return cls(kind="dipole", ess_sup=abs(float(lam)), coupling=float(lam))
 
     @classmethod
     def tabulated(cls, values, grid: PolarGrid) -> "AngularPotential":
@@ -161,12 +156,7 @@ class AngularPotential:
             )
         if not np.all(np.isfinite(vals)):
             raise InputError("tabulated potential has a non-finite sample")
-        return cls(
-            kind="tabulated",
-            ess_sup=float(np.max(vals)),
-            mean=grid.integrate(vals) / grid.area_full,
-            values=vals,
-        )
+        return cls(kind="tabulated", ess_sup=float(np.max(vals)), values=vals)
 
     def sample(self, grid: PolarGrid) -> np.ndarray:
         if self.kind == "constant":
@@ -207,12 +197,13 @@ class TridiagonalMatrix:
 
 
 class PolarTowers:
-    """The tower operators of one (N, potential, grid, sampling), built per m.
+    """The tower operators of one (N, potential, grid, sampling), each built once.
 
     Only the diagonal depends on the azimuthal degree m, through nu_m times
     an m-independent profile.  The sampled potential, the shared
     off-diagonal and the m-independent parts of the diagonal are computed
-    once here; `matrix(m)` rebuilds a tower's diagonal in O(M).
+    once here; `matrix(m)` builds a tower's diagonal in O(M) on its first
+    call and returns the same matrix afterwards.
 
     The continuous object is -w'' + [(N-2)(N-4)/4 + nu_m] w / sin^2 t
     - ((N-2)/2)^2 w - a(t) w with w = 0 at both poles.  The curvature shift
@@ -226,6 +217,7 @@ class PolarTowers:
         if grid.dim != N:
             raise InputError(f"grid built for dimension {grid.dim}, requested {N}")
         self.N, self.grid, self.sampling = N, grid, sampling
+        self._matrices: dict[int, TridiagonalMatrix] = {}
         self.a = potential.sample(grid)
         h = grid.step
         t = grid.nodes
@@ -261,6 +253,8 @@ class PolarTowers:
         """Tower-m operator; eigenvalues approximate the mu_k of that tower."""
         if m < 0:
             raise InputError(f"azimuthal degree must be >= 0, got {m}")
+        if m in self._matrices:
+            return self._matrices[m]
         N = self.N
         nu = centrifugal_constant(N, m)
         if self.sampling == "node":
@@ -269,7 +263,8 @@ class PolarTowers:
         else:
             centrifugal = nu * self._cells / self._wh if nu else 0.0
             d = self._base + centrifugal - self.a
-        return TridiagonalMatrix(d, self.off, self.grid.step)
+        self._matrices[m] = TridiagonalMatrix(d, self.off, self.grid.step)
+        return self._matrices[m]
 
 
 def assemble_polar_operator(
@@ -404,22 +399,21 @@ class AngularSpectrum:
 _BRACKET_BISECTIONS = 3
 
 
-def _scan(towers: PolarTowers, first: int, axial: TridiagonalMatrix | None = None):
+def _scan(towers: PolarTowers, first: int):
     """Tower matrices m = first, first + 1, ... in turn, with a guard on the tower count."""
     for m in range(first, towers.grid.size + 1):
-        yield m, axial if m == 0 else towers.matrix(m)
+        yield m, towers.matrix(m)
     raise ResolutionError("tower merge did not terminate")  # pragma: no cover
 
 
-def _count_from(towers: PolarTowers, first: int, x: float, limit: int,
-                axial: TridiagonalMatrix | None = None) -> int:
+def _count_from(towers: PolarTowers, first: int, x: float, limit: int) -> int:
     """sum_{m >= first} mult(m) * count_m(x), one Sturm count per tower.
 
     Tower bottoms increase with m, so the sum stops at the first tower with
     no value up to x; it also stops once it exceeds `limit`.
     """
     total = 0
-    for m, mat in _scan(towers, first, axial):
+    for m, mat in _scan(towers, first):
         count = count_at_most(mat, x)
         if count == 0:
             return total
@@ -428,23 +422,15 @@ def _count_from(towers: PolarTowers, first: int, x: float, limit: int,
             return total
 
 
-def _check_count(K: int, grid: PolarGrid) -> None:
-    if K < 1:
-        raise InputError(f"K must be >= 1, got {K}")
-    if K > grid.size:
-        raise ResolutionError(f"K={K} exceeds what the grid resolves per tower (M={grid.size})")
-
-
-def _bracket(towers: PolarTowers, K: int):
-    """(m = 0 matrix, hi), where hi bounds the K-th flattened value; Sturm counts alone."""
+def _bracket(towers: PolarTowers, K: int) -> float:
+    """An upper bound hi of the K-th flattened value, from Sturm counts alone."""
     start = -float(np.max(towers.a))  # below mu_1 for flux sampling (Weyl)
     if start + 1.0 == start:
         raise ResolutionError(f"float64 cannot resolve eigenvalues next to a = {-start:.3g}")
-    axial = towers.matrix(0)
 
     def reaches(x: float) -> bool:
         """F(x) >= K, summed tower by tower until it is decided."""
-        return _count_from(towers, 0, x, K - 1, axial) >= K
+        return _count_from(towers, 0, x, K - 1) >= K
 
     lo, span = start, 1.0
     while not reaches(start + span):
@@ -456,7 +442,7 @@ def _bracket(towers: PolarTowers, K: int):
             hi = mid
         else:
             lo = mid
-    return axial, hi
+    return hi
 
 
 def _value_probes(towers: PolarTowers, hi: float) -> list[np.ndarray]:
@@ -486,11 +472,15 @@ def _axial_modes(grid: PolarGrid, pairs) -> list[AngularMode]:
 
 
 def _axial_solve(N: int, potential: AngularPotential, K: int, grid: PolarGrid, sampling: str):
-    """(towers, m = 0 matrix, hi, its `polar_eigen` pairs up to hi): what both spectra share."""
-    _check_count(K, grid)
+    """(towers, hi, the m = 0 `polar_eigen` pairs up to hi): what both spectra share."""
+    if K < 1:
+        raise InputError(f"K must be >= 1, got {K}")
+    if K > grid.size:
+        raise ResolutionError(f"K={K} exceeds what the grid resolves per tower (M={grid.size})")
     towers = PolarTowers(N, potential, grid, sampling)
-    axial, hi = _bracket(towers, K)
-    return towers, axial, hi, polar_eigen(axial, count_at_most(axial, hi))
+    hi = _bracket(towers, K)
+    axial = towers.matrix(0)
+    return towers, hi, polar_eigen(axial, count_at_most(axial, hi))
 
 
 def full_spectrum(
@@ -518,7 +508,7 @@ def full_spectrum(
     value probe up to hi, at LAPACK's tolerance (about eps * ||T_m||), and
     carries no profile.  The K-th of the merged values is the cutoff.
     """
-    towers, axial, hi, pairs = _axial_solve(N, potential, K, grid, sampling)
+    towers, hi, pairs = _axial_solve(N, potential, K, grid, sampling)
     probed = _value_probes(towers, hi)
     flat = np.sort(np.concatenate(
         [[mu for mu, _ in pairs]]
@@ -535,7 +525,7 @@ def full_spectrum(
                   for m, vals in enumerate(probed, 1) for mu in vals[vals <= cutoff]]
     collected.sort(key=lambda md: (md.mu, md.m))
     return AngularSpectrum(grid=grid, potential=potential, modes=tuple(collected),
-                           axial=axial, sampling=sampling)
+                           axial=towers.matrix(0), sampling=sampling)
 
 
 def axisymmetric_spectrum(
@@ -556,7 +546,7 @@ def axisymmetric_spectrum(
     bisection over j.  The result's `modes` are the m = 0 tower alone, so
     its `flattened()` is not the sphere spectrum.
     """
-    towers, axial, _, pairs = _axial_solve(N, potential, K, grid, sampling)
+    towers, _, pairs = _axial_solve(N, potential, K, grid, sampling)
     lo, top = 0, len(pairs)
     while lo < top:
         j = (lo + top + 1) // 2
@@ -567,8 +557,8 @@ def axisymmetric_spectrum(
     if lo == 0:
         raise EigenSolveError("ground mode did not come from the m = 0 tower")
     modes = tuple(_axial_modes(grid, pairs[:lo]))
-    return AngularSpectrum(grid=grid, potential=potential, modes=modes, axial=axial,
-                           sampling=sampling)
+    return AngularSpectrum(grid=grid, potential=potential, modes=modes,
+                           axial=towers.matrix(0), sampling=sampling)
 
 
 def _sup_ratios(spectrum: AngularSpectrum):

@@ -87,19 +87,17 @@ def synthesize_solution(modes, spectrum: AngularSpectrum) -> SolutionField:
             raise InputError("all modes must share the radial grid")
         if prof.perturbation is not h and prof.perturbation != h:
             raise InputError("all modes must share the radial perturbation")
-    lead = min(prof.exponents.sigma_plus for _, prof in modes)
+    sigmas = sorted(prof.exponents.sigma_plus for _, prof in modes)
     phi = np.column_stack([prof.values for _, prof in modes])
     psi = np.array([spectrum.axisymmetric_mode(k).psi for k, _ in modes])
     u = LowRank(phi, psi)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite F fails downstream
         F = LowRank(h.values(rgrid.points)[:, None] * phi, psi)
     sig = sigma_pair(grid.dim, spectrum.mu_1).sigma_plus
-    exps = sorted(sigma_pair(grid.dim, spectrum.axisymmetric_mode(k).mu).sigma_plus
-                  for k, _ in modes)
-    defect = exps[1] - exps[0] if len(exps) > 1 else None
+    defect = sigmas[1] - sigmas[0] if len(sigmas) > 1 else None
     return SolutionField(
         spectrum=spectrum, radial=rgrid, u=u, source=F, sigma=sig,
-        source_power=lead + h.singular_power, defect_power=defect,
+        source_power=sigmas[0] + h.singular_power, defect_power=defect,
     )
 
 
@@ -131,8 +129,8 @@ def manufactured_nonradial(
         raise InputError("g must be sampled on the polar grid nodes")
     rho = grid.points
     mu1 = spectrum.mu_1
-    sig = sigma_pair(N, mu1).sigma_plus
-    gap = sigma_pair(N, mu1).gap
+    exps = sigma_pair(N, mu1)
+    sig = exps.sigma_plus
     psi1 = spectrum.psi_1.psi
 
     angular_factor = 1.0 + rho[[0, -1], None] ** eps * g[None, :]
@@ -145,7 +143,7 @@ def manufactured_nonradial(
     # discrete angular operator applied to G = psi_1 g, in psi coordinates
     G = psi1 * g
     LG = spectrum.axial.matvec(G * pgrid.half_weights) / pgrid.half_weights
-    W = (eps * (eps + gap) + mu1) * G - LG
+    W = (eps * (eps + exps.gap) + mu1) * G - LG
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite F fails downstream
         F = LowRank(-(rho[:, None] ** (sig + eps - 2.0)), W[None, :])
@@ -172,8 +170,8 @@ def cauchy_coefficient_mode(field: SolutionField, radii, k: int) -> list[float]:
     independent of r for solution/source pairs of the perturbed problem.
     The angular quadrature commutes with the radial integrals, so the source
     is projected onto psi_k first: the two cumulative integrals are 1-D,
-    built once and read at every radius.  u is evaluated and projected at
-    the requested radii only.
+    built once and read at every radius.  u is projected onto the same
+    vector grid.quadrature * psi_k and read at the requested radii.
     """
     spectrum = field.spectrum
     grid = spectrum.grid
@@ -185,16 +183,16 @@ def cauchy_coefficient_mode(field: SolutionField, radii, k: int) -> list[float]:
         raise InputError("2 sigma + N - 2 must be positive")
     rho = field.radial.points
     rows = [field.radial.nearest_index(r) for r in radii]
-    psi = mode.psi
+    w = grid.quadrature * mode.psi
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are returned
-        data = field.source.project(grid.quadrature * psi) / rho ** field.source_power
+        data = field.source.project(w) / rho ** field.source_power
     I1 = integrate_power_from_zero(rho, 1.0 - sig + field.source_power, data)
     I2 = integrate_power_from_zero(rho, N - 1.0 + sig + field.source_power, data)
+    u_k = field.u.project(w)
     values = []
     for j in rows:
         r = rho[j]
-        u_k = grid.integrate(field.u.rows(j) * psi)
-        values.append(float(r ** (-sig) * u_k + I1[j] / gap - r ** (-gap) * I2[j] / gap))
+        values.append(float(r ** (-sig) * u_k[j] + I1[j] / gap - r ** (-gap) * I2[j] / gap))
     return values
 
 

@@ -105,12 +105,12 @@ def parse_perturbation(spec: str, N: int, sigma: float) -> radial.RadialPerturba
 
 
 def parse_dims(spec: str):
-    """Inclusive range syntax 'a..b' or a single dimension."""
+    """Inclusive range syntax 'a..b' or a single dimension, as a range."""
     bounds = spec.split("..")
     lo, hi = _integer(bounds[0], spec), _integer(bounds[-1], spec)
     if len(bounds) > 2 or hi < lo:
         raise InputError(f"malformed or empty dimension range {spec!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _nonfinite(value) -> bool:
@@ -240,7 +240,10 @@ def cmd_hardy(args) -> int:
 def _hardy_table(args) -> int:
     methods = ["pencil", "bisection"] if args.method == "both" else [args.method]
     rows = []
-    for N in parse_dims(args.dims):  # buffered, deterministic row order
+    dims = parse_dims(args.dims)
+    for N in dims:  # every grid builds before any solve, so an N too large fails at once
+        angular.PolarGrid.build(N, args.grid)
+    for N in dims:  # buffered, deterministic row order
         grid = angular.PolarGrid.build(N, args.grid)
         for method in methods:
             lam_star = hardy.critical_dipole_coupling(N, grid, method, args.sampling)

@@ -63,7 +63,6 @@ class _PencilOperator:
             ) from exc
         self.UT = np.vstack([self.U[1], np.append(self.U[0][1:], 0.0)])
         self.b = b_diag
-        self.size = A.size
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         x = solve_banded((0, 1), self.U, y)        # L^{-T} y = U^{-1} y

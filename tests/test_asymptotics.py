@@ -41,7 +41,7 @@ def parseval_residual(field, modes) -> float:
     """Max over radii of |sum_k phi_k^2 - angular quadrature of u^2|."""
     grid = field.spectrum.grid
     sq = sum(prof.values**2 for _, prof in modes)
-    quad = np.array([grid.integrate(row**2) for row in dense(field.u)])
+    quad = np.array([row**2 @ grid.quadrature for row in dense(field.u)])
     return float(np.max(np.abs(sq - quad)))
 
 
@@ -75,7 +75,7 @@ def integrate_then_project(field, radii, k):
     for j, i1, i2 in zip(rows, I1, I2):
         r = rho[j]
         bracket = r ** (-sig) * u[j] + i1 / gap - r ** (-gap) * i2 / gap
-        values.append(float(grid.integrate(bracket * psi)))
+        values.append(float(bracket * psi @ grid.quadrature))
     return values
 
 
@@ -315,7 +315,7 @@ class TestCauchyFunctional:
         rho = nonradial_field.radial.points
         u = dense(nonradial_field.u)
         proj = np.array([
-            rho[j] ** (-nonradial_field.sigma) * grid.integrate(u[j] * psi1)
+            rho[j] ** (-nonradial_field.sigma) * (u[j] * psi1 @ grid.quadrature)
             for j in range(3)
         ])
         d1, d2 = proj[1] - proj[0], proj[2] - proj[1]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dipolespec import angular
+from dipolespec import angular, hardy
 from dipolespec.cli import build_parser, main, parse_dims
 from pathlib import Path
 
@@ -32,8 +32,8 @@ def validate(payload: str):
 
 class TestParsing:
     def test_dims_range_syntax(self):
-        assert parse_dims("3..6") == [3, 4, 5, 6]
-        assert parse_dims("5") == [5]
+        assert list(parse_dims("3..6")) == [3, 4, 5, 6]
+        assert list(parse_dims("5")) == [5]
 
     @pytest.mark.parametrize(
         "argv",
@@ -233,6 +233,22 @@ class TestHardyTable:
         rows = doc["results"]["rows"]
         assert [r["N"] for r in rows] == [4, 4, 5, 5]
         assert [r["method"] for r in rows] == ["pencil", "bisection"] * 2
+
+    # every grid builds before any solve, so a range that reaches the |S^(N-1)|
+    # overflow fails at once, naming the first N that overflows
+    @pytest.mark.parametrize("argv,M", [
+        (("hardy", "--table", "340..345", "--grid", "100"), 100),
+        (("hardy", "--table", "3..9007199254740992"), 10000),
+    ])
+    def test_too_large_dimension_fails_before_any_solve(self, capsys, monkeypatch, argv, M):
+        def unexpected(*args):
+            raise AssertionError("solved a dimension")
+
+        monkeypatch.delenv("DIPOLESPEC_GRID_M", raising=False)
+        monkeypatch.setattr(hardy, "critical_dipole_coupling", unexpected)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == f"numerical failure: |S^(N-1)| overflows float64 at N = 344 (grid M = {M})\n"
 
     def test_nonpositive_potential_at_default_grid(self, capsys, monkeypatch):
         # ess sup a <= 0: the best constant is 0, whatever the grid
