@@ -31,10 +31,11 @@ def main() -> int:
           f"{'flux pencil':>14}")
     start = time.perf_counter()
     for N in range(args.dims[0], args.dims[1] + 1):
-        grid = PolarGrid.build(N, args.grid)
-        node_p = critical_dipole_coupling(N, grid, "pencil", "node")
-        node_b = critical_dipole_coupling(N, grid, "bisection", "node")
-        flux_p = critical_dipole_coupling(N, grid, "pencil", "flux")
+        node = PolarGrid.build(N, args.grid, "node")
+        flux = PolarGrid.build(N, args.grid, "flux")
+        node_p = critical_dipole_coupling(node, "pencil")
+        node_b = critical_dipole_coupling(node, "bisection")
+        flux_p = critical_dipole_coupling(flux, "pencil")
         classical = (N - 2) ** 2 / 4.0
         print(f"{N:>3} {classical:>12.6g} {node_p:>14.8f} {node_b:>14.8f} "
               f"{flux_p:>14.8f}")

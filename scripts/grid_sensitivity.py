@@ -32,8 +32,8 @@ def eigenvalue_table() -> None:
     for M in (500, 1000, 2000, 4000, 8000):
         row = [M]
         for sampling in ("flux", "node"):
-            grid = PolarGrid.build(3, M)
-            mat = assemble_polar_operator(3, zero, 0, grid, sampling)
+            grid = PolarGrid.build(3, M, sampling)
+            mat = assemble_polar_operator(zero, 0, grid)
             vals = [v for v, _ in polar_eigen(mat, 2)]
             row.extend([vals[0] - 0.0, vals[1] - 2.0])
         print(f"{row[0]:>7} {row[1]:>11.2e} {row[2]:>11.2e} "
@@ -44,8 +44,8 @@ def coupling_table() -> None:
     print("\ncritical dipole coupling at N = 3")
     print(f"{'M':>7} {'flux':>13} {'node':>13}")
     for M in (1000, 2500, 5000, 10000, 20000):
-        flux = critical_dipole_coupling(3, PolarGrid.build(3, M), "pencil", "flux")
-        node = critical_dipole_coupling(3, PolarGrid.build(3, M), "pencil", "node")
+        flux = critical_dipole_coupling(PolarGrid.build(3, M, "flux"), "pencil")
+        node = critical_dipole_coupling(PolarGrid.build(3, M, "node"), "pencil")
         print(f"{M:>7} {flux:>13.8f} {node:>13.8f}")
 
 

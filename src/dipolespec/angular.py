@@ -9,14 +9,15 @@ Each tower is discretized in the transformed variable
 w(t) = psi(t) * sin^{(N-2)/2}(t), which vanishes at both poles, so the
 matrices are symmetric tridiagonal with homogeneous Dirichlet ends.  w stays
 inside the tower solves: modes carry psi, and `PolarGrid` holds the factor
-sin^{(N-2)/2} between the two and the sphere quadrature.  Two treatments of
-the singular sin^{-2} coefficient are provided:
+sin^{(N-2)/2} between the two and the sphere quadrature.  The grid is the
+whole discretization: it fixes N, the node count M and one of two treatments
+of the singular sin^{-2} coefficient, and no solver takes any of them again:
 
 ``flux``
     Coefficients derived from the quadratic form of the weighted problem
     (fluxes of sin^{N-2} at cell midpoints, no flux through the poles).
     Second-order convergent for every N >= 3, and exact on constants:
-    mu_1(a=0) = 0 to rounding.  Default.
+    mu_1(a=0) = 0 to rounding.  Default of `PolarGrid.build`.
 
 ``node``
     The singular coefficient sampled at the nodes.  For N = 3 the m = 0
@@ -90,14 +91,17 @@ def _sin_power_cell_integrals(k: int, edges: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Uniform grid of M interior nodes t_i = i pi/(M+1) on (0, pi).
+    """Uniform grid of M interior nodes t_i = i pi/(M+1) on (0, pi), for S^{N-1}.
 
     Axisymmetric functions on S^{N-1} are sampled as psi at the nodes; the
     tower solves use w = psi * `half_weights`, and int_S f ~ f @ `quadrature`.
+    `sampling` ("flux" or "node") treats the singular coefficient of every
+    operator on the grid; `build` rejects flux where sin^{N-2} underflows.
     """
 
     dim: int
     size: int
+    sampling: str
     nodes: np.ndarray = field(repr=False)
     step: float
     weights: np.ndarray = field(repr=False)       # sin^{N-2}(t_i)
@@ -107,7 +111,9 @@ class PolarGrid:
     area_equator: float   # |S^{N-2}|
 
     @classmethod
-    def build(cls, N: int, M: int) -> "PolarGrid":
+    def build(cls, N: int, M: int, sampling: str = "flux") -> "PolarGrid":
+        if sampling not in SAMPLINGS:
+            raise InputError(f"unknown sampling {sampling!r}, expected one of {SAMPLINGS}")
         if N < 3:
             raise InputError(f"dimension must be >= 3, got {N}")
         if M < 3:
@@ -119,7 +125,10 @@ class PolarGrid:
         h = math.pi / (M + 1)
         t = h * np.arange(1, M + 1)
         weights = np.sin(t) ** (N - 2)
-        return cls(dim=N, size=M, nodes=t, step=h, weights=weights,
+        if sampling == "flux" and np.min(weights[:-1] * weights[1:]) == 0.0:
+            raise ResolutionError(f"flux sampling at N = {N} on M = {M} polar nodes: "
+                                  "sin^(N-2) underflows next to the poles")
+        return cls(dim=N, size=M, sampling=sampling, nodes=t, step=h, weights=weights,
                    half_weights=np.sin(t) ** ((N - 2) / 2.0),
                    quadrature=area_equator * h * weights,
                    area_full=area_full, area_equator=area_equator)
@@ -197,7 +206,7 @@ class TridiagonalMatrix:
 
 
 class PolarTowers:
-    """The tower operators of one (N, potential, grid, sampling), each built once.
+    """The tower operators of one (potential, grid), each built once.
 
     Only the diagonal depends on the azimuthal degree m, through nu_m times
     an m-independent profile.  The sampled potential, the shared
@@ -211,17 +220,13 @@ class PolarTowers:
     directly (mu_1 = 0 for a = 0).
     """
 
-    def __init__(self, N: int, potential: AngularPotential, grid: PolarGrid, sampling: str):
-        if sampling not in SAMPLINGS:
-            raise InputError(f"unknown sampling {sampling!r}, expected one of {SAMPLINGS}")
-        if grid.dim != N:
-            raise InputError(f"grid built for dimension {grid.dim}, requested {N}")
-        self.N, self.grid, self.sampling = N, grid, sampling
+    def __init__(self, potential: AngularPotential, grid: PolarGrid):
+        self.grid = grid
         self._matrices: dict[int, TridiagonalMatrix] = {}
         self.a = potential.sample(grid)
         h = grid.step
         t = grid.nodes
-        if sampling == "node":
+        if grid.sampling == "node":
             self._base = 2.0 / h**2
             self._sin2 = np.sin(t) ** 2
             self.off = np.full(grid.size - 1, -1.0 / h**2)
@@ -232,13 +237,10 @@ class PolarTowers:
         # integrated exactly over cells; both symmetrized by the lumped
         # sin^{N-2} mass.
         tmid = 0.5 * (t[:-1] + t[1:])
-        p = np.sin(tmid) ** (N - 2)
+        p = np.sin(tmid) ** (grid.dim - 2)
         w = grid.weights
         fluxes = np.zeros(grid.size + 1)
         fluxes[1:-1] = p
-        if np.min(w[:-1] * w[1:]) == 0.0:
-            raise ResolutionError(f"flux sampling at N = {N} on M = {grid.size} polar nodes: "
-                                  "sin^(N-2) underflows next to the poles")
         self._base = (fluxes[:-1] + fluxes[1:]) / (h**2 * w)
         self._edges = np.concatenate([[t[0] - h / 2], tmid, [t[-1] + h / 2]])
         self._wh = w * h
@@ -247,7 +249,7 @@ class PolarTowers:
     @cached_property
     def _cells(self) -> np.ndarray:
         """Cell integrals of sin^{N-4}; only the towers m >= 1 need them."""
-        return _sin_power_cell_integrals(self.N - 4, self._edges)
+        return _sin_power_cell_integrals(self.grid.dim - 4, self._edges)
 
     def matrix(self, m: int) -> TridiagonalMatrix:
         """Tower-m operator; eigenvalues approximate the mu_k of that tower."""
@@ -255,9 +257,9 @@ class PolarTowers:
             raise InputError(f"azimuthal degree must be >= 0, got {m}")
         if m in self._matrices:
             return self._matrices[m]
-        N = self.N
+        N = self.grid.dim
         nu = centrifugal_constant(N, m)
-        if self.sampling == "node":
+        if self.grid.sampling == "node":
             beta2 = ((N - 2) / 2.0) ** 2
             d = self._base + ((N - 2) * (N - 4) / 4.0 + nu) / self._sin2 - beta2 - self.a
         else:
@@ -268,14 +270,12 @@ class PolarTowers:
 
 
 def assemble_polar_operator(
-    N: int,
     potential: AngularPotential,
     m: int,
     grid: PolarGrid,
-    sampling: str = "flux",
 ) -> TridiagonalMatrix:
     """Discrete tower-m operator in the w coordinate (see `PolarTowers`)."""
-    return PolarTowers(N, potential, grid, sampling).matrix(m)
+    return PolarTowers(potential, grid).matrix(m)
 
 
 def count_at_most(matrix: TridiagonalMatrix, x: float, solver=None) -> int:
@@ -355,7 +355,6 @@ class AngularSpectrum:
     potential: AngularPotential
     modes: tuple
     axial: TridiagonalMatrix = field(repr=False)  # the m = 0 operator that was solved
-    sampling: str = "flux"
 
     @property
     def m0_rounding(self) -> float:  # eps ||T_0||_1, the rounding in the m = 0 eigenvalues
@@ -417,7 +416,7 @@ def _count_from(towers: PolarTowers, first: int, x: float, limit: int) -> int:
         count = count_at_most(mat, x)
         if count == 0:
             return total
-        total += harmonic_multiplicity(towers.N, m) * count
+        total += harmonic_multiplicity(towers.grid.dim, m) * count
         if total > limit:
             return total
 
@@ -471,24 +470,22 @@ def _axial_modes(grid: PolarGrid, pairs) -> list[AngularMode]:
     return modes
 
 
-def _axial_solve(N: int, potential: AngularPotential, K: int, grid: PolarGrid, sampling: str):
+def _axial_solve(potential: AngularPotential, K: int, grid: PolarGrid):
     """(towers, hi, the m = 0 `polar_eigen` pairs up to hi): what both spectra share."""
     if K < 1:
         raise InputError(f"K must be >= 1, got {K}")
     if K > grid.size:
         raise ResolutionError(f"K={K} exceeds what the grid resolves per tower (M={grid.size})")
-    towers = PolarTowers(N, potential, grid, sampling)
+    towers = PolarTowers(potential, grid)
     hi = _bracket(towers, K)
     axial = towers.matrix(0)
     return towers, hi, polar_eigen(axial, count_at_most(axial, hi))
 
 
 def full_spectrum(
-    N: int,
     potential: AngularPotential,
     K: int,
     grid: PolarGrid,
-    sampling: str = "flux",
 ) -> AngularSpectrum:
     """Merge azimuthal towers until K flattened eigenvalues are safely collected.
 
@@ -508,7 +505,8 @@ def full_spectrum(
     value probe up to hi, at LAPACK's tolerance (about eps * ||T_m||), and
     carries no profile.  The K-th of the merged values is the cutoff.
     """
-    towers, hi, pairs = _axial_solve(N, potential, K, grid, sampling)
+    N = grid.dim
+    towers, hi, pairs = _axial_solve(potential, K, grid)
     probed = _value_probes(towers, hi)
     flat = np.sort(np.concatenate(
         [[mu for mu, _ in pairs]]
@@ -525,15 +523,13 @@ def full_spectrum(
                   for m, vals in enumerate(probed, 1) for mu in vals[vals <= cutoff]]
     collected.sort(key=lambda md: (md.mu, md.m))
     return AngularSpectrum(grid=grid, potential=potential, modes=tuple(collected),
-                           axial=towers.matrix(0), sampling=sampling)
+                           axial=towers.matrix(0))
 
 
 def axisymmetric_spectrum(
-    N: int,
     potential: AngularPotential,
     K: int,
     grid: PolarGrid,
-    sampling: str = "flux",
 ) -> AngularSpectrum:
     """The m = 0 modes among the K lowest flattened eigenvalues, without the values of m >= 1.
 
@@ -546,7 +542,7 @@ def axisymmetric_spectrum(
     bisection over j.  The result's `modes` are the m = 0 tower alone, so
     its `flattened()` is not the sphere spectrum.
     """
-    towers, _, pairs = _axial_solve(N, potential, K, grid, sampling)
+    towers, _, pairs = _axial_solve(potential, K, grid)
     lo, top = 0, len(pairs)
     while lo < top:
         j = (lo + top + 1) // 2
@@ -558,7 +554,7 @@ def axisymmetric_spectrum(
         raise EigenSolveError("ground mode did not come from the m = 0 tower")
     modes = tuple(_axial_modes(grid, pairs[:lo]))
     return AngularSpectrum(grid=grid, potential=potential, modes=modes,
-                           axial=towers.matrix(0), sampling=sampling)
+                           axial=towers.matrix(0))
 
 
 def _sup_ratios(spectrum: AngularSpectrum):

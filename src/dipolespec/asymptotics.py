@@ -102,7 +102,6 @@ def synthesize_solution(modes, spectrum: AngularSpectrum) -> SolutionField:
 
 
 def manufactured_nonradial(
-    N: int,
     spectrum: AngularSpectrum,
     eps: float,
     g: np.ndarray,
@@ -122,14 +121,12 @@ def manufactured_nonradial(
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
     pgrid = spectrum.grid
-    if pgrid.dim != N:
-        raise InputError("spectrum dimension mismatch")
     g = np.asarray(g, dtype=float)
     if g.shape != pgrid.nodes.shape:
         raise InputError("g must be sampled on the polar grid nodes")
     rho = grid.points
     mu1 = spectrum.mu_1
-    exps = sigma_pair(N, mu1)
+    exps = sigma_pair(pgrid.dim, mu1)
     sig = exps.sigma_plus
     psi1 = spectrum.psi_1.psi
 
@@ -277,7 +274,7 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
     c_bound, eps = field.q_bound, field.defect_power
     grid = spectrum.grid
     N = grid.dim
-    lam = hardy.lambda_n(N, spectrum.potential, grid, spectrum.sampling).lambda_n
+    lam = hardy.lambda_n(spectrum.potential, grid).lambda_n
     r_adm = hardy.admissible_radius(N, lam, c_bound, eps)
     r = fraction * min(r_adm, field.radial.r_out)
     rho = field.radial.points

@@ -200,9 +200,9 @@ def _fields(result, *drop) -> dict:
 
 
 def cmd_spectrum(args) -> int:
-    grid = angular.PolarGrid.build(args.dim, args.grid)
+    grid = angular.PolarGrid.build(args.dim, args.grid, args.sampling)
     potential = parse_potential(args.potential, grid)
-    spec = angular.full_spectrum(args.dim, potential, args.count, grid, args.sampling)
+    spec = angular.full_spectrum(potential, args.count, grid)
     flat = spec.flattened()[: args.count]
     rows = [(k + 1, mu) for k, mu in enumerate(flat)]
     results = {
@@ -227,9 +227,9 @@ def cmd_spectrum(args) -> int:
 def cmd_hardy(args) -> int:
     if args.dims is not None:
         return _hardy_table(args)
-    grid = angular.PolarGrid.build(args.dim, args.grid)
+    grid = angular.PolarGrid.build(args.dim, args.grid, args.sampling)
     potential = parse_potential(args.potential, grid)
-    res = hardy.lambda_n(args.dim, potential, grid, args.sampling)
+    res = hardy.lambda_n(potential, grid)
     # the maximizer is axisymmetric, see the hardy module docstring
     results = {**_fields(res), "maximizer_tower": 0}
     rows = [(res.lambda_n, res.critical_coupling, 0)]
@@ -242,11 +242,11 @@ def _hardy_table(args) -> int:
     rows = []
     dims = parse_dims(args.dims)
     for N in dims:  # every grid builds before any solve, so an N too large fails at once
-        angular.PolarGrid.build(N, args.grid)
+        angular.PolarGrid.build(N, args.grid, args.sampling)
     for N in dims:  # buffered, deterministic row order
-        grid = angular.PolarGrid.build(N, args.grid)
+        grid = angular.PolarGrid.build(N, args.grid, args.sampling)
         for method in methods:
-            lam_star = hardy.critical_dipole_coupling(N, grid, method, args.sampling)
+            lam_star = hardy.critical_dipole_coupling(grid, method)
             rows.append((N, (N - 2) ** 2 / 4.0, lam_star, method, args.grid))
     header = "N,classical,dipole_inverse_lambda,method,grid"
     _emit_doc(args, {}, header, rows, command="hardy-table", records="rows")
@@ -298,9 +298,9 @@ def _solution_field(args, scenario: str, k: int = 1):
     the m = 0 modes among the --modes lowest sphere eigenvalues; the
     nonradial one needs two of them.
     """
-    grid = angular.PolarGrid.build(args.dim, args.grid)
+    grid = angular.PolarGrid.build(args.dim, args.grid, args.sampling)
     potential = parse_potential(args.potential, grid)
-    spec = angular.axisymmetric_spectrum(args.dim, potential, args.modes, grid, args.sampling)
+    spec = angular.axisymmetric_spectrum(potential, args.modes, grid)
     need = 2 if scenario == "manufactured-nonradial" else k
     if need > len(spec.modes):
         raise InputError(f"mode {need} needs a larger --modes: the {args.modes} lowest sphere "
@@ -308,7 +308,7 @@ def _solution_field(args, scenario: str, k: int = 1):
     rgrid = radial.RadialGrid.geometric(args.points, args.rmin, 1.0)
     if scenario == "manufactured-nonradial":
         g = args.gscale * spec.axisymmetric_mode(2).psi
-        return asymptotics.manufactured_nonradial(args.dim, spec, args.eps, g, rgrid)
+        return asymptotics.manufactured_nonradial(spec, args.eps, g, rgrid)
     mode = spec.axisymmetric_mode(k)
     sk = sigma_pair(args.dim, mode.mu).sigma_plus
     pert = radial.RadialPerturbation.manufactured(args.beta, sk, args.dim)

@@ -16,7 +16,8 @@ the coupling for the first sphere eigenvalue crossing -((N-2)/2)^2.  At the
 discrete level both characterize the same singularity of A - lambda B, so
 they agree to solver tolerance on a common grid.
 
-Deterministic throughout: the pencil is solved by Lanczos iteration on
+Every solve reads N and the sampling from its `PolarGrid`.  Deterministic
+throughout: the pencil is solved by Lanczos iteration on
 L^{-1} B L^{-T} (A = L L^T banded Cholesky) started from the normalized
 all-ones vector with full reorthogonalization.
 """
@@ -109,10 +110,8 @@ class HardyResult:
 
 
 def lambda_n(
-    N: int,
     potential: AngularPotential,
     grid: PolarGrid,
-    sampling: str = "flux",
 ) -> HardyResult:
     """Best constant Lambda_N(a): the largest value of one pencil, the m = 0 tower's.
 
@@ -127,7 +126,7 @@ def lambda_n(
         return HardyResult(lambda_n=0.0, critical_coupling=None, nonpositive=True)
     # A = (discrete m = 0 tower operator at a = 0) + ((N-2)/2)^2 I
     zero = AngularPotential.constant(0.0)
-    A = assemble_polar_operator(N, zero, 0, grid, sampling).shifted(((N - 2) / 2.0) ** 2)
+    A = assemble_polar_operator(zero, 0, grid).shifted(((grid.dim - 2) / 2.0) ** 2)
     # Lambda is homogeneous of degree 1 in a; Lanczos stops on absolute
     # thresholds, so it runs on a / ess sup a and the value is scaled back
     best = _lanczos_largest(_PencilOperator(A, a_samples / potential.ess_sup), A.size)
@@ -139,10 +138,8 @@ def lambda_n(
 
 
 def critical_dipole_coupling(
-    N: int,
     grid: PolarGrid,
     method: str = "pencil",
-    sampling: str = "flux",
 ) -> float:
     """Coupling lambda* at which the dipole quadratic form loses positivity.
 
@@ -157,17 +154,16 @@ def critical_dipole_coupling(
     enters the diagonal only, as -lam cos t: the zero-potential tower is
     assembled once, and each step's shift of it is the assembled tower bit for bit.
     """
-    if N < 3:
-        raise InputError(f"dimension must be >= 3, got {N}")
     if method == "pencil":
-        res = lambda_n(N, AngularPotential.dipole(1.0), grid, sampling)
-        if res.lambda_n <= 0:
+        res = lambda_n(AngularPotential.dipole(1.0), grid)
+        if res.critical_coupling is None:
             raise EigenSolveError("pencil returned a nonpositive best constant")
-        return 1.0 / res.lambda_n
+        return res.critical_coupling
     if method != "bisection":
         raise InputError(f"unknown method {method!r}")
+    N = grid.dim
     target = -(((N - 2) / 2.0) ** 2)
-    free = assemble_polar_operator(N, AngularPotential.constant(0.0), 0, grid, sampling)
+    free = assemble_polar_operator(AngularPotential.constant(0.0), 0, grid)
     cos_t = np.cos(grid.nodes)
 
     def positive(lam: float) -> bool:

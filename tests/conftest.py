@@ -13,13 +13,13 @@ from dipolespec.radial import RadialGrid
 def dipole3_spectrum():
     """N=3 dipole at unit coupling, enough modes for field work."""
     grid = PolarGrid.build(3, 800)
-    return full_spectrum(3, AngularPotential.dipole(1.0), 40, grid)
+    return full_spectrum(AngularPotential.dipole(1.0), 40, grid)
 
 
 @pytest.fixture(scope="session")
 def free3_spectrum():
     grid = PolarGrid.build(3, 600)
-    return full_spectrum(3, AngularPotential.constant(0.0), 60, grid)
+    return full_spectrum(AngularPotential.constant(0.0), 60, grid)
 
 
 @pytest.fixture(scope="session")

@@ -50,8 +50,8 @@ def table_couplings():
     start = time.perf_counter()
     values = {}
     for N in sorted(REFERENCE_INVERSE_COUPLINGS):
-        grid = PolarGrid.build(N, TABLE_GRID)
-        values[N] = critical_dipole_coupling(N, grid, "pencil", sampling="node")
+        grid = PolarGrid.build(N, TABLE_GRID, "node")
+        values[N] = critical_dipole_coupling(grid, "pencil")
     return values, time.perf_counter() - start
 
 
@@ -74,8 +74,8 @@ def test_criterion_02_route_agreement(table_couplings):
     values, _ = table_couplings
     worst = 0.0
     for N, pencil in values.items():
-        grid = PolarGrid.build(N, TABLE_GRID)
-        bisect = critical_dipole_coupling(N, grid, "bisection", sampling="node")
+        grid = PolarGrid.build(N, TABLE_GRID, "node")
+        bisect = critical_dipole_coupling(grid, "bisection")
         worst = max(worst, abs(pencil - bisect) / pencil)
     report(2, worst < 1e-5,
            f"pencil vs bisection over eight dimensions: worst rel {worst:.2e} (tol 1e-5)")
@@ -88,7 +88,7 @@ def test_criterion_03_constant_potential_spectra():
     for N in (3, 4):
         grid = PolarGrid.build(N, M)
         for kappa in (0.0, 1.0):
-            spec = full_spectrum(N, AngularPotential.constant(kappa), 10, grid)
+            spec = full_spectrum(AngularPotential.constant(kappa), 10, grid)
             flat = spec.flattened()[:10]
             expected = []
             l = 0
@@ -109,7 +109,7 @@ def test_criterion_04_ground_mode_checks():
     ok = True
     details = []
     for lam in (0.5, 1.0):
-        spec = full_spectrum(3, AngularPotential.dipole(lam), 5, grid)
+        spec = full_spectrum(AngularPotential.dipole(lam), 5, grid)
         flat = spec.flattened()
         gap = flat[1] - flat[0]
         positive = bool(np.all(spec.psi_1.psi > 0))
@@ -124,7 +124,7 @@ def test_criterion_05_counting_exponent():
     details = []
     for N in (3, 4):
         grid = PolarGrid.build(N, 1200)
-        spec = full_spectrum(N, AngularPotential.constant(0.0), 500, grid)
+        spec = full_spectrum(AngularPotential.constant(0.0), 500, grid)
         fit = weyl_fit(spec)
         target = 2.0 / (N - 1)
         rel = abs(fit.exponent - target) / target
@@ -164,7 +164,7 @@ def test_criterion_06_radial_oracle():
 @pytest.fixture(scope="module")
 def acceptance_spectrum():
     grid = PolarGrid.build(3, 800)
-    return full_spectrum(3, AngularPotential.dipole(1.0), 40, grid)
+    return full_spectrum(AngularPotential.dipole(1.0), 40, grid)
 
 
 def test_criterion_07_radius_independence(acceptance_spectrum):
@@ -178,7 +178,7 @@ def test_criterion_07_radius_independence(acceptance_spectrum):
     field_r = synthesize_solution([(1, prof)], spec)
 
     g = 0.3 * spec.axisymmetric_mode(2).psi
-    field_n = manufactured_nonradial(3, spec, 1.0, g, rgrid)
+    field_n = manufactured_nonradial(spec, 1.0, g, rgrid)
 
     ok = True
     details = []
@@ -214,12 +214,12 @@ def test_criterion_09_sandwich(acceptance_spectrum):
     spec = acceptance_spectrum
     rgrid = RadialGrid.geometric(400, 1e-8, 1.0)
     g = 0.3 * spec.axisymmetric_mode(2).psi
-    field = manufactured_nonradial(3, spec, 1.0, g, rgrid)
-    lam = lambda_n(3, spec.potential, spec.grid).lambda_n
+    field = manufactured_nonradial(spec, 1.0, g, rgrid)
+    lam = lambda_n(spec.potential, spec.grid).lambda_n
     r_adm = admissible_radius(3, lam, field.q_bound, 1.0)
     rep = sandwich_check(field, 0.5)
 
-    zero_field = manufactured_nonradial(3, spec, 1.0, np.zeros(spec.grid.size), rgrid)
+    zero_field = manufactured_nonradial(spec, 1.0, np.zeros(spec.grid.size), rgrid)
     rep0 = sandwich_check(zero_field, 0.3)
     # at q = 0 sub- and supersolution are one reconstruction: ordered is the collapse
     ok = rep.ordered and rep0.ordered and rep.admissible_radius == r_adm

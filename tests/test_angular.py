@@ -35,17 +35,18 @@ def exact_sphere_eigs(N, lmax):
     return [l * (l + N - 2.0) for l in range(lmax + 1)]
 
 
-def exhaustive_merge(N, potential, K, grid, sampling):
+def exhaustive_merge(potential, K, grid):
     """Reference tower merge: every tower is asked for its K lowest values.
 
     Towers are scanned until one's bottom exceeds the K-th flattened value of
     the towers before it; each keeps its values up to the final K-th value.
     Returns (matrix, kept values) per scanned tower, indexed by m.
     """
+    N = grid.dim
     towers, flat = [], []
     m = 0
     while True:
-        mat = assemble_polar_operator(N, potential, m, grid, sampling)
+        mat = assemble_polar_operator(potential, m, grid)
         vals = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, K - 1))
         if m > 0 and vals[0] > sorted(flat)[K - 1]:
             break
@@ -56,14 +57,15 @@ def exhaustive_merge(N, potential, K, grid, sampling):
     return [(mat, vals[vals <= cutoff]) for mat, vals in towers]
 
 
-def reference_operator(N, potential, m, grid, sampling):
+def reference_operator(potential, m, grid):
     """The tower-m operator written out in one piece, as the shared assembly must build it."""
+    N = grid.dim
     h = grid.step
     t = grid.nodes
     a = potential.sample(grid)
     nu = m * (m + N - 3)
     beta2 = ((N - 2) / 2.0) ** 2
-    if sampling == "node":
+    if grid.sampling == "node":
         d = 2.0 / h**2 + ((N - 2) * (N - 4) / 4.0 + nu) / np.sin(t) ** 2 - beta2 - a
         return d, np.full(grid.size - 1, -1.0 / h**2)
     tmid = 0.5 * (t[:-1] + t[1:])
@@ -106,9 +108,9 @@ COUPLINGS = st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)
 
 @st.composite
 def spectrum_cases(draw, kinds=("constant", "dipole", "tabulated"), samplings=("flux", "node")):
-    """(N, potential, K, grid, sampling) with N in 3..5, M <= 401 and K <= 60."""
+    """(potential, K, grid) with N in 3..5, M <= 401, K <= 60, and the grid's sampling drawn."""
     N = draw(st.sampled_from([3, 4, 5]))
-    grid = PolarGrid.build(N, draw(st.integers(60, 401)))
+    grid = PolarGrid.build(N, draw(st.integers(60, 401)), draw(st.sampled_from(samplings)))
     kind, c1, c2 = draw(st.sampled_from(kinds)), draw(COUPLINGS), draw(COUPLINGS)
     if kind == "constant":
         potential = AngularPotential.constant(c1)
@@ -117,7 +119,7 @@ def spectrum_cases(draw, kinds=("constant", "dipole", "tabulated"), samplings=("
     else:
         t = grid.nodes
         potential = AngularPotential.tabulated(c1 * np.cos(t) + c2 * np.cos(2 * t), grid)
-    return N, potential, draw(st.integers(1, 60)), grid, draw(st.sampled_from(samplings))
+    return potential, draw(st.integers(1, 60)), grid
 
 
 class TestPolarGrid:
@@ -153,6 +155,17 @@ class TestPolarGrid:
     def test_sphere_area_overflow_is_a_resolution_error(self):
         with pytest.raises(ResolutionError, match="N = 344"):
             PolarGrid.build(344, 100)
+
+    def test_flux_underflow_is_a_resolution_error(self):
+        with pytest.raises(ResolutionError, match="N = 60 on M = 10000"):
+            PolarGrid.build(60, 10000)
+
+    def test_node_sampling_has_no_flux_limit(self):
+        assert PolarGrid.build(60, 10000, "node").sampling == "node"
+
+    def test_rejects_unknown_sampling(self):
+        with pytest.raises(InputError):
+            PolarGrid.build(3, 50, "exotic")
 
 
 class TestPotential:
@@ -196,41 +209,39 @@ class TestAssemble:
     def test_free_ground_state_is_zero(self):
         # constant eigenfunction of the sphere Laplacian
         g = PolarGrid.build(3, 300)
-        mat = assemble_polar_operator(3, AngularPotential.constant(0.0), 0, g)
+        mat = assemble_polar_operator(AngularPotential.constant(0.0), 0, g)
         mu1 = polar_eigen(mat, 1)[0][0]
         assert abs(mu1) < 10 * g.step**2
 
     def test_constant_potential_shifts_ground_state(self):
         g = PolarGrid.build(4, 400)
-        mat = assemble_polar_operator(4, AngularPotential.constant(2.5), 0, g)
+        mat = assemble_polar_operator(AngularPotential.constant(2.5), 0, g)
         mu1 = polar_eigen(mat, 1)[0][0]
         assert mu1 == pytest.approx(-2.5, abs=10 * g.step**2)
 
     def test_first_azimuthal_tower(self):
         g = PolarGrid.build(3, 400)
-        mat = assemble_polar_operator(3, AngularPotential.constant(0.0), 1, g)
+        mat = assemble_polar_operator(AngularPotential.constant(0.0), 1, g)
         mu = polar_eigen(mat, 1)[0][0]
         assert mu == pytest.approx(2.0, abs=10 * g.step**2)
 
     def test_symmetry_and_errors(self):
         g = PolarGrid.build(3, 50)
         a = AngularPotential.dipole(1.0)
-        mat = assemble_polar_operator(3, a, 0, g)
+        mat = assemble_polar_operator(a, 0, g)
         assert mat.off.size == mat.diag.size - 1
         with pytest.raises(InputError):
-            assemble_polar_operator(3, a, -1, g)
-        with pytest.raises(InputError):
-            assemble_polar_operator(3, a, 0, g, sampling="exotic")
+            assemble_polar_operator(a, -1, g)
         bad = AngularPotential.tabulated(np.ones(50), g)
         with pytest.raises(InputError):
-            assemble_polar_operator(3, bad, 0, PolarGrid.build(3, 51))
+            assemble_polar_operator(bad, 0, PolarGrid.build(3, 51))
 
     @pytest.mark.parametrize("sampling", ["flux", "node"])
     def test_constant_shift_is_exact(self, sampling):
         # matrices differ by kappa * identity, so every eigenvalue shifts
-        g = PolarGrid.build(5, 300)
-        m0 = assemble_polar_operator(5, AngularPotential.constant(0.0), 0, g, sampling)
-        m1 = assemble_polar_operator(5, AngularPotential.constant(1.0), 0, g, sampling)
+        g = PolarGrid.build(5, 300, sampling)
+        m0 = assemble_polar_operator(AngularPotential.constant(0.0), 0, g)
+        m1 = assemble_polar_operator(AngularPotential.constant(1.0), 0, g)
         v0 = [v for v, _ in polar_eigen(m0, 6)]
         v1 = [v for v, _ in polar_eigen(m1, 6)]
         assert np.allclose(np.array(v1), np.array(v0) - 1.0, atol=1e-10)
@@ -240,7 +251,7 @@ class TestAssemble:
         errs = []
         for M in (200, 400, 800):
             g = PolarGrid.build(3, M)
-            mat = assemble_polar_operator(3, AngularPotential.constant(0.0), 0, g)
+            mat = assemble_polar_operator(AngularPotential.constant(0.0), 0, g)
             errs.append(abs(polar_eigen(mat, 2)[1][0] - 2.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
@@ -250,7 +261,7 @@ class TestAssemble:
         # the centrifugal cell integrals must stay positive near the poles;
         # naive antiderivative differences cancel catastrophically here
         g = PolarGrid.build(N, 10000)
-        mat = assemble_polar_operator(N, AngularPotential.constant(0.0), m, g)
+        mat = assemble_polar_operator(AngularPotential.constant(0.0), m, g)
         assert np.all(mat.diag > 0)
         bottom = polar_eigen(mat, 1)[0][0]
         assert bottom == pytest.approx(m * (m + N - 2.0), rel=1e-6)
@@ -308,7 +319,7 @@ class TestPolarTowers:
         sampling=st.sampled_from(["flux", "node"]),
     )
     def test_bit_identical_to_the_one_piece_formula(self, N, M, kind, c1, c2, sampling):
-        grid = PolarGrid.build(N, M)
+        grid = PolarGrid.build(N, M, sampling)
         if kind == "constant":
             potential = AngularPotential.constant(c1)
         elif kind == "dipole":
@@ -316,17 +327,17 @@ class TestPolarTowers:
         else:
             t = grid.nodes
             potential = AngularPotential.tabulated(c1 * np.cos(t) + c2 * np.cos(2 * t), grid)
-        towers = PolarTowers(N, potential, grid, sampling)
+        towers = PolarTowers(potential, grid)
         for m in range(11):
-            d, e = reference_operator(N, potential, m, grid, sampling)
-            for mat in (towers.matrix(m), assemble_polar_operator(N, potential, m, grid, sampling)):
+            d, e = reference_operator(potential, m, grid)
+            for mat in (towers.matrix(m), assemble_polar_operator(potential, m, grid)):
                 assert np.array_equal(bits(mat.diag), bits(d))
                 assert np.array_equal(bits(mat.off), bits(e))
                 assert mat.step == grid.step
 
     def test_towers_share_the_off_diagonal(self):
         grid = PolarGrid.build(4, 50)
-        towers = PolarTowers(4, AngularPotential.dipole(1.0), grid, "flux")
+        towers = PolarTowers(AngularPotential.dipole(1.0), grid)
         assert towers.matrix(0).off is towers.matrix(3).off
         with pytest.raises(InputError):
             towers.matrix(-1)
@@ -340,13 +351,13 @@ class TestPolarEigen:
 
     def test_free_sphere_values(self):
         g = PolarGrid.build(3, 500)
-        mat = assemble_polar_operator(3, AngularPotential.constant(0.0), 0, g)
+        mat = assemble_polar_operator(AngularPotential.constant(0.0), 0, g)
         vals = [v for v, _ in polar_eigen(mat, 3)]
         assert vals == pytest.approx([0.0, 2.0, 6.0], abs=5e-4)
 
     def test_deterministic(self):
         g = PolarGrid.build(3, 200)
-        mat = assemble_polar_operator(3, AngularPotential.dipole(1.0), 0, g)
+        mat = assemble_polar_operator(AngularPotential.dipole(1.0), 0, g)
         a = polar_eigen(mat, 4)
         b = polar_eigen(mat, 4)
         for (va, xa), (vb, xb) in zip(a, b):
@@ -355,7 +366,7 @@ class TestPolarEigen:
 
     def test_orthonormal_step_weighted(self):
         g = PolarGrid.build(4, 150)
-        mat = assemble_polar_operator(4, AngularPotential.dipole(0.7), 0, g)
+        mat = assemble_polar_operator(AngularPotential.dipole(0.7), 0, g)
         pairs = polar_eigen(mat, 3)
         for i, (_, vi) in enumerate(pairs):
             assert vi[np.flatnonzero(vi)[0]] > 0
@@ -382,14 +393,14 @@ class TestFullSpectrum:
 
     def test_n4_flattened_structure(self):
         g = PolarGrid.build(4, 300)
-        s = full_spectrum(4, AngularPotential.constant(0.0), 14, g)
+        s = full_spectrum(AngularPotential.constant(0.0), 14, g)
         flat = s.flattened()[:14]
         expect = [0.0] + [3.0] * 4 + [8.0] * 9
         assert flat == pytest.approx(expect, abs=5e-3)
 
     def test_constant_potential_ground(self):
         g = PolarGrid.build(4, 300)
-        s = full_spectrum(4, AngularPotential.constant(1.0), 1, g)
+        s = full_spectrum(AngularPotential.constant(1.0), 1, g)
         assert s.mu_1 == pytest.approx(-1.0, abs=1e-9)
 
     def test_dipole_ground_bounds(self, dipole3_spectrum):
@@ -409,13 +420,13 @@ class TestFullSpectrum:
     def test_resolution_error(self):
         g = PolarGrid.build(3, 20)
         with pytest.raises(ResolutionError):
-            full_spectrum(3, AngularPotential.constant(0.0), 21, g)
+            full_spectrum(AngularPotential.constant(0.0), 21, g)
 
     def test_mu1_monotone_in_coupling(self):
         g = PolarGrid.build(3, 300)
         mus = []
         for lam in (0.0, 0.5, 1.0, 1.5, 2.0):
-            s = full_spectrum(3, AngularPotential.dipole(lam), 1, g)
+            s = full_spectrum(AngularPotential.dipole(lam), 1, g)
             mus.append(s.mu_1)
         assert all(b <= a + 1e-12 for a, b in zip(mus, mus[1:]))
 
@@ -430,9 +441,10 @@ class TestFullSpectrum:
     @settings(max_examples=60, deadline=None)
     @given(case=spectrum_cases())
     def test_matches_exhaustive_merge(self, case):
-        N, potential, K, grid, sampling = case
-        spec = full_spectrum(N, potential, K, grid, sampling)
-        ref = exhaustive_merge(N, potential, K, grid, sampling)
+        potential, K, grid = case
+        N = grid.dim
+        spec = full_spectrum(potential, K, grid)
+        ref = exhaustive_merge(potential, K, grid)
         want = [(m, harmonic_multiplicity(N, m)) for m, (_, vals) in enumerate(ref) for _ in vals]
         assert sorted((md.m, md.multiplicity) for md in spec.modes) == sorted(want)
         # value-range and index-range bisection agree to LAPACK's tolerance
@@ -450,8 +462,8 @@ class TestFullSpectrum:
     @settings(max_examples=40, deadline=None)
     @given(case=spectrum_cases())
     def test_merge_invariants(self, case):
-        N, potential, K, grid, sampling = case
-        spec = full_spectrum(N, potential, K, grid, sampling)
+        potential, K, grid = case
+        spec = full_spectrum(potential, K, grid)
         towers = sorted({md.m for md in spec.modes})
         assert towers == list(range(len(towers)))
         bottoms = [spec.tower(m)[0].mu for m in towers]
@@ -485,8 +497,8 @@ class TestFullSpectrum:
         monkeypatch.setattr(angular, "eigh_tridiagonal", counting_vectors)
         grid = PolarGrid.build(3, 1200)
         potential = AngularPotential.constant(0.0)
-        spec = full_spectrum(3, potential, K, grid)
-        axial = assemble_polar_operator(3, potential, 0, grid)
+        spec = full_spectrum(potential, K, grid)
+        axial = assemble_polar_operator(potential, 0, grid)
 
         assert sum(vals.size for *_, vals in value_probes) < 300
         # the m = 0 tower: one tight vector solve of its values up to the
@@ -520,7 +532,7 @@ class TestFullSpectrum:
         monkeypatch.setattr(angular, "eigvalsh_tridiagonal", lambda *a, **k: calls.append(k))
         monkeypatch.setattr(angular, "eigh_tridiagonal", lambda *a, **k: calls.append(k))
         with pytest.raises(ResolutionError, match="float64 cannot resolve"):
-            full_spectrum(3, potential, 5, PolarGrid.build(3, 2000))
+            full_spectrum(potential, 5, PolarGrid.build(3, 2000))
         assert calls == []
 
     @pytest.mark.parametrize("sampling,solve", [
@@ -530,8 +542,8 @@ class TestFullSpectrum:
         pytest.param("node", axisymmetric_spectrum, id="node-axisymmetric_spectrum"),
     ])
     def test_m0_values_do_not_depend_on_the_count(self, sampling, solve):
-        grid = PolarGrid.build(3, 2000)
-        towers = {K: solve(3, AngularPotential.dipole(1.0), K, grid, sampling).tower(0)
+        grid = PolarGrid.build(3, 2000, sampling)
+        towers = {K: solve(AngularPotential.dipole(1.0), K, grid).tower(0)
                   for K in (5, 20, 80, 200)}
         eps = np.finfo(float).eps
         for K, tower in towers.items():
@@ -545,11 +557,10 @@ class TestAxisymmetricSpectrum:
     # a near tie: mu_9 = 72.0017266 of the m = 0 tower sits just above tower
     # 1's 72.0016462, the K-th flattened value, and a Sturm count of tower 0
     # at mu_9 itself returns 8, not 9
-    @example(case=(3, AngularPotential.dipole(1.0), 80, PolarGrid.build(3, 10000), "flux"))
+    @example(case=(AngularPotential.dipole(1.0), 80, PolarGrid.build(3, 10000)))
     def test_matches_the_m0_tower_of_the_merge(self, case):
-        N, potential, K, grid, sampling = case
-        want = full_spectrum(N, potential, K, grid, sampling).tower(0)
-        got = axisymmetric_spectrum(N, potential, K, grid, sampling)
+        want = full_spectrum(*case).tower(0)
+        got = axisymmetric_spectrum(*case)
         assert len(got.modes) == len(want)
         assert all(md.m == 0 and md.multiplicity == 1 for md in got.modes)
         assert np.array_equal(bits([md.mu for md in got.modes]), bits([md.mu for md in want]))
@@ -559,14 +570,14 @@ class TestAxisymmetricSpectrum:
     def test_near_tie_keeps_what_the_merge_keeps(self):
         grid = PolarGrid.build(3, 10000)
         potential = AngularPotential.dipole(1.0)
-        full = full_spectrum(3, potential, 80, grid)
-        spec = axisymmetric_spectrum(3, potential, 80, grid)
+        full = full_spectrum(potential, 80, grid)
+        spec = axisymmetric_spectrum(potential, 80, grid)
         assert len(spec.modes) == len(full.tower(0)) == 8
         mu9 = polar_eigen(spec.axial, 9)[8][0]
         cutoff = full.flattened()[79]
         assert spec.modes[-1].mu < cutoff < mu9 < cutoff + 1e-3
         # the keep rule's tower-0 term is the index j = 9, which rejects mu_9
-        towers = PolarTowers(3, potential, grid, "flux")
+        towers = PolarTowers(potential, grid)
         assert 9 + sum(harmonic_multiplicity(3, m) * count_at_most(towers.matrix(m), mu9)
                        for m in range(1, 12)) == 81
 
@@ -589,7 +600,7 @@ class TestAxisymmetricSpectrum:
                 return mat
 
         monkeypatch.setattr(angular, "PolarTowers", Counting)
-        solve(4, AngularPotential.dipole(1.0), 30, PolarGrid.build(4, 400))
+        solve(AngularPotential.dipole(1.0), 30, PolarGrid.build(4, 400))
         assert len(builds) == 1
         ms = [m for m, _ in matrices]
         assert 0 in ms and len(ms) == len(set(ms))
@@ -597,7 +608,7 @@ class TestAxisymmetricSpectrum:
     @pytest.mark.parametrize("K,error", [(0, InputError), (801, ResolutionError)])
     def test_count_out_of_range(self, K, error):
         with pytest.raises(error):
-            axisymmetric_spectrum(3, AngularPotential.dipole(1.0), K, PolarGrid.build(3, 800))
+            axisymmetric_spectrum(AngularPotential.dipole(1.0), K, PolarGrid.build(3, 800))
 
 
 class TestMu1Bounds:
@@ -609,7 +620,7 @@ class TestMu1Bounds:
 
     def test_n5_strong_coupling(self):
         g = PolarGrid.build(5, 400)
-        s = full_spectrum(5, AngularPotential.dipole(2.0), 1, g)
+        s = full_spectrum(AngularPotential.dipole(2.0), 1, g)
         assert -s.potential.ess_sup < s.mu_1 < -sphere_mean(s.potential, g)
 
     # flux sampling is exact on constants (mu_1 = -kappa), which the discrete
@@ -652,7 +663,7 @@ class TestSupRatio:
 
     def test_needs_two_modes(self):
         g = PolarGrid.build(3, 300)
-        s = full_spectrum(3, AngularPotential.dipole(1.0), 1, g)
+        s = full_spectrum(AngularPotential.dipole(1.0), 1, g)
         with pytest.raises(InputError):
             eigenfunction_sup_ratio(s)
 
@@ -664,12 +675,12 @@ class TestWeylFit:
 
     def test_free_sphere_exponent(self):
         g = PolarGrid.build(3, 500)
-        s = full_spectrum(3, AngularPotential.constant(0.0), 150, g)
+        s = full_spectrum(AngularPotential.constant(0.0), 150, g)
         fit = weyl_fit(s)
         assert fit.exponent == pytest.approx(1.0, rel=0.15)
 
     def test_negative_window_rejected(self):
         g = PolarGrid.build(3, 500)
-        s = full_spectrum(3, AngularPotential.constant(100.0), 150, g)
+        s = full_spectrum(AngularPotential.constant(100.0), 150, g)
         with pytest.raises(ResolutionError):
             weyl_fit(s)

@@ -83,7 +83,7 @@ def integrate_then_project(field, radii, k):
 def nonradial_field(dipole3_spectrum, radial_grid):
     grid = dipole3_spectrum.grid
     g = 0.3 * dipole3_spectrum.axisymmetric_mode(2).psi
-    return manufactured_nonradial(3, dipole3_spectrum, 1.0, g, radial_grid)
+    return manufactured_nonradial(dipole3_spectrum, 1.0, g, radial_grid)
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +150,7 @@ class TestSynthesize:
 class TestManufacturedNonradial:
     def test_zero_angular_part_gives_zero_source(self, dipole3_spectrum, radial_grid):
         field = manufactured_nonradial(
-            3, dipole3_spectrum, 1.0, np.zeros(dipole3_spectrum.grid.size), radial_grid
+            dipole3_spectrum, 1.0, np.zeros(dipole3_spectrum.grid.size), radial_grid
         )
         assert np.all(dense(field.source) == 0.0)
         assert field.q_bound == 0.0
@@ -163,7 +163,7 @@ class TestManufacturedNonradial:
         grid = dipole3_spectrum.grid
         g = -2.0 * np.ones(grid.size)
         with pytest.raises(InputError):
-            manufactured_nonradial(3, dipole3_spectrum, 1.0, g, radial_grid)
+            manufactured_nonradial(dipole3_spectrum, 1.0, g, radial_grid)
 
 
 class TestFactors:
@@ -222,9 +222,9 @@ class TestFactors:
         factor = 1.0 + rho[:, None] ** eps * g[None, :]
         if np.min(factor) <= 0.0:
             with pytest.raises(InputError, match="changes sign"):
-                manufactured_nonradial(3, dipole3_spectrum, eps, g, radial_grid)
+                manufactured_nonradial(dipole3_spectrum, eps, g, radial_grid)
             return
-        field = manufactured_nonradial(3, dipole3_spectrum, eps, g, radial_grid)
+        field = manufactured_nonradial(dipole3_spectrum, eps, g, radial_grid)
         W = field.source.angular[0]   # the rank-1 source is -rho^{sigma+eps-2} W
         dense_bound = np.max(np.abs(W[None, :] / (field.spectrum.psi_1.psi[None, :] * factor)))
         assert field.q_bound == float(dense_bound)
@@ -236,19 +236,19 @@ class TestFactors:
         factor = 1.0 + radial_grid.points[:, None] * g[None, :]
         assert np.min(factor[-1]) <= 0.0 < np.min(factor[:-1])
         with pytest.raises(InputError, match="changes sign"):
-            manufactured_nonradial(3, dipole3_spectrum, 1.0, g, radial_grid)
+            manufactured_nonradial(dipole3_spectrum, 1.0, g, radial_grid)
 
 
 class TestFieldMemory:
     def test_m10000_pipeline_stays_small(self):
         # the dense (radius x polar node) field alone took about 160 MB traced
         grid = PolarGrid.build(3, 10000)
-        spec = full_spectrum(3, AngularPotential.dipole(0.9), 80, grid)
+        spec = full_spectrum(AngularPotential.dipole(0.9), 80, grid)
         rgrid = RadialGrid.geometric(400, 1e-8, 1.0)
         g = 0.2 * spec.axisymmetric_mode(2).psi
         tracemalloc.start()
         try:
-            field = manufactured_nonradial(3, spec, 1.0, g, rgrid)
+            field = manufactured_nonradial(spec, 1.0, g, rgrid)
             cauchy_coefficient_mode(field, (0.3, 0.6, 0.9), 1)
             measured_limit(field)
             assert sandwich_check(field, 0.5).ordered
@@ -399,7 +399,7 @@ class TestMeasuredLimit:
 class TestSandwich:
     def test_ordering_at_half_admissible(self, nonradial_field, dipole3_spectrum):
         field = nonradial_field
-        lam = lambda_n(3, dipole3_spectrum.potential, dipole3_spectrum.grid).lambda_n
+        lam = lambda_n(dipole3_spectrum.potential, dipole3_spectrum.grid).lambda_n
         r_adm = admissible_radius(3, lam, field.q_bound, 1.0)
         rep = sandwich_check(field, 0.5)
         assert rep.admissible_radius == r_adm
@@ -412,7 +412,7 @@ class TestSandwich:
 
     def test_degenerate_collapse(self, dipole3_spectrum, radial_grid):
         field = manufactured_nonradial(
-            3, dipole3_spectrum, 1.0, np.zeros(dipole3_spectrum.grid.size), radial_grid
+            dipole3_spectrum, 1.0, np.zeros(dipole3_spectrum.grid.size), radial_grid
         )
         rep = sandwich_check(field, 0.3)
         assert rep.radius == field.radial.points[field.radial.nearest_index(0.3)]
@@ -426,7 +426,7 @@ class TestSandwich:
         monkeypatch.setattr(asymptotics, "solve_mode_bvp",
                             lambda *args: calls.append(args) or solve(*args))
         degenerate = manufactured_nonradial(
-            3, dipole3_spectrum, 1.0, np.zeros(dipole3_spectrum.grid.size), radial_grid
+            dipole3_spectrum, 1.0, np.zeros(dipole3_spectrum.grid.size), radial_grid
         )
         rep = sandwich_check(degenerate, 0.3)
         assert len(calls) == rep.modes_used
@@ -449,8 +449,8 @@ class TestSandwich:
 
     def test_coarse_trace_rejected(self, radial_grid):
         grid = PolarGrid.build(3, 400)
-        spec = full_spectrum(3, AngularPotential.dipole(1.0), 24, grid)  # 4 modes
+        spec = full_spectrum(AngularPotential.dipole(1.0), 24, grid)  # 4 modes
         g = 0.3 * spec.axisymmetric_mode(2).psi
-        field = manufactured_nonradial(3, spec, 1.0, g, radial_grid)
+        field = manufactured_nonradial(spec, 1.0, g, radial_grid)
         with pytest.raises(ResolutionError):
             sandwich_check(field, 0.5)

@@ -235,12 +235,17 @@ class TestHardyTable:
         assert [r["method"] for r in rows] == ["pencil", "bisection"] * 2
 
     # every grid builds before any solve, so a range that reaches the |S^(N-1)|
-    # overflow fails at once, naming the first N that overflows
-    @pytest.mark.parametrize("argv,M", [
-        (("hardy", "--table", "340..345", "--grid", "100"), 100),
-        (("hardy", "--table", "3..9007199254740992"), 10000),
+    # overflow or the flux underflow fails at once, naming the first N that fails
+    @pytest.mark.parametrize("argv,line", [
+        pytest.param(("hardy", "--table", "340..345", "--grid", "100"),
+                     "|S^(N-1)| overflows float64 at N = 344 (grid M = 100)", id="argv0-100"),
+        pytest.param(("hardy", "--table", "3..9007199254740992"),
+                     "|S^(N-1)| overflows float64 at N = 344 (grid M = 10000)", id="argv1-10000"),
+        pytest.param(("hardy", "--table", "118..123", "--grid", "100", "--sampling", "flux"),
+                     "flux sampling at N = 122 on M = 100 polar nodes: "
+                     "sin^(N-2) underflows next to the poles", id="argv2-100"),
     ])
-    def test_too_large_dimension_fails_before_any_solve(self, capsys, monkeypatch, argv, M):
+    def test_too_large_dimension_fails_before_any_solve(self, capsys, monkeypatch, argv, line):
         def unexpected(*args):
             raise AssertionError("solved a dimension")
 
@@ -248,7 +253,7 @@ class TestHardyTable:
         monkeypatch.setattr(hardy, "critical_dipole_coupling", unexpected)
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
-        assert err == f"numerical failure: |S^(N-1)| overflows float64 at N = 344 (grid M = {M})\n"
+        assert err == f"numerical failure: {line}\n"
 
     def test_nonpositive_potential_at_default_grid(self, capsys, monkeypatch):
         # ess sup a <= 0: the best constant is 0, whatever the grid
@@ -487,7 +492,7 @@ def test_field_commands_solve_only_the_m0_tower(capsys, monkeypatch, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert tols and set(tols) == {math.inf}
-    axial = angular.assemble_polar_operator(3, angular.AngularPotential.dipole(1.0), 0,
+    axial = angular.assemble_polar_operator(angular.AngularPotential.dipole(1.0), 0,
                                             angular.PolarGrid.build(3, 400))
     assert len(vector_solves) == 1 and np.array_equal(vector_solves[0], axial.diag)
 

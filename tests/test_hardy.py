@@ -31,17 +31,18 @@ SPECTRAL_CRITICAL = {
 }
 
 
-def tower_scan(N, potential, grid, sampling):
+def tower_scan(potential, grid):
     """Reference best constant: the pencil of each tower m = 0..3, maximized over m.
 
     Returns (value, argmax tower).  Each pencil is solved for a / ess sup a
     and scaled back, as lambda_n does.
     """
+    N = grid.dim
     a = potential.sample(grid) / potential.ess_sup
     zero = AngularPotential.constant(0.0)
     best, best_m = -math.inf, 0
     for m in range(4):
-        A = assemble_polar_operator(N, zero, m, grid, sampling).shifted(((N - 2) / 2.0) ** 2)
+        A = assemble_polar_operator(zero, m, grid).shifted(((N - 2) / 2.0) ** 2)
         val = hardy._lanczos_largest(hardy._PencilOperator(A, a), A.size) * potential.ess_sup
         if val > best:
             best, best_m = val, m
@@ -63,15 +64,16 @@ def positive_potentials(draw, grid):
     return AngularPotential.tabulated(values, grid)
 
 
-def mu1_bisection(N, grid, sampling, tol):
+def mu1_bisection(grid, tol):
     """Critical coupling by bisection on a solved mu_1; returns (coupling, mu_1 solves)."""
+    N = grid.dim
     target = -(((N - 2) / 2.0) ** 2)
     solves = 0
 
     def mu1(lam):
         nonlocal solves
         solves += 1
-        mat = assemble_polar_operator(N, AngularPotential.dipole(lam), 0, grid, sampling)
+        mat = assemble_polar_operator(AngularPotential.dipole(lam), 0, grid)
         return eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, 0))[0]
 
     lo, hi = 0.0, 4.0 * (N - 2) ** 2
@@ -86,19 +88,20 @@ def mu1_bisection(N, grid, sampling, tol):
     return 0.5 * (lo + hi), solves
 
 
-def assembled_count_bisection(N, grid, sampling):
+def assembled_count_bisection(grid):
     """Count-decided bisection that assembles the dipole tower at every step.
 
     Returns (coupling, Sturm counts).  critical_dipole_coupling assembles the
     zero-potential tower once instead; the steps must see the same matrices.
     """
+    N = grid.dim
     target = -(((N - 2) / 2.0) ** 2)
     counts = 0
 
     def positive(lam):
         nonlocal counts
         counts += 1
-        mat = assemble_polar_operator(N, AngularPotential.dipole(lam), 0, grid, sampling)
+        mat = assemble_polar_operator(AngularPotential.dipole(lam), 0, grid)
         return count_at_most(mat, target, eigvalsh_tridiagonal) == 0
 
     lo, hi = 0.0, 4.0 * (N - 2) ** 2
@@ -117,19 +120,19 @@ class TestLambdaN:
     def test_constant_potential_exact(self):
         # Lambda = 4 kappa / (N-2)^2; at N = 4, kappa = 1 that is exactly 1
         g = PolarGrid.build(4, 2000)
-        res = lambda_n(4, AngularPotential.constant(1.0), g)
+        res = lambda_n(AngularPotential.constant(1.0), g)
         assert res.lambda_n == pytest.approx(1.0, abs=1e-9)
 
     def test_dipole_n3_reference_convention(self):
         # node sampling at 10000 steps is the convention of the reference
         # table; the value is resolution-pinned at N = 3
-        g = PolarGrid.build(3, 10000)
-        res = lambda_n(3, AngularPotential.dipole(1.0), g, sampling="node")
+        g = PolarGrid.build(3, 10000, "node")
+        res = lambda_n(AngularPotential.dipole(1.0), g)
         assert res.lambda_n == pytest.approx(1 / 1.6398, rel=5e-3)
 
     def test_dipole_n3_convergent_value(self):
         g = PolarGrid.build(3, 4000)
-        res = lambda_n(3, AngularPotential.dipole(1.0), g)
+        res = lambda_n(AngularPotential.dipole(1.0), g)
         assert res.lambda_n == pytest.approx(1 / SPECTRAL_CRITICAL[3], rel=1e-5)
 
     @pytest.mark.parametrize("kind", ["constant", "dipole", "tabulated"])
@@ -141,7 +144,7 @@ class TestLambdaN:
              "dipole": AngularPotential.dipole(0.0),
              "tabulated": AngularPotential.tabulated(-1.0 - np.cos(g.nodes) ** 2, g)}[kind]
         monkeypatch.setattr(hardy, "cholesky_banded", None)
-        res = lambda_n(4, a, g)
+        res = lambda_n(a, g)
         assert res.lambda_n == 0.0
         assert res.nonpositive
         assert res.critical_coupling is None
@@ -150,19 +153,19 @@ class TestLambdaN:
         # the potential is sampled on the grid before the ess sup a <= 0 return
         a = AngularPotential.tabulated(-np.ones(300), PolarGrid.build(4, 300))
         with pytest.raises(InputError, match="300 samples, grid has 200 nodes"):
-            lambda_n(4, a, PolarGrid.build(4, 200))
+            lambda_n(a, PolarGrid.build(4, 200))
 
     def test_zero_potential_flagged(self):
         g = PolarGrid.build(5, 300)
         a = AngularPotential.tabulated(np.zeros(300), g)
-        res = lambda_n(5, a, g)
+        res = lambda_n(a, g)
         assert res.nonpositive
         assert res.lambda_n <= 1e-12
 
     def test_homogeneity_exact(self):
         g = PolarGrid.build(5, 800)
-        r1 = lambda_n(5, AngularPotential.dipole(0.7), g)
-        r3 = lambda_n(5, AngularPotential.dipole(2.1), g)
+        r1 = lambda_n(AngularPotential.dipole(0.7), g)
+        r3 = lambda_n(AngularPotential.dipole(2.1), g)
         assert r3.lambda_n == pytest.approx(3 * r1.lambda_n, rel=1e-13)
 
     @settings(max_examples=25, deadline=None)
@@ -172,15 +175,15 @@ class TestLambdaN:
         # the pencil runs on a / ess sup a, so Lambda(c a) = c Lambda(a)
         # holds for tiny and huge couplings alike
         c = 10.0**exponent
-        g = PolarGrid.build(4, 400)
-        unit = lambda_n(4, AngularPotential.dipole(1.0), g, sampling).lambda_n
-        scaled = lambda_n(4, AngularPotential.dipole(c), g, sampling).lambda_n
+        g = PolarGrid.build(4, 400, sampling)
+        unit = lambda_n(AngularPotential.dipole(1.0), g).lambda_n
+        scaled = lambda_n(AngularPotential.dipole(c), g).lambda_n
         assert scaled / c == pytest.approx(unit, rel=1e-12)
 
     def test_strict_dimension_bounds(self):
         # for nonconstant a: 4 mean / (N-2)^2 < Lambda < 4 ess sup / (N-2)^2
         g = PolarGrid.build(4, 1000)
-        res = lambda_n(4, AngularPotential.dipole(1.0), g)
+        res = lambda_n(AngularPotential.dipole(1.0), g)
         assert 0.0 < res.lambda_n < 4.0 / (4 - 2) ** 2
 
     @settings(max_examples=40, deadline=None)
@@ -189,10 +192,10 @@ class TestLambdaN:
     def test_maximizer_is_axisymmetric(self, data, N, M, sampling):
         # tower m adds nu_m c (c > 0) to the m = 0 denominator, so a potential
         # with a positive sample has its best constant on the m = 0 tower
-        g = PolarGrid.build(N, M)
+        g = PolarGrid.build(N, M, sampling)
         a = data.draw(positive_potentials(g))
-        value, tower = tower_scan(N, a, g, sampling)
-        res = lambda_n(N, a, g, sampling)
+        value, tower = tower_scan(a, g)
+        res = lambda_n(a, g)
         assert tower == 0
         assert res.lambda_n == value
         assert not res.nonpositive
@@ -202,19 +205,19 @@ class TestCriticalCoupling:
     @pytest.mark.parametrize("N", [4, 5])
     def test_routes_agree(self, N):
         g = PolarGrid.build(N, 1500)
-        p = critical_dipole_coupling(N, g, "pencil")
-        b = critical_dipole_coupling(N, g, "bisection")
+        p = critical_dipole_coupling(g, "pencil")
+        b = critical_dipole_coupling(g, "bisection")
         assert abs(p - b) / p < 1e-5
 
     def test_convergent_values(self):
         for N, ref in SPECTRAL_CRITICAL.items():
             g = PolarGrid.build(N, 2000)
-            assert critical_dipole_coupling(N, g, "pencil") == pytest.approx(ref, rel=1e-4)
+            assert critical_dipole_coupling(g, "pencil") == pytest.approx(ref, rel=1e-4)
 
     def test_grid_convergence_second_order(self):
         vals = {}
         for M in (500, 1000, 2000, 4000):
-            vals[M] = critical_dipole_coupling(5, PolarGrid.build(5, M), "pencil")
+            vals[M] = critical_dipole_coupling(PolarGrid.build(5, M), "pencil")
         r1 = (vals[500] - vals[1000]) / (vals[1000] - vals[2000])
         r2 = (vals[1000] - vals[2000]) / (vals[2000] - vals[4000])
         assert r1 == pytest.approx(4.0, rel=0.2)
@@ -223,8 +226,8 @@ class TestCriticalCoupling:
     @pytest.mark.parametrize("N,coupling", [(3, 1.0), (5, 0.4)])
     def test_critical_coupling_ignores_sign(self, N, coupling):
         g = PolarGrid.build(N, 600)
-        pos = lambda_n(N, AngularPotential.dipole(coupling), g)
-        neg = lambda_n(N, AngularPotential.dipole(-coupling), g)
+        pos = lambda_n(AngularPotential.dipole(coupling), g)
+        neg = lambda_n(AngularPotential.dipole(-coupling), g)
         assert neg.lambda_n == pytest.approx(pos.lambda_n, rel=1e-12)
         assert neg.critical_coupling == pytest.approx(pos.critical_coupling, rel=1e-12)
         assert neg.critical_coupling > 0
@@ -237,9 +240,9 @@ class TestCriticalCoupling:
         sampling=st.sampled_from(["flux", "node"]),
     )
     def test_sign_never_changes_the_critical_coupling(self, N, M, coupling, sampling):
-        g = PolarGrid.build(N, M)
-        pos = lambda_n(N, AngularPotential.dipole(coupling), g, sampling)
-        neg = lambda_n(N, AngularPotential.dipole(-coupling), g, sampling)
+        g = PolarGrid.build(N, M, sampling)
+        pos = lambda_n(AngularPotential.dipole(coupling), g)
+        neg = lambda_n(AngularPotential.dipole(-coupling), g)
         assert neg.critical_coupling == pytest.approx(pos.critical_coupling, rel=1e-12)
         assert neg.critical_coupling > 0
 
@@ -249,8 +252,8 @@ class TestCriticalCoupling:
         # each step decides by a Sturm count at the threshold; the same
         # decisions as solving mu_1 give the same coupling and call count
         tol = hardy._BISECTION_TOL
-        g = PolarGrid.build(N, M)
-        want, solves = mu1_bisection(N, g, sampling, tol)
+        g = PolarGrid.build(N, M, sampling)
+        want, solves = mu1_bisection(g, tol)
         calls = []
 
         def recording(*args, **kwargs):
@@ -258,7 +261,7 @@ class TestCriticalCoupling:
             return eigvalsh_tridiagonal(*args, **kwargs)
 
         monkeypatch.setattr(hardy, "eigvalsh_tridiagonal", recording)
-        got = critical_dipole_coupling(N, g, "bisection", sampling)
+        got = critical_dipole_coupling(g, "bisection")
         assert abs(got - want) <= tol
         assert len(calls) == solves
         assert all(kw["select"] == "v" and kw["tol"] == math.inf for kw in calls)
@@ -268,8 +271,8 @@ class TestCriticalCoupling:
     def test_one_assembly_matches_per_step_assembly(self, monkeypatch, N, M, sampling):
         # the zero-potential tower shifted by -lam cos t is the assembled
         # dipole tower bit for bit, so every decision and the coupling agree
-        g = PolarGrid.build(N, M)
-        want, counts = assembled_count_bisection(N, g, sampling)
+        g = PolarGrid.build(N, M, sampling)
+        want, counts = assembled_count_bisection(g)
         calls = []
 
         def recording(*args, **kwargs):
@@ -277,40 +280,39 @@ class TestCriticalCoupling:
             return eigvalsh_tridiagonal(*args, **kwargs)
 
         monkeypatch.setattr(hardy, "eigvalsh_tridiagonal", recording)
-        assert critical_dipole_coupling(N, g, "bisection", sampling) == want
+        assert critical_dipole_coupling(g, "bisection") == want
         assert len(calls) == counts
 
     def test_method_validation(self):
         g = PolarGrid.build(4, 100)
         with pytest.raises(InputError):
-            critical_dipole_coupling(4, g, "trisection")
-        with pytest.raises(InputError):
-            critical_dipole_coupling(2, g)
+            critical_dipole_coupling(g, "trisection")
 
 
-def positivity_sides(N, potential, grid):
+def positivity_sides(potential, grid):
     """(1 - Lambda_N(a), mu_1 + ((N-2)/2)^2): the two sides of the equivalence
     Lambda_N(a) < 1 <=> mu_1 > -((N-2)/2)^2, with mu_1 from the m = 0 tower."""
-    lam = lambda_n(N, potential, grid).lambda_n
-    mu1 = polar_eigen(assemble_polar_operator(N, potential, 0, grid), 1)[0][0]
+    N = grid.dim
+    lam = lambda_n(potential, grid).lambda_n
+    mu1 = polar_eigen(assemble_polar_operator(potential, 0, grid), 1)[0][0]
     return 1.0 - lam, mu1 + ((N - 2) / 2.0) ** 2
 
 
 class TestPositivity:
     def test_subcritical_dipole(self):
         g = PolarGrid.build(3, 800)
-        lam_margin, mu_margin = positivity_sides(3, AngularPotential.dipole(1.0), g)
+        lam_margin, mu_margin = positivity_sides(AngularPotential.dipole(1.0), g)
         assert lam_margin >= 1e-9 and mu_margin >= 1e-9
 
     def test_supercritical_dipole(self):
         g = PolarGrid.build(3, 800)
-        lam_margin, mu_margin = positivity_sides(3, AngularPotential.dipole(2.0), g)
+        lam_margin, mu_margin = positivity_sides(AngularPotential.dipole(2.0), g)
         assert lam_margin <= -1e-9 and mu_margin <= -1e-9
 
     def test_threshold_is_indeterminate(self):
         # Lambda = 1 exactly for kappa = 1 at N = 4, and mu_1 = -1 on the threshold
         g = PolarGrid.build(4, 2000)
-        lam_margin, mu_margin = positivity_sides(4, AngularPotential.constant(1.0), g)
+        lam_margin, mu_margin = positivity_sides(AngularPotential.constant(1.0), g)
         assert abs(lam_margin) < 1e-9 and abs(mu_margin) < 1e-9
 
 

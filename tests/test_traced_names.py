@@ -39,7 +39,7 @@ def _fields(spectrum, rgrid):
     g = 0.3 * spectrum.axisymmetric_mode(2).psi
     return {
         "asymptotics.synthesize_solution": synthesize_solution([(1, prof)], spectrum),
-        "asymptotics.manufactured_nonradial": manufactured_nonradial(3, spectrum, 1.0, g, rgrid),
+        "asymptotics.manufactured_nonradial": manufactured_nonradial(spectrum, 1.0, g, rgrid),
     }
 
 
