@@ -38,12 +38,14 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dpttrf
 
 from .errors import EigenSolveError, InputError, ResolutionError
 
 SAMPLINGS = ("flux", "node")
 
 _EPS = float(np.finfo(float).eps)  # also polar_eigen's absolute bisection tolerance
+_TINY = float(np.finfo(float).tiny)
 
 
 def unit_sphere_area(d: int) -> float:
@@ -278,20 +280,37 @@ def assemble_polar_operator(
     return PolarTowers(potential, grid).matrix(m)
 
 
-def count_at_most(matrix: TridiagonalMatrix, x: float, solver=None) -> int:
-    """Number of eigenvalues of `matrix` at or below x, by a Sturm count.
+def count_at_most(matrix: TridiagonalMatrix, x: float) -> int:
+    """Number of eigenvalues of `matrix` at or below x: the pivots p_i < pivmin of T - x I.
 
-    An absolute tolerance spanning the whole range leaves LAPACK's value
-    bisection (stebz) nothing to refine, so it returns after the Sturm
-    counts at the interval ends (Barth, Martin and Wilkinson 1967): two
-    O(M) sweeps and an exact count.  The returned values are meaningless;
-    only their number is used.  `solver` is the `eigvalsh_tridiagonal` to
-    call through, this module's binding by default.
+    By Sylvester's law of inertia the eigenvalues at or below x are counted
+    by the nonpositive pivots of LDL^T = T - x I.  LAPACK's dpttrf factors
+    one copy of diag - x and one of off in place and stops at the first
+    pivot p_i <= 0.  That pivot is counted; if it is smaller in size than
+    pivmin = tiny * max(1, max e^2) it becomes -pivmin (LAPACK dstebz's
+    rule, which keeps every e_i^2 / p_i finite).  e_i^2 / p_i is subtracted
+    from the next diagonal entry and dpttrf resumes in place on the trailing
+    block; a trailing 1 x 1 block, like the last pivot, counts when it is
+    below pivmin.  One O(M) sweep in all, plus a call per counted pivot.
+    dpttrf lets a positive pivot below pivmin pass, which dstebz counts;
+    that happens only within about pivmin of an eigenvalue of a leading block.
     """
-    solve = eigvalsh_tridiagonal if solver is None else solver
-    return solve(
-        matrix.diag, matrix.off, select="v", select_range=(-math.inf, x), tol=math.inf
-    ).size
+    d = np.subtract(matrix.diag, x, dtype=float)  # dpttrf works in place on float64 only
+    e = np.array(matrix.off, dtype=float)
+    pivmin = _TINY * max(1.0, float(np.max(np.abs(e), initial=0.0)) ** 2)
+    count, start, last = 0, 0, d.size - 1
+    while start < last:
+        info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)[2]
+        if info == 0:
+            break
+        j = start + info - 1
+        count += 1
+        if j == last:
+            return count
+        pivot = min(d[j], -pivmin)
+        d[j + 1] -= e[j] / pivot * e[j]
+        start = j + 1
+    return count + int(d[last] < pivmin)
 
 
 def polar_eigen(matrix: TridiagonalMatrix, count: int):
@@ -392,9 +411,13 @@ class AngularSpectrum:
         return tower[k - 1]
 
 
-# each step costs a Sturm count per tower and halves the bracket's overshoot,
-# which the value probes would pay for; 3 reach the gap above the K-th
-# value's cluster near l(l+N-2) at K = 500
+# each step costs a count per tower and halves the bracket's overshoot, which
+# the value probes and m = 0 vectors pay for.  What overshoot is left at 3
+# steps is the K-th value's own cluster (near l(l+N-2)): over 12 seeds of the
+# benchmark's spectra, 4 or 5 steps save 2-4 of 672 m >= 1 values and 1 of 420
+# vectors for 12-24 % more counts.  2 steps solve the same values and vectors
+# with 11 % fewer counts, but hi also starts LAPACK's value bisection, so a
+# different hi moves the printed digits of m >= 1 values
 _BRACKET_BISECTIONS = 3
 
 
@@ -444,11 +467,20 @@ def _bracket(towers: PolarTowers, K: int) -> float:
     return hi
 
 
-def _value_probes(towers: PolarTowers, hi: float) -> list[np.ndarray]:
-    """The values up to hi of the towers m >= 1; the first tower with none ends the scan."""
+def _value_probes(towers: PolarTowers, hi: float, counted: bool = False) -> list[np.ndarray]:
+    """The values up to hi of the towers m >= 1; the first tower with none ends the scan.
+
+    A probe by value ends at LAPACK's own Sturm count at hi (dstebz), which
+    can fall short of `count_at_most` when a value lies within rounding of
+    hi.  `counted` tops such a probe up by index to count_at_most(hi), the
+    count the bracket summed.
+    """
     probed: list[np.ndarray] = []
     for _, mat in _scan(towers, 1):
         vals = eigvalsh_tridiagonal(mat.diag, mat.off, select="v", select_range=(-math.inf, hi))
+        count = count_at_most(mat, hi) if counted else 0
+        if vals.size < count:
+            vals = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, count - 1))
         if vals.size == 0:
             return probed
         probed.append(vals.copy())  # not a view that keeps LAPACK's M-long output alive
@@ -503,11 +535,16 @@ def full_spectrum(
     to its count at hi, so mu_1, psi_1 and the axisymmetric modes depend on
     K by an ulp or so at most.  Each tower m >= 1 up to the first empty one makes one
     value probe up to hi, at LAPACK's tolerance (about eps * ||T_m||), and
-    carries no profile.  The K-th of the merged values is the cutoff.
+    carries no profile.  If the probes hold fewer than K values, a value sat
+    within rounding of hi and LAPACK's count missed it; the probes are then
+    topped up to `count_at_most` at hi, whose counts summed to at least K
+    when the bracket took hi.  The K-th of the merged values is the cutoff.
     """
     N = grid.dim
     towers, hi, pairs = _axial_solve(potential, K, grid)
     probed = _value_probes(towers, hi)
+    if len(pairs) + sum(harmonic_multiplicity(N, m) * v.size for m, v in enumerate(probed, 1)) < K:
+        probed = _value_probes(towers, hi, counted=True)
     flat = np.sort(np.concatenate(
         [[mu for mu, _ in pairs]]
         + [np.repeat(vals, harmonic_multiplicity(N, m)) for m, vals in enumerate(probed, 1)]

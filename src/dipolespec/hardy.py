@@ -12,7 +12,8 @@ constant is 0.
 
 Two independent routes to the critical dipole coupling are provided: the
 reciprocal of the pencil value at unit coupling, and monotone bisection on
-the coupling for the first sphere eigenvalue crossing -((N-2)/2)^2.  At the
+the coupling for the first sphere eigenvalue crossing -((N-2)/2)^2, each
+step decided by an LDL^T inertia count (`angular.count_at_most`).  At the
 discrete level both characterize the same singularity of A - lambda B, so
 they agree to solver tolerance on a common grid.
 
@@ -149,9 +150,10 @@ def critical_dipole_coupling(
     least nu_m), so plain bisection on [0, 4(N-2)^2] applies, with geometric
     expansion of the bracket on failure, to a width of _BISECTION_TOL.  Each
     step only needs to know whether mu_1 lies at or below the threshold, so
-    it decides by a Sturm count of the m = 0 tower at the threshold
-    (`count_at_most` is zero exactly when mu_1 is above it).  The coupling
-    enters the diagonal only, as -lam cos t: the zero-potential tower is
+    it decides by the inertia of the m = 0 tower shifted by the threshold:
+    `count_at_most`, the negative LDL^T pivots, is zero exactly when the
+    shifted tower is positive definite, that is when mu_1 is above it.  The
+    coupling enters the diagonal only, as -lam cos t: the zero-potential tower is
     assembled once, and each step's shift of it is the assembled tower bit for bit.
     """
     if method == "pencil":
@@ -169,7 +171,7 @@ def critical_dipole_coupling(
     def positive(lam: float) -> bool:
         """mu_1(lam cos) > target: no eigenvalue of the m = 0 tower at or below it."""
         mat = TridiagonalMatrix(free.diag - lam * cos_t, free.off, free.step)
-        return count_at_most(mat, target, eigvalsh_tridiagonal) == 0
+        return count_at_most(mat, target) == 0
 
     lo, hi = 0.0, 4.0 * (N - 2) ** 2
     for _ in range(8):

@@ -290,16 +290,50 @@ class TestSturmCount:
             assert sturm_count(d, e, x) == want
             assert count_at_most(mat, x) == want
 
-    def test_solver_is_the_one_passed(self):
-        calls = []
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.integers(3, 10),
+        M=st.sampled_from([3, 50, 1200, 10000]),
+        sampling=st.sampled_from(["flux", "node"]),
+        m=st.integers(0, 6),
+        coupling=COUPLINGS,
+        spot=st.floats(0.0, 1.0),
+    )
+    def test_real_towers_match_both_references(self, N, M, sampling, m, coupling, spot):
+        # shifts in the middle half between neighbouring values, clear of
+        # both by far more than the rounding eps ||T||_1 of any count
+        grid = PolarGrid.build(N, M, sampling)
+        mat = PolarTowers(AngularPotential.dipole(coupling), grid).matrix(m)
+        eigs = eigvalsh_tridiagonal(mat.diag, mat.off, select="i",
+                                    select_range=(0, min(M, 12) - 1), tol=0.0)
+        clear = 64 * np.finfo(float).eps * mat.one_norm()
+        gaps = [(lo, hi) for lo, hi in zip(eigs, eigs[1:]) if hi - lo > 4 * clear]
+        points = [eigs[0] - 1.0] + [lo + (hi - lo) * (0.25 + 0.5 * spot) for lo, hi in gaps]
+        for x in points:
+            want = sturm_count(mat.diag, mat.off, x)
+            stebz = eigvalsh_tridiagonal(mat.diag, mat.off, select="v",
+                                         select_range=(-math.inf, x), tol=math.inf).size
+            assert count_at_most(mat, x) == want == stebz
 
-        def solver(*args, **kwargs):
-            calls.append(kwargs)
-            return eigvalsh_tridiagonal(*args, **kwargs)
-
-        mat = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.zeros(2), 1.0)
-        assert count_at_most(mat, 2.5, solver) == 2
-        assert calls == [{"select": "v", "select_range": (-math.inf, 2.5), "tol": math.inf}]
+    @pytest.mark.parametrize("diag,off,x,want", [
+        pytest.param([1.0, 2.0, 3.0], [1.0, 1.0], 1.0, 1, id="exact-zero-pivot"),
+        pytest.param([0.0, 0.0, 0.0], [1.0, 1.0], 0.0, 2, id="zero-pivots-in-a-row"),
+        pytest.param([1.0, 2.0, 3.0], [0.0, 0.0], 2.5, 2, id="split"),
+        pytest.param([1.0, 2.0, 3.0], [0.0, 0.0], 2.0, 2, id="split-at-a-value"),
+        pytest.param([2.0], [], 2.0, 1, id="size-1-at-its-value"),
+        pytest.param([2.0], [], 1.0, 0, id="size-1-below"),
+        pytest.param([0.0, 0.0], [1.0], 0.0, 1, id="size-2-zero-pivot"),
+        pytest.param([0.0, 0.0], [1.0], 1.0, 2, id="size-2-at-the-top"),
+        pytest.param([5e-324, 0.0], [1.0], 0.0, 1, id="subnormal-first-pivot"),
+        pytest.param([0.0, 1.0], [1e-200], 0.0, 1, id="tiny-off-at-a-zero-pivot"),
+        pytest.param([1, 2, 3], [1, 1], 1, 1, id="integer-entries"),
+    ])
+    def test_edge_cases(self, diag, off, x, want):
+        # every case runs under pytest's RuntimeWarning-as-error filter
+        d, e = np.array(diag), np.array(off)
+        mat = TridiagonalMatrix(d, e, 1.0)
+        assert count_at_most(mat, x) == sturm_count(d, e, x) == want
+        assert np.array_equal(mat.diag, diag) and np.array_equal(mat.off, off)  # left as they were
 
 
 def test_one_norm_is_the_dense_one_norm():
@@ -521,6 +555,33 @@ class TestFullSpectrum:
              for m, (*_, vals) in enumerate(value_probes, 1)]
         )
         assert flat.size + count_at_most(axial, hi) >= K
+
+    @pytest.mark.parametrize("N,K", [(3, 9), (3, 80), (4, 30)])
+    def test_probes_short_of_the_count_at_hi_are_topped_up(self, monkeypatch, N, K):
+        # LAPACK's probe by value stops at its own count at hi, which can miss
+        # a value that count_at_most counts within rounding of hi; here every
+        # probe by value drops its top value, and the merge must still hold
+        # the K values that the bracket counted, with no EigenSolveError
+        grid = PolarGrid.build(N, 400)
+        potential = AngularPotential.dipole(0.7)
+        want = full_spectrum(potential, K, grid)
+        by_index = []
+
+        def short(diag, off, select, select_range, **kwargs):
+            vals = eigvalsh_tridiagonal(diag, off, select=select, select_range=select_range,
+                                        **kwargs)
+            if select == "i":
+                by_index.append(select_range)
+                return vals
+            return vals[:-1]
+
+        monkeypatch.setattr(angular, "eigvalsh_tridiagonal", short)
+        got = full_spectrum(potential, K, grid)
+        assert by_index
+        assert [(md.m, md.multiplicity) for md in got.modes] == \
+            [(md.m, md.multiplicity) for md in want.modes]
+        assert np.allclose([md.mu for md in got.modes], [md.mu for md in want.modes],
+                           rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("potential", [AngularPotential.constant(-1e300),
                                            AngularPotential.dipole(1e300),

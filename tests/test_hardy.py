@@ -102,7 +102,7 @@ def assembled_count_bisection(grid):
         nonlocal counts
         counts += 1
         mat = assemble_polar_operator(AngularPotential.dipole(lam), 0, grid)
-        return count_at_most(mat, target, eigvalsh_tridiagonal) == 0
+        return count_at_most(mat, target) == 0
 
     lo, hi = 0.0, 4.0 * (N - 2) ** 2
     while positive(hi):
@@ -249,22 +249,23 @@ class TestCriticalCoupling:
     @pytest.mark.parametrize("sampling", ["flux", "node"])
     @pytest.mark.parametrize("N,M", [(3, 800), (4, 600), (5, 400)])
     def test_count_bisection_matches_mu1_bisection(self, monkeypatch, N, M, sampling):
-        # each step decides by a Sturm count at the threshold; the same
-        # decisions as solving mu_1 give the same coupling and call count
+        # each step decides by one count of the m = 0 tower at the threshold;
+        # the same decisions as solving mu_1 give the same coupling and call count
         tol = hardy._BISECTION_TOL
         g = PolarGrid.build(N, M, sampling)
         want, solves = mu1_bisection(g, tol)
+        target = -(((N - 2) / 2.0) ** 2)
         calls = []
 
-        def recording(*args, **kwargs):
-            calls.append(kwargs)
-            return eigvalsh_tridiagonal(*args, **kwargs)
+        def recording(mat, x):
+            calls.append(x)
+            return count_at_most(mat, x)
 
-        monkeypatch.setattr(hardy, "eigvalsh_tridiagonal", recording)
+        monkeypatch.setattr(hardy, "count_at_most", recording)
         got = critical_dipole_coupling(g, "bisection")
         assert abs(got - want) <= tol
         assert len(calls) == solves
-        assert all(kw["select"] == "v" and kw["tol"] == math.inf for kw in calls)
+        assert set(calls) == {target}
 
     @pytest.mark.parametrize("sampling", ["flux", "node"])
     @pytest.mark.parametrize("N,M", [(3, 1000), (4, 700), (7, 500), (10, 300)])
@@ -275,11 +276,11 @@ class TestCriticalCoupling:
         want, counts = assembled_count_bisection(g)
         calls = []
 
-        def recording(*args, **kwargs):
+        def recording(mat, x):
             calls.append(1)
-            return eigvalsh_tridiagonal(*args, **kwargs)
+            return count_at_most(mat, x)
 
-        monkeypatch.setattr(hardy, "eigvalsh_tridiagonal", recording)
+        monkeypatch.setattr(hardy, "count_at_most", recording)
         assert critical_dipole_coupling(g, "bisection") == want
         assert len(calls) == counts
 
