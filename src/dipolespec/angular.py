@@ -26,15 +26,17 @@ of the singular sin^{-2} coefficient, and no solver takes any of them again:
     the reference critical-coupling table was produced, so it is kept
     available for reproduction runs.
 
-All operations are pure and deterministic; concurrent calls on distinct
-inputs are safe.
+All operations are deterministic, and all but `axisymmetric_spectrum` are
+pure: that one keeps its last result, read-only, for the next call on the
+same values (see there).  Concurrent calls are safe: `lru_cache` guards
+the one entry, and two calls that miss on one key both solve it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -578,7 +580,34 @@ def axisymmetric_spectrum(
     where that count flips.  The kept modes are a prefix, found by
     bisection over j.  The result's `modes` are the m = 0 tower alone, so
     its `flattened()` is not the sphere spectrum.
+
+    The last result is remembered, one entry, keyed on values, not objects:
+    N, M, sampling, K, the potential's kind and the exact bits of kappa or
+    lambda (`float.hex`: 0.0 and -0.0 differ) or a table's sample bytes.  A
+    hit returns that result, whose grid and potential were rebuilt from the
+    key; it is shared, so its grid's `nodes`, `weights`, `half_weights` and
+    `quadrature`, every `psi` and `axial.diag`/`axial.off` are read-only.
+    The solve is deterministic, so a hit has the bits of a fresh solve.  A
+    call that raises leaves the entry as it was.
     """
+    if potential.kind == "tabulated":
+        value = potential.values.tobytes()
+    else:
+        value = float.hex(potential.kappa if potential.kind == "constant" else potential.coupling)
+    return _axisymmetric_memo(grid.dim, grid.size, grid.sampling, K, potential.kind, value)
+
+
+@lru_cache(maxsize=1)
+def _axisymmetric_memo(N: int, M: int, sampling: str, K: int, kind: str,
+                       value: str | bytes) -> AngularSpectrum:
+    """`axisymmetric_spectrum` on the grid and potential that its key rebuilds."""
+    grid = PolarGrid.build(N, M, sampling)
+    if kind == "tabulated":
+        potential = AngularPotential.tabulated(np.frombuffer(value), grid)
+    elif kind == "constant":
+        potential = AngularPotential.constant(float.fromhex(value))
+    else:
+        potential = AngularPotential.dipole(float.fromhex(value))
     towers, _, pairs = _axial_solve(potential, K, grid)
     lo, top = 0, len(pairs)
     while lo < top:
@@ -590,8 +619,11 @@ def axisymmetric_spectrum(
     if lo == 0:
         raise EigenSolveError("ground mode did not come from the m = 0 tower")
     modes = tuple(_axial_modes(grid, pairs[:lo]))
-    return AngularSpectrum(grid=grid, potential=potential, modes=modes,
-                           axial=towers.matrix(0))
+    axial = towers.matrix(0)
+    for array in (grid.nodes, grid.weights, grid.half_weights, grid.quadrature,
+                  axial.diag, axial.off, *(md.psi for md in modes)):
+        array.flags.writeable = False
+    return AngularSpectrum(grid=grid, potential=potential, modes=modes, axial=axial)
 
 
 def _sup_ratios(spectrum: AngularSpectrum):

@@ -29,6 +29,7 @@ from .exponents import sigma_pair
 from .radial import (
     RadialGrid,
     RadialPerturbation,
+    check_eps,
     extrapolate_geometric,
     integrate_power_from_zero,
     solve_mode_bvp,
@@ -118,8 +119,7 @@ def manufactured_nonradial(
     factors [rho^sigma, rho^{sigma+eps}] x [psi_1, psi_1 g].  1 + rho^eps g is
     monotone in rho, so the sign gate and q_bound read the extreme radii only.
     """
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    check_eps(eps)
     pgrid = spectrum.grid
     g = np.asarray(g, dtype=float)
     if g.shape != pgrid.nodes.shape:
@@ -253,6 +253,12 @@ class SandwichReport:
     modes_used: int
 
 
+def check_radius_fraction(fraction: float) -> None:
+    """The comparison radius of `sandwich_check` is a fraction in (0, 1] of its limit."""
+    if not 0.0 < fraction <= 1.0:
+        raise InputError(f"radius fraction {fraction} must lie in (0, 1]")
+
+
 def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
     """Trap a manufactured field between radial sub/supersolutions.
 
@@ -268,8 +274,7 @@ def sandwich_check(field: SolutionField, fraction: float) -> SandwichReport:
     """
     if field.q_bound is None:
         raise InputError("sandwich check expects a manufactured nonradial field")
-    if not 0.0 < fraction <= 1.0:
-        raise InputError(f"radius fraction {fraction} must lie in (0, 1]")
+    check_radius_fraction(fraction)
     spectrum = field.spectrum
     c_bound, eps = field.q_bound, field.defect_power
     grid = spectrum.grid

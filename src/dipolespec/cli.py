@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -151,6 +152,87 @@ def _csv_lines(rows, sep: str) -> list[str]:
     return lines
 
 
+_JSON_INDENT = "  "
+
+
+def _json_scalar(value) -> str | None:
+    """json.dumps's text of a str, None, bool, int or float; None for a list, tuple or dict."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_column(values: list) -> list[str] | None:
+    """The texts of a list of scalars, or None if it holds a container.
+
+    A list of floats converts in one map of float.__repr__, after one
+    finiteness pass.
+    """
+    if all(issubclass(kind, float) for kind in set(map(type, values))):
+        if not all(map(math.isfinite, values)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return list(map(float.__repr__, values))
+    texts = list(map(_json_scalar, values))
+    return None if None in texts else texts
+
+
+def _json_records(rows: list, level: int) -> list[str] | None:
+    """The texts of a records table at `level`, one % template for all rows; else None.
+
+    A records table is a list of non-empty dicts that share one key set and
+    hold scalars only; each key's values convert as one `_json_column`.
+    """
+    first = rows[0]
+    if not (isinstance(first, dict) and first
+            and all(isinstance(row, dict) and row.keys() == first.keys() for row in rows)):
+        return None
+    keys = sorted(first)
+    columns = [_json_column(list(map(itemgetter(key), rows))) for key in keys]
+    if None in columns:
+        return None
+    pad = "\n" + _JSON_INDENT * (level + 1)
+    fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+    template = "{" + pad + ("," + pad).join(fields) + "\n" + _JSON_INDENT * level + "}"
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _json(value, level: int = 0) -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), byte for byte.
+
+    Dict keys must be str.  A non-finite float raises ValueError and an
+    unknown type TypeError, as json.dumps does.  A list of scalars and a
+    records table (`_json_records`) skip the per-value recursion of the
+    pure-Python encoder that json.dumps runs whenever it indents.
+    """
+    text = _json_scalar(value)
+    if text is not None:
+        return text
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    pad = "\n" + _JSON_INDENT * (level + 1)
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(key) + ": " + _json(value[key], level + 1)
+                 for key in sorted(value)]
+        return "{" + pad + ("," + pad).join(items) + "\n" + _JSON_INDENT * level + "}"
+    items = (_json_records(value, level + 1) or _json_column(value)
+             or [_json(item, level + 1) for item in value])
+    return "[" + pad + ("," + pad).join(items) + "\n" + _JSON_INDENT * level + "]"
+
+
 # parsed arguments that route the output, not the computation
 _ROUTING = ("command", "format", "out")
 
@@ -174,7 +256,7 @@ def _emit_doc(args, results: dict, header: str | None, rows: list | None,
             results = {**results, records: _records(header, rows)}
         inputs = {k: v for k, v in vars(args).items() if k not in _ROUTING and v is not None}
         doc = {"command": command, "inputs": inputs, "results": results}
-        lines = [json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)]
+        lines = [_json(doc)]
     else:
         lines = ([header] if header else []) + _csv_lines(rows, sep)
     text = "\n".join(lines) + "\n"
@@ -296,8 +378,10 @@ def _solution_field(args, scenario: str, k: int = 1):
 
     manufactured-radial is mode:1, the ground mode.  The field expands over
     the m = 0 modes among the --modes lowest sphere eigenvalues; the
-    nonradial one needs two of them.
+    nonradial one needs two of them.  Its --eps is checked before any grid.
     """
+    if scenario == "manufactured-nonradial":
+        radial.check_eps(args.eps)
     grid = angular.PolarGrid.build(args.dim, args.grid, args.sampling)
     potential = parse_potential(args.potential, grid)
     spec = angular.axisymmetric_spectrum(potential, args.modes, grid)
@@ -343,6 +427,7 @@ def cmd_cauchy(args) -> int:
 
 
 def cmd_sandwich(args) -> int:
+    asymptotics.check_radius_fraction(args.radius_fraction)  # before any grid or solve
     field = _solution_field(args, "manufactured-nonradial")
     rep = asymptotics.sandwich_check(field, args.radius_fraction)
     results = _fields(rep)

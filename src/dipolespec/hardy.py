@@ -43,6 +43,7 @@ from .angular import (
     count_at_most,
 )
 from .errors import BracketError, EigenSolveError, IndefiniteFormError, InputError
+from .radial import check_eps
 
 _LANCZOS_CAP = 500
 _LANCZOS_TOL = 1e-13
@@ -197,8 +198,7 @@ def admissible_radius(N: int, lam: float, C: float, eps: float) -> float:
     r_max = [ (N-2)^2 (1 - Lambda) / (4 C^+) ]^{1/eps} for C > 0, +inf for
     C <= 0 and where the power exceeds the float64 range.
     """
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    check_eps(eps)
     if lam >= 1.0:
         raise InputError(
             f"operator not positive: Lambda = {lam} >= 1"

@@ -44,6 +44,12 @@ from .exponents import Exponents, sigma_pair
 PICARD_MAX_SWEEPS = 200  # sweeps of solve_mode_picard before it gives up
 
 
+def check_eps(eps: float) -> None:
+    """The decay power eps of a perturbation C s^{eps-2} must be positive."""
+    if eps <= 0:
+        raise InputError(f"eps must be positive, got {eps}")
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly increasing radii with the outer radius as last point."""
@@ -108,8 +114,7 @@ class RadialPerturbation:
 
     @classmethod
     def power(cls, C: float, eps: float):
-        if eps <= 0:
-            raise InputError(f"eps must be positive, got {eps}")
+        check_eps(eps)
         return cls(form="power", singular_power=eps - 2.0, coeff=float(C))
 
     @classmethod

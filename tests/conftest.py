@@ -5,8 +5,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from dipolespec import angular
 from dipolespec.angular import AngularPotential, PolarGrid, full_spectrum
 from dipolespec.radial import RadialGrid
+
+
+@pytest.fixture(autouse=True)
+def cold_axisymmetric_memo():
+    """Every test starts without a remembered axisymmetric spectrum, whatever ran before."""
+    angular._axisymmetric_memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

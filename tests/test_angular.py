@@ -23,7 +23,7 @@ from dipolespec.angular import (
     _sin_power_cell_integrals,
     weyl_fit,
 )
-from dipolespec.errors import InputError, ResolutionError
+from dipolespec.errors import EigenSolveError, InputError, ResolutionError
 
 
 def sphere_mean(potential, grid):
@@ -670,6 +670,97 @@ class TestAxisymmetricSpectrum:
     def test_count_out_of_range(self, K, error):
         with pytest.raises(error):
             axisymmetric_spectrum(AngularPotential.dipole(1.0), K, PolarGrid.build(3, 800))
+
+
+class TestAxisymmetricMemo:
+    """axisymmetric_spectrum keeps one result, under (N, M, sampling, K, kind, exact value)."""
+
+    @staticmethod
+    def counted_solves(monkeypatch):
+        calls = []
+        count, vectors, towers = angular.count_at_most, angular.eigh_tridiagonal, PolarTowers
+        monkeypatch.setattr(angular, "count_at_most",
+                            lambda *a: calls.append("count_at_most") or count(*a))
+        monkeypatch.setattr(angular, "eigh_tridiagonal",
+                            lambda *a, **k: calls.append("eigh_tridiagonal") or vectors(*a, **k))
+        monkeypatch.setattr(angular, "PolarTowers",
+                            lambda *a: calls.append("PolarTowers") or towers(*a))
+        return calls
+
+    def test_a_hit_returns_the_result_without_a_solve(self, monkeypatch):
+        first = axisymmetric_spectrum(AngularPotential.dipole(0.7), 20, PolarGrid.build(3, 300))
+        calls = self.counted_solves(monkeypatch)
+        # a new grid and potential with the same values
+        again = axisymmetric_spectrum(AngularPotential.dipole(0.7), 20, PolarGrid.build(3, 300))
+        assert again is first and calls == []
+        assert angular._axisymmetric_memo.cache_info().hits == 1
+        angular._axisymmetric_memo.cache_clear()
+        fresh = axisymmetric_spectrum(AngularPotential.dipole(0.7), 20, PolarGrid.build(3, 300))
+        assert fresh is not first and {"count_at_most", "eigh_tridiagonal", "PolarTowers"} <= set(calls)
+        assert np.array_equal(bits([md.mu for md in fresh.modes]), bits([md.mu for md in first.modes]))
+        for md, ref in zip(fresh.modes, first.modes):
+            assert np.array_equal(bits(md.psi), bits(ref.psi))
+
+    def test_each_key_component_misses(self):
+        # each variant differs from the base in one key component; 0.0 and
+        # -0.0, and a constant against a dipole at 0, solve the same tower
+        base = (3, 200, "flux", 12, AngularPotential.dipole(0.0))
+        variants = [
+            (4, 200, "flux", 12, AngularPotential.dipole(0.0)),
+            (3, 201, "flux", 12, AngularPotential.dipole(0.0)),
+            (3, 200, "node", 12, AngularPotential.dipole(0.0)),
+            (3, 200, "flux", 13, AngularPotential.dipole(0.0)),
+            (3, 200, "flux", 12, AngularPotential.constant(0.0)),
+            (3, 200, "flux", 12, AngularPotential.dipole(-0.0)),
+        ]
+        memo = angular._axisymmetric_memo
+
+        def value(potential):
+            return potential.coupling if potential.kind == "dipole" else potential.kappa
+
+        for calls, (N, M, sampling, K, potential) in enumerate(
+                [case for variant in variants for case in (base, variant)], 1):
+            spec = axisymmetric_spectrum(potential, K, PolarGrid.build(N, M, sampling))
+            assert memo.cache_info().misses == calls
+            assert (spec.grid.dim, spec.grid.size, spec.grid.sampling) == (N, M, sampling)
+            assert spec.potential.kind == potential.kind
+            assert float.hex(value(spec.potential)) == float.hex(value(potential))
+
+    def test_an_exception_is_not_remembered(self, monkeypatch):
+        memo = angular._axisymmetric_memo
+        grid = PolarGrid.build(3, 200)
+        kept = axisymmetric_spectrum(AngularPotential.dipole(1.0), 12, grid)
+        with pytest.raises(ResolutionError):
+            axisymmetric_spectrum(AngularPotential.dipole(1.0), 201, grid)
+        assert axisymmetric_spectrum(AngularPotential.dipole(1.0), 12, grid) is kept
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(angular, "eigh_tridiagonal", failing)
+        with pytest.raises(EigenSolveError):
+            axisymmetric_spectrum(AngularPotential.dipole(0.5), 12, grid)
+        monkeypatch.undo()
+        solved = axisymmetric_spectrum(AngularPotential.dipole(0.5), 12, grid)
+        assert solved.potential.coupling == 0.5
+        assert memo.cache_info().misses == 4 and memo.cache_info().hits == 1
+
+    @pytest.mark.parametrize("kind", ["dipole", "tabulated"])
+    def test_the_shared_arrays_are_read_only(self, kind):
+        grid = PolarGrid.build(3, 200)
+        potential = (AngularPotential.dipole(1.0) if kind == "dipole"
+                     else AngularPotential.tabulated(np.cos(grid.nodes), grid))
+        spec = axisymmetric_spectrum(potential, 12, grid)
+        g = spec.grid
+        arrays = [g.nodes, g.weights, g.half_weights, g.quadrature,
+                  spec.axial.diag, spec.axial.off, *(md.psi for md in spec.modes)]
+        if kind == "tabulated":
+            arrays.append(spec.potential.values)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        # the caller's own grid and potential stay writable
+        grid.nodes[0] = grid.nodes[0]
 
 
 class TestMu1Bounds:

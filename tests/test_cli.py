@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dipolespec import angular, hardy
+from dipolespec import angular, cli, hardy
 from dipolespec.cli import build_parser, main, parse_dims
 from pathlib import Path
 
@@ -522,6 +522,25 @@ class TestSandwichCommand:
         assert "admissible radius" in line and names in line
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (("sandwich", "--eps", "0"), "eps must be positive, got 0.0"),
+        (("sandwich", "--eps", "-1"), "eps must be positive, got -1.0"),
+        (("sandwich", "--radius-fraction", "2"), "radius fraction 2.0 must lie in (0, 1]"),
+        (("sandwich", "--radius-fraction", "0"), "radius fraction 0.0 must lie in (0, 1]"),
+        (("cauchy", "--scenario", "manufactured-nonradial", "--eps", "0"),
+         "eps must be positive, got 0.0"),
+    ])
+    def test_input_errors_exit_2_before_any_grid(self, capsys, monkeypatch, argv, message):
+        # at M = 50 the default --modes 80 of sandwich is a numerical failure
+        # (exit 3) once a spectrum is attempted; the input error comes first
+        builds = []
+        monkeypatch.setattr(angular.PolarGrid, "build", lambda *a: builds.append(a))
+        monkeypatch.setattr(angular, "axisymmetric_spectrum", lambda *a: builds.append(a))
+        code, out, err = run(capsys, *argv, "--grid", "50", "--points", "200")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert builds == []
+
+
 class TestBkCommand:
     def test_csv_header_and_values(self, capsys):
         code, out, _ = run(capsys, "bk", "--n", "3")
@@ -787,3 +806,94 @@ def test_readme_cli_block_runs(capsys, tmp_path, argv):
     assert code == 0 and out == "" and err == ""
     if argv == ("sigma", "--dim", "4", "--mu", "0"):
         assert target.read_text().strip() == "0, -2"
+
+
+# the field jobs of one `limits` benchmark batch: one spectrum key, eight outputs
+LIMITS_FIELD_JOBS = [
+    ("cauchy", "--scenario", "manufactured-radial", "--beta", "1.1",
+     "--radii", "0.2,0.4,0.6,0.8"),
+    ("cauchy", "--scenario", "manufactured-radial", "--beta", "1.3",
+     "--radii", "0.3,0.5,0.7,0.9", "--format", "json"),
+    ("cauchy", "--scenario", "manufactured-nonradial", "--limit-table", "--eps", "0.9"),
+    ("cauchy", "--scenario", "manufactured-nonradial", "--eps", "1.1",
+     "--radii", "0.2,0.3,0.6,0.9", "--format", "json"),
+    ("cauchy", "--scenario", "mode:2", "--beta", "0.9", "--radii", "0.3,0.6,0.9"),
+    ("cauchy", "--scenario", "mode:2", "--beta", "1.4", "--radii", "0.2,0.5,0.8",
+     "--format", "json"),
+    ("sandwich", "--eps", "0.85"),
+    ("sandwich", "--eps", "1.15"),
+]
+
+
+def test_remembered_spectrum_leaves_every_output_byte_identical(tmp_path):
+    shared = ("--potential", "dipole:0.8", "--grid", "800", "--modes", "40")
+    outputs = {}
+    for warm in (False, True):
+        for i, job in enumerate(LIMITS_FIELD_JOBS):
+            if not warm:
+                angular._axisymmetric_memo.cache_clear()
+            points = ("--points", "200" if job[0] == "sandwich" else "2000")
+            out = tmp_path / f"{warm}-{i}"
+            assert main([*job, *shared, *points, "--out", str(out)]) == 0
+            outputs.setdefault(i, []).append(out.read_bytes())
+    # every warm job hit the entry that the last cold job left (clearing resets the counts)
+    info = angular._axisymmetric_memo.cache_info()
+    assert (info.hits, info.misses) == (len(LIMITS_FIELD_JOBS), 1)
+    for cold, warm in outputs.values():
+        assert cold == warm
+
+
+def test_a_table_rewritten_at_one_path_is_solved_again(tmp_path, capsys):
+    grid = angular.PolarGrid.build(3, 400)
+    table = tmp_path / "a.txt"
+    argv = ("sandwich", "--potential", f"table:{table}", "--grid", "400", "--points", "200")
+    outs = []
+    for coupling in (0.8, 0.9):
+        np.savetxt(table, coupling * np.cos(grid.nodes), fmt="%.17g")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+    assert angular._axisymmetric_memo.cache_info().misses == 2
+    angular._axisymmetric_memo.cache_clear()
+    assert outs[0] != outs[1] and run(capsys, *argv)[1] == outs[1]
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(allow_nan=False, allow_infinity=False).map(np.float64))
+
+
+@st.composite
+def json_records(draw):
+    """A list of dicts with one key set, each key's values of one scalar kind or mixed."""
+    keys = draw(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    kinds = {key: draw(st.sampled_from([
+        JSON_SCALARS, st.floats(allow_nan=False, allow_infinity=False), st.text()]))
+        for key in keys}
+    return draw(st.lists(st.fixed_dictionaries(kinds), min_size=1, max_size=6))
+
+
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS | json_records(),
+    lambda children: (st.lists(children, max_size=5) | st.tuples(children, children)
+                      | st.dictionaries(st.text(), children, max_size=5)),
+    max_leaves=30,
+)
+
+
+class TestJsonEncoder:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=JSON_DOCUMENTS)
+    def test_same_text_as_json_dumps(self, doc):
+        assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    @pytest.mark.parametrize("where", [
+        lambda x: x, lambda x: [1.0, x], lambda x: {"a": [{"x": x}, {"x": 1.0}]},
+        lambda x: {"a": [{"x": "s", "y": x}]},
+    ])
+    def test_a_nonfinite_float_is_refused(self, bad, where):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json.dumps(where(bad), indent=2, sort_keys=True, allow_nan=False)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json(where(bad))
