@@ -18,8 +18,8 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -114,19 +114,30 @@ def parse_dims(spec: str):
     return range(lo, hi + 1)
 
 
+@dataclass(frozen=True)
+class _Table:
+    """A table by column: comma-separated names, one scalar sequence or numeric array each."""
+
+    header: str
+    columns: list
+
+
+def _values(column) -> list:
+    """A column's values as Python scalars."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
 def _nonfinite(value) -> bool:
-    """Whether a NaN or an infinity sits anywhere in a JSON-like value."""
+    """Whether a NaN or an infinity sits anywhere in a JSON-like value or a table."""
+    if isinstance(value, np.ndarray):
+        return not np.isfinite(value).all()
+    if isinstance(value, _Table):
+        value = value.columns
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, (list, tuple)):
         return any(map(_nonfinite, value))
     return isinstance(value, float) and not math.isfinite(value)
-
-
-def _finite_rows(rows) -> bool:
-    """Whether every number in the rows (tuples of numbers, strings and None) is finite."""
-    numbers = [v for row in rows for v in row if v is not None and not isinstance(v, str)]
-    return bool(np.all(np.isfinite(np.array(numbers, dtype=float))))
 
 
 def _conversion(kind: type) -> str:
@@ -156,7 +167,7 @@ _JSON_INDENT = "  "
 
 
 def _json_scalar(value) -> str | None:
-    """json.dumps's text of a str, None, bool, int or float; None for a list, tuple or dict."""
+    """json.dumps's text of a str, None, bool, int or float; None for a container."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -171,7 +182,7 @@ def _json_scalar(value) -> str | None:
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return float.__repr__(value)
-    if isinstance(value, (list, tuple, dict)):
+    if isinstance(value, (list, tuple, dict, _Table)):
         return None
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -190,22 +201,13 @@ def _json_column(values: list) -> list[str] | None:
     return None if None in texts else texts
 
 
-def _json_records(rows: list, level: int) -> list[str] | None:
-    """The texts of a records table at `level`, one % template for all rows; else None.
-
-    A records table is a list of non-empty dicts that share one key set and
-    hold scalars only; each key's values convert as one `_json_column`.
-    """
-    first = rows[0]
-    if not (isinstance(first, dict) and first
-            and all(isinstance(row, dict) and row.keys() == first.keys() for row in rows)):
-        return None
-    keys = sorted(first)
-    columns = [_json_column(list(map(itemgetter(key), rows))) for key in keys]
-    if None in columns:
-        return None
+def _json_records(table: _Table, level: int) -> list[str]:
+    """The rows as records at `level`: one `_json_column` per column, one % template."""
+    names = table.header.split(",")
+    order = sorted(range(len(names)), key=names.__getitem__)
+    columns = [_json_column(_values(table.columns[i])) for i in order]
     pad = "\n" + _JSON_INDENT * (level + 1)
-    fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+    fields = [encode_basestring_ascii(names[i]).replace("%", "%%") + ": %s" for i in order]
     template = "{" + pad + ("," + pad).join(fields) + "\n" + _JSON_INDENT * level + "}"
     return list(map(template.__mod__, zip(*columns)))
 
@@ -215,8 +217,9 @@ def _json(value, level: int = 0) -> str:
 
     Dict keys must be str.  A non-finite float raises ValueError and an
     unknown type TypeError, as json.dumps does.  A list of scalars and a
-    records table (`_json_records`) skip the per-value recursion of the
-    pure-Python encoder that json.dumps runs whenever it indents.
+    `_Table`, written as records (`_json_records`), skip the per-value
+    recursion of the pure-Python encoder that json.dumps runs whenever it
+    indents.
     """
     text = _json_scalar(value)
     if text is not None:
@@ -228,8 +231,8 @@ def _json(value, level: int = 0) -> str:
         items = [encode_basestring_ascii(key) + ": " + _json(value[key], level + 1)
                  for key in sorted(value)]
         return "{" + pad + ("," + pad).join(items) + "\n" + _JSON_INDENT * level + "}"
-    items = (_json_records(value, level + 1) or _json_column(value)
-             or [_json(item, level + 1) for item in value])
+    items = (_json_records(value, level + 1) if isinstance(value, _Table)
+             else _json_column(value) or [_json(item, level + 1) for item in value])
     return "[" + pad + ("," + pad).join(items) + "\n" + _JSON_INDENT * level + "]"
 
 
@@ -237,28 +240,28 @@ def _json(value, level: int = 0) -> str:
 _ROUTING = ("command", "format", "out")
 
 
-def _emit_doc(args, results: dict, header: str | None, rows: list | None,
-              sep: str = ",", command: str | None = None, records: str | None = None) -> None:
-    """The JSON document (always, if rows is None), or the CSV header (if any) and rows.
+def _emit_doc(args, results: dict, table: _Table | None = None, sep: str = ",",
+              command: str | None = None, records: str | None = None) -> None:
+    """The JSON document (always, if table is None), or the CSV header (if any) and rows.
 
     The document records as inputs every parsed argument that was set,
-    except the routing ones; if `records` names a results key, the rows go
-    there as records keyed by the header's column names.  Otherwise the
-    rows hold values of the results only.  A NaN or an infinity among the
-    results or the rows is a numerical failure, never output: JSON has
-    neither.
+    except the routing ones; if `records` names a results key, the table
+    goes there as records keyed by its column names, else it holds values
+    of the results only.  A NaN or an infinity among the results or the
+    table (checked by column) is a numerical failure: JSON has neither.
     """
     command = command or args.command
-    if _nonfinite(results) or (rows is not None and not _finite_rows(rows)):
+    if _nonfinite([results, table]):
         raise NumericalError(f"{command} produced a non-finite result")
-    if rows is None or args.format == "json":
+    if table is None or args.format == "json":
         if records is not None:
-            results = {**results, records: _records(header, rows)}
+            results = {**results, records: table}
         inputs = {k: v for k, v in vars(args).items() if k not in _ROUTING and v is not None}
         doc = {"command": command, "inputs": inputs, "results": results}
         lines = [_json(doc)]
     else:
-        lines = ([header] if header else []) + _csv_lines(rows, sep)
+        rows = zip(*map(_values, table.columns))
+        lines = ([table.header] if table.header else []) + _csv_lines(rows, sep)
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -268,12 +271,6 @@ def _emit_doc(args, results: dict, header: str | None, rows: list | None,
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
-
-
-def _records(header: str, rows) -> list[dict]:
-    """CSV rows as JSON records keyed by the header's column names."""
-    names = header.split(",")
-    return [dict(zip(names, row)) for row in rows]
 
 
 def _fields(result, *drop) -> dict:
@@ -286,7 +283,6 @@ def cmd_spectrum(args) -> int:
     potential = parse_potential(args.potential, grid)
     spec = angular.full_spectrum(potential, args.count, grid)
     flat = spec.flattened()[: args.count]
-    rows = [(k + 1, mu) for k, mu in enumerate(flat)]
     results = {
         "eigenvalues": [float(v) for v in flat],
         "mu_1": spec.mu_1,
@@ -302,7 +298,7 @@ def cmd_spectrum(args) -> int:
         results["sup_ratio"] = angular.eigenfunction_sup_ratio(spec)
     except InputError:
         pass
-    _emit_doc(args, results, "k,mu", rows)
+    _emit_doc(args, results, _Table("k,mu", [range(1, flat.size + 1), flat]))
     return 0
 
 
@@ -314,8 +310,8 @@ def cmd_hardy(args) -> int:
     res = hardy.lambda_n(potential, grid)
     # the maximizer is axisymmetric, see the hardy module docstring
     results = {**_fields(res), "maximizer_tower": 0}
-    rows = [(res.lambda_n, res.critical_coupling, 0)]
-    _emit_doc(args, results, "lambda_n,critical_coupling,maximizer_tower", rows)
+    columns = [[res.lambda_n], [res.critical_coupling], [0]]
+    _emit_doc(args, results, _Table("lambda_n,critical_coupling,maximizer_tower", columns))
     return 0
 
 
@@ -330,14 +326,14 @@ def _hardy_table(args) -> int:
         for method in methods:
             lam_star = hardy.critical_dipole_coupling(grid, method)
             rows.append((N, (N - 2) ** 2 / 4.0, lam_star, method, args.grid))
-    header = "N,classical,dipole_inverse_lambda,method,grid"
-    _emit_doc(args, {}, header, rows, command="hardy-table", records="rows")
+    table = _Table("N,classical,dipole_inverse_lambda,method,grid", list(zip(*rows)))
+    _emit_doc(args, {}, table, command="hardy-table", records="rows")
     return 0
 
 
 def cmd_sigma(args) -> int:
     exps = sigma_pair(args.dim, args.mu)
-    _emit_doc(args, _fields(exps), None, [(exps.sigma_plus, exps.sigma_minus)], sep=", ")
+    _emit_doc(args, _fields(exps), _Table("", [[exps.sigma_plus], [exps.sigma_minus]]), sep=", ")
     return 0
 
 
@@ -349,8 +345,7 @@ def cmd_radial(args) -> int:
     est = radial.limit_coefficient(prof)
     with np.errstate(divide="ignore", invalid="ignore"):  # a NaN is reported below
         scaled = prof.values / grid.points**exps.sigma_plus
-    header = "rho,phi,phi_over_rho_sigma"
-    rows = list(zip(grid.points, prof.values, scaled))
+    table = _Table("rho,phi,phi_over_rho_sigma", [grid.points, prof.values, scaled])
     results = {
         "limit_coefficient": est.value,
         "measured_limit": est.measured,
@@ -359,7 +354,7 @@ def cmd_radial(args) -> int:
         "c2": prof.c2,
         "iterations": prof.iterations,
     }
-    _emit_doc(args, results, header, rows, records="profile")
+    _emit_doc(args, results, table, records="profile")
     return 0
 
 
@@ -415,14 +410,14 @@ def cmd_cauchy(args) -> int:
         "relative_spread": rel_spread,
         "limit_table": None,
     }
-    header, rows = "R,value", list(zip(args.radii, values))
+    table = _Table("R,value", [args.radii, values])
     if k == 1:
-        table = asymptotics.measured_limit(field)
-        records = _records("rho,estimate,defect", table.rows)
-        results["limit_table"] = {"estimate": table.estimate, "rows": records}
+        limit = asymptotics.measured_limit(field)
+        rows = _Table("rho,estimate,defect", list(zip(*limit.rows)))
+        results["limit_table"] = {"estimate": limit.estimate, "rows": rows}
         if args.limit_table:
-            header, rows = "rho,estimate,defect", list(table.rows)
-    _emit_doc(args, results, header, rows)
+            table = rows
+    _emit_doc(args, results, table)
     return 0
 
 
@@ -433,7 +428,7 @@ def cmd_sandwich(args) -> int:
     results = _fields(rep)
     if math.isinf(rep.admissible_radius):  # unbounded (coercivity coefficient <= 0)
         results["admissible_radius"] = None
-    _emit_doc(args, results, None, None)
+    _emit_doc(args, results)
     return 0
 
 
@@ -443,8 +438,9 @@ def cmd_bk(args) -> int:
         dist=args.dist, diam=args.diam, sigma=args.sigma,
     )
     table = brezis_kato.iteration_constants(params, args.n, args.printed_variant)
-    header = "n,q_n,r_n,b_n,partial_sum,partial_product"
-    _emit_doc(args, _fields(table, "rows"), header, table.rows, records="rows")
+    rows = _Table("n,q_n,r_n,b_n,partial_sum,partial_product",
+                  [np.array(column) for column in zip(*table.rows)])
+    _emit_doc(args, _fields(table, "rows"), rows, records="rows")
     return 0
 
 

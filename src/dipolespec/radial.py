@@ -46,7 +46,7 @@ PICARD_MAX_SWEEPS = 200  # sweeps of solve_mode_picard before it gives up
 
 def check_eps(eps: float) -> None:
     """The decay power eps of a perturbation C s^{eps-2} must be positive."""
-    if eps <= 0:
+    if not eps > 0:
         raise InputError(f"eps must be positive, got {eps}")
 
 
@@ -119,7 +119,7 @@ class RadialPerturbation:
 
     @classmethod
     def manufactured(cls, beta: float, sigma: float, N: int):
-        if beta <= 0:
+        if not beta > 0:
             raise InputError(f"beta must be positive, got {beta}")
         K = beta * (beta + 2.0 * sigma + N - 2.0)
         return cls(form="manufactured", singular_power=beta - 2.0, coeff=-K,
@@ -141,8 +141,12 @@ class RadialPerturbation:
         return self.form == "zero"
 
 
-def _power_cell_weights(rho: np.ndarray, alpha: float):
-    """Exact integrals of s^alpha against the linear hat data on each cell."""
+def _power_kernel(rho: np.ndarray, alpha: float):
+    """(wl, wr, head): cell weights of s^alpha against the linear hat data, head factor."""
+    if alpha + 1.0 <= 0:
+        raise DivergentIntegralError(
+            f"power s^{alpha} is not integrable at zero"
+        )
     a, b = rho[:-1], rho[1:]
     if abs(alpha + 1.0) < 1e-12:
         P1 = np.log(b / a)
@@ -151,7 +155,14 @@ def _power_cell_weights(rho: np.ndarray, alpha: float):
     P2 = (b ** (alpha + 2) - a ** (alpha + 2)) / (alpha + 2)  # alpha > -1 here
     wl = (b * P1 - P2) / (b - a)
     wr = (P2 - a * P1) / (b - a)
-    return wl, wr
+    return wl, wr, rho[0] ** (alpha + 1) / (alpha + 1)
+
+
+def _cumulate(kernel, data: np.ndarray) -> np.ndarray:
+    """Cumulative integrals from zero of one `_power_kernel` against data sampled at rho."""
+    wl, wr, head = kernel
+    head = head * data[0]
+    return np.concatenate(([head], head + np.cumsum(wl * data[:-1] + wr * data[1:])))
 
 
 def integrate_power_from_zero(rho: np.ndarray, alpha: float, data: np.ndarray) -> np.ndarray:
@@ -160,13 +171,7 @@ def integrate_power_from_zero(rho: np.ndarray, alpha: float, data: np.ndarray) -
     The head cell (0, rho_1] takes the constant data value; it needs
     alpha > -1, otherwise the integral does not exist at this resolution.
     """
-    if alpha + 1.0 <= 0:
-        raise DivergentIntegralError(
-            f"power s^{alpha} is not integrable at zero"
-        )
-    wl, wr = _power_cell_weights(rho, alpha)
-    head = rho[0] ** (alpha + 1) / (alpha + 1) * data[0]
-    return np.concatenate(([head], head + np.cumsum(wl * data[:-1] + wr * data[1:])))
+    return _cumulate(_power_kernel(rho, alpha), data)
 
 
 def extrapolate_geometric(s0: float, s1: float, s2: float) -> float:
@@ -209,17 +214,6 @@ class RadialProfile:
         )
 
 
-def _volterra_integrals(exps: Exponents, h: RadialPerturbation, rho, phi):
-    """(I_plus, I_minus): cumulative integrals of s^{1-s_pm} h phi from zero."""
-    scaled = phi / rho**exps.sigma_plus  # bounded data factor
-    data = h.data(rho) * scaled
-    a_plus = 1.0 - exps.sigma_plus + h.singular_power + exps.sigma_plus
-    a_minus = 1.0 - exps.sigma_minus + h.singular_power + exps.sigma_plus
-    Ip = integrate_power_from_zero(rho, a_plus, data)
-    Im = integrate_power_from_zero(rho, a_minus, data)
-    return Ip, Im
-
-
 def solve_mode_picard(
     N: int,
     mu: float,
@@ -245,24 +239,32 @@ def solve_mode_picard(
             "degenerate exponents (zero discriminant): the representation "
             "divides by sigma_plus - sigma_minus"
         )
-    if tol <= 0:
+    if not tol > 0:
         raise InputError("tol must be positive")
-    rho = grid.points
-    D = exps.gap
-    phi = rho**exps.sigma_plus
+    rho, D = grid.points, exps.gap
+    rho_plus = phi = rho**exps.sigma_plus
     if h.is_zero:
         return _finish_profile(exps, grid, phi, h, 0.0, 1).scaled(c1)
+    with np.errstate(all="ignore"):  # a non-finite factor makes sweep 1 non-finite
+        hdata, rho_minus = h.data(rho), rho**exps.sigma_minus
+        kernels = [_power_kernel(rho, 1.0 - s + h.singular_power + exps.sigma_plus)
+                   for s in (exps.sigma_plus, exps.sigma_minus)]
+
+    def integrals(phi):  # (I_plus, I_minus): cumulative integrals of s^{1-s_pm} h phi from zero
+        data = hdata * (phi / rho_plus)  # bounded data factor
+        return [_cumulate(kernel, data) for kernel in kernels]
+
     prev_dist = math.inf
     for it in range(1, PICARD_MAX_SWEEPS + 1):
         with np.errstate(all="ignore"):  # a non-finite sweep raises below
-            Ip, Im = _volterra_integrals(exps, h, rho, phi)
-            new = rho**exps.sigma_plus * (1.0 - Ip / D) + rho**exps.sigma_minus * (Im / D)
+            Ip, Im = integrals(phi)
+            new = rho_plus * (1.0 - Ip / D) + rho_minus * (Im / D)
             dist = float(np.max(np.abs(new - phi)))
         if not math.isfinite(dist):
             raise NumericalError(f"Picard sweep {it} is not finite on this radial grid")
         phi = new
         if dist <= tol:
-            return _finish_profile(exps, grid, phi, h, dist, it).scaled(c1)
+            return _finish_profile(exps, grid, phi, h, dist, it, integrals).scaled(c1)
         if it > 5 and dist >= prev_dist:
             raise NonContractionError(
                 f"Picard distance stopped decreasing ({prev_dist:.3e} -> "
@@ -275,13 +277,13 @@ def solve_mode_picard(
     )
 
 
-def _finish_profile(exps, grid, phi, h, dist, iters):
+def _finish_profile(exps, grid, phi, h, dist, iters, integrals=None):
     """The unit-coefficient profile (c_limit = 1) of the converged iterate phi."""
     D = exps.gap
-    if h.is_zero:
+    if integrals is None:  # h = 0
         c1_repr, c2 = 1.0, 0.0
     else:
-        Ip, Im = _volterra_integrals(exps, h, grid.points, phi)
+        Ip, Im = integrals(phi)
         # upper-limit representation constants: c1 = c - (1/D) int_0^R, c2 = (1/D) int_0^R
         c1_repr = 1.0 - float(Ip[-1]) / D
         c2 = float(Im[-1]) / D

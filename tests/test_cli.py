@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -7,9 +9,9 @@ import warnings
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from dipolespec import angular, cli, hardy
+from dipolespec import angular, brezis_kato, cli, hardy
 from dipolespec.cli import build_parser, main, parse_dims
 from pathlib import Path
 
@@ -758,6 +760,55 @@ def test_csv_rows_render_like_the_reference(capsys, argv, key):
     assert lines == [",".join(reference_field(r[n]) for n in names) for r in records]
 
 
+# SHA-256 of stdout, taken before the tables were written column by column
+PINNED_TABLES = [
+    (("radial", "--dim", "3", "--mu", "2", "--perturbation", "manufactured:1.3",
+      "--points", "4000"), "9e7e57ac1887f0e79d0dbf5cd5f71f29935d9fd31987cdbefa81a7fd530c1cda"),
+    (("radial", "--dim", "3", "--mu", "2", "--perturbation", "manufactured:1.3",
+      "--points", "4000", "--format", "json"),
+     "a0ac039568ceabc0f3bbf8e5caaeaf3465ff622d04a06ea9cc0ea20e734adaee"),
+    (("hardy", "--table", "3..5", "--grid", "10000"),
+     "2fbad957ec78080a1a84ecff5b95ff76cef58d63ae32916c34ff7f37851cabc9"),
+    (("bk", "--format", "json"), "3537f2cc6850749654d05f5c88e0a10a5d93deeaf30f6f2cc76d073d4eefa400"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_TABLES)
+def test_tables_keep_their_bytes(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("column", range(6))
+def test_a_nan_in_one_bk_column_exits_3(capsys, monkeypatch, tmp_path, fmt, column):
+    solve = brezis_kato.iteration_constants
+
+    def with_nan(*args):
+        table = solve(*args)
+        rows = [list(row) for row in table.rows]
+        rows[3][column] = math.nan
+        return dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(brezis_kato, "iteration_constants", with_nan)
+    target = tmp_path / f"bk.{fmt}"
+    code, out, err = run(capsys, "bk", "--n", "20", "--format", fmt, "--out", str(target))
+    assert (code, out, err) == (3, "", "numerical failure: bk produced a non-finite result\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_nan_coupling_in_the_hardy_table_exits_3(capsys, monkeypatch, tmp_path, fmt):
+    monkeypatch.setattr(hardy, "critical_dipole_coupling",
+                        lambda grid, method: math.nan if grid.dim == 4 else 1.0)
+    target = tmp_path / f"table.{fmt}"
+    code, out, err = run(capsys, "hardy", "--table", "3..5", "--grid", "100",
+                         "--format", fmt, "--out", str(target))
+    assert (code, out) == (3, "") and err.startswith("numerical failure: hardy-table")
+    assert not target.exists()
+
+
 # one small successful run of each command, keyed by the command its document names
 RESULT_RUNS = {
     "spectrum": ("spectrum", "--potential", "constant:0.3", "--grid", "200", "--count", "100"),
@@ -897,3 +948,13 @@ class TestJsonEncoder:
             json.dumps(where(bad), indent=2, sort_keys=True, allow_nan=False)
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli._json(where(bad))
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=json_records())
+def test_a_table_writes_the_records_json_dumps_writes(records):
+    names = list(records[0])
+    assume(not any("," in name for name in names))
+    table = cli._Table(",".join(names), [[row[name] for row in records] for name in names])
+    for doc, want in (({"t": table}, {"t": records}), ([[table]], [[records]])):
+        assert cli._json(doc) == json.dumps(want, indent=2, sort_keys=True, allow_nan=False)

@@ -52,6 +52,29 @@ def ode_residual(profile, N: int, mu: float) -> np.ndarray:
     )
 
 
+def reference_picard(exps, h, rho, tol=1e-12):
+    """Unit-coefficient Picard solve that integrates from zero on every sweep."""
+    sp, sm, D = exps.sigma_plus, exps.sigma_minus, exps.gap
+
+    def integrals(phi):
+        data = h.data(rho) * (phi / rho**sp)
+        return [integrate_power_from_zero(rho, 1.0 - s + h.singular_power + sp, data)
+                for s in (sp, sm)]
+
+    phi, dist, it = rho**sp, 0.0, 1
+    while not h.is_zero:
+        Ip, Im = integrals(phi)
+        new = rho**sp * (1.0 - Ip / D) + rho**sm * (Im / D)
+        dist = float(np.max(np.abs(new - phi)))
+        phi = new
+        if dist <= tol:
+            break
+        it += 1
+    Ip, Im = integrals(phi) if not h.is_zero else ([0.0], [0.0])
+    return {"values": phi, "c1": 1.0 - float(Ip[-1]) / D, "c2": float(Im[-1]) / D,
+            "residual": dist, "iterations": it}
+
+
 class TestGridAndQuadrature:
     def test_geometric_grid_shape(self, radial_grid):
         assert radial_grid.size == 400
@@ -97,6 +120,15 @@ class TestPerturbation:
         s = np.array([0.25, 1.0])
         assert h.values(s) == pytest.approx(2.0 * s**-1.5)
 
+    @pytest.mark.parametrize("make", [
+        radial.check_eps,
+        lambda x: RadialPerturbation.power(1.0, x),
+        lambda x: RadialPerturbation.manufactured(x, SIGMA, N),
+    ])
+    def test_nan_is_not_positive(self, make):
+        with pytest.raises(InputError, match="must be positive"):
+            make(float("nan"))
+
     def test_manufactured_carries_pde_sign(self):
         h = RadialPerturbation.manufactured(1.0, SIGMA, N)
         # coefficient -beta(beta + 2 sigma + N - 2) = -(1 + 3) = -4
@@ -139,6 +171,27 @@ class TestPicard:
     def test_degenerate_exponents_rejected(self, radial_grid):
         with pytest.raises(InputError):
             solve_mode_picard(3, -0.25, RadialPerturbation.zero(), 1.0, radial_grid)
+
+    def test_nan_tol_rejected(self, radial_grid):
+        h = RadialPerturbation.power(0.5, 1.0)
+        with pytest.raises(InputError, match="tol must be positive"):
+            solve_mode_picard(N, MU, h, 1.0, radial_grid, tol=float("nan"))
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize("form", ["zero", "power", "manufactured"])
+    def test_same_bits_as_quadrature_every_sweep(self, radial_grid, dim, form):
+        # the solver builds the phi-independent quadrature once per solve; a
+        # loop that integrates from scratch every sweep gives the same bits
+        exps = sigma_pair(dim, MU)
+        h = {"zero": RadialPerturbation.zero(),
+             "power": RadialPerturbation.power(0.4, 1.0),
+             "manufactured": RadialPerturbation.manufactured(1.5, exps.sigma_plus, dim)}[form]
+        prof = solve_mode_picard(dim, MU, h, 0.7, radial_grid)
+        want = reference_picard(exps, h, radial_grid.points)
+        assert prof.iterations == want["iterations"]
+        assert np.array_equal(prof.values, 0.7 * want["values"])
+        for name in ("c1", "c2", "residual"):
+            assert getattr(prof, name) == 0.7 * want[name]
 
     def test_nonfinite_sweep_raises_at_once(self):
         # rho^{sigma_minus} = rho^{-2} overflows at 1e-300, so the first
@@ -213,7 +266,9 @@ class TestLimitCoefficient:
             prof = solve_mode_bvp(N, MU, h, 2.0, radial_grid)
         est = limit_coefficient(prof)
         assert est.value == prof.c_limit
-        Ip, _ = radial._volterra_integrals(prof.exponents, h, radial_grid.points, prof.values)
+        rho, sp = radial_grid.points, prof.exponents.sigma_plus
+        data = h.data(rho) * (prof.values / rho**sp)
+        Ip = integrate_power_from_zero(rho, 1.0 - sp + h.singular_power + sp, data)
         assert prof.c1 + Ip[-1] / GAP == pytest.approx(est.value, rel=1e-14)
 
     def test_formula_matches_measured_for_power(self, radial_grid):
