@@ -191,13 +191,9 @@ def iteration_constants(p: BKParameters, n_max: int, printed_variant: bool = Fal
         raise NumericalError(
             f"the limit constant overflows float64 at n = {n_max} for these inputs"
         )
-    rows = tuple(
-        (int(n[i]), float(q[i]), float(r[i]), float(b[i]),
-         float(partial_sums[i]), float(partial_products[i]))
-        for i in range(n_max)
-    )
+    columns = (n.astype(int), q, r, b, partial_sums, partial_products)
     return BKTable(
-        rows=rows,
+        rows=tuple(zip(*(column.tolist() for column in columns))),
         limit_constant=float(limit),
         sum_b=float(partial_sums[-1]),
         sum_inv_q=float(inv_q[-1]),

@@ -151,10 +151,13 @@ def _conversion(kind: type) -> str:
     return "%.10g"
 
 
-def _csv_lines(rows, sep: str) -> list[str]:
-    """The rows as CSV lines, through one template per row layout of value types."""
+def _csv_lines(columns: list, sep: str) -> list[str]:
+    """The rows of the columns as CSV lines, through one template per row layout of value types."""
+    layout = [set(map(type, column)) for column in columns]
+    if all(len(kinds) == 1 for kinds in layout):  # one type per column: one template
+        return list(map(sep.join(_conversion(k) for k, in layout).__mod__, zip(*columns)))
     templates, lines = {}, []
-    for row in rows:
+    for row in zip(*columns):
         kinds = tuple(map(type, row))
         template = templates.get(kinds)
         if template is None:
@@ -191,12 +194,15 @@ def _json_column(values: list) -> list[str] | None:
     """The texts of a list of scalars, or None if it holds a container.
 
     A list of floats converts in one map of float.__repr__, after one
-    finiteness pass.
+    finiteness pass, and a list of ints in one map of int.__repr__.
     """
-    if all(issubclass(kind, float) for kind in set(map(type, values))):
+    kinds = set(map(type, values))
+    if all(issubclass(kind, float) for kind in kinds):
         if not all(map(math.isfinite, values)):
             raise ValueError("Out of range float values are not JSON compliant")
         return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
     texts = list(map(_json_scalar, values))
     return None if None in texts else texts
 
@@ -260,8 +266,8 @@ def _emit_doc(args, results: dict, table: _Table | None = None, sep: str = ",",
         doc = {"command": command, "inputs": inputs, "results": results}
         lines = [_json(doc)]
     else:
-        rows = zip(*map(_values, table.columns))
-        lines = ([table.header] if table.header else []) + _csv_lines(rows, sep)
+        columns = list(map(_values, table.columns))
+        lines = ([table.header] if table.header else []) + _csv_lines(columns, sep)
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -773,6 +773,25 @@ PINNED_TABLES = [
 ]
 
 
+CSV_SCALARS = st.none() | st.integers() | st.text() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+# a table whose columns each hold one value type takes the one-template path
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_rows=st.integers(0, 5), kinds=st.lists(st.sampled_from([
+    st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.text(), CSV_SCALARS,
+]), min_size=1, max_size=4))
+def test_csv_lines_render_every_value_like_the_reference(data, n_rows, kinds):
+    columns = [data.draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    want = [", ".join(map(reference_field, row)) for row in zip(*columns)]
+    assert cli._csv_lines(columns, ", ") == want
+
+
+@pytest.mark.parametrize("column", [[1, -2, 2**70], [True, False], [1, True, 2.5], [0, None]])
+def test_an_int_column_writes_what_json_dumps_writes(column):
+    assert cli._json(column) == json.dumps(column, indent=2, sort_keys=True, allow_nan=False)
+
+
 @pytest.mark.parametrize("argv,digest", PINNED_TABLES)
 def test_tables_keep_their_bytes(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
