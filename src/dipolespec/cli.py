@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
 Everything is seedless and deterministic: identical invocations produce
-byte-identical primary output.  Numeric values print with 10 significant
-digits.  Exit codes: 0 success, 2 input error (including unknown flags,
-which argparse reports with usage text on stderr, and an unwritable --out),
-3 numerical failure as defined by the operation contracts or out of memory.
+byte-identical primary output.  CSV prints floats to 10 significant digits,
+JSON as their repr.  Exit codes: 0 success, 2 input error (including unknown
+flags, which argparse reports with usage text on stderr, and an unwritable
+--out), 3 numerical failure as defined by the operation contracts or out of memory.
 
 The default polar grid size is 10000 and can be overridden with the
 DIPOLESPEC_GRID_M environment variable.
@@ -141,29 +141,22 @@ def _nonfinite(value) -> bool:
 
 
 def _conversion(kind: type) -> str:
-    """The printf conversion of a row value: every float prints with 10 significant digits."""
+    """The printf conversion of a column's value type: every float prints with 10 significant digits."""
     if kind is type(None):
         return "%.0s"  # an empty field
     if issubclass(kind, str):
         return "%s"
-    if issubclass(kind, (int, np.integer)):
+    if issubclass(kind, int):
         return "%d"
     return "%.10g"
 
 
 def _csv_lines(columns: list, sep: str) -> list[str]:
-    """The rows of the columns as CSV lines, through one template per row layout of value types."""
-    layout = [set(map(type, column)) for column in columns]
-    if all(len(kinds) == 1 for kinds in layout):  # one type per column: one template
-        return list(map(sep.join(_conversion(k) for k, in layout).__mod__, zip(*columns)))
-    templates, lines = {}, []
-    for row in zip(*columns):
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = sep.join(map(_conversion, kinds))
-        lines.append(template % row)
-    return lines
+    """The rows as CSV lines through one template of the columns' value types, one type each."""
+    kinds = [set(map(type, column)) or {str} for column in columns]  # an empty column has no rows
+    if any(len(k) > 1 for k in kinds):
+        raise TypeError(f"a CSV column mixes {sorted(k.__name__ for k in max(kinds, key=len))}")
+    return list(map(sep.join(_conversion(k) for k, in kinds).__mod__, zip(*columns)))
 
 
 _JSON_INDENT = "  "
