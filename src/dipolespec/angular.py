@@ -63,13 +63,11 @@ def centrifugal_constant(N: int, m: int) -> int:
 def harmonic_multiplicity(N: int, m: int) -> int:
     """dim H_m(S^{N-2}): 1 for m = 0; for N = 3 it is 2 for every m >= 1.
 
-    For d = N-2 >= 2 the dimension is (2m+d-1) (m+d-2)! / (m! (d-1)!).
+    For d = N-2 >= 1 the dimension is (2m+d-1) (m+d-2)! / (m! (d-1)!).
     """
     if m == 0:
         return 1
     d = N - 2
-    if d == 1:
-        return 2
     return (2 * m + d - 1) * math.factorial(m + d - 2) // (math.factorial(m) * math.factorial(d - 1))
 
 

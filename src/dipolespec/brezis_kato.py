@@ -49,6 +49,9 @@ class BKParameters:
     sigma: float
 
     def __post_init__(self):
+        nonfinite = [k for k, v in vars(self).items() if not math.isfinite(v)]
+        if nonfinite:
+            raise InputError(f"{', '.join(nonfinite)} must be finite")
         if self.dim < 3:
             raise InputError(f"dimension must be >= 3, got {self.dim}")
         if self.s <= self.dim / 2:

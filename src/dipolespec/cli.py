@@ -2,9 +2,11 @@
 
 Everything is seedless and deterministic: identical invocations produce
 byte-identical primary output.  CSV prints floats to 10 significant digits,
-JSON as their repr.  Exit codes: 0 success, 2 input error (including unknown
-flags, which argparse reports with usage text on stderr, and an unwritable
---out), 3 numerical failure as defined by the operation contracts or out of memory.
+JSON as their repr: json.dumps writes the whole document, and only the
+records of a `_Table` go through one % template.  Exit codes: 0 success,
+2 input error (including unknown flags, which argparse reports with usage
+text on stderr, and an unwritable --out), 3 numerical failure as defined by
+the operation contracts or out of memory.
 
 The default polar grid size is 10000 and can be overridden with the
 DIPOLESPEC_GRID_M environment variable.
@@ -14,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -159,36 +162,9 @@ def _csv_lines(columns: list, sep: str) -> list[str]:
     return list(map(sep.join(_conversion(k) for k, in kinds).__mod__, zip(*columns)))
 
 
-_JSON_INDENT = "  "
-
-
-def _json_scalar(value) -> str | None:
-    """json.dumps's text of a str, None, bool, int or float; None for a container."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    if isinstance(value, (list, tuple, dict, _Table)):
-        return None
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_column(values: list) -> list[str] | None:
-    """The texts of a list of scalars, or None if it holds a container.
-
-    A list of floats converts in one map of float.__repr__, after one
-    finiteness pass, and a list of ints in one map of int.__repr__.
-    """
+def _json_column(values: list) -> list[str]:
+    """The JSON texts of a column: all floats (after one finiteness pass) or all ints
+    in one map of their type's __repr__, any other column by json.dumps value by value."""
     kinds = set(map(type, values))
     if all(issubclass(kind, float) for kind in kinds):
         if not all(map(math.isfinite, values)):
@@ -196,43 +172,49 @@ def _json_column(values: list) -> list[str] | None:
         return list(map(float.__repr__, values))
     if kinds == {int}:
         return list(map(int.__repr__, values))
-    texts = list(map(_json_scalar, values))
-    return None if None in texts else texts
+    return [json.dumps(value, allow_nan=False) for value in values]
 
 
-def _json_records(table: _Table, level: int) -> list[str]:
-    """The rows as records at `level`: one `_json_column` per column, one % template."""
+def _json_records(table: _Table, indent: str) -> str:
+    """The table as json.dumps writes its list of records at `indent`, through one % template."""
     names = table.header.split(",")
     order = sorted(range(len(names)), key=names.__getitem__)
     columns = [_json_column(_values(table.columns[i])) for i in order]
-    pad = "\n" + _JSON_INDENT * (level + 1)
-    fields = [encode_basestring_ascii(names[i]).replace("%", "%%") + ": %s" for i in order]
-    template = "{" + pad + ("," + pad).join(fields) + "\n" + _JSON_INDENT * level + "}"
-    return list(map(template.__mod__, zip(*columns)))
+    item, field = "\n" + indent + "  ", "\n" + indent + "    "
+    keys = [json.dumps(names[i]).replace("%", "%%") + ": %s" for i in order]
+    template = "{" + field + ("," + field).join(keys) + item + "}"
+    rows = list(map(template.__mod__, zip(*columns)))
+    return "[" + item + ("," + item).join(rows) + "\n" + indent + "]" if rows else "[]"
 
 
-def _json(value, level: int = 0) -> str:
-    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), byte for byte.
+# a table's placeholder string, NUL and the table's index, as the last value of its line
+_PLACEHOLDER = re.compile(r'"\\u0000\d+"(?=,?$)', re.M)
 
-    Dict keys must be str.  A non-finite float raises ValueError and an
-    unknown type TypeError, as json.dumps does.  A list of scalars and a
-    `_Table`, written as records (`_json_records`), skip the per-value
-    recursion of the pure-Python encoder that json.dumps runs whenever it
-    indents.
+
+def _json(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), a `_Table` as its records.
+
+    json.dumps writes each table as a placeholder string (no argv string
+    holds a NUL), which `_json_records` then replaces at the indentation
+    of its line: the indenting encoder would take a dict per row.  A string
+    that reads as a placeholder next to a table raises ValueError.
     """
-    text = _json_scalar(value)
-    if text is not None:
-        return text
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    pad = "\n" + _JSON_INDENT * (level + 1)
-    if isinstance(value, dict):
-        items = [encode_basestring_ascii(key) + ": " + _json(value[key], level + 1)
-                 for key in sorted(value)]
-        return "{" + pad + ("," + pad).join(items) + "\n" + _JSON_INDENT * level + "}"
-    items = (_json_records(value, level + 1) if isinstance(value, _Table)
-             else _json_column(value) or [_json(item, level + 1) for item in value])
-    return "[" + pad + ("," + pad).join(items) + "\n" + _JSON_INDENT * level + "]"
+    tables = []
+
+    def placeholder(obj) -> str:
+        if not isinstance(obj, _Table):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        tables.append(obj)
+        return f"\0{len(tables) - 1}"
+
+    text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False, default=placeholder)
+    pieces = _PLACEHOLDER.split(text)
+    if len(pieces) != len(tables) + 1:
+        raise ValueError("a string of the document reads as a table placeholder")
+    for i, table in enumerate(tables):
+        line = pieces[2 * i].rpartition("\n")[2]
+        pieces.insert(2 * i + 1, _json_records(table, line[:len(line) - len(line.lstrip(" "))]))
+    return "".join(pieces)
 
 
 # parsed arguments that route the output, not the computation

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -200,6 +201,12 @@ class TestParameterValidation:
     def test_subcritical_s_rejected(self):
         with pytest.raises(InputError):
             BKParameters(4, 2.0, 1.0, 1.0, 1.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["s", "v_norm", "ckn_constant", "dist", "diam", "sigma"])
+    def test_a_nonfinite_input_is_an_input_error(self, field, bad):
+        with pytest.raises(InputError, match=f"^{field} must be finite$"):
+            dataclasses.replace(REFERENCE, **{field: bad})
 
     def test_two_star(self):
         assert REFERENCE.two_star == pytest.approx(4.0)

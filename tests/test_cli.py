@@ -781,6 +781,18 @@ PINNED_TABLES = [
     (("cauchy", "--scenario", "manufactured-radial", "--grid", "200", "--modes", "10",
       "--limit-table"), "8599eaeb25bd845e437e24de847c689aea3e36b2dcbf6e151b29f131fc2d5db5"),
     (("bk", "--n", "30"), "6ebafe3a10538d71ec67e4b70c0dc456bde5e1cff6ef1ca6647aab1919abad95"),
+    (("hardy", "--table", "3..5", "--grid", "2000", "--method", "both", "--format", "json"),
+     "b327d3111f60cb126b29c66c478a4a5c4a81ed763afb2a20224137343fc09197"),
+    (("cauchy", "--scenario", "manufactured-nonradial", "--grid", "200", "--modes", "10",
+      "--format", "json"), "91dd27bc5cea66630d5035f82dd35e97ed051aac8faf5314867313146b9b8643"),
+    (("spectrum", "--dim", "4", "--potential", "constant:0.5", "--count", "120", "--grid", "300",
+      "--format", "json"), "dd1d667d557f3be7551263472b3973cde29cbe45e2d598ba2aa8121e8d76ad9e"),
+    (("sandwich", "--grid", "400", "--modes", "40"),
+     "eb493dfca2ade3a0c5fb7b5ff7bb79dfb507d7f31fbb0e5c01b581316d15d9ae"),
+    (("hardy", "--dim", "3", "--potential", "constant:0.3", "--grid", "300", "--format", "json"),
+     "ed62e0b57e3c00bb1af16f8cd9dfd16ecb1cec42749e3e8b4ecc19177e167017"),
+    (("sigma", "--dim", "4", "--mu", "0", "--format", "json"),
+     "49bd8b8c9907636348f4c64bec5604f0749f7ed6bae38e320c99e04814121d90"),
 ]
 
 
@@ -991,3 +1003,28 @@ def test_a_table_writes_the_records_json_dumps_writes(records):
     table = cli._Table(",".join(names), [[row[name] for row in records] for name in names])
     for doc, want in (({"t": table}, {"t": records}), ([[table]], [[records]])):
         assert cli._json(doc) == json.dumps(want, indent=2, sort_keys=True, allow_nan=False)
+
+
+def test_a_table_without_rows_writes_an_empty_list():
+    assert cli._json({"t": cli._Table("x,y", [[], []])}) == json.dumps({"t": []}, indent=2)
+
+
+# a table is written through a placeholder string, NUL and its index
+@pytest.mark.parametrize("text", ["\x000", "\x001", "\x0012", 'x"\x000', "\x000\x000"])
+@pytest.mark.parametrize("place", [
+    lambda t, s: {"a": s, "t": t}, lambda t, s: {"t": t, "z": s}, lambda t, s: [s, t, [s]],
+    lambda t, s: {s: t}, lambda t, s: {"t": {s: [t, s]}},
+])
+def test_a_string_that_reads_as_a_placeholder_is_never_a_table(text, place):
+    table = cli._Table("x,y", [[1.5, 2.5], ["a", "b"]])
+    records = [{"x": 1.5, "y": "a"}, {"x": 2.5, "y": "b"}]
+    want = json.dumps(place(records, text), indent=2, sort_keys=True, allow_nan=False)
+    try:
+        assert cli._json(place(table, text)) == want
+    except ValueError as exc:
+        assert "placeholder" in str(exc)
+
+
+def test_a_placeholder_string_next_to_a_table_is_a_value_error():
+    with pytest.raises(ValueError, match="placeholder"):
+        cli._json(["\x000", cli._Table("x", [[1.5]])])
