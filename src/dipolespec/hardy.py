@@ -18,9 +18,11 @@ discrete level both characterize the same singularity of A - lambda B, so
 they agree to solver tolerance on a common grid.
 
 Every solve reads N and the sampling from its `PolarGrid`.  Deterministic
-throughout: the pencil is solved by Lanczos iteration on
-L^{-1} B L^{-T} (A = L L^T banded Cholesky) started from the normalized
-all-ones vector with full reorthogonalization.
+throughout: the pencil is solved by Lanczos iteration on U^{-T} B U^{-1},
+where A = U^T U is the banded upper Cholesky factor, started from the
+normalized all-ones vector with full reorthogonalization.  Each step applies
+U^{-1} and U^{-T} as two LAPACK triangular band solves (`dtbtrs`) on the one
+stored factor.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import numpy as np
 from scipy.linalg import (
     cholesky_banded,
     eigvalsh_tridiagonal,
-    solve_banded,
+    solve_banded,  # noqa: F401 - bound, not called: perfbench/tracer.py wraps this name
 )
+from scipy.linalg.lapack import dtbtrs
 
 from .angular import (
     AngularPotential,
@@ -51,7 +54,14 @@ _BISECTION_TOL = 1e-8  # width of the final coupling bracket
 
 
 class _PencilOperator:
-    """y -> L^{-1} B L^{-T} y for A = U^T U (banded upper Cholesky)."""
+    """y -> U^{-T} B U^{-1} y, for A = U^T U (banded upper Cholesky) and B = diag(b).
+
+    U is factored once, and a failed factorization is the
+    IndefiniteFormError.  Each call makes two triangular band solves on U
+    (LAPACK dtbtrs): U x = y into a new array, so `y`, which Lanczos keeps
+    in its basis, is left unchanged, then U^T z = B x in place.  A nonzero
+    LAPACK info is an EigenSolveError.
+    """
 
     def __init__(self, A: TridiagonalMatrix, b_diag: np.ndarray):
         ab = np.zeros((2, A.size))
@@ -64,13 +74,16 @@ class _PencilOperator:
                 "denominator form is numerically indefinite at this grid "
                 "resolution; refine the polar grid"
             ) from exc
-        self.UT = np.vstack([self.U[1], np.append(self.U[0][1:], 0.0)])
         self.b = b_diag
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        x = solve_banded((0, 1), self.U, y)        # L^{-T} y = U^{-1} y
-        x = self.b * x
-        return solve_banded((1, 0), self.UT, x)    # L^{-1} x = U^{-T} x
+        x, info = dtbtrs(self.U, y, uplo="U", trans="N")
+        if info == 0:
+            x *= self.b
+            x, info = dtbtrs(self.U, x, uplo="U", trans="T", overwrite_b=1)
+        if info != 0:
+            raise EigenSolveError(f"triangular band solve failed (LAPACK info {info})")
+        return x
 
 
 def _lanczos_largest(op, n: int) -> float:

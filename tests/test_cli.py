@@ -760,7 +760,9 @@ def test_csv_rows_render_like_the_reference(capsys, argv, key):
     assert lines == [",".join(reference_field(r[n]) for n in names) for r in records]
 
 
-# SHA-256 of stdout, each taken before a change to the table writer
+# SHA-256 of stdout, each taken before a change to the table writer.  Three
+# JSON pins print a pencil value to 17 digits and were re-taken when the
+# pencil moved from banded LU solves to triangular band solves.
 PINNED_TABLES = [
     (("radial", "--dim", "3", "--mu", "2", "--perturbation", "manufactured:1.3",
       "--points", "4000"), "9e7e57ac1887f0e79d0dbf5cd5f71f29935d9fd31987cdbefa81a7fd530c1cda"),
@@ -782,15 +784,15 @@ PINNED_TABLES = [
       "--limit-table"), "8599eaeb25bd845e437e24de847c689aea3e36b2dcbf6e151b29f131fc2d5db5"),
     (("bk", "--n", "30"), "6ebafe3a10538d71ec67e4b70c0dc456bde5e1cff6ef1ca6647aab1919abad95"),
     (("hardy", "--table", "3..5", "--grid", "2000", "--method", "both", "--format", "json"),
-     "b327d3111f60cb126b29c66c478a4a5c4a81ed763afb2a20224137343fc09197"),
+     "c6fa9231904012f63af8a789b1877d51e868650a2e76bd9cce7c36fad722ed35"),
     (("cauchy", "--scenario", "manufactured-nonradial", "--grid", "200", "--modes", "10",
       "--format", "json"), "91dd27bc5cea66630d5035f82dd35e97ed051aac8faf5314867313146b9b8643"),
     (("spectrum", "--dim", "4", "--potential", "constant:0.5", "--count", "120", "--grid", "300",
       "--format", "json"), "dd1d667d557f3be7551263472b3973cde29cbe45e2d598ba2aa8121e8d76ad9e"),
     (("sandwich", "--grid", "400", "--modes", "40"),
-     "eb493dfca2ade3a0c5fb7b5ff7bb79dfb507d7f31fbb0e5c01b581316d15d9ae"),
+     "0036f0194ded329e352fa89358d61b42c56dd0c22ff12153bc8293f1904e1548"),
     (("hardy", "--dim", "3", "--potential", "constant:0.3", "--grid", "300", "--format", "json"),
-     "ed62e0b57e3c00bb1af16f8cd9dfd16ecb1cec42749e3e8b4ecc19177e167017"),
+     "c0abee80230ec2b2aebfe830bfa9742580601fd67b337a5d6e1d2ad9067df4b2"),
     (("sigma", "--dim", "4", "--mu", "0", "--format", "json"),
      "49bd8b8c9907636348f4c64bec5604f0749f7ed6bae38e320c99e04814121d90"),
 ]

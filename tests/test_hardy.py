@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from dipolespec import hardy
+from dipolespec import cli, hardy
 from dipolespec.angular import (
     AngularPotential,
     PolarGrid,
@@ -13,7 +13,7 @@ from dipolespec.angular import (
     count_at_most,
     polar_eigen,
 )
-from dipolespec.errors import InputError
+from dipolespec.errors import EigenSolveError, IndefiniteFormError, InputError
 from dipolespec.hardy import (
     admissible_radius,
     critical_dipole_coupling,
@@ -288,6 +288,65 @@ class TestCriticalCoupling:
         g = PolarGrid.build(4, 100)
         with pytest.raises(InputError):
             critical_dipole_coupling(g, "trisection")
+
+
+def denominator_form(grid):
+    """The pencil's A: the m = 0 tower at a = 0 plus ((N-2)/2)^2 I, as lambda_n builds it."""
+    zero = AngularPotential.constant(0.0)
+    return assemble_polar_operator(zero, 0, grid).shifted(((grid.dim - 2) / 2.0) ** 2)
+
+
+def indefinite_form(grid):
+    A = denominator_form(grid)
+    return A.shifted(-2.0 * float(np.max(A.diag)))
+
+
+class TestPencilOperator:
+    @pytest.mark.parametrize("sampling", ["node", "flux"])
+    @pytest.mark.parametrize("N", [3, 5])
+    def test_matches_the_dense_operator_and_keeps_its_input(self, N, sampling):
+        g = PolarGrid.build(N, 60, sampling)
+        A = denominator_form(g)
+        b = np.cos(g.nodes)
+        L = np.linalg.cholesky(np.diag(A.diag) + np.diag(A.off, 1) + np.diag(A.off, -1))
+        y = np.random.default_rng(N).standard_normal(A.size)
+        kept = y.copy()
+        got = hardy._PencilOperator(A, b)(y)
+        # A = L L^T = U^T U, so U^{-T} B U^{-1} y = L^{-1} B L^{-T} y
+        want = np.linalg.solve(L, b * np.linalg.solve(L.T, y))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        # Lanczos keeps y in its basis: the solves must not write into it
+        np.testing.assert_array_equal(y, kept)
+
+    def test_indefinite_form_raises(self):
+        g = PolarGrid.build(3, 60)
+        with pytest.raises(IndefiniteFormError):
+            hardy._PencilOperator(indefinite_form(g), np.cos(g.nodes))
+
+    def test_indefinite_form_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(hardy, "assemble_polar_operator",
+                            lambda potential, m, grid: indefinite_form(grid))
+        code = cli.main(["hardy", "--dim", "3", "--grid", "200"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: denominator form is numerically indefinite")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("failing_call", [0, 1])
+    def test_a_lapack_failure_is_an_eigen_solve_error(self, monkeypatch, failing_call):
+        g = PolarGrid.build(3, 60)
+        op = hardy._PencilOperator(denominator_form(g), np.cos(g.nodes))
+        calls, solve = [], hardy.dtbtrs
+
+        def failing(*args, **kwargs):
+            x, info = solve(*args, **kwargs)
+            calls.append(kwargs["trans"])
+            return x, (-2 if len(calls) - 1 == failing_call else info)
+
+        monkeypatch.setattr(hardy, "dtbtrs", failing)
+        with pytest.raises(EigenSolveError, match="LAPACK info -2"):
+            op(np.ones(g.size))
+        assert calls == ["N", "T"][: failing_call + 1]
 
 
 def positivity_sides(potential, grid):
