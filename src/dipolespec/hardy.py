@@ -18,11 +18,10 @@ discrete level both characterize the same singularity of A - lambda B, so
 they agree to solver tolerance on a common grid.
 
 Every solve reads N and the sampling from its `PolarGrid`.  Deterministic
-throughout: the pencil is solved by Lanczos iteration on U^{-T} B U^{-1},
-where A = U^T U is the banded upper Cholesky factor, started from the
-normalized all-ones vector with full reorthogonalization.  Each step applies
-U^{-1} and U^{-T} as two LAPACK triangular band solves (`dtbtrs`) on the one
-stored factor.
+throughout: one routine, `_lanczos_largest`, factors A = U^T U (banded upper
+Cholesky) and runs Lanczos on U^{-T} B U^{-1} from the normalized all-ones
+vector with full reorthogonalization, each step two LAPACK triangular band
+solves (`dtbtrs`) on that one factor.
 """
 
 from __future__ import annotations
@@ -53,48 +52,38 @@ _LANCZOS_TOL = 1e-13
 _BISECTION_TOL = 1e-8  # width of the final coupling bracket
 
 
-class _PencilOperator:
-    """y -> U^{-T} B U^{-1} y, for A = U^T U (banded upper Cholesky) and B = diag(b).
+def _lanczos_largest(A: TridiagonalMatrix, b: np.ndarray) -> float:
+    """Largest value Lambda of the pencil diag(b) w = Lambda A w (the Ritz value only).
 
-    U is factored once, and a failed factorization is the
-    IndefiniteFormError.  Each call makes two triangular band solves on U
-    (LAPACK dtbtrs): U x = y into a new array, so `y`, which Lanczos keeps
-    in its basis, is left unchanged, then U^T z = B x in place.  A nonzero
-    LAPACK info is an EigenSolveError.
+    A = U^T U is factored once (banded upper Cholesky), and a failed
+    factorization is the IndefiniteFormError.  Lanczos runs on U^{-T} B U^{-1}
+    from the normalized all-ones vector with full reorthogonalization, and
+    stops when the largest Ritz value settles.  Each step applies the
+    operator as two triangular band solves on U (LAPACK dtbtrs): U x = q into
+    a new array, so the basis vector q is left unchanged, then U^T z = B x in
+    place.  A nonzero LAPACK info is an EigenSolveError.
     """
-
-    def __init__(self, A: TridiagonalMatrix, b_diag: np.ndarray):
-        ab = np.zeros((2, A.size))
-        ab[0, 1:] = A.off
-        ab[1, :] = A.diag
-        try:
-            self.U = cholesky_banded(ab, lower=False)
-        except np.linalg.LinAlgError as exc:
-            raise IndefiniteFormError(
-                "denominator form is numerically indefinite at this grid "
-                "resolution; refine the polar grid"
-            ) from exc
-        self.b = b_diag
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        x, info = dtbtrs(self.U, y, uplo="U", trans="N")
-        if info == 0:
-            x *= self.b
-            x, info = dtbtrs(self.U, x, uplo="U", trans="T", overwrite_b=1)
-        if info != 0:
-            raise EigenSolveError(f"triangular band solve failed (LAPACK info {info})")
-        return x
-
-
-def _lanczos_largest(op, n: int) -> float:
-    """Largest eigenvalue of `op` (the Ritz value only); deterministic all-ones start."""
-    q = np.ones(n) / math.sqrt(n)
-    basis = [q]
+    ab = np.zeros((2, A.size))
+    ab[0, 1:] = A.off
+    ab[1, :] = A.diag
+    try:
+        U = cholesky_banded(ab, lower=False)
+    except np.linalg.LinAlgError as exc:
+        raise IndefiniteFormError(
+            "denominator form is numerically indefinite at this grid "
+            "resolution; refine the polar grid"
+        ) from exc
+    basis = [np.ones(A.size) / math.sqrt(A.size)]
     alphas: list[float] = []
     betas: list[float] = []
     prev = math.inf
     for _ in range(_LANCZOS_CAP):
-        v = op(basis[-1])
+        v, info = dtbtrs(U, basis[-1], uplo="U", trans="N")
+        if info == 0:
+            v *= b
+            v, info = dtbtrs(U, v, uplo="U", trans="T", overwrite_b=1)
+        if info != 0:
+            raise EigenSolveError(f"triangular band solve failed (LAPACK info {info})")
         alpha = float(basis[-1] @ v)
         alphas.append(alpha)
         v = v - alpha * basis[-1]
@@ -143,13 +132,15 @@ def lambda_n(
     zero = AngularPotential.constant(0.0)
     A = assemble_polar_operator(zero, 0, grid).shifted(((grid.dim - 2) / 2.0) ** 2)
     # Lambda is homogeneous of degree 1 in a; Lanczos stops on absolute
-    # thresholds, so it runs on a / ess sup a and the value is scaled back
-    best = _lanczos_largest(_PencilOperator(A, a_samples / potential.ess_sup), A.size)
-    best *= potential.ess_sup
-    lam_crit = None
-    if potential.kind == "dipole" and best > 0:
-        lam_crit = abs(potential.coupling) / best  # the threshold ignores the sign
-    return HardyResult(lambda_n=best, critical_coupling=lam_crit)
+    # thresholds, so it runs on a / ess sup a and the value is scaled back.
+    # A dipole's is sign(lam) cos t, formed as such, and its critical
+    # coupling is 1 / Lambda(sign(lam) cos): for a subnormal lam, lam cos t /
+    # |lam| loses bits and Lambda(lam cos) underflows
+    if potential.kind == "dipole":
+        unit = _lanczos_largest(A, math.copysign(1.0, potential.coupling) * np.cos(grid.nodes))
+        return HardyResult(unit * potential.ess_sup, 1.0 / unit if unit > 0 else None)
+    unit = _lanczos_largest(A, a_samples / potential.ess_sup)
+    return HardyResult(unit * potential.ess_sup, None)
 
 
 def critical_dipole_coupling(

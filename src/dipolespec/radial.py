@@ -244,7 +244,7 @@ def solve_mode_picard(
     rho, D = grid.points, exps.gap
     rho_plus = phi = rho**exps.sigma_plus
     if h.is_zero:
-        return _finish_profile(exps, grid, phi, h, 0.0, 1).scaled(c1)
+        return RadialProfile(exps, grid, phi, h, c_limit=1.0, c1=1.0, iterations=1).scaled(c1)
     with np.errstate(all="ignore"):  # a non-finite factor makes sweep 1 non-finite
         hdata, rho_minus = h.data(rho), rho**exps.sigma_minus
         kernels = [_power_kernel(rho, 1.0 - s + h.singular_power + exps.sigma_plus)
@@ -264,7 +264,12 @@ def solve_mode_picard(
             raise NumericalError(f"Picard sweep {it} is not finite on this radial grid")
         phi = new
         if dist <= tol:
-            return _finish_profile(exps, grid, phi, h, dist, it, integrals).scaled(c1)
+            # upper-limit representation constants: c1 = c - (1/D) int_0^R, c2 = (1/D) int_0^R
+            Ip, Im = integrals(phi)
+            return RadialProfile(
+                exps, grid, phi, h, c_limit=1.0, c1=1.0 - float(Ip[-1]) / D,
+                c2=float(Im[-1]) / D, residual=dist, iterations=it,
+            ).scaled(c1)
         if it > 5 and dist >= prev_dist:
             raise NonContractionError(
                 f"Picard distance stopped decreasing ({prev_dist:.3e} -> "
@@ -274,22 +279,6 @@ def solve_mode_picard(
         prev_dist = dist
     raise NonContractionError(
         f"no convergence to {tol} within {PICARD_MAX_SWEEPS} sweeps (last {prev_dist:.3e})"
-    )
-
-
-def _finish_profile(exps, grid, phi, h, dist, iters, integrals=None):
-    """The unit-coefficient profile (c_limit = 1) of the converged iterate phi."""
-    D = exps.gap
-    if integrals is None:  # h = 0
-        c1_repr, c2 = 1.0, 0.0
-    else:
-        Ip, Im = integrals(phi)
-        # upper-limit representation constants: c1 = c - (1/D) int_0^R, c2 = (1/D) int_0^R
-        c1_repr = 1.0 - float(Ip[-1]) / D
-        c2 = float(Im[-1]) / D
-    return RadialProfile(
-        exponents=exps, grid=grid, values=phi, perturbation=h, c_limit=1.0, c1=c1_repr, c2=c2,
-        residual=dist, iterations=iters,
     )
 
 

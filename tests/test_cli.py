@@ -284,9 +284,9 @@ class TestHardyTable:
         assert doc["results"]["lambda_n"] == pytest.approx(1.0, abs=1e-8)
 
     def test_critical_coupling_ignores_the_scale(self, capsys):
-        # Lambda is homogeneous of degree 1, so a tiny coupling gives the
-        # same critical coupling as the unit one
-        for coupling in ("1", "1e-15"):
+        # Lambda is homogeneous of degree 1, so a tiny coupling, subnormal
+        # ones included, gives the same critical coupling as the unit one
+        for coupling in ("1", "1e-15", "1e-320", "-1e-320", "5e-324"):
             code, out, _ = run(capsys, "hardy", "--dim", "4", "--grid", "400",
                                "--potential", f"dipole:{coupling}")
             assert code == 0
