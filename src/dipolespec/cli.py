@@ -222,21 +222,19 @@ _ROUTING = ("command", "format", "out")
 
 
 def _emit_doc(args, results: dict, table: _Table | None = None, sep: str = ",",
-              command: str | None = None, records: str | None = None) -> None:
+              command: str | None = None) -> None:
     """The JSON document (always, if table is None), or the CSV header (if any) and rows.
 
     The document records as inputs every parsed argument that was set,
-    except the routing ones; if `records` names a results key, the table
-    goes there as records keyed by its column names, else it holds values
-    of the results only.  A NaN or an infinity among the results or the
-    table (checked by column) is a numerical failure: JSON has neither.
+    except the routing ones, and `results` as they are: a `_Table` among
+    them is written as records keyed by its column names, and `table` is
+    the CSV only.  A NaN or an infinity among the results or the table
+    (checked by column) is a numerical failure: JSON has neither.
     """
     command = command or args.command
     if _nonfinite([results, table]):
         raise NumericalError(f"{command} produced a non-finite result")
     if table is None or args.format == "json":
-        if records is not None:
-            results = {**results, records: table}
         inputs = {k: v for k, v in vars(args).items() if k not in _ROUTING and v is not None}
         doc = {"command": command, "inputs": inputs, "results": results}
         lines = [_json(doc)]
@@ -254,9 +252,9 @@ def _emit_doc(args, results: dict, table: _Table | None = None, sep: str = ",",
         raise InputError(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
 
 
-def _fields(result, *drop) -> dict:
-    """A result object's fields as JSON results, less the named ones (no copies)."""
-    return {k: v for k, v in vars(result).items() if k not in drop}
+def _fields(result) -> dict:
+    """A result object's fields as JSON results, in a new dict (the values are not copied)."""
+    return dict(vars(result))
 
 
 def cmd_spectrum(args) -> int:
@@ -308,7 +306,7 @@ def _hardy_table(args) -> int:
             lam_star = hardy.critical_dipole_coupling(grid, method)
             rows.append((N, (N - 2) ** 2 / 4.0, lam_star, method, args.grid))
     table = _Table("N,classical,dipole_inverse_lambda,method,grid", list(zip(*rows)))
-    _emit_doc(args, {}, table, command="hardy-table", records="rows")
+    _emit_doc(args, {"rows": table}, table, command="hardy-table")
     return 0
 
 
@@ -334,8 +332,9 @@ def cmd_radial(args) -> int:
         "c1_representation": prof.c1,
         "c2": prof.c2,
         "iterations": prof.iterations,
+        "profile": table,
     }
-    _emit_doc(args, results, table, records="profile")
+    _emit_doc(args, results, table)
     return 0
 
 
@@ -421,7 +420,7 @@ def cmd_bk(args) -> int:
     table = brezis_kato.iteration_constants(params, args.n, args.printed_variant)
     rows = _Table("n,q_n,r_n,b_n,partial_sum,partial_product",
                   [np.array(column) for column in zip(*table.rows)])
-    _emit_doc(args, _fields(table, "rows"), rows, records="rows")
+    _emit_doc(args, {**_fields(table), "rows": rows}, rows)
     return 0
 
 

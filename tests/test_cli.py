@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import jsonschema
@@ -197,6 +200,33 @@ def test_json_inputs_record_every_flag(argv):
             dest = arg[2:].partition("=")[0].replace("-", "_")
             dest = "dims" if dest == "table" else dest
             assert inputs[dest] == parsed[dest], arg
+
+
+def fresh_process(*argv):
+    """`python -m dipolespec.cli ARGV` in a new interpreter, with PYTHONPATH=src."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "dipolespec.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestFreshProcess:
+    """The exit-code contract as a shell user sees it: 0, 2 or 3, never a traceback."""
+
+    def test_success(self):
+        proc = fresh_process("sigma", "--dim", "4", "--mu", "0")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0, -2\n", "")
+
+    def test_an_unknown_flag_prints_usage(self):
+        proc = fresh_process("sigma", "--dim", "4", "--mu", "0", "--bogus")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: dipolespec ")
+        assert "unrecognized arguments: --bogus" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_an_input_error_is_one_line(self):
+        proc = fresh_process("spectrum", "--grid", "2")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: grid needs at least 3 interior nodes, got 2\n"
 
 
 class TestSigma:

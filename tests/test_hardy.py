@@ -11,6 +11,7 @@ from dipolespec.angular import (
     PolarGrid,
     assemble_polar_operator,
     count_at_most,
+    full_spectrum,
     polar_eigen,
 )
 from dipolespec.errors import EigenSolveError, IndefiniteFormError, InputError
@@ -116,6 +117,38 @@ def assembled_count_bisection(grid):
         else:
             hi = mid
     return 0.5 * (lo + hi), counts
+
+
+class TestTwoSamplingsAtN3:
+    """At N = 3 the singular coefficient sits at the critical Hardy constant:
+    node sampling stalls there, flux sampling converges at second order."""
+
+    def free_spectra(self, sampling):
+        zero = AngularPotential.constant(0.0)
+        return [full_spectrum(zero, 1, PolarGrid.build(3, M, sampling))
+                for M in (1000, 2000, 4000)]
+
+    def test_node_ground_value_stalls(self):
+        mus = [spec.mu_1 for spec in self.free_spectra("node")]
+        assert min(mus) > 0.09
+        # it falls, but second order would keep a quarter per doubling; node keeps 0.92-0.93
+        assert all(0.85 < fine / coarse < 1.0 for coarse, fine in zip(mus, mus[1:]))
+
+    def test_flux_ground_value_is_zero_to_rounding(self):
+        for spec in self.free_spectra("flux"):
+            assert abs(spec.mu_1) <= 4.0 * spec.m0_rounding
+
+    def drift(self, sampling):
+        """How far the critical coupling falls from M = 1000 to M = 5000."""
+        coarse, fine = (critical_dipole_coupling(PolarGrid.build(3, M, sampling), "pencil")
+                        for M in (1000, 5000))
+        return coarse - fine
+
+    def test_node_coupling_drifts(self):
+        assert self.drift("node") > 0.05
+
+    def test_flux_coupling_settles(self):
+        assert abs(self.drift("flux")) < 3e-6
 
 
 class TestLambdaN:

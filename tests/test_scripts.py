@@ -1,20 +1,8 @@
 import importlib.util
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def test_grid_sensitivity_runs():
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "grid_sensitivity.py")],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "free sphere at N = 3, m = 0 tower: deviation from l(l+1)" in proc.stdout
-    assert "critical dipole coupling at N = 3" in proc.stdout
 
 
 def _bench_pairs():
