@@ -26,6 +26,15 @@ of the singular sin^{-2} coefficient, and no solver takes any of them again:
     the reference critical-coupling table was produced, so it is kept
     available for reproduction runs.
 
+Every tower is solved by one kernel: inertia counts (`count_at_most`)
+place each wanted eigenvalue in a coarse cell that no other eigenvalue lies
+near, inverse iteration (LAPACK dstein) from the cell's midpoint forms its
+vector, and the value is that vector's Rayleigh quotient (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4), within a small fraction of
+eps ||T||_1.  The m = 0 tower finds its cells by counts alone, so its
+pairs do not depend on how many are asked for (`polar_eigen`); the towers
+m >= 1 find theirs from one coarse value probe and keep no vectors.
+
 All operations are deterministic, and all but `axisymmetric_spectrum` are
 pure: that one keeps its last result, read-only, for the next call on the
 same values (see there).  Concurrent calls are safe: `lru_cache` guards
@@ -34,19 +43,25 @@ the one entry, and two calls that miss on one key both solve it.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg import (
+    eigh_tridiagonal,  # noqa: F401 - bound, not called: perfbench/tracer.py wraps this name
+    eigvalsh_tridiagonal,
+)
+from scipy.linalg.lapack import dpttrf, dstebz, dstein
 
 from .errors import EigenSolveError, InputError, ResolutionError
 
 SAMPLINGS = ("flux", "node")
 
-_EPS = float(np.finfo(float).eps)  # also polar_eigen's absolute bisection tolerance
+_EPS = float(np.finfo(float).eps)  # also the absolute tolerance of a cluster's bisection
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -313,29 +328,196 @@ def count_at_most(matrix: TridiagonalMatrix, x: float) -> int:
     return count + int(d[last] < pivmin)
 
 
-def polar_eigen(matrix: TridiagonalMatrix, count: int):
-    """First `count` eigenpairs, ascending.
+# A shift is the midpoint of a cell (x, x + w] of the lattice w Z, w = 2^-7 or
+# finer (`_cell_width`), used once counts show that no other eigenvalue lies
+# within _GUARD * w of the cell: every inverse iteration step then damps the
+# other eigenvectors by 2^-9 or more, and dstein makes at least three steps.
+_CELL_EXPONENT = -7
+_GUARD = 256
 
-    The absolute bisection tolerance eps, far below LAPACK's default
-    eps * ||T||_1, leaves each value within an ulp or so of max(1, |mu|) of
-    where its Sturm count flips, whatever `count` is.  Eigenvectors are
-    orthonormal in the step-weighted inner product sum_i v_i u_i h and carry
-    a deterministic sign: first nonzero component positive.  LAPACK's
-    bisection/inverse-iteration backend either converges or raises; a failure
-    is re-raised as EigenSolveError, never truncated.
+
+def _cell_width(matrix: TridiagonalMatrix, vectors: bool) -> tuple[float, float]:
+    """(coarse width, finest width) of the cells of `matrix`, both powers of 2.
+
+    The coarse width is 2^-7 and, where the vectors are kept, at most
+    (eps ||T||_1)^(1/3): three steps from the midpoint then leave at most
+    eps ||T||_1 / 8 of an eigenvector 1 or more away.  It is at least
+    2^-40 ||T||_1, so that the lattice points are float64 numbers.  No cell
+    is split below 2^-48 ||T||_1, which is 16 eps ||T||_1.
+    """
+    norm = matrix.one_norm()
+    e = math.frexp(norm)[1]  # ||T||_1 < 2^e
+    top = _CELL_EXPONENT
+    if vectors:
+        top = min(top, math.frexp((_EPS * norm) ** (1.0 / 3.0))[1] - 1)
+    return math.ldexp(1.0, max(top, e - 40)), math.ldexp(1.0, e - 48)
+
+
+class _Cell(NamedTuple):
+    """How one eigenpair is formed: inverse iteration from `shift`.
+
+    The eigenvalue lies in (lo, hi].  In a cluster, eigenvalues first..last
+    were bisected together, and `shift` is also the value.
+    """
+
+    shift: float
+    lo: float
+    hi: float
+    cluster: tuple[int, int] | None = None
+
+
+class _Inertia:
+    """`count_at_most` of one matrix, remembered at every point where it was taken."""
+
+    def __init__(self, matrix: TridiagonalMatrix):
+        self.matrix = matrix
+        self.points: list[float] = []  # ascending, with their counts
+        self.counts: list[int] = []
+        self.clusters: dict[tuple[int, int], list[float]] = {}  # bisected values
+
+    def __call__(self, x: float) -> int:
+        i = bisect.bisect_left(self.points, x)
+        if i < len(self.points) and self.points[i] == x:
+            return self.counts[i]
+        count = count_at_most(self.matrix, x)
+        self.points.insert(i, x)
+        self.counts.insert(i, count)
+        return count
+
+    def holds_one(self, lo: float, hi: float) -> bool:
+        """Whether (lo, hi], which holds an eigenvalue, holds no other.
+
+        Counts already taken around (lo, hi] decide it when they differ by
+        one; counts are monotone in x, so the counts at lo and hi, taken
+        otherwise, would say the same.
+        """
+        i = bisect.bisect_right(self.points, lo) - 1
+        k = bisect.bisect_left(self.points, hi)
+        if 0 <= i and k < len(self.points) and self.counts[k] - self.counts[i] == 1:
+            return True
+        return self(hi) - self(lo) == 1
+
+    def cell(self, j: int, left: float, width: float, finest: float) -> _Cell:
+        """The cell of eigenvalue j, which lies in the lattice cell (left, left + width].
+
+        The cell is halved, keeping the half that holds eigenvalue j, until
+        no other eigenvalue lies within _GUARD widths of it; the shift is
+        then its midpoint.  A cell still shared at the finest width holds a
+        cluster: one LAPACK dstebz call bisects all its eigenvalues by index
+        to an absolute tolerance eps, from one start, so that their values
+        come out ascending.  The cell depends on the matrix and j alone.
+        """
+        while True:
+            guard = _GUARD * width
+            if self.holds_one(left - guard, left + width + guard):
+                return _Cell(left + 0.5 * width, left, left + width)
+            if width <= finest:
+                break
+            width *= 0.5
+            if self(left + width) < j:
+                left += width
+        first, last = self(left) + 1, self(left + width)
+        if (first, last) not in self.clusters:
+            mat = self.matrix
+            found, vals, *_, info = dstebz(mat.diag, mat.off, 2, 0.0, 0.0, first, last, _EPS, "E")
+            if info != 0 or found != last - first + 1:
+                raise EigenSolveError(f"bisection of eigenvalues {first}..{last} failed "
+                                      f"(dstebz info {info})")
+            self.clusters[first, last] = vals[:found].tolist()
+        return _Cell(self.clusters[first, last][j - first], left, left + width, (first, last))
+
+
+def _tower_pairs(matrix: TridiagonalMatrix, cells: list[_Cell], vectors: bool):
+    """(values, unit vectors) of `cells`, ascending; no vector is kept unless asked for.
+
+    Each cell has a LAPACK dstein call of its own.  A one-vector call makes
+    no reorthogonalization, whose BLAS dot products would tie the bits to
+    the host's BLAS kernel; instead, the vectors kept are orthogonalized in
+    turn by modified Gram-Schmidt, each vector against the ones before it.
+    Only a cluster's cells share a call.  A value is its unit vector's
+    Rayleigh quotient v.Tv, or its cluster's bisected value.  Every
+    reduction is numpy's pairwise sum, and a vector that is not kept is
+    dropped once its quotient is taken.  A nonzero dstein info, or a
+    quotient outside its cell by more than 4 eps ||T||_1, is an
+    EigenSolveError.
+    """
+    n = matrix.size
+    block, split = np.ones(n, np.intc), np.full(n, n, np.intc)  # the matrix is one block
+    slack = 4.0 * _EPS * matrix.one_norm()
+    values: list[float] = []
+    kept: list[np.ndarray] = []
+    # a cluster's cells share one call; any other cell has a key, and a call, of its own
+    for _, group in itertools.groupby(cells, key=lambda cell: cell.cluster or object()):
+        group = list(group)
+        if group[0].cluster is not None and not vectors:
+            values += [cell.shift for cell in group]
+            continue
+        z, info = dstein(matrix.diag, matrix.off, [cell.shift for cell in group], block, split)
+        if info != 0:
+            raise EigenSolveError(f"inverse iteration did not converge (dstein info {info})")
+        for v, cell in zip(z.T, group):
+            for u in kept:
+                v -= np.add.reduce(u * v) * u
+            v /= math.sqrt(np.add.reduce(v * v))
+            if cell.cluster is None:
+                tv = matrix.matvec(v)
+                tv *= v
+                value = float(np.add.reduce(tv))
+                if not cell.lo - slack <= value <= cell.hi + slack:
+                    raise EigenSolveError(f"Rayleigh quotient {value!r} outside its cell "
+                                          f"({cell.lo!r}, {cell.hi!r}]")
+            else:
+                value = cell.shift
+            values.append(value)
+            if vectors:
+                kept.append(v)
+    return values, kept
+
+
+def polar_eigen(matrix: TridiagonalMatrix, count: int):
+    """First `count` eigenpairs, ascending; for a larger count, a prefix bit for bit.
+
+    Counts (`count_at_most`) find, for each eigenvalue j, the lattice cell
+    that holds it, by bisection over the dyadic cells above a lattice point
+    with no eigenvalue at or below it, and then halve it until no other
+    eigenvalue lies near (`_Inertia.cell`).  Inverse iteration from each
+    cell's midpoint forms the vectors, and each value is its vector's
+    Rayleigh quotient, within a small fraction of eps ||T||_1 of the
+    eigenvalue (`_tower_pairs`).  Cells and shifts depend on the matrix and
+    j alone, and the j-th vector on the shifts 1..j, whatever `count` is.
+    Eigenvectors are orthonormal in the step-weighted inner product
+    sum_i v_i u_i h and carry a deterministic sign: first nonzero
+    component positive.  A failed solve is an EigenSolveError, never a
+    truncated result.
     """
     if count < 1 or count > matrix.size:
         raise InputError(f"count must be in [1, {matrix.size}], got {count}")
-    try:
-        vals, vecs = eigh_tridiagonal(
-            matrix.diag, matrix.off, select="i", select_range=(0, count - 1), tol=_EPS
-        )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise EigenSolveError(f"tridiagonal eigensolver failed: {exc}") from exc
-    vecs = vecs / math.sqrt(matrix.step)
-    first = vecs[np.argmax(vecs != 0, axis=0), np.arange(count)]
-    vecs[:, first < 0] *= -1.0
-    return [(float(mu), v) for mu, v in zip(vals, vecs.T)]
+    width, finest = _cell_width(matrix, vectors=True)
+    inertia = _Inertia(matrix)
+    lo, step = 0.0, max(1.0, width)  # down from 0 to a lattice point below every eigenvalue
+    while inertia(lo) > 0:
+        lo, step = lo - step, 2.0 * step
+    span = step  # (lo, lo + span] holds `count` values, and its dyadic cells are lattice cells
+    while inertia(lo + span) < count:
+        span *= 2.0
+    cells, stack = [], [(lo, lo + span)]
+    while stack:  # depth first, lowest cell first
+        a, b = stack.pop()
+        na, nb = inertia(a), inertia(b)
+        if na == nb or na >= count:
+            continue
+        if b - a > width:
+            mid = a + 0.5 * (b - a)
+            stack += [(mid, b), (a, mid)]
+            continue
+        cells += [inertia.cell(j, a, width, finest) for j in range(na + 1, min(nb, count) + 1)]
+    values, vecs = _tower_pairs(matrix, cells, vectors=True)
+    scale = 1.0 / math.sqrt(matrix.step)
+    pairs = []
+    for mu, v in zip(values, vecs):
+        v *= scale if v[np.flatnonzero(v)[0]] > 0 else -scale
+        pairs.append((mu, v))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -411,13 +593,12 @@ class AngularSpectrum:
         return tower[k - 1]
 
 
-# each step costs a count per tower and halves the bracket's overshoot, which
-# the value probes and m = 0 vectors pay for.  What overshoot is left at 3
-# steps is the K-th value's own cluster (near l(l+N-2)): over 12 seeds of the
-# benchmark's spectra, 4 or 5 steps save 2-4 of 672 m >= 1 values and 1 of 420
-# vectors for 12-24 % more counts.  2 steps solve the same values and vectors
-# with 11 % fewer counts, but hi also starts LAPACK's value bisection, so a
-# different hi moves the printed digits of m >= 1 values
+# each step costs a count per tower and halves the bracket's overshoot, the
+# values above the K-th that the towers still solve.  What overshoot is left
+# at 3 steps is the K-th value's own cluster (near l(l+N-2)): over 12 seeds of
+# the benchmark's spectra, 4 or 5 steps save 2-4 of 672 m >= 1 values and 1 of
+# 420 m = 0 pairs for 12-24 % more counts.  hi moves no printed digit: the
+# m = 0 pairs do not depend on it, and an m >= 1 value only within rounding
 _BRACKET_BISECTIONS = 3
 
 
@@ -467,23 +648,50 @@ def _bracket(towers: PolarTowers, K: int) -> float:
     return hi
 
 
-def _value_probes(towers: PolarTowers, hi: float, counted: bool = False) -> list[np.ndarray]:
+def _tower_values(towers: PolarTowers, hi: float, floor: float) -> list[np.ndarray]:
     """The values up to hi of the towers m >= 1; the first tower with none ends the scan.
 
-    A probe by value ends at LAPACK's own Sturm count at hi (dstebz), which
-    can fall short of `count_at_most` when a value lies within rounding of
-    hi.  `counted` tops such a probe up by index to count_at_most(hi), the
-    count the bracket summed.
+    Tower m keeps its first count_at_most(T_m, hi) values, the count that
+    the bracket summed.  One value probe (LAPACK dstebz through
+    `eigvalsh_tridiagonal`) at the tolerance w of the tower's cells
+    (`_cell_width`) places each value within w/2.  It reaches up to
+    hi + (_GUARD + 1) w, and starts 1 below `floor`, a value at or below the
+    m = 0 ground, for m = 1 and 1 below the bottom of tower m - 1 after that
+    (tower bottoms increase with m; a count checks the start).  A value whose
+    probed neighbours lie more than (_GUARD + 1) w away is shifted from its
+    probe value; any other is placed in its lattice cell by counts and
+    refined like an m = 0 value (`_Inertia.cell`).  Each value is then a
+    Rayleigh quotient or a bisected cluster value (`_tower_pairs`), so it
+    does not depend on hi beyond rounding, and no vector is kept.
     """
-    probed: list[np.ndarray] = []
+    values: list[np.ndarray] = []
     for _, mat in _scan(towers, 1):
-        vals = eigvalsh_tridiagonal(mat.diag, mat.off, select="v", select_range=(-math.inf, hi))
-        count = count_at_most(mat, hi) if counted else 0
-        if vals.size < count:
-            vals = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, count - 1))
-        if vals.size == 0:
-            return probed
-        probed.append(vals.copy())  # not a view that keeps LAPACK's M-long output alive
+        inertia = _Inertia(mat)
+        count = inertia(hi)
+        if count == 0:
+            return values
+        width, finest = _cell_width(mat, vectors=False)
+        reach = (_GUARD + 1) * width
+        start = floor - 1.0 if inertia(floor - 1.0) == 0 else -math.inf
+        probe = eigvalsh_tridiagonal(mat.diag, mat.off, select="v",
+                                     select_range=(start, hi + reach), tol=width)
+        if probe.size < count:
+            raise EigenSolveError(f"value probe found {probe.size} of {count} counted eigenvalues")
+        floor = float(probe[0])
+        apart = np.diff(probe[:count + 1]) > reach  # no probed value within reach above
+        clear = np.append(True, apart)[:count] & np.append(apart, True)[:count]
+        cells = []
+        for j, (value, alone) in enumerate(zip(probe[:count].tolist(), clear), 1):
+            if alone:
+                cells.append(_Cell(value, value - 0.5 * width, value + 0.5 * width))
+                continue
+            left = width * math.floor(value / width)
+            while inertia(left) >= j:
+                left -= width
+            while inertia(left + width) < j:
+                left += width
+            cells.append(inertia.cell(j, left, width, finest))
+        values.append(np.array(_tower_pairs(mat, cells, vectors=False)[0]))
 
 
 def _axial_modes(grid: PolarGrid, pairs) -> list[AngularMode]:
@@ -532,25 +740,23 @@ def full_spectrum(
     float64 cannot add 1 to -max a, nothing is solved: ResolutionError.
 
     The m = 0 tower is solved once, with eigenvectors, by `polar_eigen` up
-    to its count at hi, so mu_1, psi_1 and the axisymmetric modes depend on
-    K by an ulp or so at most.  Each tower m >= 1 up to the first empty one makes one
-    value probe up to hi, at LAPACK's tolerance (about eps * ||T_m||), and
-    carries no profile.  If the probes hold fewer than K values, a value sat
-    within rounding of hi and LAPACK's count missed it; the probes are then
-    topped up to `count_at_most` at hi, whose counts summed to at least K
-    when the bracket took hi.  The K-th of the merged values is the cutoff.
+    to its count at hi, so mu_1, psi_1 and the axisymmetric modes are the
+    same bits for every K that keeps them.  Each tower m >= 1 up to the
+    first one with no value at or below hi solves its count_at_most(T_m, hi)
+    lowest values, without profiles (`_tower_values`); those counts summed
+    to at least K when the bracket took hi.  Every value is a Rayleigh
+    quotient within a small fraction of eps ||T_m||_1 of its eigenvalue (or,
+    in a cluster that cells cannot split, a bisection to an absolute
+    tolerance eps), so an m >= 1 value moves with K only within rounding.
+    The K-th of the merged values is the cutoff.
     """
     N = grid.dim
     towers, hi, pairs = _axial_solve(potential, K, grid)
-    probed = _value_probes(towers, hi)
-    if len(pairs) + sum(harmonic_multiplicity(N, m) * v.size for m, v in enumerate(probed, 1)) < K:
-        probed = _value_probes(towers, hi, counted=True)
+    probed = _tower_values(towers, hi, pairs[0][0])
     flat = np.sort(np.concatenate(
         [[mu for mu, _ in pairs]]
         + [np.repeat(vals, harmonic_multiplicity(N, m)) for m, vals in enumerate(probed, 1)]
     ))
-    if flat.size < K:
-        raise EigenSolveError(f"value probes found {flat.size} of the {K} counted eigenvalues")
     cutoff = flat[K - 1]
     if flat[0] < pairs[0][0]:
         raise EigenSolveError("ground mode did not come from the m = 0 tower")
@@ -574,8 +780,8 @@ def axisymmetric_spectrum(
     same Sturm-count bracket hi and the same `polar_eigen` of the m = 0
     tower up to its count at hi; the towers m >= 1 make Sturm counts only.
     mu_j is kept exactly when j + sum_{m >= 1} mult(m) * count_m(mu_j) <= K.
-    The tower-0 term is j, not a count at mu_j, which sits within an ulp of
-    where that count flips.  The kept modes are a prefix, found by
+    The tower-0 term is j, not a count at mu_j, which sits within rounding
+    of where that count flips.  The kept modes are a prefix, found by
     bisection over j.  The result's `modes` are the m = 0 tower alone, so
     its `flattened()` is not the sphere spectrum.
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
 from dipolespec import angular
 from dipolespec.angular import (
@@ -342,6 +342,30 @@ def test_one_norm_is_the_dense_one_norm():
     assert mat.one_norm() == np.linalg.norm(dense, 1) == 13.0
 
 
+DOUBLET_GRID = PolarGrid.build(3, 2000)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(potential, grid, m, K): dipole, constant or double-well c cos 2t potentials.
+
+    The double wells, c in {10, 40, 200}, hold pairs of eigenvalues split by
+    tunnelling: about 0.06 at c = 10, 4e-5 at c = 40 (N = 3, M = 2000, m = 0)
+    and below rounding at c = 200.
+    """
+    grid = PolarGrid.build(draw(st.sampled_from([3, 4, 5])), draw(st.integers(60, 1200)),
+                           draw(st.sampled_from(["flux", "node"])))
+    kind = draw(st.sampled_from(["dipole", "constant", "double-well"]))
+    if kind == "dipole":
+        potential = AngularPotential.dipole(draw(COUPLINGS))
+    elif kind == "constant":
+        potential = AngularPotential.constant(draw(COUPLINGS))
+    else:
+        depth = draw(st.sampled_from([10.0, 40.0, 200.0]))
+        potential = AngularPotential.tabulated(depth * np.cos(2 * grid.nodes), grid)
+    return potential, grid, draw(st.integers(0, 4)), draw(st.integers(1, 30))
+
+
 class TestPolarTowers:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -412,6 +436,38 @@ class TestPolarEigen:
         mat = TridiagonalMatrix(np.ones(5), np.zeros(4), 0.1)
         with pytest.raises(InputError):
             polar_eigen(mat, 6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=kernel_cases(), extra=st.integers(1, 20))
+    # the a = 40 cos 2t doublet mu_1, mu_2 (3.9e-5 apart) split by the count
+    @example(case=(AngularPotential.tabulated(40.0 * np.cos(2 * DOUBLET_GRID.nodes), DOUBLET_GRID),
+                   DOUBLET_GRID, 0, 1), extra=11)
+    def test_a_smaller_count_is_a_prefix_bit_for_bit(self, case, extra):
+        potential, grid, m, count = case
+        mat = PolarTowers(potential, grid).matrix(m)
+        small, large = polar_eigen(mat, count), polar_eigen(mat, count + extra)
+        assert np.array_equal(bits([mu for mu, _ in small]), bits([mu for mu, _ in large[:count]]))
+        for (_, v), (_, w) in zip(small, large):
+            assert np.array_equal(bits(v), bits(w))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=kernel_cases())
+    def test_every_tower_is_within_rounding_of_tight_bisection(self, case):
+        # the m = 0 pairs of the tower drawn, then the towers m >= 1 of the
+        # merge up to its bracket (the pieces of full_spectrum, without its
+        # ground-profile check, which a double well's doublet can fail)
+        potential, grid, m, count = case
+        mats = [PolarTowers(potential, grid).matrix(m)]
+        got = [[mu for mu, _ in polar_eigen(mats[0], count)]]
+        towers, hi, pairs = angular._axial_solve(potential, count, grid)
+        for k, vals in enumerate(angular._tower_values(towers, hi, pairs[0][0]), 1):
+            mats.append(towers.matrix(k))
+            got.append(vals)
+        eps = np.finfo(float).eps
+        for mat, vals in zip(mats, got):
+            ref = eigvalsh_tridiagonal(mat.diag, mat.off, select="i",
+                                       select_range=(0, len(vals) - 1), tol=eps)
+            assert np.all(np.abs(np.subtract(vals, ref)) <= 4 * eps * mat.one_norm())
 
 
 class TestFullSpectrum:
@@ -515,73 +571,52 @@ class TestFullSpectrum:
         # by the running K-th value requested 1623 eigenvalues here, and an
         # index-range probe of K values per tower 11500
         K = 500
-        value_probes, vector_solves = [], []
+        brackets, probes, pair_solves = [], [], []
+        bracket, pairs = angular._bracket, angular._tower_pairs
 
         def counting_values(*args, **kwargs):
             vals = eigvalsh_tridiagonal(*args, **kwargs)
-            if kwargs.get("tol", 0.0) != math.inf:  # a count returns no usable values
-                value_probes.append((args[0], kwargs["select"], kwargs["select_range"], vals))
+            probes.append((args[0], kwargs, vals))
             return vals
 
-        def counting_vectors(diag, *args, **kwargs):
-            vector_solves.append((diag, kwargs))
-            return eigh_tridiagonal(diag, *args, **kwargs)
+        def counting_pairs(matrix, cells, vectors):
+            pair_solves.append((matrix.diag, len(cells), vectors))
+            return pairs(matrix, cells, vectors)
 
+        monkeypatch.setattr(angular, "_bracket",
+                            lambda *a: brackets.append(bracket(*a)) or brackets[-1])
         monkeypatch.setattr(angular, "eigvalsh_tridiagonal", counting_values)
-        monkeypatch.setattr(angular, "eigh_tridiagonal", counting_vectors)
+        monkeypatch.setattr(angular, "_tower_pairs", counting_pairs)
         grid = PolarGrid.build(3, 1200)
         potential = AngularPotential.constant(0.0)
         spec = full_spectrum(potential, K, grid)
-        axial = assemble_polar_operator(potential, 0, grid)
+        towers = PolarTowers(potential, grid)
+        axial = towers.matrix(0)
+        [hi] = brackets
 
-        assert sum(vals.size for *_, vals in value_probes) < 300
-        # the m = 0 tower: one tight vector solve of its values up to the
-        # final bracket hi, and no value probe at all
-        assert len(vector_solves) == 1
-        diag, kwargs = vector_solves[0]
-        assert np.array_equal(diag, axial.diag)
-        assert kwargs["select"] == "i" and kwargs["tol"] == angular._EPS
-        # one value probe per tower m >= 1 up to hi; the first empty tower ends the scan
-        assert all(sel == "v" for _, sel, _, _ in value_probes)
-        assert not any(np.array_equal(d, axial.diag) for d, *_ in value_probes)
-        hi = value_probes[0][2][1]
-        assert all(rng == (-math.inf, hi) for _, _, rng, _ in value_probes)
-        assert kwargs["select_range"] == (0, count_at_most(axial, hi) - 1)
-        assert all(vals.size == 0 or vals[-1] <= hi for *_, vals in value_probes)
-        assert value_probes[-1][3].size == 0 and all(v.size for *_, v in value_probes[:-1])
-        assert len({md.m for md in spec.modes}) <= len(value_probes)
-        flat = np.concatenate(
-            [np.repeat(vals, harmonic_multiplicity(3, m))
-             for m, (*_, vals) in enumerate(value_probes, 1)]
-        )
-        assert flat.size + count_at_most(axial, hi) >= K
-
-    @pytest.mark.parametrize("N,K", [(3, 9), (3, 80), (4, 30)])
-    def test_probes_short_of_the_count_at_hi_are_topped_up(self, monkeypatch, N, K):
-        # LAPACK's probe by value stops at its own count at hi, which can miss
-        # a value that count_at_most counts within rounding of hi; here every
-        # probe by value drops its top value, and the merge must still hold
-        # the K values that the bracket counted, with no EigenSolveError
-        grid = PolarGrid.build(N, 400)
-        potential = AngularPotential.dipole(0.7)
-        want = full_spectrum(potential, K, grid)
-        by_index = []
-
-        def short(diag, off, select, select_range, **kwargs):
-            vals = eigvalsh_tridiagonal(diag, off, select=select, select_range=select_range,
-                                        **kwargs)
-            if select == "i":
-                by_index.append(select_range)
-                return vals
-            return vals[:-1]
-
-        monkeypatch.setattr(angular, "eigvalsh_tridiagonal", short)
-        got = full_spectrum(potential, K, grid)
-        assert by_index
-        assert [(md.m, md.multiplicity) for md in got.modes] == \
-            [(md.m, md.multiplicity) for md in want.modes]
-        assert np.allclose([md.mu for md in got.modes], [md.mu for md in want.modes],
-                           rtol=0.0, atol=1e-9)
+        assert sum(vals.size for *_, vals in probes) < 300
+        # the m = 0 tower: one pair solve of its values up to hi, and no value probe at all
+        assert pair_solves[0][1:] == (count_at_most(axial, hi), True)
+        assert np.array_equal(pair_solves[0][0], axial.diag)
+        assert not any(np.array_equal(diag, axial.diag) for diag, *_ in probes)
+        # one coarse value probe per tower m >= 1 with a value up to hi, in
+        # order of m; the first tower without one ends the scan by its count
+        scanned = [m for m in range(1, grid.size + 1) if count_at_most(towers.matrix(m), hi)]
+        assert scanned == list(range(1, len(probes) + 1))
+        width = 2.0**-7
+        for m, (diag, kwargs, vals) in enumerate(probes, 1):
+            assert np.array_equal(diag, towers.matrix(m).diag)
+            assert kwargs["select"] == "v" and kwargs["tol"] == width
+            assert kwargs["select_range"][1] == hi + (angular._GUARD + 1) * width
+            assert vals.size >= count_at_most(towers.matrix(m), hi)
+        # then one pair solve per tower m >= 1 of its values up to hi, without vectors
+        assert len(pair_solves) == 1 + len(scanned)
+        for m, (diag, n, vectors) in zip(scanned, pair_solves[1:]):
+            assert np.array_equal(diag, towers.matrix(m).diag)
+            assert (n, vectors) == (count_at_most(towers.matrix(m), hi), False)
+        assert len({md.m for md in spec.modes}) <= len(probes) + 1
+        assert sum(harmonic_multiplicity(3, m) * count_at_most(towers.matrix(m), hi)
+                   for m in [0] + scanned) >= K
 
     @pytest.mark.parametrize("potential", [AngularPotential.constant(-1e300),
                                            AngularPotential.dipole(1e300),
@@ -591,7 +626,7 @@ class TestFullSpectrum:
         # values would round to the bracket and the scan would probe all towers
         calls = []
         monkeypatch.setattr(angular, "eigvalsh_tridiagonal", lambda *a, **k: calls.append(k))
-        monkeypatch.setattr(angular, "eigh_tridiagonal", lambda *a, **k: calls.append(k))
+        monkeypatch.setattr(angular, "dstein", lambda *a: calls.append(a))
         with pytest.raises(ResolutionError, match="float64 cannot resolve"):
             full_spectrum(potential, 5, PolarGrid.build(3, 2000))
         assert calls == []
@@ -606,10 +641,26 @@ class TestFullSpectrum:
         grid = PolarGrid.build(3, 2000, sampling)
         towers = {K: solve(AngularPotential.dipole(1.0), K, grid).tower(0)
                   for K in (5, 20, 80, 200)}
-        eps = np.finfo(float).eps
         for K, tower in towers.items():
-            for md, ref in zip(tower, towers[200]):
-                assert abs(md.mu - ref.mu) <= 4 * eps * max(1.0, abs(ref.mu)), K
+            ref = towers[200][:len(tower)]
+            assert np.array_equal(bits([md.mu for md in tower]), bits([md.mu for md in ref])), K
+            for md, want in zip(tower, ref):
+                assert np.array_equal(bits(md.psi), bits(want.psi)), K
+
+    @pytest.mark.parametrize("N,M,coupling", [(3, 2000, 1.0), (4, 400, 0.7)])
+    def test_higher_tower_values_do_not_drift_with_the_count(self, N, M, coupling):
+        # each m >= 1 value is the Rayleigh quotient of a converged vector, so
+        # the probe's hi, which moves with K, leaves it within rounding
+        grid = PolarGrid.build(N, M)
+        potential = AngularPotential.dipole(coupling)
+        towers = PolarTowers(potential, grid)
+        for K in (10, 20, 30):
+            small, large = full_spectrum(potential, K, grid), full_spectrum(potential, K + 10, grid)
+            for m in range(1, 12):
+                a, b = [md.mu for md in small.tower(m)], [md.mu for md in large.tower(m)]
+                n = min(len(a), len(b))
+                floor = np.finfo(float).eps * towers.matrix(m).one_norm()
+                assert np.all(np.abs(np.subtract(a[:n], b[:n])) <= 0.05 * floor), (K, m)
 
 
 class TestAxisymmetricSpectrum:
@@ -678,11 +729,10 @@ class TestAxisymmetricMemo:
     @staticmethod
     def counted_solves(monkeypatch):
         calls = []
-        count, vectors, towers = angular.count_at_most, angular.eigh_tridiagonal, PolarTowers
+        count, vectors, towers = angular.count_at_most, angular.dstein, PolarTowers
         monkeypatch.setattr(angular, "count_at_most",
                             lambda *a: calls.append("count_at_most") or count(*a))
-        monkeypatch.setattr(angular, "eigh_tridiagonal",
-                            lambda *a, **k: calls.append("eigh_tridiagonal") or vectors(*a, **k))
+        monkeypatch.setattr(angular, "dstein", lambda *a: calls.append("dstein") or vectors(*a))
         monkeypatch.setattr(angular, "PolarTowers",
                             lambda *a: calls.append("PolarTowers") or towers(*a))
         return calls
@@ -696,7 +746,7 @@ class TestAxisymmetricMemo:
         assert angular._axisymmetric_memo.cache_info().hits == 1
         angular._axisymmetric_memo.cache_clear()
         fresh = axisymmetric_spectrum(AngularPotential.dipole(0.7), 20, PolarGrid.build(3, 300))
-        assert fresh is not first and {"count_at_most", "eigh_tridiagonal", "PolarTowers"} <= set(calls)
+        assert fresh is not first and {"count_at_most", "dstein", "PolarTowers"} <= set(calls)
         assert np.array_equal(bits([md.mu for md in fresh.modes]), bits([md.mu for md in first.modes]))
         for md, ref in zip(fresh.modes, first.modes):
             assert np.array_equal(bits(md.psi), bits(ref.psi))
@@ -734,11 +784,13 @@ class TestAxisymmetricMemo:
             axisymmetric_spectrum(AngularPotential.dipole(1.0), 201, grid)
         assert axisymmetric_spectrum(AngularPotential.dipole(1.0), 12, grid) is kept
 
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("no convergence")
+        stein = angular.dstein
 
-        monkeypatch.setattr(angular, "eigh_tridiagonal", failing)
-        with pytest.raises(EigenSolveError):
+        def failing(*args):  # the first vector did not converge
+            return stein(*args)[0], 1
+
+        monkeypatch.setattr(angular, "dstein", failing)
+        with pytest.raises(EigenSolveError, match="dstein info 1"):
             axisymmetric_spectrum(AngularPotential.dipole(0.5), 12, grid)
         monkeypatch.undo()
         solved = axisymmetric_spectrum(AngularPotential.dipole(0.5), 12, grid)
