@@ -26,14 +26,14 @@ of the singular sin^{-2} coefficient, and no solver takes any of them again:
     the reference critical-coupling table was produced, so it is kept
     available for reproduction runs.
 
-Every tower is solved by one kernel: inertia counts (`count_at_most`)
-place each wanted eigenvalue in a coarse cell that no other eigenvalue lies
-near, inverse iteration (LAPACK dstein) from the cell's midpoint forms its
-vector, and the value is that vector's Rayleigh quotient (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4), within a small fraction of
-eps ||T||_1.  The m = 0 tower finds its cells by counts alone, so its
-pairs do not depend on how many are asked for (`polar_eigen`); the towers
-m >= 1 find theirs from one coarse value probe and keep no vectors.
+Every tower is solved by one routine, `_tower`: one coarse value probe
+and inertia counts (`count_at_most`) place each wanted eigenvalue in a cell
+that no other eigenvalue lies near, inverse iteration (LAPACK dstein) from
+the cell's midpoint forms its vector, and the value is that vector's
+Rayleigh quotient (Parlett, The Symmetric Eigenvalue Problem, ch. 4),
+within a small fraction of eps ||T||_1.  The m = 0 tower keeps its vectors,
+and its cells are the lattice cells that counts assign to each index, so
+its pairs up to x are a prefix of those up to any larger x (`polar_eigen`).
 
 All operations are deterministic, and all but `axisymmetric_spectrum` are
 pure: that one keeps its last result, read-only, for the next call on the
@@ -384,19 +384,6 @@ class _Inertia:
         self.counts.insert(i, count)
         return count
 
-    def holds_one(self, lo: float, hi: float) -> bool:
-        """Whether (lo, hi], which holds an eigenvalue, holds no other.
-
-        Counts already taken around (lo, hi] decide it when they differ by
-        one; counts are monotone in x, so the counts at lo and hi, taken
-        otherwise, would say the same.
-        """
-        i = bisect.bisect_right(self.points, lo) - 1
-        k = bisect.bisect_left(self.points, hi)
-        if 0 <= i and k < len(self.points) and self.counts[k] - self.counts[i] == 1:
-            return True
-        return self(hi) - self(lo) == 1
-
     def cell(self, j: int, left: float, width: float, finest: float) -> _Cell:
         """The cell of eigenvalue j, which lies in the lattice cell (left, left + width].
 
@@ -409,7 +396,7 @@ class _Inertia:
         """
         while True:
             guard = _GUARD * width
-            if self.holds_one(left - guard, left + width + guard):
+            if self(left + width + guard) - self(left - guard) == 1:
                 return _Cell(left + 0.5 * width, left, left + width)
             if width <= finest:
                 break
@@ -427,25 +414,53 @@ class _Inertia:
         return _Cell(self.clusters[first, last][j - first], left, left + width, (first, last))
 
 
-def _tower_pairs(matrix: TridiagonalMatrix, cells: list[_Cell], vectors: bool):
-    """(values, unit vectors) of `cells`, ascending; no vector is kept unless asked for.
+def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
+    """(values, unit vectors) of the count_at_most(T, hi) eigenvalues at or below hi, ascending.
 
-    Each cell has a LAPACK dstein call of its own.  A one-vector call makes
-    no reorthogonalization, whose BLAS dot products would tie the bits to
-    the host's BLAS kernel; instead, the vectors kept are orthogonalized in
-    turn by modified Gram-Schmidt, each vector against the ones before it.
-    Only a cluster's cells share a call.  A value is its unit vector's
-    Rayleigh quotient v.Tv, or its cluster's bisected value.  Every
-    reduction is numpy's pairwise sum, and a vector that is not kept is
-    dropped once its quotient is taken.  A nonzero dstein info, or a
-    quotient outside its cell by more than 4 eps ||T||_1, is an
-    EigenSolveError.
+    One value probe (LAPACK dstebz through `eigvalsh_tridiagonal`) at the
+    tolerance w of the cells (`_cell_width`), from dstebz's own Gershgorin
+    bound up to hi + (_GUARD + 1) w, places each value within w/2.  Where no
+    vector is kept, a value whose probed neighbours lie more than
+    (_GUARD + 1) w away is shifted from its probe value.  Any other value j
+    is placed by counts in the lattice cell (x, x + w], x in wZ, that holds
+    eigenvalue j, then halved until no other eigenvalue lies near
+    (`_Inertia.cell`): that cell depends on the matrix and j alone.
+
+    Each cell has a LAPACK dstein call of its own; only a cluster's cells
+    share one.  A one-vector call makes no reorthogonalization, whose BLAS
+    dot products would tie the bits to the host's BLAS kernel; the vectors
+    kept (if `vectors`) are orthogonalized in turn by modified Gram-Schmidt
+    instead.  A value is its unit vector's Rayleigh quotient v.Tv, in
+    numpy's pairwise sums, or its cluster's bisected value.  A nonzero
+    dstein info, or a quotient outside its cell by more than 4 eps ||T||_1,
+    is an EigenSolveError.
     """
-    n = matrix.size
+    inertia = _Inertia(matrix)
+    count = inertia(hi)
+    if count == 0:
+        return [], []
+    width, finest = _cell_width(matrix, vectors)
+    reach = (_GUARD + 1) * width
+    probe = eigvalsh_tridiagonal(matrix.diag, matrix.off, select="v",
+                                 select_range=(-math.inf, hi + reach), tol=width)
+    if probe.size < count:
+        raise EigenSolveError(f"value probe found {probe.size} of {count} counted eigenvalues")
+    apart = np.diff(probe[:count + 1]) > reach  # no probed value within reach above
+    clear = np.append(True, apart)[:count] & np.append(apart, True)[:count]
+    cells = []
+    for j, (value, alone) in enumerate(zip(probe[:count].tolist(), clear), 1):
+        if alone and not vectors:
+            cells.append(_Cell(value, value - 0.5 * width, value + 0.5 * width))
+            continue
+        left = width * math.floor(value / width)
+        while inertia(left) >= j:
+            left -= width
+        while inertia(left + width) < j:
+            left += width
+        cells.append(inertia.cell(j, left, width, finest))
+    n, values, kept = matrix.size, [], []
     block, split = np.ones(n, np.intc), np.full(n, n, np.intc)  # the matrix is one block
     slack = 4.0 * _EPS * matrix.one_norm()
-    values: list[float] = []
-    kept: list[np.ndarray] = []
     # a cluster's cells share one call; any other cell has a key, and a call, of its own
     for _, group in itertools.groupby(cells, key=lambda cell: cell.cluster or object()):
         group = list(group)
@@ -474,50 +489,26 @@ def _tower_pairs(matrix: TridiagonalMatrix, cells: list[_Cell], vectors: bool):
     return values, kept
 
 
-def polar_eigen(matrix: TridiagonalMatrix, count: int):
-    """First `count` eigenpairs, ascending; for a larger count, a prefix bit for bit.
+def polar_eigen(matrix: TridiagonalMatrix, x: float):
+    """The eigenpairs at or below x, ascending; for x < x', a prefix of those up to x', bit for bit.
 
-    Counts (`count_at_most`) find, for each eigenvalue j, the lattice cell
-    that holds it, by bisection over the dyadic cells above a lattice point
-    with no eigenvalue at or below it, and then halve it until no other
-    eigenvalue lies near (`_Inertia.cell`).  Inverse iteration from each
-    cell's midpoint forms the vectors, and each value is its vector's
-    Rayleigh quotient, within a small fraction of eps ||T||_1 of the
-    eigenvalue (`_tower_pairs`).  Cells and shifts depend on the matrix and
-    j alone, and the j-th vector on the shifts 1..j, whatever `count` is.
-    Eigenvectors are orthonormal in the step-weighted inner product
-    sum_i v_i u_i h and carry a deterministic sign: first nonzero
-    component positive.  A failed solve is an EigenSolveError, never a
-    truncated result.
+    `_tower` forms them with their vectors from the lattice cells that
+    counts assign to each index j, so cells and shifts depend on the matrix
+    and j alone, and the j-th vector on the shifts 1..j, whatever x is.  The
+    probe that guides the counts changes no cell.  Each value is its
+    vector's Rayleigh quotient, within a small fraction of eps ||T||_1 of
+    the eigenvalue.  Eigenvectors are orthonormal in the step-weighted inner
+    product sum_i v_i u_i h and carry a deterministic sign: first nonzero
+    component positive.  A NaN bound is an InputError, and a failed solve an
+    EigenSolveError, never a truncated result.
     """
-    if count < 1 or count > matrix.size:
-        raise InputError(f"count must be in [1, {matrix.size}], got {count}")
-    width, finest = _cell_width(matrix, vectors=True)
-    inertia = _Inertia(matrix)
-    lo, step = 0.0, max(1.0, width)  # down from 0 to a lattice point below every eigenvalue
-    while inertia(lo) > 0:
-        lo, step = lo - step, 2.0 * step
-    span = step  # (lo, lo + span] holds `count` values, and its dyadic cells are lattice cells
-    while inertia(lo + span) < count:
-        span *= 2.0
-    cells, stack = [], [(lo, lo + span)]
-    while stack:  # depth first, lowest cell first
-        a, b = stack.pop()
-        na, nb = inertia(a), inertia(b)
-        if na == nb or na >= count:
-            continue
-        if b - a > width:
-            mid = a + 0.5 * (b - a)
-            stack += [(mid, b), (a, mid)]
-            continue
-        cells += [inertia.cell(j, a, width, finest) for j in range(na + 1, min(nb, count) + 1)]
-    values, vecs = _tower_pairs(matrix, cells, vectors=True)
+    if math.isnan(x):
+        raise InputError("the eigenvalue bound x is NaN")
+    values, vecs = _tower(matrix, x, vectors=True)
     scale = 1.0 / math.sqrt(matrix.step)
-    pairs = []
-    for mu, v in zip(values, vecs):
+    for v in vecs:
         v *= scale if v[np.flatnonzero(v)[0]] > 0 else -scale
-        pairs.append((mu, v))
-    return pairs
+    return list(zip(values, vecs))
 
 
 @dataclass(frozen=True)
@@ -598,7 +589,8 @@ class AngularSpectrum:
 # at 3 steps is the K-th value's own cluster (near l(l+N-2)): over 12 seeds of
 # the benchmark's spectra, 4 or 5 steps save 2-4 of 672 m >= 1 values and 1 of
 # 420 m = 0 pairs for 12-24 % more counts.  hi moves no printed digit: the
-# m = 0 pairs do not depend on it, and an m >= 1 value only within rounding
+# m = 0 pairs up to hi are a prefix of those up to any larger bound, and an
+# m >= 1 value moves with hi, through its probe, only within rounding
 _BRACKET_BISECTIONS = 3
 
 
@@ -648,58 +640,35 @@ def _bracket(towers: PolarTowers, K: int) -> float:
     return hi
 
 
-def _tower_values(towers: PolarTowers, hi: float, floor: float) -> list[np.ndarray]:
-    """The values up to hi of the towers m >= 1; the first tower with none ends the scan.
+def _tower_values(towers: PolarTowers, hi: float) -> list[np.ndarray]:
+    """The `_tower` values up to hi, without vectors, of the towers m >= 1.
 
-    Tower m keeps its first count_at_most(T_m, hi) values, the count that
-    the bracket summed.  One value probe (LAPACK dstebz through
-    `eigvalsh_tridiagonal`) at the tolerance w of the tower's cells
-    (`_cell_width`) places each value within w/2.  It reaches up to
-    hi + (_GUARD + 1) w, and starts 1 below `floor`, a value at or below the
-    m = 0 ground, for m = 1 and 1 below the bottom of tower m - 1 after that
-    (tower bottoms increase with m; a count checks the start).  A value whose
-    probed neighbours lie more than (_GUARD + 1) w away is shifted from its
-    probe value; any other is placed in its lattice cell by counts and
-    refined like an m = 0 value (`_Inertia.cell`).  Each value is then a
-    Rayleigh quotient or a bisected cluster value (`_tower_pairs`), so it
-    does not depend on hi beyond rounding, and no vector is kept.
+    Tower m solves the count_at_most(T_m, hi) values that the bracket
+    summed; the first tower with none ends the scan.
     """
     values: list[np.ndarray] = []
     for _, mat in _scan(towers, 1):
-        inertia = _Inertia(mat)
-        count = inertia(hi)
-        if count == 0:
+        vals = _tower(mat, hi, vectors=False)[0]
+        if not vals:
             return values
-        width, finest = _cell_width(mat, vectors=False)
-        reach = (_GUARD + 1) * width
-        start = floor - 1.0 if inertia(floor - 1.0) == 0 else -math.inf
-        probe = eigvalsh_tridiagonal(mat.diag, mat.off, select="v",
-                                     select_range=(start, hi + reach), tol=width)
-        if probe.size < count:
-            raise EigenSolveError(f"value probe found {probe.size} of {count} counted eigenvalues")
-        floor = float(probe[0])
-        apart = np.diff(probe[:count + 1]) > reach  # no probed value within reach above
-        clear = np.append(True, apart)[:count] & np.append(apart, True)[:count]
-        cells = []
-        for j, (value, alone) in enumerate(zip(probe[:count].tolist(), clear), 1):
-            if alone:
-                cells.append(_Cell(value, value - 0.5 * width, value + 0.5 * width))
-                continue
-            left = width * math.floor(value / width)
-            while inertia(left) >= j:
-                left -= width
-            while inertia(left + width) < j:
-                left += width
-            cells.append(inertia.cell(j, left, width, finest))
-        values.append(np.array(_tower_pairs(mat, cells, vectors=False)[0]))
+        values.append(np.array(vals))
 
 
-def _axial_modes(grid: PolarGrid, pairs) -> list[AngularMode]:
-    """The m = 0 modes of `polar_eigen` pairs, ground first, with psi = w / sin^((N-2)/2)."""
+def _axial_modes(grid: PolarGrid, axial: TridiagonalMatrix, pairs, n: int) -> list[AngularMode]:
+    """The first n modes of the m = 0 `polar_eigen` pairs, with psi = w / sin^((N-2)/2).
+
+    Two lowest values within 16 eps ||T_0||_1 leave the ground profile
+    undetermined: ResolutionError, as for a ground profile that changes sign.
+    """
+    gap = pairs[1][0] - pairs[0][0] if len(pairs) > 1 else math.inf
+    if gap <= 16.0 * _EPS * axial.one_norm():
+        raise ResolutionError(f"the two lowest m = 0 eigenvalues lie {gap:.3g} apart, within "
+                              f"16 eps ||T_0||_1: the grid (M = {grid.size}) cannot separate "
+                              "the ground mode")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         modes = [AngularMode(m=0, mu=mu, multiplicity=1,
                              psi=vec / math.sqrt(grid.area_equator) / grid.half_weights)
-                 for mu, vec in pairs]
+                 for mu, vec in pairs[:n]]
     if not all(np.all(np.isfinite(md.psi)) for md in modes):
         raise ResolutionError(f"psi = w / sin^((N-2)/2) overflows float64 next to the poles "
                               f"at N = {grid.dim} on M = {grid.size} polar nodes")
@@ -718,8 +687,7 @@ def _axial_solve(potential: AngularPotential, K: int, grid: PolarGrid):
         raise ResolutionError(f"K={K} exceeds what the grid resolves per tower (M={grid.size})")
     towers = PolarTowers(potential, grid)
     hi = _bracket(towers, K)
-    axial = towers.matrix(0)
-    return towers, hi, polar_eigen(axial, count_at_most(axial, hi))
+    return towers, hi, polar_eigen(towers.matrix(0), hi)
 
 
 def full_spectrum(
@@ -739,12 +707,12 @@ def full_spectrum(
     reaches K, then bisected a few steps; hi is the bracket's upper end.  If
     float64 cannot add 1 to -max a, nothing is solved: ResolutionError.
 
-    The m = 0 tower is solved once, with eigenvectors, by `polar_eigen` up
-    to its count at hi, so mu_1, psi_1 and the axisymmetric modes are the
-    same bits for every K that keeps them.  Each tower m >= 1 up to the
-    first one with no value at or below hi solves its count_at_most(T_m, hi)
-    lowest values, without profiles (`_tower_values`); those counts summed
-    to at least K when the bracket took hi.  Every value is a Rayleigh
+    The m = 0 tower is solved once, with eigenvectors, by `polar_eigen(T_0,
+    hi)`, so mu_1, psi_1 and the axisymmetric modes are the same bits for
+    every K that keeps them.  Each tower m >= 1 up to the first one with no
+    value at or below hi solves its count_at_most(T_m, hi) lowest values by
+    the same routine, without profiles (`_tower_values`); those counts
+    summed to at least K when the bracket took hi.  Every value is a Rayleigh
     quotient within a small fraction of eps ||T_m||_1 of its eigenvalue (or,
     in a cluster that cells cannot split, a bisection to an absolute
     tolerance eps), so an m >= 1 value moves with K only within rounding.
@@ -752,7 +720,7 @@ def full_spectrum(
     """
     N = grid.dim
     towers, hi, pairs = _axial_solve(potential, K, grid)
-    probed = _tower_values(towers, hi, pairs[0][0])
+    probed = _tower_values(towers, hi)
     flat = np.sort(np.concatenate(
         [[mu for mu, _ in pairs]]
         + [np.repeat(vals, harmonic_multiplicity(N, m)) for m, vals in enumerate(probed, 1)]
@@ -761,7 +729,7 @@ def full_spectrum(
     if flat[0] < pairs[0][0]:
         raise EigenSolveError("ground mode did not come from the m = 0 tower")
 
-    collected = _axial_modes(grid, [(mu, vec) for mu, vec in pairs if mu <= cutoff])
+    collected = _axial_modes(grid, towers.matrix(0), pairs, sum(mu <= cutoff for mu, _ in pairs))
     collected += [AngularMode(m=m, mu=float(mu), multiplicity=harmonic_multiplicity(N, m))
                   for m, vals in enumerate(probed, 1) for mu in vals[vals <= cutoff]]
     collected.sort(key=lambda md: (md.mu, md.m))
@@ -777,8 +745,8 @@ def axisymmetric_spectrum(
     """The m = 0 modes among the K lowest flattened eigenvalues, without the values of m >= 1.
 
     The same modes as `full_spectrum(...).tower(0)`, bit for bit, from the
-    same Sturm-count bracket hi and the same `polar_eigen` of the m = 0
-    tower up to its count at hi; the towers m >= 1 make Sturm counts only.
+    same Sturm-count bracket hi and the same `polar_eigen(T_0, hi)`; the
+    towers m >= 1 make Sturm counts only.
     mu_j is kept exactly when j + sum_{m >= 1} mult(m) * count_m(mu_j) <= K.
     The tower-0 term is j, not a count at mu_j, which sits within rounding
     of where that count flips.  The kept modes are a prefix, found by
@@ -822,8 +790,8 @@ def _axisymmetric_memo(N: int, M: int, sampling: str, K: int, kind: str,
             top = j - 1
     if lo == 0:
         raise EigenSolveError("ground mode did not come from the m = 0 tower")
-    modes = tuple(_axial_modes(grid, pairs[:lo]))
     axial = towers.matrix(0)
+    modes = tuple(_axial_modes(grid, axial, pairs, lo))
     for array in (grid.nodes, grid.weights, grid.half_weights, grid.quadrature,
                   axial.diag, axial.off, *(md.psi for md in modes)):
         array.flags.writeable = False

@@ -25,6 +25,8 @@ from dipolespec.angular import (
 )
 from dipolespec.errors import EigenSolveError, InputError, ResolutionError
 
+from conftest import bound
+
 
 def sphere_mean(potential, grid):
     """Mean of the potential over S^{N-1}, from its samples by the grid's quadrature."""
@@ -210,19 +212,19 @@ class TestAssemble:
         # constant eigenfunction of the sphere Laplacian
         g = PolarGrid.build(3, 300)
         mat = assemble_polar_operator(AngularPotential.constant(0.0), 0, g)
-        mu1 = polar_eigen(mat, 1)[0][0]
+        mu1 = polar_eigen(mat, bound(mat, 1))[0][0]
         assert abs(mu1) < 10 * g.step**2
 
     def test_constant_potential_shifts_ground_state(self):
         g = PolarGrid.build(4, 400)
         mat = assemble_polar_operator(AngularPotential.constant(2.5), 0, g)
-        mu1 = polar_eigen(mat, 1)[0][0]
+        mu1 = polar_eigen(mat, bound(mat, 1))[0][0]
         assert mu1 == pytest.approx(-2.5, abs=10 * g.step**2)
 
     def test_first_azimuthal_tower(self):
         g = PolarGrid.build(3, 400)
         mat = assemble_polar_operator(AngularPotential.constant(0.0), 1, g)
-        mu = polar_eigen(mat, 1)[0][0]
+        mu = polar_eigen(mat, bound(mat, 1))[0][0]
         assert mu == pytest.approx(2.0, abs=10 * g.step**2)
 
     def test_symmetry_and_errors(self):
@@ -242,8 +244,8 @@ class TestAssemble:
         g = PolarGrid.build(5, 300, sampling)
         m0 = assemble_polar_operator(AngularPotential.constant(0.0), 0, g)
         m1 = assemble_polar_operator(AngularPotential.constant(1.0), 0, g)
-        v0 = [v for v, _ in polar_eigen(m0, 6)]
-        v1 = [v for v, _ in polar_eigen(m1, 6)]
+        v0 = [v for v, _ in polar_eigen(m0, bound(m0, 6))]
+        v1 = [v for v, _ in polar_eigen(m1, bound(m1, 6))]
         assert np.allclose(np.array(v1), np.array(v0) - 1.0, atol=1e-10)
 
     def test_second_order_convergence(self):
@@ -252,7 +254,7 @@ class TestAssemble:
         for M in (200, 400, 800):
             g = PolarGrid.build(3, M)
             mat = assemble_polar_operator(AngularPotential.constant(0.0), 0, g)
-            errs.append(abs(polar_eigen(mat, 2)[1][0] - 2.0))
+            errs.append(abs(polar_eigen(mat, bound(mat, 2))[1][0] - 2.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
 
@@ -263,7 +265,7 @@ class TestAssemble:
         g = PolarGrid.build(N, 10000)
         mat = assemble_polar_operator(AngularPotential.constant(0.0), m, g)
         assert np.all(mat.diag > 0)
-        bottom = polar_eigen(mat, 1)[0][0]
+        bottom = polar_eigen(mat, bound(mat, 1))[0][0]
         assert bottom == pytest.approx(m * (m + N - 2.0), rel=1e-6)
 
 
@@ -404,20 +406,20 @@ class TestPolarTowers:
 class TestPolarEigen:
     def test_diagonal_matrix(self):
         mat = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.zeros(2), math.pi / 4)
-        vals = [v for v, _ in polar_eigen(mat, 3)]
+        vals = [v for v, _ in polar_eigen(mat, bound(mat, 3))]
         assert vals == pytest.approx([1.0, 2.0, 3.0])
 
     def test_free_sphere_values(self):
         g = PolarGrid.build(3, 500)
         mat = assemble_polar_operator(AngularPotential.constant(0.0), 0, g)
-        vals = [v for v, _ in polar_eigen(mat, 3)]
+        vals = [v for v, _ in polar_eigen(mat, bound(mat, 3))]
         assert vals == pytest.approx([0.0, 2.0, 6.0], abs=5e-4)
 
     def test_deterministic(self):
         g = PolarGrid.build(3, 200)
         mat = assemble_polar_operator(AngularPotential.dipole(1.0), 0, g)
-        a = polar_eigen(mat, 4)
-        b = polar_eigen(mat, 4)
+        a = polar_eigen(mat, bound(mat, 4))
+        b = polar_eigen(mat, bound(mat, 4))
         for (va, xa), (vb, xb) in zip(a, b):
             assert va == vb
             assert np.array_equal(xa, xb)
@@ -425,7 +427,7 @@ class TestPolarEigen:
     def test_orthonormal_step_weighted(self):
         g = PolarGrid.build(4, 150)
         mat = assemble_polar_operator(AngularPotential.dipole(0.7), 0, g)
-        pairs = polar_eigen(mat, 3)
+        pairs = polar_eigen(mat, bound(mat, 3))
         for i, (_, vi) in enumerate(pairs):
             assert vi[np.flatnonzero(vi)[0]] > 0
             for j, (_, vj) in enumerate(pairs):
@@ -433,20 +435,25 @@ class TestPolarEigen:
                 assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
     def test_count_validation(self):
-        mat = TridiagonalMatrix(np.ones(5), np.zeros(4), 0.1)
-        with pytest.raises(InputError):
-            polar_eigen(mat, 6)
+        mat = TridiagonalMatrix(np.array([1.0, 2.0, 3.0]), np.full(2, 0.5), 0.1)
+        with pytest.raises(InputError, match="NaN"):
+            polar_eigen(mat, math.nan)
+        mu1 = polar_eigen(mat, bound(mat, 1))[0][0]
+        assert polar_eigen(mat, mu1 - 1e-3) == []
 
     @settings(max_examples=40, deadline=None)
     @given(case=kernel_cases(), extra=st.integers(1, 20))
-    # the a = 40 cos 2t doublet mu_1, mu_2 (3.9e-5 apart) split by the count
+    # the a = 40 cos 2t doublet mu_1, mu_2 (3.9e-5 apart) split by the bound
     @example(case=(AngularPotential.tabulated(40.0 * np.cos(2 * DOUBLET_GRID.nodes), DOUBLET_GRID),
                    DOUBLET_GRID, 0, 1), extra=11)
     def test_a_smaller_count_is_a_prefix_bit_for_bit(self, case, extra):
+        # for bounds x < x', polar_eigen(T, x) is a prefix of polar_eigen(T, x')
         potential, grid, m, count = case
         mat = PolarTowers(potential, grid).matrix(m)
-        small, large = polar_eigen(mat, count), polar_eigen(mat, count + extra)
-        assert np.array_equal(bits([mu for mu, _ in small]), bits([mu for mu, _ in large[:count]]))
+        small, large = polar_eigen(mat, bound(mat, count)), polar_eigen(mat, bound(mat, count + extra))
+        assert len(small) <= len(large)
+        assert np.array_equal(bits([mu for mu, _ in small]),
+                              bits([mu for mu, _ in large[:len(small)]]))
         for (_, v), (_, w) in zip(small, large):
             assert np.array_equal(bits(v), bits(w))
 
@@ -458,9 +465,9 @@ class TestPolarEigen:
         # ground-profile check, which a double well's doublet can fail)
         potential, grid, m, count = case
         mats = [PolarTowers(potential, grid).matrix(m)]
-        got = [[mu for mu, _ in polar_eigen(mats[0], count)]]
-        towers, hi, pairs = angular._axial_solve(potential, count, grid)
-        for k, vals in enumerate(angular._tower_values(towers, hi, pairs[0][0]), 1):
+        got = [[mu for mu, _ in polar_eigen(mats[0], bound(mats[0], count))]]
+        towers, hi, _ = angular._axial_solve(potential, count, grid)
+        for k, vals in enumerate(angular._tower_values(towers, hi), 1):
             mats.append(towers.matrix(k))
             got.append(vals)
         eps = np.finfo(float).eps
@@ -512,6 +519,16 @@ class TestFullSpectrum:
         with pytest.raises(ResolutionError):
             full_spectrum(AngularPotential.constant(0.0), 21, g)
 
+    @pytest.mark.parametrize("solve", [full_spectrum, axisymmetric_spectrum])
+    def test_a_ground_doublet_below_rounding_is_named(self, solve):
+        # a = 200 cos 2t on M = 140: the two lowest m = 0 values agree to the
+        # bit, so no ground profile is defined, whatever the sign of the one formed
+        grid = PolarGrid.build(3, 140)
+        potential = AngularPotential.tabulated(200.0 * np.cos(2 * grid.nodes), grid)
+        with pytest.raises(ResolutionError, match=r"two lowest m = 0 eigenvalues lie 0 apart, "
+                                                  r"within 16 eps \|\|T_0\|\|_1"):
+            solve(potential, 27, grid)
+
     def test_mu1_monotone_in_coupling(self):
         g = PolarGrid.build(3, 300)
         mus = []
@@ -543,7 +560,7 @@ class TestFullSpectrum:
             assert np.all(np.abs(got - vals) <= 4 * np.finfo(float).eps * mat.one_norm())
         # the m = 0 modes are the tight solve of their tower, whatever the count
         axial, kept = ref[0]
-        want0 = polar_eigen(axial, kept.size)
+        want0 = polar_eigen(axial, bound(axial, kept.size))
         for md, (mu, vec) in zip(spec.tower(0), want0, strict=True):
             assert abs(md.mu - mu) <= 4 * np.finfo(float).eps * max(1.0, abs(mu))
             profile = vec / math.sqrt(grid.area_equator) / np.sin(grid.nodes) ** ((N - 2) / 2.0)
@@ -571,52 +588,61 @@ class TestFullSpectrum:
         # by the running K-th value requested 1623 eigenvalues here, and an
         # index-range probe of K values per tower 11500
         K = 500
-        brackets, probes, pair_solves = [], [], []
-        bracket, pairs = angular._bracket, angular._tower_pairs
+        brackets, probes, solves, counts = [], [], [], []
+        bracket, tower, count = angular._bracket, angular._tower, angular.count_at_most
 
         def counting_values(*args, **kwargs):
             vals = eigvalsh_tridiagonal(*args, **kwargs)
             probes.append((args[0], kwargs, vals))
             return vals
 
-        def counting_pairs(matrix, cells, vectors):
-            pair_solves.append((matrix.diag, len(cells), vectors))
-            return pairs(matrix, cells, vectors)
+        def counting_tower(matrix, hi, vectors):
+            values, kept = tower(matrix, hi, vectors)
+            solves.append((matrix.diag, hi, vectors, len(values), len(kept)))
+            return values, kept
 
         monkeypatch.setattr(angular, "_bracket",
                             lambda *a: brackets.append(bracket(*a)) or brackets[-1])
         monkeypatch.setattr(angular, "eigvalsh_tridiagonal", counting_values)
-        monkeypatch.setattr(angular, "_tower_pairs", counting_pairs)
+        monkeypatch.setattr(angular, "_tower", counting_tower)
+        monkeypatch.setattr(angular, "count_at_most", lambda *a: counts.append(a) or count(*a))
         grid = PolarGrid.build(3, 1200)
         potential = AngularPotential.constant(0.0)
         spec = full_spectrum(potential, K, grid)
+        monkeypatch.undo()
         towers = PolarTowers(potential, grid)
-        axial = towers.matrix(0)
         [hi] = brackets
 
+        # a dyadic count search for the m = 0 cells, in place of the probe, made 563 counts here
+        assert len(counts) <= 300
         assert sum(vals.size for *_, vals in probes) < 300
-        # the m = 0 tower: one pair solve of its values up to hi, and no value probe at all
-        assert pair_solves[0][1:] == (count_at_most(axial, hi), True)
-        assert np.array_equal(pair_solves[0][0], axial.diag)
-        assert not any(np.array_equal(diag, axial.diag) for diag, *_ in probes)
-        # one coarse value probe per tower m >= 1 with a value up to hi, in
-        # order of m; the first tower without one ends the scan by its count
-        scanned = [m for m in range(1, grid.size + 1) if count_at_most(towers.matrix(m), hi)]
-        assert scanned == list(range(1, len(probes) + 1))
-        width = 2.0**-7
-        for m, (diag, kwargs, vals) in enumerate(probes, 1):
-            assert np.array_equal(diag, towers.matrix(m).diag)
+        # one tower solve per tower up to the first one with no value at or
+        # below hi, in order of m; the m = 0 tower keeps its vectors
+        scanned = [m for m in range(grid.size + 1) if count_at_most(towers.matrix(m), hi)]
+        assert scanned == list(range(len(scanned))) and len(solves) == len(scanned) + 1
+        for m, (diag, top, vectors, n, kept) in enumerate(solves):
+            mat = towers.matrix(m)
+            assert np.array_equal(diag, mat.diag) and top == hi and vectors == (m == 0)
+            assert n == count_at_most(mat, hi) and kept == (n if m == 0 else 0)
+        # one coarse value probe per tower with a value up to hi, at the
+        # tolerance of the tower's cells and reaching 257 cells above hi
+        assert len(probes) == len(scanned)
+        for m, (diag, kwargs, vals) in enumerate(probes):
+            mat = towers.matrix(m)
+            width = angular._cell_width(mat, vectors=m == 0)[0]
+            assert np.array_equal(diag, mat.diag)
             assert kwargs["select"] == "v" and kwargs["tol"] == width
-            assert kwargs["select_range"][1] == hi + (angular._GUARD + 1) * width
-            assert vals.size >= count_at_most(towers.matrix(m), hi)
-        # then one pair solve per tower m >= 1 of its values up to hi, without vectors
-        assert len(pair_solves) == 1 + len(scanned)
-        for m, (diag, n, vectors) in zip(scanned, pair_solves[1:]):
-            assert np.array_equal(diag, towers.matrix(m).diag)
-            assert (n, vectors) == (count_at_most(towers.matrix(m), hi), False)
-        assert len({md.m for md in spec.modes}) <= len(probes) + 1
+            assert kwargs["select_range"] == (-math.inf, hi + (angular._GUARD + 1) * width)
+            assert vals.size >= count_at_most(mat, hi)
+        assert len({md.m for md in spec.modes}) <= len(probes)
         assert sum(harmonic_multiplicity(3, m) * count_at_most(towers.matrix(m), hi)
-                   for m in [0] + scanned) >= K
+                   for m in scanned) >= K
+
+        # the dipole K = 80, M = 10000 merge (198 counts with the dyadic m = 0 search)
+        counts.clear()
+        monkeypatch.setattr(angular, "count_at_most", lambda *a: counts.append(a) or count(*a))
+        full_spectrum(AngularPotential.dipole(0.9), 80, PolarGrid.build(3, 10000))
+        assert len(counts) <= 130
 
     @pytest.mark.parametrize("potential", [AngularPotential.constant(-1e300),
                                            AngularPotential.dipole(1e300),
@@ -685,7 +711,7 @@ class TestAxisymmetricSpectrum:
         full = full_spectrum(potential, 80, grid)
         spec = axisymmetric_spectrum(potential, 80, grid)
         assert len(spec.modes) == len(full.tower(0)) == 8
-        mu9 = polar_eigen(spec.axial, 9)[8][0]
+        mu9 = polar_eigen(spec.axial, bound(spec.axial, 9))[8][0]
         cutoff = full.flattened()[79]
         assert spec.modes[-1].mu < cutoff < mu9 < cutoff + 1e-3
         # the keep rule's tower-0 term is the index j = 9, which rejects mu_9

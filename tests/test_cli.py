@@ -500,28 +500,27 @@ class TestCauchyCommand:
 
 
 # a field job computes no eigenvalue of a tower m >= 1: the bracket and the
-# keep rule are `count_at_most` counts, and the one pair solve is of the m = 0 tower
+# keep rule are `count_at_most` counts, and the one tower solve is of the m = 0 tower
 @pytest.mark.parametrize("argv", [
     ("cauchy", "--scenario", "manufactured-radial", "--grid", "400", "--modes", "12",
      "--points", "100"),
     ("sandwich", "--grid", "400", "--points", "200"),
 ])
 def test_field_commands_solve_only_the_m0_tower(capsys, monkeypatch, argv):
-    value_calls, pair_solves = [], []
-    pairs = angular._tower_pairs
+    solves = []
+    tower = angular._tower
 
-    def counting_pairs(matrix, cells, vectors):
-        pair_solves.append(matrix.diag)
-        return pairs(matrix, cells, vectors)
+    def counting_tower(matrix, hi, vectors):
+        solves.append((matrix.diag, vectors))
+        return tower(matrix, hi, vectors)
 
-    monkeypatch.setattr(angular, "eigvalsh_tridiagonal", lambda *a, **k: value_calls.append(k))
-    monkeypatch.setattr(angular, "_tower_pairs", counting_pairs)
+    monkeypatch.setattr(angular, "_tower", counting_tower)
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert value_calls == []
     axial = angular.assemble_polar_operator(angular.AngularPotential.dipole(1.0), 0,
                                             angular.PolarGrid.build(3, 400))
-    assert len(pair_solves) == 1 and np.array_equal(pair_solves[0], axial.diag)
+    [(diag, vectors)] = solves
+    assert np.array_equal(diag, axial.diag) and vectors
 
 
 def test_spectrum_rows_do_not_depend_on_the_count(capsys):
@@ -984,6 +983,15 @@ def test_remembered_spectrum_leaves_every_output_byte_identical(tmp_path):
     assert (info.hits, info.misses) == (len(LIMITS_FIELD_JOBS), 1)
     for cold, warm in outputs.values():
         assert cold == warm
+
+
+def test_a_ground_doublet_exits_3(tmp_path, capsys):
+    grid = angular.PolarGrid.build(3, 140)
+    table = tmp_path / "a.txt"
+    np.savetxt(table, 200.0 * np.cos(2 * grid.nodes), fmt="%.17g")
+    code, out, err = run(capsys, "spectrum", "--potential", f"table:{table}", "--grid", "140",
+                         "--count", "27")
+    assert (code, out) == (3, "") and "two lowest m = 0 eigenvalues" in err
 
 
 def test_a_table_rewritten_at_one_path_is_solved_again(tmp_path, capsys):

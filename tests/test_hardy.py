@@ -21,6 +21,8 @@ from dipolespec.hardy import (
     lambda_n,
 )
 
+from conftest import bound
+
 # critical couplings 1/Lambda_N(cos) on the convergent scheme; frozen from a
 # truncation-converged polynomial-basis computation of the same operator
 # (independent of the finite-difference path)
@@ -383,7 +385,8 @@ def positivity_sides(potential, grid):
     Lambda_N(a) < 1 <=> mu_1 > -((N-2)/2)^2, with mu_1 from the m = 0 tower."""
     N = grid.dim
     lam = lambda_n(potential, grid).lambda_n
-    mu1 = polar_eigen(assemble_polar_operator(potential, 0, grid), 1)[0][0]
+    mat = assemble_polar_operator(potential, 0, grid)
+    mu1 = polar_eigen(mat, bound(mat, 1))[0][0]
     return 1.0 - lam, mu1 + ((N - 2) / 2.0) ** 2
 
 
