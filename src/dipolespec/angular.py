@@ -38,12 +38,12 @@ its pairs up to x are a prefix of those up to any larger x (`polar_eigen`).
 All operations are deterministic, and all but `axisymmetric_spectrum` are
 pure: that one keeps its last result, read-only, for the next call on the
 same values (see there).  Concurrent calls are safe: `lru_cache` guards
-the one entry, and two calls that miss on one key both solve it.
+the one entry, two calls that miss on one key both solve it, and two counts
+that race on one (matrix, x) store the same count in the matrix's memo.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -175,11 +175,8 @@ class AngularPotential:
 
     @classmethod
     def tabulated(cls, values, grid: PolarGrid) -> "AngularPotential":
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != grid.nodes.shape:
-            raise InputError(
-                f"tabulated potential has {vals.size} samples, grid has {grid.size} nodes"
-            )
+        vals = cls(kind="tabulated", ess_sup=math.nan,
+                   values=np.asarray(values, dtype=float)).sample(grid)  # checks the size
         if not np.all(np.isfinite(vals)):
             raise InputError("tabulated potential has a non-finite sample")
         return cls(kind="tabulated", ess_sup=float(np.max(vals)), values=vals)
@@ -198,11 +195,17 @@ class AngularPotential:
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Symmetric tridiagonal operator with the grid step it was built on."""
+    """Symmetric tridiagonal operator with the grid step it was built on.
+
+    It remembers ||T||_1, the pivmin of its counts and each `count_at_most`
+    taken of it (`_counts`, not in ==, repr or __init__); that holds because
+    no code writes to `diag` or `off` once a matrix is built.
+    """
 
     diag: np.ndarray
     off: np.ndarray
     step: float
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -211,9 +214,17 @@ class TridiagonalMatrix:
     def shifted(self, s: float) -> "TridiagonalMatrix":
         return TridiagonalMatrix(self.diag + s, self.off, self.step)
 
-    def one_norm(self) -> float:
+    @cached_property
+    def _one_norm(self) -> float:
         off = np.abs(self.off)  # ||T||_1, the largest absolute column sum
         return float(np.max(np.abs(self.diag) + np.append(off, 0.0) + np.insert(off, 0, 0.0)))
+
+    def one_norm(self) -> float:
+        return self._one_norm
+
+    @cached_property
+    def _pivmin(self) -> float:  # LAPACK dstebz's smallest pivot size, tiny * max(1, max e^2)
+        return _TINY * max(1.0, float(np.max(np.abs(self.off), initial=0.0)) ** 2)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
@@ -309,23 +320,28 @@ def count_at_most(matrix: TridiagonalMatrix, x: float) -> int:
     below pivmin.  One O(M) sweep in all, plus a call per counted pivot.
     dpttrf lets a positive pivot below pivmin pass, which dstebz counts;
     that happens only within about pivmin of an eigenvalue of a leading block.
+
+    A count depends on (matrix, x) alone: the matrix remembers it, and a
+    second request at the same x makes no sweep.
     """
+    if x in matrix._counts:
+        return matrix._counts[x]
     d = np.subtract(matrix.diag, x, dtype=float)  # dpttrf works in place on float64 only
     e = np.array(matrix.off, dtype=float)
-    pivmin = _TINY * max(1.0, float(np.max(np.abs(e), initial=0.0)) ** 2)
-    count, start, last = 0, 0, d.size - 1
+    count, start, last, pivmin = 0, 0, d.size - 1, matrix._pivmin
     while start < last:
         info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)[2]
         if info == 0:
             break
         j = start + info - 1
+        if j == last:  # d[last] <= 0 holds the last pivot, counted below
+            break
         count += 1
-        if j == last:
-            return count
         pivot = min(d[j], -pivmin)
         d[j + 1] -= e[j] / pivot * e[j]
         start = j + 1
-    return count + int(d[last] < pivmin)
+    matrix._counts[x] = count + int(d[last] < pivmin)
+    return matrix._counts[x]
 
 
 # A shift is the midpoint of a cell (x, x + w] of the lattice w Z, w = 2^-7 or
@@ -366,52 +382,35 @@ class _Cell(NamedTuple):
     cluster: tuple[int, int] | None = None
 
 
-class _Inertia:
-    """`count_at_most` of one matrix, remembered at every point where it was taken."""
+def _cell(matrix: TridiagonalMatrix, j: int, left: float, width: float, finest: float,
+          clusters: dict[tuple[int, int], list[float]]) -> _Cell:
+    """The cell of eigenvalue j, which lies in the lattice cell (left, left + width].
 
-    def __init__(self, matrix: TridiagonalMatrix):
-        self.matrix = matrix
-        self.points: list[float] = []  # ascending, with their counts
-        self.counts: list[int] = []
-        self.clusters: dict[tuple[int, int], list[float]] = {}  # bisected values
-
-    def __call__(self, x: float) -> int:
-        i = bisect.bisect_left(self.points, x)
-        if i < len(self.points) and self.points[i] == x:
-            return self.counts[i]
-        count = count_at_most(self.matrix, x)
-        self.points.insert(i, x)
-        self.counts.insert(i, count)
-        return count
-
-    def cell(self, j: int, left: float, width: float, finest: float) -> _Cell:
-        """The cell of eigenvalue j, which lies in the lattice cell (left, left + width].
-
-        The cell is halved, keeping the half that holds eigenvalue j, until
-        no other eigenvalue lies within _GUARD widths of it; the shift is
-        then its midpoint.  A cell still shared at the finest width holds a
-        cluster: one LAPACK dstebz call bisects all its eigenvalues by index
-        to an absolute tolerance eps, from one start, so that their values
-        come out ascending.  The cell depends on the matrix and j alone.
-        """
-        while True:
-            guard = _GUARD * width
-            if self(left + width + guard) - self(left - guard) == 1:
-                return _Cell(left + 0.5 * width, left, left + width)
-            if width <= finest:
-                break
-            width *= 0.5
-            if self(left + width) < j:
-                left += width
-        first, last = self(left) + 1, self(left + width)
-        if (first, last) not in self.clusters:
-            mat = self.matrix
-            found, vals, *_, info = dstebz(mat.diag, mat.off, 2, 0.0, 0.0, first, last, _EPS, "E")
-            if info != 0 or found != last - first + 1:
-                raise EigenSolveError(f"bisection of eigenvalues {first}..{last} failed "
-                                      f"(dstebz info {info})")
-            self.clusters[first, last] = vals[:found].tolist()
-        return _Cell(self.clusters[first, last][j - first], left, left + width, (first, last))
+    The cell is halved, keeping the half that holds eigenvalue j, until no
+    other eigenvalue lies within _GUARD widths of it; the shift is then its
+    midpoint.  A cell still shared at the finest width holds a cluster: one
+    LAPACK dstebz call bisects all its eigenvalues by index to an absolute
+    tolerance eps, from one start, so that their values come out ascending;
+    `clusters` keeps them by (first, last) for the cluster's other cells.
+    The cell depends on the matrix and j alone.
+    """
+    while True:
+        guard = _GUARD * width
+        if count_at_most(matrix, left + width + guard) - count_at_most(matrix, left - guard) == 1:
+            return _Cell(left + 0.5 * width, left, left + width)
+        if width <= finest:
+            break
+        width *= 0.5
+        if count_at_most(matrix, left + width) < j:
+            left += width
+    first, last = count_at_most(matrix, left) + 1, count_at_most(matrix, left + width)
+    if (first, last) not in clusters:
+        found, vals, *_, info = dstebz(matrix.diag, matrix.off, 2, 0.0, 0.0, first, last, _EPS, "E")
+        if info != 0 or found != last - first + 1:
+            raise EigenSolveError(f"bisection of eigenvalues {first}..{last} failed "
+                                  f"(dstebz info {info})")
+        clusters[first, last] = vals[:found].tolist()
+    return _Cell(clusters[first, last][j - first], left, left + width, (first, last))
 
 
 def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
@@ -424,7 +423,7 @@ def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
     (_GUARD + 1) w away is shifted from its probe value.  Any other value j
     is placed by counts in the lattice cell (x, x + w], x in wZ, that holds
     eigenvalue j, then halved until no other eigenvalue lies near
-    (`_Inertia.cell`): that cell depends on the matrix and j alone.
+    (`_cell`): that cell depends on the matrix and j alone.
 
     Each cell has a LAPACK dstein call of its own; only a cluster's cells
     share one.  A one-vector call makes no reorthogonalization, whose BLAS
@@ -435,8 +434,7 @@ def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
     dstein info, or a quotient outside its cell by more than 4 eps ||T||_1,
     is an EigenSolveError.
     """
-    inertia = _Inertia(matrix)
-    count = inertia(hi)
+    count = count_at_most(matrix, hi)
     if count == 0:
         return [], []
     width, finest = _cell_width(matrix, vectors)
@@ -447,17 +445,17 @@ def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
         raise EigenSolveError(f"value probe found {probe.size} of {count} counted eigenvalues")
     apart = np.diff(probe[:count + 1]) > reach  # no probed value within reach above
     clear = np.append(True, apart)[:count] & np.append(apart, True)[:count]
-    cells = []
+    cells, clusters = [], {}
     for j, (value, alone) in enumerate(zip(probe[:count].tolist(), clear), 1):
         if alone and not vectors:
             cells.append(_Cell(value, value - 0.5 * width, value + 0.5 * width))
             continue
         left = width * math.floor(value / width)
-        while inertia(left) >= j:
+        while count_at_most(matrix, left) >= j:
             left -= width
-        while inertia(left + width) < j:
+        while count_at_most(matrix, left + width) < j:
             left += width
-        cells.append(inertia.cell(j, left, width, finest))
+        cells.append(_cell(matrix, j, left, width, finest, clusters))
     n, values, kept = matrix.size, [], []
     block, split = np.ones(n, np.intc), np.full(n, n, np.intc)  # the matrix is one block
     slack = 4.0 * _EPS * matrix.one_norm()
@@ -798,17 +796,14 @@ def _axisymmetric_memo(N: int, M: int, sampling: str, K: int, kind: str,
     return AngularSpectrum(grid=grid, potential=potential, modes=modes, axial=axial)
 
 
-def _sup_ratios(spectrum: AngularSpectrum):
-    power = math.floor((spectrum.grid.dim - 1) / 4) + 1
-    return [mode_sup_norm(md) / abs(md.mu) ** power
-            for md in spectrum.tower(0) if abs(md.mu) > 4.0 * spectrum.m0_rounding]
-
-
 def eigenfunction_sup_ratio(spectrum: AngularSpectrum) -> float:
     """max over m=0 modes with |mu| > 4 eps ||T_0||_1 of |psi_k|_inf / |mu_k|^{floor((N-1)/4)+1}."""
-    if len(spectrum.tower(0)) < 2:
+    tower = spectrum.tower(0)
+    if len(tower) < 2:
         raise InputError("need at least two m = 0 modes")
-    ratios = _sup_ratios(spectrum)
+    power = math.floor((spectrum.grid.dim - 1) / 4) + 1
+    floor = 4.0 * spectrum.m0_rounding
+    ratios = [mode_sup_norm(md) / abs(md.mu) ** power for md in tower if abs(md.mu) > floor]
     if not ratios:
         raise InputError("no m = 0 mode with nonzero eigenvalue")
     return max(ratios)

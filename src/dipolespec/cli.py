@@ -345,7 +345,10 @@ def _cauchy_mode(scenario: str) -> int:
     kind, _, arg = scenario.partition(":")
     if kind != "mode":
         raise InputError(f"unknown scenario {scenario!r}")
-    return _integer(arg, scenario)
+    k = _integer(arg, scenario)
+    if k < 1:
+        raise InputError(f"mode index must be >= 1 in {scenario!r}")
+    return k
 
 
 def _solution_field(args, scenario: str, k: int = 1):

@@ -187,8 +187,13 @@ class TestPotential:
 
     def test_tabulated_sample_count_mismatch(self):
         g = PolarGrid.build(3, 80)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="81 samples, grid has 80 nodes"):
             AngularPotential.tabulated(np.ones(81), g)
+        # the size is checked before the samples' values
+        with pytest.raises(InputError, match="79 samples, grid has 80 nodes"):
+            AngularPotential.tabulated(np.full(79, np.nan), g)
+        with pytest.raises(InputError, match="non-finite sample"):
+            AngularPotential.tabulated(np.full(80, np.inf), g)
         a = AngularPotential.tabulated(np.ones(80), g)
         with pytest.raises(InputError):
             a.sample(PolarGrid.build(3, 81))
@@ -269,12 +274,13 @@ class TestAssemble:
         assert bottom == pytest.approx(m * (m + N - 2.0), rel=1e-6)
 
 
+DIAGS = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40)
+OFF_SEEDS = st.lists(st.floats(-5.0, 5.0), min_size=39, max_size=39)
+
+
 class TestSturmCount:
     @settings(max_examples=80, deadline=None)
-    @given(
-        diag=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
-        off_seed=st.lists(st.floats(-5.0, 5.0), min_size=39, max_size=39),
-    )
+    @given(diag=DIAGS, off_seed=OFF_SEEDS)
     # a subnormal first pivot once overflowed the reference's next division
     @example(diag=[5e-324, 0.0], off_seed=[1.0] + [0.0] * 38)
     def test_matches_ldl_reference(self, diag, off_seed):
@@ -336,6 +342,22 @@ class TestSturmCount:
         mat = TridiagonalMatrix(d, e, 1.0)
         assert count_at_most(mat, x) == sturm_count(d, e, x) == want
         assert np.array_equal(mat.diag, diag) and np.array_equal(mat.off, off)  # left as they were
+
+    # the matrix remembers each count; a copy of it has no memo and counts afresh.
+    # Points at the diagonal entries make exact zero pivots, which the memo must not blur
+    @settings(max_examples=80, deadline=None)
+    @given(diag=DIAGS, off_seed=OFF_SEEDS,
+           points=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=8))
+    def test_remembered_count_is_a_fresh_count(self, diag, off_seed, points):
+        d = np.array(diag)
+        e = np.array(off_seed[: d.size - 1])
+        mat = TridiagonalMatrix(d, e, 1.0)
+        points = points + diag
+        first = [count_at_most(mat, x) for x in points]
+        assert set(mat._counts) == set(points) and "_counts" not in repr(mat)
+        remembered = [count_at_most(mat, x) for x in points]
+        fresh = [count_at_most(TridiagonalMatrix(d.copy(), e.copy(), 1.0), x) for x in points]
+        assert remembered == first == fresh
 
 
 def test_one_norm_is_the_dense_one_norm():
@@ -644,6 +666,26 @@ class TestFullSpectrum:
         full_spectrum(AngularPotential.dipole(0.9), 80, PolarGrid.build(3, 10000))
         assert len(counts) <= 130
 
+    @pytest.mark.parametrize("solve", [full_spectrum, axisymmetric_spectrum])
+    def test_no_count_is_factored_twice(self, monkeypatch, solve):
+        # the bracket, the keep rule, each tower's count at hi and its cell
+        # search share the counts that each tower matrix remembers; with a
+        # memo per tower solve, full_spectrum factored 108 times at 99
+        # distinct (matrix, x) here.  Each sweep starts with one dpttrf call
+        # on all M rows
+        M = 10000
+        requests, rows = [], []
+        count, factor = angular.count_at_most, angular.dpttrf
+        monkeypatch.setattr(angular, "count_at_most",
+                            lambda mat, x: requests.append((id(mat), x)) or count(mat, x))
+        monkeypatch.setattr(angular, "dpttrf",
+                            lambda d, e, **kw: rows.append(d.size) or factor(d, e, **kw))
+        angular._axisymmetric_memo.cache_clear()
+        solve(AngularPotential.dipole(0.9), 80, PolarGrid.build(3, M))
+        distinct = set(requests)
+        assert len(requests) > len(distinct) > 50
+        assert rows.count(M) == len(distinct)
+
     @pytest.mark.parametrize("potential", [AngularPotential.constant(-1e300),
                                            AngularPotential.dipole(1e300),
                                            AngularPotential.dipole(-1e17)])
@@ -864,15 +906,16 @@ class TestMu1Bounds:
 
 class TestSupRatio:
     def test_free_sphere_ratios_bounded(self, free3_spectrum):
-        from dipolespec.angular import _sup_ratios
-
         # the ground value is zero to rounding and is skipped; the zonal
         # harmonic of degree l has sup sqrt((2l+1)/(4 pi)) and mu = l(l+1),
-        # so the ratios fall from l = 1 on
-        ratios = _sup_ratios(free3_spectrum)
-        assert len(ratios) == len(free3_spectrum.tower(0)) - 1 >= 5
+        # so the ratios fall from l = 1 on and the first one is the maximum
+        tower = free3_spectrum.tower(0)
+        assert abs(tower[0].mu) <= 4.0 * free3_spectrum.m0_rounding < abs(tower[1].mu)
+        ratios = [mode_sup_norm(md) / abs(md.mu) for md in tower[1:]]  # power 1 at N = 3
+        assert len(ratios) >= 5
         assert ratios[0] == pytest.approx(math.sqrt(3 / (4 * math.pi)) / 2, rel=1e-3)
         assert max(ratios) <= ratios[0] * (1 + 1e-9)
+        assert eigenfunction_sup_ratio(free3_spectrum) == max(ratios)
 
     def test_dipole_ratio_finite(self, dipole3_spectrum):
         assert eigenfunction_sup_ratio(dipole3_spectrum) < 50.0

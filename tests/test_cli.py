@@ -717,6 +717,17 @@ class TestErrorsAndEnv:
         assert code == 2 and out == ""
         assert err.startswith("error: " + want) and err.count("\n") == 1
 
+    # a mode index below 1 is rejected before any grid is built or spectrum solved
+    @pytest.mark.parametrize("scenario", ["mode:0", "mode:-3"])
+    def test_mode_index_below_one_exits_2_before_any_solve(self, capsys, monkeypatch, scenario):
+        def no_solve(*args):
+            raise AssertionError("axisymmetric_spectrum was called")
+
+        monkeypatch.setattr(angular, "axisymmetric_spectrum", no_solve)
+        code, out, err = run(capsys, "cauchy", "--scenario", scenario)
+        assert code == 2 and out == ""
+        assert err == f"error: mode index must be >= 1 in {scenario!r}\n"
+
     def test_parser_follows_the_grid_env_across_calls(self, capsys, monkeypatch):
         grids = []
         for size in ("50", "60", "50"):
