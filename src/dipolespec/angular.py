@@ -31,9 +31,11 @@ and inertia counts (`count_at_most`) place each wanted eigenvalue in a cell
 that no other eigenvalue lies near, inverse iteration (LAPACK dstein) from
 the cell's midpoint forms its vector, and the value is that vector's
 Rayleigh quotient (Parlett, The Symmetric Eigenvalue Problem, ch. 4),
-within a small fraction of eps ||T||_1.  The m = 0 tower keeps its vectors,
-and its cells are the lattice cells that counts assign to each index, so
-its pairs up to x are a prefix of those up to any larger x (`polar_eigen`).
+within a small fraction of eps ||T||_1.  A cluster that no cell splits is
+one group, found by one search and bisected by one dstebz call.  The m = 0
+tower keeps its vectors, and its cells are the lattice cells that counts
+assign to each index, so its pairs up to x are a prefix of those up to any
+larger x (`polar_eigen`).
 
 All operations are deterministic, and all but `axisymmetric_spectrum` are
 pure: that one keeps its last result, read-only, for the next call on the
@@ -44,7 +46,6 @@ that race on one (matrix, x) store the same count in the matrix's memo.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -320,6 +321,9 @@ def count_at_most(matrix: TridiagonalMatrix, x: float) -> int:
     below pivmin.  One O(M) sweep in all, plus a call per counted pivot.
     dpttrf lets a positive pivot below pivmin pass, which dstebz counts;
     that happens only within about pivmin of an eigenvalue of a leading block.
+    At an x within rounding of an eigenvalue the count may go either way:
+    diag [3, -1, 0], off [-2, 2] has the eigenvalue -3, where the last
+    pivot rounds to 4.4e-16 and the count is 0, not the exact 1.
 
     A count depends on (matrix, x) alone: the matrix remembers it, and a
     second request at the same x makes no sweep.
@@ -370,47 +374,47 @@ def _cell_width(matrix: TridiagonalMatrix, vectors: bool) -> tuple[float, float]
 
 
 class _Cell(NamedTuple):
-    """How one eigenpair is formed: inverse iteration from `shift`.
-
-    The eigenvalue lies in (lo, hi].  In a cluster, eigenvalues first..last
-    were bisected together, and `shift` is also the value.
-    """
+    """Inverse iteration from `shift` forms one eigenpair, whose value lies in (lo, hi]."""
 
     shift: float
     lo: float
     hi: float
-    cluster: tuple[int, int] | None = None
+    bisected: bool = False  # shift is the value, from a cluster's bisection
 
 
-def _cell(matrix: TridiagonalMatrix, j: int, left: float, width: float, finest: float,
-          clusters: dict[tuple[int, int], list[float]]) -> _Cell:
-    """The cell of eigenvalue j, which lies in the lattice cell (left, left + width].
+def _cell(matrix: TridiagonalMatrix, j: int, value: float, width: float,
+          finest: float) -> list[_Cell]:
+    """The cell of eigenvalue j, probed at `value`, or the cells of its cluster j..last.
 
-    The cell is halved, keeping the half that holds eigenvalue j, until no
-    other eigenvalue lies within _GUARD widths of it; the shift is then its
-    midpoint.  A cell still shared at the finest width holds a cluster: one
-    LAPACK dstebz call bisects all its eigenvalues by index to an absolute
-    tolerance eps, from one start, so that their values come out ascending;
-    `clusters` keeps them by (first, last) for the cluster's other cells.
-    The cell depends on the matrix and j alone.
+    Counts place eigenvalue j in the lattice cell (x, x + width], x in
+    width Z, that holds it.  The cell is halved, keeping the half that holds
+    eigenvalue j, until no other eigenvalue lies within _GUARD widths of
+    it; the shift is then its midpoint.  A cell still shared at the finest
+    width holds a cluster, whose members all took j's halving path, so j is
+    its first index: one LAPACK dstebz call bisects them by index to an
+    absolute tolerance eps, from one start, so that their values come out
+    ascending, and each is its cell's shift.  A finest cell that holds j
+    alone, with a neighbour in its guard band, is a cluster of one.
     """
+    left = width * math.floor(value / width)
+    while count_at_most(matrix, left) >= j:
+        left -= width
+    while count_at_most(matrix, left + width) < j:
+        left += width
     while True:
         guard = _GUARD * width
         if count_at_most(matrix, left + width + guard) - count_at_most(matrix, left - guard) == 1:
-            return _Cell(left + 0.5 * width, left, left + width)
+            return [_Cell(left + 0.5 * width, left, left + width)]
         if width <= finest:
             break
         width *= 0.5
         if count_at_most(matrix, left + width) < j:
             left += width
-    first, last = count_at_most(matrix, left) + 1, count_at_most(matrix, left + width)
-    if (first, last) not in clusters:
-        found, vals, *_, info = dstebz(matrix.diag, matrix.off, 2, 0.0, 0.0, first, last, _EPS, "E")
-        if info != 0 or found != last - first + 1:
-            raise EigenSolveError(f"bisection of eigenvalues {first}..{last} failed "
-                                  f"(dstebz info {info})")
-        clusters[first, last] = vals[:found].tolist()
-    return _Cell(clusters[first, last][j - first], left, left + width, (first, last))
+    last = count_at_most(matrix, left + width)
+    found, vals, *_, info = dstebz(matrix.diag, matrix.off, 2, 0.0, 0.0, j, last, _EPS, "E")
+    if info != 0 or found != last - j + 1:
+        raise EigenSolveError(f"bisection of eigenvalues {j}..{last} failed (dstebz info {info})")
+    return [_Cell(mu, left, left + width, True) for mu in vals[:found].tolist()]
 
 
 def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
@@ -420,12 +424,12 @@ def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
     tolerance w of the cells (`_cell_width`), from dstebz's own Gershgorin
     bound up to hi + (_GUARD + 1) w, places each value within w/2.  Where no
     vector is kept, a value whose probed neighbours lie more than
-    (_GUARD + 1) w away is shifted from its probe value.  Any other value j
-    is placed by counts in the lattice cell (x, x + w], x in wZ, that holds
-    eigenvalue j, then halved until no other eigenvalue lies near
-    (`_cell`): that cell depends on the matrix and j alone.
+    (_GUARD + 1) w away is shifted from its probe value.  The walk over the
+    indices j takes any other value's cell, or the cells of its whole
+    cluster, from one `_cell` search and goes on past them: those cells
+    depend on the matrix and j alone.
 
-    Each cell has a LAPACK dstein call of its own; only a cluster's cells
+    Each cell has a LAPACK dstein call of its own, and a cluster's cells
     share one.  A one-vector call makes no reorthogonalization, whose BLAS
     dot products would tie the bits to the host's BLAS kernel; the vectors
     kept (if `vectors`) are orthogonalized in turn by modified Gram-Schmidt
@@ -445,42 +449,33 @@ def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
         raise EigenSolveError(f"value probe found {probe.size} of {count} counted eigenvalues")
     apart = np.diff(probe[:count + 1]) > reach  # no probed value within reach above
     clear = np.append(True, apart)[:count] & np.append(apart, True)[:count]
-    cells, clusters = [], {}
-    for j, (value, alone) in enumerate(zip(probe[:count].tolist(), clear), 1):
-        if alone and not vectors:
-            cells.append(_Cell(value, value - 0.5 * width, value + 0.5 * width))
-            continue
-        left = width * math.floor(value / width)
-        while count_at_most(matrix, left) >= j:
-            left -= width
-        while count_at_most(matrix, left + width) < j:
-            left += width
-        cells.append(_cell(matrix, j, left, width, finest, clusters))
+    probed, j = probe[:count].tolist(), 1
     n, values, kept = matrix.size, [], []
     block, split = np.ones(n, np.intc), np.full(n, n, np.intc)  # the matrix is one block
     slack = 4.0 * _EPS * matrix.one_norm()
-    # a cluster's cells share one call; any other cell has a key, and a call, of its own
-    for _, group in itertools.groupby(cells, key=lambda cell: cell.cluster or object()):
-        group = list(group)
-        if group[0].cluster is not None and not vectors:
-            values += [cell.shift for cell in group]
+    while j <= count:
+        value = probed[j - 1]
+        if clear[j - 1] and not vectors:
+            cells = [_Cell(value, value - 0.5 * width, value + 0.5 * width)]
+        else:  # a cluster may reach past hi
+            cells = _cell(matrix, j, value, width, finest)[:count + 1 - j]
+        j += len(cells)
+        if cells[0].bisected and not vectors:
+            values += [cell.shift for cell in cells]
             continue
-        z, info = dstein(matrix.diag, matrix.off, [cell.shift for cell in group], block, split)
+        z, info = dstein(matrix.diag, matrix.off, [cell.shift for cell in cells], block, split)
         if info != 0:
             raise EigenSolveError(f"inverse iteration did not converge (dstein info {info})")
-        for v, cell in zip(z.T, group):
+        for v, cell in zip(z.T, cells):
             for u in kept:
                 v -= np.add.reduce(u * v) * u
             v /= math.sqrt(np.add.reduce(v * v))
-            if cell.cluster is None:
-                tv = matrix.matvec(v)
-                tv *= v
-                value = float(np.add.reduce(tv))
+            value = cell.shift
+            if not cell.bisected:
+                value = float(np.add.reduce(matrix.matvec(v) * v))
                 if not cell.lo - slack <= value <= cell.hi + slack:
                     raise EigenSolveError(f"Rayleigh quotient {value!r} outside its cell "
                                           f"({cell.lo!r}, {cell.hi!r}]")
-            else:
-                value = cell.shift
             values.append(value)
             if vectors:
                 kept.append(v)
@@ -652,17 +647,8 @@ def _tower_values(towers: PolarTowers, hi: float) -> list[np.ndarray]:
         values.append(np.array(vals))
 
 
-def _axial_modes(grid: PolarGrid, axial: TridiagonalMatrix, pairs, n: int) -> list[AngularMode]:
-    """The first n modes of the m = 0 `polar_eigen` pairs, with psi = w / sin^((N-2)/2).
-
-    Two lowest values within 16 eps ||T_0||_1 leave the ground profile
-    undetermined: ResolutionError, as for a ground profile that changes sign.
-    """
-    gap = pairs[1][0] - pairs[0][0] if len(pairs) > 1 else math.inf
-    if gap <= 16.0 * _EPS * axial.one_norm():
-        raise ResolutionError(f"the two lowest m = 0 eigenvalues lie {gap:.3g} apart, within "
-                              f"16 eps ||T_0||_1: the grid (M = {grid.size}) cannot separate "
-                              "the ground mode")
+def _axial_modes(grid: PolarGrid, pairs, n: int) -> list[AngularMode]:
+    """The first n modes of the m = 0 `polar_eigen` pairs, with psi = w / sin^((N-2)/2)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         modes = [AngularMode(m=0, mu=mu, multiplicity=1,
                              psi=vec / math.sqrt(grid.area_equator) / grid.half_weights)
@@ -678,14 +664,25 @@ def _axial_modes(grid: PolarGrid, axial: TridiagonalMatrix, pairs, n: int) -> li
 
 
 def _axial_solve(potential: AngularPotential, K: int, grid: PolarGrid):
-    """(towers, hi, the m = 0 `polar_eigen` pairs up to hi): what both spectra share."""
+    """(towers, hi, the m = 0 `polar_eigen` pairs up to hi): what both spectra share.
+
+    Two lowest values within 16 eps ||T_0||_1 leave the ground profile
+    undetermined: ResolutionError, as for a ground profile that changes
+    sign, before any tower m >= 1 is solved or counted by the keep rule.
+    """
     if K < 1:
         raise InputError(f"K must be >= 1, got {K}")
     if K > grid.size:
         raise ResolutionError(f"K={K} exceeds what the grid resolves per tower (M={grid.size})")
     towers = PolarTowers(potential, grid)
     hi = _bracket(towers, K)
-    return towers, hi, polar_eigen(towers.matrix(0), hi)
+    pairs = polar_eigen(towers.matrix(0), hi)
+    gap = pairs[1][0] - pairs[0][0] if len(pairs) > 1 else math.inf
+    if gap <= 16.0 * _EPS * towers.matrix(0).one_norm():
+        raise ResolutionError(f"the two lowest m = 0 eigenvalues lie {gap:.3g} apart, within "
+                              f"16 eps ||T_0||_1: the grid (M = {grid.size}) cannot separate "
+                              "the ground mode")
+    return towers, hi, pairs
 
 
 def full_spectrum(
@@ -727,7 +724,7 @@ def full_spectrum(
     if flat[0] < pairs[0][0]:
         raise EigenSolveError("ground mode did not come from the m = 0 tower")
 
-    collected = _axial_modes(grid, towers.matrix(0), pairs, sum(mu <= cutoff for mu, _ in pairs))
+    collected = _axial_modes(grid, pairs, sum(mu <= cutoff for mu, _ in pairs))
     collected += [AngularMode(m=m, mu=float(mu), multiplicity=harmonic_multiplicity(N, m))
                   for m, vals in enumerate(probed, 1) for mu in vals[vals <= cutoff]]
     collected.sort(key=lambda md: (md.mu, md.m))
@@ -789,7 +786,7 @@ def _axisymmetric_memo(N: int, M: int, sampling: str, K: int, kind: str,
     if lo == 0:
         raise EigenSolveError("ground mode did not come from the m = 0 tower")
     axial = towers.matrix(0)
-    modes = tuple(_axial_modes(grid, axial, pairs, lo))
+    modes = tuple(_axial_modes(grid, pairs, lo))
     for array in (grid.nodes, grid.weights, grid.half_weights, grid.quadrature,
                   axial.diag, axial.off, *(md.psi for md in modes)):
         array.flags.writeable = False

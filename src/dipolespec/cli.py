@@ -443,14 +443,17 @@ def _parser(grid_default: int) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def output(p, formats=("csv", "json")):
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+
     def common(p, formats=("csv", "json")):
         _int_flag(p, "--dim", default=3)
         p.add_argument("--potential", default="dipole:1.0",
                        help="constant:K | dipole:L | table:PATH")
         _int_flag(p, "--grid", default=grid_default,
                   help=f"polar grid size (default from ${GRID_ENV} or 10000)")
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--out", default=None, help="output file (default stdout)")
+        output(p, formats)
         p.add_argument("--sampling", choices=["flux", "node"], default="flux",
                        help="treatment of the singular polar coefficient "
                             "(default flux; hardy table defaults to node, the "
@@ -472,8 +475,7 @@ def _parser(grid_default: int) -> argparse.ArgumentParser:
     p = sub.add_parser("sigma", help="characteristic exponents for (dim, mu)")
     _int_flag(p, "--dim", required=True)
     _float_flag(p, "--mu", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
+    output(p)
 
     p = sub.add_parser("radial", help="radial profile and limit coefficient")
     _int_flag(p, "--dim", default=3)
@@ -484,8 +486,7 @@ def _parser(grid_default: int) -> argparse.ArgumentParser:
     _int_flag(p, "--points", default=400)
     _float_flag(p, "--rmin", default=1e-8)
     _float_flag(p, "--tol", default=1e-12)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
+    output(p)
 
     p = sub.add_parser("cauchy", help="limit-functional independence of the radius")
     common(p)
@@ -523,8 +524,7 @@ def _parser(grid_default: int) -> argparse.ArgumentParser:
     _int_flag(p, "--n", default=200)
     p.add_argument("--printed-variant", action="store_true",
                    help="use the 1/2 prefactor exponent sequence")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
+    output(p)
 
     return parser
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,11 +90,32 @@ def bits(x):
 
 
 def sturm_count(diag, off, x):
-    """Eigenvalues at or below x: negative pivots of the LDL^T factorization of T - x I.
+    """Eigenvalues at or below x, exactly: rational arithmetic on the entries' float values.
+
+    They are the negative pivots of LDL^T = T - (x + delta) I as delta -> 0+.
+    A zero pivot counts, since it turns negative for delta > 0; if e_i != 0
+    the next pivot is then +inf, which does not count and adds nothing to
+    the pivot after it.  The cost grows as M^2: 0.15 s a count at M = 1200.
+    """
+    x, count, pivot = Fraction(x), 0, None  # None stands for +inf
+    for i, di in enumerate(diag):
+        e2 = Fraction(off[i - 1]) ** 2 if i else 0
+        if pivot == 0 and e2:
+            pivot = None
+            continue
+        pivot = Fraction(di) - x - (e2 / pivot if pivot else 0)
+        count += pivot <= 0
+    return count
+
+
+def ldl_count(diag, off, x):
+    """Eigenvalues at or below x: negative pivots of the LDL^T factorization of T - x I, in floats.
 
     A pivot smaller in size than LAPACK's pivmin = safmin * max(1, max e^2)
     (dstebz) is replaced by -pivmin, which counts it and keeps every
-    e^2 / pivot finite.
+    e^2 / pivot finite.  Forming e^2 can underflow, so this agrees with
+    `sturm_count` only at points clear of every eigenvalue; it is the
+    reference for towers too large for the exact count.
     """
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(np.square(off), initial=0.0)))
     count, pivot = 0, 1.0
@@ -309,7 +331,9 @@ class TestSturmCount:
     )
     def test_real_towers_match_both_references(self, N, M, sampling, m, coupling, spot):
         # shifts in the middle half between neighbouring values, clear of
-        # both by far more than the rounding eps ||T||_1 of any count
+        # both by far more than the rounding eps ||T||_1 of any count; the
+        # float LDL^T count is checked at every M, the exact count, whose
+        # cost grows as M^2, up to M = 50
         grid = PolarGrid.build(N, M, sampling)
         mat = PolarTowers(AngularPotential.dipole(coupling), grid).matrix(m)
         eigs = eigvalsh_tridiagonal(mat.diag, mat.off, select="i",
@@ -318,10 +342,11 @@ class TestSturmCount:
         gaps = [(lo, hi) for lo, hi in zip(eigs, eigs[1:]) if hi - lo > 4 * clear]
         points = [eigs[0] - 1.0] + [lo + (hi - lo) * (0.25 + 0.5 * spot) for lo, hi in gaps]
         for x in points:
-            want = sturm_count(mat.diag, mat.off, x)
             stebz = eigvalsh_tridiagonal(mat.diag, mat.off, select="v",
                                          select_range=(-math.inf, x), tol=math.inf).size
-            assert count_at_most(mat, x) == want == stebz
+            assert count_at_most(mat, x) == ldl_count(mat.diag, mat.off, x) == stebz
+            if M <= 50:
+                assert sturm_count(mat.diag, mat.off, x) == stebz
 
     @pytest.mark.parametrize("diag,off,x,want", [
         pytest.param([1.0, 2.0, 3.0], [1.0, 1.0], 1.0, 1, id="exact-zero-pivot"),
@@ -335,6 +360,8 @@ class TestSturmCount:
         pytest.param([5e-324, 0.0], [1.0], 0.0, 1, id="subnormal-first-pivot"),
         pytest.param([0.0, 1.0], [1e-200], 0.0, 1, id="tiny-off-at-a-zero-pivot"),
         pytest.param([1, 2, 3], [1, 1], 1, 1, id="integer-entries"),
+        # e^2 underflows: a float reference counted the last zero pivot too
+        pytest.param([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 4.2e-284], 0.0, 3, id="underflowing-off"),
     ])
     def test_edge_cases(self, diag, off, x, want):
         # every case runs under pytest's RuntimeWarning-as-error filter
@@ -484,11 +511,12 @@ class TestPolarEigen:
     def test_every_tower_is_within_rounding_of_tight_bisection(self, case):
         # the m = 0 pairs of the tower drawn, then the towers m >= 1 of the
         # merge up to its bracket (the pieces of full_spectrum, without its
-        # ground-profile check, which a double well's doublet can fail)
+        # ground-doublet and ground-profile checks, which a double well can fail)
         potential, grid, m, count = case
         mats = [PolarTowers(potential, grid).matrix(m)]
         got = [[mu for mu, _ in polar_eigen(mats[0], bound(mats[0], count))]]
-        towers, hi, _ = angular._axial_solve(potential, count, grid)
+        towers = PolarTowers(potential, grid)
+        hi = angular._bracket(towers, count)
         for k, vals in enumerate(angular._tower_values(towers, hi), 1):
             mats.append(towers.matrix(k))
             got.append(vals)
@@ -497,6 +525,32 @@ class TestPolarEigen:
             ref = eigvalsh_tridiagonal(mat.diag, mat.off, select="i",
                                        select_range=(0, len(vals) - 1), tol=eps)
             assert np.all(np.abs(np.subtract(vals, ref)) <= 4 * eps * mat.one_norm())
+
+
+class TestClusters:
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_a_cluster_is_one_search(self, monkeypatch, vectors):
+        # a = 200 cos 2t, N = 3, M = 800: mu_1 and mu_2 agree to rounding, so
+        # no cell splits them; one dstebz call bisects both, and their vectors
+        # (if kept) come from one dstein call with both shifts
+        grid = PolarGrid.build(3, 800)
+        potential = AngularPotential.tabulated(200.0 * np.cos(2 * grid.nodes), grid)
+        mat = PolarTowers(potential, grid).matrix(0)
+        calls = []
+        stebz, stein = angular.dstebz, angular.dstein
+        monkeypatch.setattr(angular, "dstebz",
+                            lambda *a: calls.append(("dstebz", a[5], a[6])) or stebz(*a))
+        monkeypatch.setattr(angular, "dstein",
+                            lambda *a: calls.append(("dstein", list(a[2]))) or stein(*a))
+        values, kept = angular._tower(mat, -150.0, vectors)
+        monkeypatch.undo()
+        assert count_at_most(mat, -150.0) == len(values) == 2
+        found, bisected, *_ = stebz(mat.diag, mat.off, 2, 0.0, 0.0, 1, 2, np.finfo(float).eps, "E")
+        assert found == 2 and values == bisected[:2].tolist()
+        if vectors:
+            assert calls == [("dstebz", 1, 2), ("dstein", values)] and len(kept) == 2
+        else:
+            assert calls == [("dstebz", 1, 2)] and kept == []
 
 
 class TestFullSpectrum:
@@ -550,6 +604,28 @@ class TestFullSpectrum:
         with pytest.raises(ResolutionError, match=r"two lowest m = 0 eigenvalues lie 0 apart, "
                                                   r"within 16 eps \|\|T_0\|\|_1"):
             solve(potential, 27, grid)
+
+    @pytest.mark.parametrize("solve", [full_spectrum, axisymmetric_spectrum])
+    @pytest.mark.parametrize("M,K", [(2000, 40), (800, 80), (140, 5)])
+    def test_a_ground_doublet_is_raised_before_the_towers_above(self, monkeypatch, solve, M, K):
+        # the gap is checked right after the m = 0 solve: no tower m >= 1 is
+        # solved, and the keep rule makes no count (full_spectrum solved 6, 9
+        # and 2 towers m >= 1 here, and axisymmetric_spectrum ran its keep rule)
+        grid = PolarGrid.build(3, M)
+        potential = AngularPotential.tabulated(200.0 * np.cos(2 * grid.nodes), grid)
+        calls = []
+        tower, count_from = angular._tower, angular._count_from
+        monkeypatch.setattr(angular, "_tower",
+                            lambda mat, hi, vectors: calls.append(("_tower", vectors))
+                            or tower(mat, hi, vectors))
+        monkeypatch.setattr(angular, "_count_from",
+                            lambda towers, first, *a: calls.append(("_count_from", first))
+                            or count_from(towers, first, *a))
+        angular._axisymmetric_memo.cache_clear()
+        with pytest.raises(ResolutionError, match="two lowest m = 0 eigenvalues"):
+            solve(potential, K, grid)
+        assert ("_tower", True) in calls and ("_count_from", 0) in calls
+        assert ("_tower", False) not in calls and ("_count_from", 1) not in calls
 
     def test_mu1_monotone_in_coupling(self):
         g = PolarGrid.build(3, 300)
