@@ -37,6 +37,9 @@ tower keeps its vectors, and its cells are the lattice cells that counts
 assign to each index, so its pairs up to x are a prefix of those up to any
 larger x (`polar_eigen`).
 
+LAPACK (dpttrf, dstebz, dstein) is reached through `_lapack`, which loads
+scipy's `_flapack` extension without importing `scipy.linalg`.
+
 All operations are deterministic, and all but `axisymmetric_spectrum` are
 pure: that one keeps its last result, read-only, for the next call on the
 same values (see there).  Concurrent calls are safe: `lru_cache` guards
@@ -52,15 +55,20 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import (
-    eigh_tridiagonal,  # noqa: F401 - bound, not called: perfbench/tracer.py wraps this name
-    eigvalsh_tridiagonal,
-)
-from scipy.linalg.lapack import dpttrf, dstebz, dstein
 
+from ._lapack import dpttrf, dstebz, dstein, eigvalsh_tridiagonal
 from .errors import EigenSolveError, InputError, ResolutionError
 
 SAMPLINGS = ("flux", "node")
+
+
+def __getattr__(name: str):
+    """`eigh_tridiagonal`, bound but never called: perfbench/tracer.py wraps the name."""
+    if name == "eigh_tridiagonal":
+        from scipy.linalg import eigh_tridiagonal
+        return eigh_tridiagonal
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _EPS = float(np.finfo(float).eps)  # also the absolute tolerance of a cluster's bisection
 _TINY = float(np.finfo(float).tiny)
@@ -200,7 +208,8 @@ class TridiagonalMatrix:
 
     It remembers ||T||_1, the pivmin of its counts and each `count_at_most`
     taken of it (`_counts`, not in ==, repr or __init__); that holds because
-    no code writes to `diag` or `off` once a matrix is built.
+    no code writes to `diag` or `off` once a matrix is built.  The pivmin
+    depends on `off` alone, so a matrix built by `with_diag` takes it over.
     """
 
     diag: np.ndarray
@@ -212,8 +221,14 @@ class TridiagonalMatrix:
     def size(self) -> int:
         return self.diag.size
 
+    def with_diag(self, diag: np.ndarray) -> "TridiagonalMatrix":
+        """The matrix with `diag` on this one's `off` and step, and its pivmin."""
+        matrix = TridiagonalMatrix(diag, self.off, self.step)
+        matrix.__dict__["_pivmin"] = self._pivmin  # where cached_property keeps it
+        return matrix
+
     def shifted(self, s: float) -> "TridiagonalMatrix":
-        return TridiagonalMatrix(self.diag + s, self.off, self.step)
+        return self.with_diag(self.diag + s)
 
     @cached_property
     def _one_norm(self) -> float:

@@ -21,7 +21,9 @@ Every solve reads N and the sampling from its `PolarGrid`.  Deterministic
 throughout: one routine, `_lanczos_largest`, factors A = U^T U (banded upper
 Cholesky) and runs Lanczos on U^{-T} B U^{-1} from the normalized all-ones
 vector with full reorthogonalization, each step two LAPACK triangular band
-solves (`dtbtrs`) on that one factor.
+solves (`dtbtrs`) on that one factor.  The factor (`dpbtrf`), the solves and
+the Ritz values (`dstebz`) come from `_lapack`, which loads scipy's `_flapack`
+extension without importing `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -30,13 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (
-    cholesky_banded,
-    eigvalsh_tridiagonal,
-    solve_banded,  # noqa: F401 - bound, not called: perfbench/tracer.py wraps this name
-)
-from scipy.linalg.lapack import dtbtrs
 
+from ._lapack import cholesky_banded, dtbtrs, eigvalsh_tridiagonal
 from .angular import (
     AngularPotential,
     PolarGrid,
@@ -46,6 +43,15 @@ from .angular import (
 )
 from .errors import BracketError, EigenSolveError, IndefiniteFormError, InputError
 from .radial import check_eps
+
+
+def __getattr__(name: str):
+    """`solve_banded`, bound but never called: perfbench/tracer.py wraps the name."""
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _LANCZOS_CAP = 500
 _LANCZOS_TOL = 1e-13
@@ -67,7 +73,7 @@ def _lanczos_largest(A: TridiagonalMatrix, b: np.ndarray) -> float:
     ab[0, 1:] = A.off
     ab[1, :] = A.diag
     try:
-        U = cholesky_banded(ab, lower=False)
+        U = cholesky_banded(ab)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteFormError(
             "denominator form is numerically indefinite at this grid "
@@ -159,7 +165,8 @@ def critical_dipole_coupling(
     `count_at_most`, the negative LDL^T pivots, is zero exactly when the
     shifted tower is positive definite, that is when mu_1 is above it.  The
     coupling enters the diagonal only, as -lam cos t: the zero-potential tower is
-    assembled once, and each step's shift of it is the assembled tower bit for bit.
+    assembled once, and each step's shift of it is the assembled tower bit for bit,
+    with the pivmin of the shared off-diagonal taken over (`with_diag`).
     """
     if method == "pencil":
         res = lambda_n(AngularPotential.dipole(1.0), grid)
@@ -175,8 +182,7 @@ def critical_dipole_coupling(
 
     def positive(lam: float) -> bool:
         """mu_1(lam cos) > target: no eigenvalue of the m = 0 tower at or below it."""
-        mat = TridiagonalMatrix(free.diag - lam * cos_t, free.off, free.step)
-        return count_at_most(mat, target) == 0
+        return count_at_most(free.with_diag(free.diag - lam * cos_t), target) == 0
 
     lo, hi = 0.0, 4.0 * (N - 2) ** 2
     for _ in range(8):
