@@ -58,6 +58,7 @@ import numpy as np
 
 from ._lapack import dpttrf, dstebz, dstein, eigvalsh_tridiagonal
 from .errors import EigenSolveError, InputError, ResolutionError
+from .exponents import classical_hardy_constant
 
 SAMPLINGS = ("flux", "node")
 
@@ -304,7 +305,7 @@ class PolarTowers:
         N = self.grid.dim
         nu = centrifugal_constant(N, m)
         if self.grid.sampling == "node":
-            beta2 = ((N - 2) / 2.0) ** 2
+            beta2 = classical_hardy_constant(N)
             d = self._base + ((N - 2) * (N - 4) / 4.0 + nu) / self._sin2 - beta2 - self.a
         else:
             centrifugal = nu * self._cells / self._wh if nu else 0.0
@@ -567,6 +568,10 @@ class AngularSpectrum:
     @property
     def psi_1(self) -> AngularMode:
         return self.modes[0]
+
+    def apply_axial(self, psi: np.ndarray) -> np.ndarray:
+        """The solved m = 0 operator applied to psi on the polar nodes, in psi coordinates."""
+        return self.axial.matvec(psi * self.grid.half_weights) / self.grid.half_weights
 
     def flattened(self) -> np.ndarray:
         """Eigenvalues repeated according to multiplicity, nondecreasing."""

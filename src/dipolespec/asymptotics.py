@@ -139,7 +139,7 @@ def manufactured_nonradial(
 
     # discrete angular operator applied to G = psi_1 g, in psi coordinates
     G = psi1 * g
-    LG = spectrum.axial.matvec(G * pgrid.half_weights) / pgrid.half_weights
+    LG = spectrum.apply_axial(G)
     W = (eps * (eps + exps.gap) + mu1) * G - LG
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite F fails downstream

@@ -60,6 +60,8 @@ class BKParameters:
             raise InputError("v_norm must be nonnegative")
         if self.ckn_constant <= 0 or self.dist <= 0 or self.diam <= 0:
             raise InputError("ckn_constant, dist and diam must be positive")
+        if self.dist / 4.0 == 0:  # log R is taken of R = dist/4
+            raise InputError(f"dist = {self.dist} is too small: R = dist/4 underflows to 0")
 
     @property
     def two_star(self) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import angular, asymptotics, brezis_kato, hardy, radial
 from .errors import InputError, NumericalError
-from .exponents import sigma_pair
+from .exponents import classical_hardy_constant, sigma_pair
 
 GRID_ENV = "DIPOLESPEC_GRID_M"
 
@@ -304,7 +304,7 @@ def _hardy_table(args) -> int:
         grid = angular.PolarGrid.build(N, args.grid, args.sampling)
         for method in methods:
             lam_star = hardy.critical_dipole_coupling(grid, method)
-            rows.append((N, (N - 2) ** 2 / 4.0, lam_star, method, args.grid))
+            rows.append((N, classical_hardy_constant(N), lam_star, method, args.grid))
     table = _Table("N,classical,dipole_inverse_lambda,method,grid", list(zip(*rows)))
     _emit_doc(args, {"rows": table}, table, command="hardy-table")
     return 0

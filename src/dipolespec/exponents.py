@@ -30,6 +30,12 @@ class Exponents:
         return self.sigma_plus - self.sigma_minus
 
 
+def classical_hardy_constant(N: int) -> float:
+    """((N-2)/2)^2: the threshold of -Delta - a(x/|x|)/|x|^2 that mu is measured against."""
+    half = (N - 2) / 2.0
+    return half * half
+
+
 def sigma_pair(N: int, mu: float) -> Exponents:
     """Both characteristic exponents for angular eigenvalue mu.
 
@@ -39,7 +45,7 @@ def sigma_pair(N: int, mu: float) -> Exponents:
     if N < 3:
         raise InputError(f"dimension must be >= 3, got {N}")
     half = (N - 2) / 2.0
-    disc = half * half + mu
+    disc = classical_hardy_constant(N) + mu
     if disc < 0:
         raise InputError(
             f"negative discriminant ((N-2)/2)^2 + mu = {disc}; "

@@ -42,6 +42,7 @@ from .angular import (
     count_at_most,
 )
 from .errors import BracketError, EigenSolveError, IndefiniteFormError, InputError
+from .exponents import classical_hardy_constant
 from .radial import check_eps
 
 
@@ -136,7 +137,7 @@ def lambda_n(
         return HardyResult(lambda_n=0.0, critical_coupling=None, nonpositive=True)
     # A = (discrete m = 0 tower operator at a = 0) + ((N-2)/2)^2 I
     zero = AngularPotential.constant(0.0)
-    A = assemble_polar_operator(zero, 0, grid).shifted(((grid.dim - 2) / 2.0) ** 2)
+    A = assemble_polar_operator(zero, 0, grid).shifted(classical_hardy_constant(grid.dim))
     # Lambda is homogeneous of degree 1 in a; Lanczos stops on absolute
     # thresholds, so it runs on a / ess sup a and the value is scaled back.
     # A dipole's is sign(lam) cos t, formed as such, and its critical
@@ -175,8 +176,8 @@ def critical_dipole_coupling(
         return res.critical_coupling
     if method != "bisection":
         raise InputError(f"unknown method {method!r}")
-    N = grid.dim
-    target = -(((N - 2) / 2.0) ** 2)
+    classical = classical_hardy_constant(grid.dim)
+    target = -classical
     free = assemble_polar_operator(AngularPotential.constant(0.0), 0, grid)
     cos_t = np.cos(grid.nodes)
 
@@ -184,11 +185,11 @@ def critical_dipole_coupling(
         """mu_1(lam cos) > target: no eigenvalue of the m = 0 tower at or below it."""
         return count_at_most(free.with_diag(free.diag - lam * cos_t), target) == 0
 
-    lo, hi = 0.0, 4.0 * (N - 2) ** 2
-    for _ in range(8):
+    lo, hi = 0.0, 8.0 * classical
+    for _ in range(8):  # hi = 4(N-2)^2 first, doubled up to 512(N-2)^2
+        hi *= 2.0
         if not positive(hi):
             break
-        hi *= 2.0
     else:
         raise BracketError(
             f"mu_1 stayed above the threshold on [0, {hi}]; no crossing found"
@@ -205,7 +206,7 @@ def critical_dipole_coupling(
 def admissible_radius(N: int, lam: float, C: float, eps: float) -> float:
     """Largest ball radius on which the perturbed form stays coercive.
 
-    r_max = [ (N-2)^2 (1 - Lambda) / (4 C^+) ]^{1/eps} for C > 0, +inf for
+    r_max = [ ((N-2)/2)^2 (1 - Lambda) / C^+ ]^{1/eps} for C > 0, +inf for
     C <= 0 and where the power exceeds the float64 range.
     """
     check_eps(eps)
@@ -216,6 +217,6 @@ def admissible_radius(N: int, lam: float, C: float, eps: float) -> float:
     if C <= 0:
         return math.inf
     try:
-        return ((N - 2) ** 2 * (1.0 - lam) / (4.0 * C)) ** (1.0 / eps)
+        return (classical_hardy_constant(N) * (1.0 - lam) / C) ** (1.0 / eps)
     except OverflowError:
         return math.inf

@@ -881,6 +881,14 @@ class TestAxisymmetricSpectrum:
         with pytest.raises(error):
             axisymmetric_spectrum(AngularPotential.dipole(1.0), K, PolarGrid.build(3, 800))
 
+    @pytest.mark.parametrize("sampling", ["flux", "node"])
+    def test_apply_axial_is_the_operator_in_psi_coordinates(self, sampling):
+        grid = PolarGrid.build(3, 400, sampling)
+        spec = axisymmetric_spectrum(AngularPotential.dipole(1.0), 10, grid)
+        g = spec.psi_1.psi * np.cos(grid.nodes)
+        want = spec.axial.matvec(g * grid.half_weights) / grid.half_weights
+        assert np.array_equal(spec.apply_axial(g), want)
+
 
 class TestAxisymmetricMemo:
     """axisymmetric_spectrum keeps one result, under (N, M, sampling, K, kind, exact value)."""

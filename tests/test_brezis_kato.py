@@ -208,6 +208,11 @@ class TestParameterValidation:
         with pytest.raises(InputError, match=f"^{field} must be finite$"):
             dataclasses.replace(REFERENCE, **{field: bad})
 
+    @pytest.mark.parametrize("dist", [5e-324, 1e-323])
+    def test_a_dist_whose_quarter_underflows_is_an_input_error(self, dist):
+        with pytest.raises(InputError, match="underflows"):
+            dataclasses.replace(REFERENCE, dist=dist)
+
     def test_two_star(self):
         assert REFERENCE.two_star == pytest.approx(4.0)
         assert BKParameters(6, 4.0, 1.0, 1.0, 1.0, 2.0, 0.5).two_star == pytest.approx(3.0)

@@ -246,6 +246,11 @@ class TestSigma:
         assert code == 2
         assert "error" in err
 
+    def test_a_negative_exponent_value_is_attached_with_equals(self, capsys):
+        # argparse reads "-2e-1" after a space as a flag; "--mu=-2e-1" is the value
+        assert run(capsys, "sigma", "--dim", "3", "--mu=-2e-1") == \
+            run(capsys, "sigma", "--dim", "3", "--mu", "-0.2")
+
 
 class TestHardyTable:
     def test_reference_row_n8(self, capsys):
@@ -1059,6 +1064,13 @@ class TestJsonEncoder:
             json.dumps(where(bad), indent=2, sort_keys=True, allow_nan=False)
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli._json(where(bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    def test_a_nonfinite_float_in_a_table_is_refused(self, bad):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            json.dumps({"t": [{"x": 1.5}, {"x": bad}]}, allow_nan=False)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json({"t": cli._Table("x", [[1.5, bad]])})
 
 
 @settings(max_examples=100, deadline=None)

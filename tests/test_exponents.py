@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dipolespec.errors import InputError
-from dipolespec.exponents import sigma_pair
+from dipolespec.exponents import classical_hardy_constant, sigma_pair
 
 
 def test_mu_zero_roots():
@@ -19,6 +19,18 @@ def test_degenerate_double_root():
     assert e.sigma_plus == pytest.approx(-0.5, abs=1e-15)
     assert e.sigma_minus == pytest.approx(-0.5, abs=1e-15)
     assert e.degenerate
+
+
+def test_classical_hardy_constant():
+    for N in range(3, 344):
+        assert classical_hardy_constant(N) == (N - 2) ** 2 / 4
+
+
+def test_the_classical_constant_is_the_degenerate_threshold():
+    for N in range(3, 344):
+        e = sigma_pair(N, -classical_hardy_constant(N))
+        assert e.degenerate
+        assert e.sigma_plus == e.sigma_minus == -(N - 2) / 2
 
 
 def test_quadratic_residual_n4_mu5():

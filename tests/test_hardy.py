@@ -14,7 +14,7 @@ from dipolespec.angular import (
     full_spectrum,
     polar_eigen,
 )
-from dipolespec.errors import EigenSolveError, IndefiniteFormError, InputError
+from dipolespec.errors import BracketError, EigenSolveError, IndefiniteFormError, InputError
 from dipolespec.hardy import (
     admissible_radius,
     critical_dipole_coupling,
@@ -320,6 +320,19 @@ class TestCriticalCoupling:
         monkeypatch.setattr(hardy, "count_at_most", recording)
         assert critical_dipole_coupling(g, "bisection") == want
         assert len(calls) == counts
+
+    @pytest.mark.parametrize("N", [3, 5])
+    def test_a_bracket_without_a_crossing_names_the_last_coupling_tested(self, monkeypatch, N):
+        tested = []
+
+        def never(mat, x):
+            tested.append(1)
+            return 0
+
+        monkeypatch.setattr(hardy, "count_at_most", never)
+        with pytest.raises(BracketError, match=rf"on \[0, {512.0 * (N - 2) ** 2}\]"):
+            critical_dipole_coupling(PolarGrid.build(N, 100), "bisection")
+        assert len(tested) == 8
 
     def test_method_validation(self):
         g = PolarGrid.build(4, 100)
