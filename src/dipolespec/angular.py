@@ -209,8 +209,7 @@ class TridiagonalMatrix:
 
     It remembers ||T||_1, the pivmin of its counts and each `count_at_most`
     taken of it (`_counts`, not in ==, repr or __init__); that holds because
-    no code writes to `diag` or `off` once a matrix is built.  The pivmin
-    depends on `off` alone, so a matrix built by `with_diag` takes it over.
+    no code writes to `diag` or `off` once a matrix is built.
     """
 
     diag: np.ndarray
@@ -222,14 +221,8 @@ class TridiagonalMatrix:
     def size(self) -> int:
         return self.diag.size
 
-    def with_diag(self, diag: np.ndarray) -> "TridiagonalMatrix":
-        """The matrix with `diag` on this one's `off` and step, and its pivmin."""
-        matrix = TridiagonalMatrix(diag, self.off, self.step)
-        matrix.__dict__["_pivmin"] = self._pivmin  # where cached_property keeps it
-        return matrix
-
     def shifted(self, s: float) -> "TridiagonalMatrix":
-        return self.with_diag(self.diag + s)
+        return TridiagonalMatrix(self.diag + s, self.off, self.step)
 
     @cached_property
     def _one_norm(self) -> float:
@@ -240,7 +233,7 @@ class TridiagonalMatrix:
         return self._one_norm
 
     @cached_property
-    def _pivmin(self) -> float:  # LAPACK dstebz's smallest pivot size, tiny * max(1, max e^2)
+    def pivmin(self) -> float:  # LAPACK dstebz's smallest pivot size, tiny * max(1, max e^2)
         return _TINY * max(1.0, float(np.max(np.abs(self.off), initial=0.0)) ** 2)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -348,7 +341,7 @@ def count_at_most(matrix: TridiagonalMatrix, x: float) -> int:
         return matrix._counts[x]
     d = np.subtract(matrix.diag, x, dtype=float)  # dpttrf works in place on float64 only
     e = np.array(matrix.off, dtype=float)
-    count, start, last, pivmin = 0, 0, d.size - 1, matrix._pivmin
+    count, start, last, pivmin = 0, 0, d.size - 1, matrix.pivmin
     while start < last:
         info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)[2]
         if info == 0:

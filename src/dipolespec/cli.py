@@ -558,8 +558,18 @@ def _resolve_mode(args) -> None:
             setattr(args, name, value)
 
 
+def _reject_bare_separator(argv: list[str]) -> None:
+    """argparse drops a '--' given as '--flag=--' and hands the flag an empty list."""
+    for token in argv:
+        flag, sep, value = token.partition("=")
+        if sep and flag.startswith("--") and value == "--":
+            raise InputError(f"{flag} needs a value, not '--'")
+
+
 def main(argv=None) -> int:
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
+        _reject_bare_separator(argv)
         # inside the try: the grid default is read from the environment here
         args = build_parser().parse_args(argv)
         _resolve_mode(args)

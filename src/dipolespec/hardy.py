@@ -13,17 +13,18 @@ constant is 0.
 Two independent routes to the critical dipole coupling are provided: the
 reciprocal of the pencil value at unit coupling, and monotone bisection on
 the coupling for the first sphere eigenvalue crossing -((N-2)/2)^2, each
-step decided by an LDL^T inertia count (`angular.count_at_most`).  At the
-discrete level both characterize the same singularity of A - lambda B, so
-they agree to solver tolerance on a common grid.
+step decided by one LDL^T factorization (LAPACK dpttrf): is the m = 0
+tower shifted by that threshold positive definite?  At the discrete level
+both characterize the same singularity of A - lambda B, so they agree to
+solver tolerance on a common grid.
 
 Every solve reads N and the sampling from its `PolarGrid`.  Deterministic
 throughout: one routine, `_lanczos_largest`, factors A = U^T U (banded upper
 Cholesky) and runs Lanczos on U^{-T} B U^{-1} from the normalized all-ones
 vector with full reorthogonalization, each step two LAPACK triangular band
-solves (`dtbtrs`) on that one factor.  The factor (`dpbtrf`), the solves and
-the Ritz values (`dstebz`) come from `_lapack`, which loads scipy's `_flapack`
-extension without importing `scipy.linalg`.
+solves (`dtbtrs`) on that one factor.  The factor (`dpbtrf`), the solves,
+the Ritz values (`dstebz`) and the bisection's `dpttrf` come from `_lapack`,
+which loads scipy's `_flapack` extension without importing `scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -33,14 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import cholesky_banded, dtbtrs, eigvalsh_tridiagonal
-from .angular import (
-    AngularPotential,
-    PolarGrid,
-    TridiagonalMatrix,
-    assemble_polar_operator,
-    count_at_most,
-)
+from ._lapack import cholesky_banded, dpttrf, dtbtrs, eigvalsh_tridiagonal
+from .angular import AngularPotential, PolarGrid, TridiagonalMatrix, assemble_polar_operator
 from .errors import BracketError, EigenSolveError, IndefiniteFormError, InputError
 from .exponents import classical_hardy_constant
 from .radial import check_eps
@@ -161,13 +156,14 @@ def critical_dipole_coupling(
     always comes from the m = 0 tower (higher towers sit above it by at
     least nu_m), so plain bisection on [0, 4(N-2)^2] applies, with geometric
     expansion of the bracket on failure, to a width of _BISECTION_TOL.  Each
-    step only needs to know whether mu_1 lies at or below the threshold, so
-    it decides by the inertia of the m = 0 tower shifted by the threshold:
-    `count_at_most`, the negative LDL^T pivots, is zero exactly when the
-    shifted tower is positive definite, that is when mu_1 is above it.  The
-    coupling enters the diagonal only, as -lam cos t: the zero-potential tower is
-    assembled once, and each step's shift of it is the assembled tower bit for bit,
-    with the pivmin of the shared off-diagonal taken over (`with_diag`).
+    step only needs to know whether mu_1 lies above the threshold, that is
+    whether the m = 0 tower shifted by it is positive definite (Sylvester's
+    law of inertia).  One dpttrf sweep of LDL^T answers it: every pivot is
+    positive and the last is at least the tower's pivmin, the rule by which
+    `angular.count_at_most` counts no eigenvalue at or below the threshold.
+    The coupling enters the diagonal only, as -lam cos t: the zero-potential
+    tower is assembled once, and each step's diagonal is the assembled
+    tower's bit for bit.
     """
     if method == "pencil":
         res = lambda_n(AngularPotential.dipole(1.0), grid)
@@ -183,7 +179,9 @@ def critical_dipole_coupling(
 
     def positive(lam: float) -> bool:
         """mu_1(lam cos) > target: no eigenvalue of the m = 0 tower at or below it."""
-        return count_at_most(free.with_diag(free.diag - lam * cos_t), target) == 0
+        d = np.subtract(free.diag - lam * cos_t, target)
+        d, _, info = dpttrf(d, np.array(free.off), overwrite_d=1, overwrite_e=1)
+        return info == 0 and not d[-1] < free.pivmin
 
     lo, hi = 0.0, 8.0 * classical
     for _ in range(8):  # hi = 4(N-2)^2 first, doubled up to 512(N-2)^2

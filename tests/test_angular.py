@@ -393,19 +393,17 @@ def test_one_norm_is_the_dense_one_norm():
     assert mat.one_norm() == np.linalg.norm(dense, 1) == 13.0
 
 
-def test_a_new_diagonal_takes_the_pivmin_over():
-    # the pivmin depends on the off-diagonal alone: a matrix built by with_diag
-    # or shifted carries it and computes none, as the marker shows
+def test_a_shifted_matrix_shares_off_and_computes_its_own_pivmin():
+    # shifted moves the diagonal only: it shares `off` and the step, takes
+    # none of the source's counts, and forms its pivmin when first asked
     off = np.array([3.0, -4.0, 0.5])
     mat = TridiagonalMatrix(np.zeros(4), off, 0.25)
-    fresh = TridiagonalMatrix(np.ones(4), off, 0.25)._pivmin
-    assert fresh == np.finfo(float).tiny * 16.0
-    mat.__dict__["_pivmin"] = 0.5  # where cached_property keeps it
-    for other in (mat.with_diag(np.ones(4)), mat.shifted(1.0)):
-        assert (other.diag.tolist(), other.off is off, other.step) == ([1.0] * 4, True, 0.25)
-        assert other._pivmin == 0.5 and other._counts == {}
-    del mat.__dict__["_pivmin"]
-    assert mat.with_diag(np.ones(4))._pivmin == mat._pivmin == fresh
+    count_at_most(mat, 0.5)
+    other = mat.shifted(1.0)
+    assert (other.diag.tolist(), other.off is off, other.step) == ([1.0] * 4, True, 0.25)
+    assert other._counts == {} and "pivmin" not in vars(other)
+    tiny = np.finfo(float).tiny
+    assert other.pivmin == tiny * max(1.0, float(np.max(off**2))) == tiny * 16.0
 
 
 DOUBLET_GRID = PolarGrid.build(3, 2000)

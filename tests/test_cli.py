@@ -82,6 +82,11 @@ class TestParsing:
             ("radial", "--mu", "0.5", "--perturbation", "zero:5", "--points", "40"),
             ("radial", "--mu", "0.5", "--perturbation", "zero:abc", "--points", "40"),
             ("radial", "--mu", "0.5", "--perturbation", "zero:", "--points", "40"),
+            # argparse strips a bare '--' value and would hand the flag []
+            ("cauchy", "--scenario", "manufactured-radial", "--radii=--",
+             "--grid", "60", "--modes", "6", "--points", "20"),
+            ("hardy", "--potential=--", "--grid", "40"),
+            ("sigma", "--dim", "4", "--mu=--"),
         ],
     )
     def test_malformed_input_exits_2(self, capsys, argv):

@@ -96,16 +96,16 @@ def mu1_bisection(grid, tol):
 def assembled_count_bisection(grid):
     """Count-decided bisection that assembles the dipole tower at every step.
 
-    Returns (coupling, Sturm counts).  critical_dipole_coupling assembles the
-    zero-potential tower once instead; the steps must see the same matrices.
+    Returns (coupling, the couplings tested in order).  critical_dipole_coupling
+    assembles the zero-potential tower once instead; the steps must see the
+    same matrices.
     """
     N = grid.dim
     target = -(((N - 2) / 2.0) ** 2)
-    counts = 0
+    tested = []
 
     def positive(lam):
-        nonlocal counts
-        counts += 1
+        tested.append(lam)
         mat = assemble_polar_operator(AngularPotential.dipole(lam), 0, grid)
         return count_at_most(mat, target) == 0
 
@@ -118,7 +118,29 @@ def assembled_count_bisection(grid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), counts
+    return 0.5 * (lo + hi), tested
+
+
+def factored_bisection(grid):
+    """critical_dipole_coupling(grid, "bisection") and a copy of each diagonal it factors."""
+    factored, factor = [], hardy.dpttrf
+
+    def recording(d, e, **kwargs):
+        factored.append(d.copy())
+        return factor(d, e, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hardy, "dpttrf", recording)
+        return critical_dipole_coupling(grid, "bisection"), factored
+
+
+def assert_the_assembled_steps(grid, factored, tested):
+    """Each factored diagonal is the assembled dipole tower's minus the threshold, bit for bit."""
+    target = -(((grid.dim - 2) / 2.0) ** 2)
+    assert len(factored) == len(tested)
+    for d, lam in zip(factored, tested):
+        want = assemble_polar_operator(AngularPotential.dipole(lam), 0, grid).diag - target
+        assert d.tobytes() == want.tobytes()
 
 
 class TestTwoSamplingsAtN3:
@@ -285,51 +307,52 @@ class TestCriticalCoupling:
 
     @pytest.mark.parametrize("sampling", ["flux", "node"])
     @pytest.mark.parametrize("N,M", [(3, 800), (4, 600), (5, 400)])
-    def test_count_bisection_matches_mu1_bisection(self, monkeypatch, N, M, sampling):
-        # each step decides by one count of the m = 0 tower at the threshold;
-        # the same decisions as solving mu_1 give the same coupling and call count
+    def test_count_bisection_matches_mu1_bisection(self, N, M, sampling):
+        # each step decides by one factorization of the m = 0 tower shifted by
+        # the threshold; the same decisions as solving mu_1 give the same
+        # coupling and step count
         tol = hardy._BISECTION_TOL
         g = PolarGrid.build(N, M, sampling)
         want, solves = mu1_bisection(g, tol)
-        target = -(((N - 2) / 2.0) ** 2)
-        calls = []
-
-        def recording(mat, x):
-            calls.append(x)
-            return count_at_most(mat, x)
-
-        monkeypatch.setattr(hardy, "count_at_most", recording)
-        got = critical_dipole_coupling(g, "bisection")
+        got, factored = factored_bisection(g)
         assert abs(got - want) <= tol
-        assert len(calls) == solves
-        assert set(calls) == {target}
+        assert len(factored) == solves
+        assert_the_assembled_steps(g, factored, assembled_count_bisection(g)[1])
 
     @pytest.mark.parametrize("sampling", ["flux", "node"])
     @pytest.mark.parametrize("N,M", [(3, 1000), (4, 700), (7, 500), (10, 300)])
-    def test_one_assembly_matches_per_step_assembly(self, monkeypatch, N, M, sampling):
+    def test_one_assembly_matches_per_step_assembly(self, N, M, sampling):
         # the zero-potential tower shifted by -lam cos t is the assembled
         # dipole tower bit for bit, so every decision and the coupling agree
         g = PolarGrid.build(N, M, sampling)
-        want, counts = assembled_count_bisection(g)
-        calls = []
+        want, tested = assembled_count_bisection(g)
+        got, factored = factored_bisection(g)
+        assert got == want
+        assert_the_assembled_steps(g, factored, tested)
 
-        def recording(mat, x):
-            calls.append(1)
-            return count_at_most(mat, x)
-
-        monkeypatch.setattr(hardy, "count_at_most", recording)
-        assert critical_dipole_coupling(g, "bisection") == want
-        assert len(calls) == counts
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.integers(3, 40),
+        M=st.integers(4, 1500),
+        sampling=st.sampled_from(["flux", "node"]),
+    )
+    def test_one_sweep_per_step_matches_the_count_bisection(self, N, M, sampling):
+        # a definiteness sweep decides as a count at the threshold does, on any grid
+        g = PolarGrid.build(N, M, sampling)
+        want, tested = assembled_count_bisection(g)
+        got, factored = factored_bisection(g)
+        assert got.hex() == want.hex()
+        assert len(factored) == len(tested)
 
     @pytest.mark.parametrize("N", [3, 5])
     def test_a_bracket_without_a_crossing_names_the_last_coupling_tested(self, monkeypatch, N):
         tested = []
 
-        def never(mat, x):
+        def never(d, e, **kwargs):  # every pivot positive: info 0
             tested.append(1)
-            return 0
+            return np.ones_like(d), e, 0
 
-        monkeypatch.setattr(hardy, "count_at_most", never)
+        monkeypatch.setattr(hardy, "dpttrf", never)
         with pytest.raises(BracketError, match=rf"on \[0, {512.0 * (N - 2) ** 2}\]"):
             critical_dipole_coupling(PolarGrid.build(N, 100), "bisection")
         assert len(tested) == 8
