@@ -28,8 +28,9 @@ of the singular sin^{-2} coefficient, and no solver takes any of them again:
 
 Every tower is solved by one routine, `_tower`: one coarse value probe
 and inertia counts (`count_at_most`) place each wanted eigenvalue in a cell
-that no other eigenvalue lies near, inverse iteration (LAPACK dstein) from
-the cell's midpoint forms its vector, and the value is that vector's
+that no other eigenvalue lies near (the probe alone shows it where its
+neighbours clear the cell's guard band), inverse iteration (LAPACK dstein)
+from the cell's midpoint forms its vector, and the value is that vector's
 Rayleigh quotient (Parlett, The Symmetric Eigenvalue Problem, ch. 4),
 within a small fraction of eps ||T||_1.  A cluster that no cell splits is
 one group, found by one search and bisected by one dstebz call.  The m = 0
@@ -392,18 +393,21 @@ class _Cell(NamedTuple):
 
 
 def _cell(matrix: TridiagonalMatrix, j: int, value: float, width: float,
-          finest: float) -> list[_Cell]:
+          finest: float, below: float, above: float) -> list[_Cell]:
     """The cell of eigenvalue j, probed at `value`, or the cells of its cluster j..last.
 
     Counts place eigenvalue j in the lattice cell (x, x + width], x in
     width Z, that holds it.  The cell is halved, keeping the half that holds
     eigenvalue j, until no other eigenvalue lies within _GUARD widths of
-    it; the shift is then its midpoint.  A cell still shared at the finest
-    width holds a cluster, whose members all took j's halving path, so j is
-    its first index: one LAPACK dstebz call bisects them by index to an
-    absolute tolerance eps, from one start, so that their values come out
-    ascending, and each is its cell's shift.  A finest cell that holds j
-    alone, with a neighbour in its guard band, is a cluster of one.
+    it; the shift is then its midpoint.  Every other eigenvalue lies below
+    `below` or above `above` (the probe's bounds), so a guard band between
+    them takes none of the two counts that would find j alone in it.  A
+    cell still shared at the finest width holds a cluster, whose members
+    all took j's halving path, so j is its first index: one LAPACK dstebz
+    call bisects them by index to an absolute tolerance eps, from one
+    start, so that their values come out ascending, and each is its cell's
+    shift.  A finest cell that holds j alone, with a neighbour in its guard
+    band, is a cluster of one.
     """
     left = width * math.floor(value / width)
     while count_at_most(matrix, left) >= j:
@@ -412,7 +416,9 @@ def _cell(matrix: TridiagonalMatrix, j: int, value: float, width: float,
         left += width
     while True:
         guard = _GUARD * width
-        if count_at_most(matrix, left + width + guard) - count_at_most(matrix, left - guard) == 1:
+        if (below < left - guard and left + width + guard < above
+                or count_at_most(matrix, left + width + guard)
+                - count_at_most(matrix, left - guard) == 1):
             return [_Cell(left + 0.5 * width, left, left + width)]
         if width <= finest:
             break
@@ -436,7 +442,10 @@ def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
     (_GUARD + 1) w away is shifted from its probe value.  The walk over the
     indices j takes any other value's cell, or the cells of its whole
     cluster, from one `_cell` search and goes on past them: those cells
-    depend on the matrix and j alone.
+    depend on the matrix and j alone.  The search is given the probed
+    neighbours p_{j-1} + w and p_{j+1} - w as bounds of the other values
+    (w/2 for the probe, w/2 for rounding), so a guard band that they clear
+    takes no count; the last value probed has no bound above.
 
     Each cell has a LAPACK dstein call of its own, and a cluster's cells
     share one.  A one-vector call makes no reorthogonalization, whose BLAS
@@ -458,7 +467,7 @@ def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
         raise EigenSolveError(f"value probe found {probe.size} of {count} counted eigenvalues")
     apart = np.diff(probe[:count + 1]) > reach  # no probed value within reach above
     clear = np.append(True, apart)[:count] & np.append(apart, True)[:count]
-    probed, j = probe[:count].tolist(), 1
+    probed, j = probe[:count + 1].tolist(), 1
     n, values, kept = matrix.size, [], []
     block, split = np.ones(n, np.intc), np.full(n, n, np.intc)  # the matrix is one block
     slack = 4.0 * _EPS * matrix.one_norm()
@@ -467,7 +476,10 @@ def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
         if clear[j - 1] and not vectors:
             cells = [_Cell(value, value - 0.5 * width, value + 0.5 * width)]
         else:  # a cluster may reach past hi
-            cells = _cell(matrix, j, value, width, finest)[:count + 1 - j]
+            # w/2 >= 2^-41 ||T||_1 covers the rounding of counts and of the probe
+            below = probed[j - 2] + width if j > 1 else -math.inf
+            above = probed[j] - width if j < len(probed) else -math.inf
+            cells = _cell(matrix, j, value, width, finest, below, above)[:count + 1 - j]
         j += len(cells)
         if cells[0].bisected and not vectors:
             values += [cell.shift for cell in cells]
@@ -590,13 +602,13 @@ class AngularSpectrum:
         return tower[k - 1]
 
 
-# each step costs a count per tower and halves the bracket's overshoot, the
-# values above the K-th that the towers still solve.  What overshoot is left
-# at 3 steps is the K-th value's own cluster (near l(l+N-2)): over 12 seeds of
-# the benchmark's spectra, 4 or 5 steps save 2-4 of 672 m >= 1 values and 1 of
-# 420 m = 0 pairs for 12-24 % more counts.  hi moves no printed digit: the
-# m = 0 pairs up to hi are a prefix of those up to any larger bound, and an
-# m >= 1 value moves with hi, through its probe, only within rounding
+# where the free level does not bound the K-th value, `_bracket` bisects its
+# doubled span this many times, a count per tower a step, each step halving
+# the values above the K-th that the towers still solve (4 or 5 steps cost
+# 12-24 % more counts for 2-4 of 672 m >= 1 values).  hi moves no printed
+# digit: the m = 0 pairs up to hi are a prefix of those up to any larger
+# bound, and an m >= 1 value moves with hi, through its probe, only within
+# rounding
 _BRACKET_BISECTIONS = 3
 
 
@@ -624,7 +636,19 @@ def _count_from(towers: PolarTowers, first: int, x: float, limit: int) -> int:
 
 
 def _bracket(towers: PolarTowers, K: int) -> float:
-    """An upper bound hi of the K-th flattened value, from Sturm counts alone."""
+    """An upper bound hi of the K-th flattened value, from Sturm counts alone.
+
+    By Weyl's inequality a moves each value of the free sphere by at most
+    its range, so up to discretization the K-th value lies in
+    [l(l+N-2) - max a, l(l+N-2) - min a], where l is the level of the K-th
+    free value (each level l(l+N-2) counted dim H_l(S^{N-1}) times).  hi is
+    first U = l(l+N-2) - min a + 1, taken when one count-sum F(U) >= K and
+    U lies below V = (l+1)(l+N-1) - max a, the lowest value that the next
+    level reaches.  Otherwise (discretization lifts values above their
+    level, a oscillates by more than the levels' gap, or U is not finite) a
+    span from -max a doubles until F reaches K and is bisected
+    `_BRACKET_BISECTIONS` times.
+    """
     start = -float(np.max(towers.a))  # below mu_1 for flux sampling (Weyl)
     if start + 1.0 == start:
         raise ResolutionError(f"float64 cannot resolve eigenvalues next to a = {-start:.3g}")
@@ -633,6 +657,13 @@ def _bracket(towers: PolarTowers, K: int) -> float:
         """F(x) >= K, summed tower by tower until it is decided."""
         return _count_from(towers, 0, x, K - 1) >= K
 
+    N, level, total = towers.grid.dim, 0, 1
+    while total < K:  # total: the free values up to level l
+        level += 1
+        total += harmonic_multiplicity(N + 1, level)
+    guess = level * (level + N - 2) - float(np.min(towers.a)) + 1.0  # U
+    if guess < (level + 1) * (level + N - 1) + start and reaches(guess):  # U < V fails for NaN, inf
+        return guess
     lo, span = start, 1.0
     while not reaches(start + span):
         lo, span = start + span, 2.0 * span
@@ -709,11 +740,12 @@ def full_spectrum(
     F(x) = sum_m mult(m) * count_m(x) counts the flattened eigenvalues at or
     below x with one Sturm count per tower (`count_at_most`); tower bottoms
     are strictly increasing in m (the quadratic forms differ by the positive
-    term nu_m / sin^2), so the sum stops at the first tower with none.
-    Starting from -max a (a lower bound of mu_1 under flux sampling, but hi
-    only moves to points where F reaches K), a span is doubled until F
-    reaches K, then bisected a few steps; hi is the bracket's upper end.  If
-    float64 cannot add 1 to -max a, nothing is solved: ResolutionError.
+    term nu_m / sin^2), so the sum stops at the first tower with none.  hi
+    is the free sphere's level of the K-th value less min a, plus 1, where
+    one F there reaches K and no value of the next level can come below it;
+    otherwise a span from -max a is doubled until F reaches K, then bisected
+    a few steps (`_bracket`).  If float64 cannot add 1 to -max a, nothing is
+    solved: ResolutionError.
 
     The m = 0 tower is solved once, with eigenvectors, by `polar_eigen(T_0,
     hi)`, so mu_1, psi_1 and the axisymmetric modes are the same bits for
@@ -753,7 +785,8 @@ def axisymmetric_spectrum(
     """The m = 0 modes among the K lowest flattened eigenvalues, without the values of m >= 1.
 
     The same modes as `full_spectrum(...).tower(0)`, bit for bit, from the
-    same Sturm-count bracket hi and the same `polar_eigen(T_0, hi)`; the
+    same Sturm-count bracket hi (`_bracket`: the free sphere's level where
+    one count-sum confirms it) and the same `polar_eigen(T_0, hi)`; the
     towers m >= 1 make Sturm counts only.
     mu_j is kept exactly when j + sum_{m >= 1} mult(m) * count_m(mu_j) <= K.
     The tower-0 term is j, not a count at mu_j, which sits within rounding

@@ -297,14 +297,12 @@ def cmd_hardy(args) -> int:
 def _hardy_table(args) -> int:
     methods = ["pencil", "bisection"] if args.method == "both" else [args.method]
     rows = []
-    dims = parse_dims(args.dims)
-    for N in dims:  # every grid builds before any solve, so an N too large fails at once
-        angular.PolarGrid.build(N, args.grid, args.sampling)
-    for N in dims:  # buffered, deterministic row order
-        grid = angular.PolarGrid.build(N, args.grid, args.sampling)
+    # every grid builds before any solve, so an N too large fails at once
+    grids = [angular.PolarGrid.build(N, args.grid, args.sampling) for N in parse_dims(args.dims)]
+    for grid in grids:  # buffered, deterministic row order
         for method in methods:
             lam_star = hardy.critical_dipole_coupling(grid, method)
-            rows.append((N, classical_hardy_constant(N), lam_star, method, args.grid))
+            rows.append((grid.dim, classical_hardy_constant(grid.dim), lam_star, method, args.grid))
     table = _Table("N,classical,dipole_inverse_lambda,method,grid", list(zip(*rows)))
     _emit_doc(args, {"rows": table}, table, command="hardy-table")
     return 0

@@ -131,10 +131,10 @@ COUPLINGS = st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)
 
 
 @st.composite
-def spectrum_cases(draw, kinds=("constant", "dipole", "tabulated"), samplings=("flux", "node")):
-    """(potential, K, grid) with N in 3..5, M <= 401, K <= 60, and the grid's sampling drawn."""
-    N = draw(st.sampled_from([3, 4, 5]))
-    grid = PolarGrid.build(N, draw(st.integers(60, 401)), draw(st.sampled_from(samplings)))
+def spectrum_cases(draw, kinds=("constant", "dipole", "tabulated"), samplings=("flux", "node"),
+                   N=st.sampled_from([3, 4, 5]), M=st.integers(60, 401)):
+    """(potential, K, grid) with K <= 60, and N (3..5), M (60..401) and the sampling drawn."""
+    grid = PolarGrid.build(draw(N), draw(M), draw(st.sampled_from(samplings)))
     kind, c1, c2 = draw(st.sampled_from(kinds)), draw(COUPLINGS), draw(COUPLINGS)
     if kind == "constant":
         potential = AngularPotential.constant(c1)
@@ -566,6 +566,89 @@ class TestClusters:
             assert calls == [("dstebz", 1, 2)] and kept == []
 
 
+def doubled_bracket(towers, K):
+    """The K-th value's bracket as a span doubled from -max a and bisected 3 times, by counts."""
+    start = -float(np.max(towers.a))
+
+    def reaches(x):
+        return angular._count_from(towers, 0, x, K - 1) >= K
+
+    lo, span = start, 1.0
+    while not reaches(start + span):
+        lo, span = start + span, 2.0 * span
+    hi = start + span
+    for _ in range(3):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+    return hi
+
+
+class TestBracket:
+    @pytest.mark.parametrize("potential,K,M", [
+        (AngularPotential.constant(0.0), 500, 1200),
+        (AngularPotential.dipole(1.0), 80, 10000),
+        (AngularPotential.dipole(0.9), 20, 10000),
+        (AngularPotential.dipole(0.9), 80, 10000),
+    ])
+    def test_the_free_level_is_one_count_sum(self, monkeypatch, potential, K, M):
+        # N = 3: level l holds 2l + 1 free values, so K = 500, 80 and 20 sit
+        # in levels 22, 8 and 4, and hi is l(l + 1) - min a + 1
+        grid = PolarGrid.build(3, M)
+        sums, count_from = [], angular._count_from
+        monkeypatch.setattr(angular, "_count_from", lambda *a: sums.append(a) or count_from(*a))
+        hi = angular._bracket(PolarTowers(potential, grid), K)
+        level = {500: 22, 80: 8, 20: 4}[K]
+        assert len(sums) == 1
+        assert hi == level * (level + 1) - float(np.min(potential.sample(grid))) + 1.0
+
+    @pytest.mark.parametrize("N,M,sampling,kind,K", [
+        # a oscillates by 400, more than any levels' gap
+        (3, 800, "flux", "double-well", 1),
+        (3, 800, "flux", "double-well", 30),
+        (4, 300, "node", "double-well", 12),
+        # node sampling lifts the last value of a level above l(l + 1) + 1
+        (3, 40, "node", "constant", 9),
+        (3, 100, "node", "constant", 16),
+        # the ground level: 1.5 cos t spreads it past the next level's bottom
+        (3, 400, "flux", "dipole", 1),
+        (4, 400, "node", "dipole", 1),
+    ])
+    def test_no_free_level_bound_keeps_the_doubled_bracket(self, monkeypatch, N, M, sampling,
+                                                           kind, K):
+        grid = PolarGrid.build(N, M, sampling)
+        if kind == "double-well":
+            potential = AngularPotential.tabulated(200.0 * np.cos(2 * grid.nodes), grid)
+        else:
+            potential = AngularPotential.constant(0.0) if kind == "constant" else \
+                AngularPotential.dipole(1.5)
+        want = doubled_bracket(PolarTowers(potential, grid), K)
+        sums, count_from = [], angular._count_from
+        monkeypatch.setattr(angular, "_count_from", lambda *a: sums.append(a) or count_from(*a))
+        hi = angular._bracket(PolarTowers(potential, grid), K)
+        assert bits(hi) == bits(want) and len(sums) > 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=spectrum_cases(N=st.integers(3, 6), M=st.integers(60, 2000)),
+           m=st.integers(0, 4), vectors=st.booleans())
+    # the a = 40 cos 2t doublet: mu_1 and mu_2 lie 3.9e-5 apart, within each other's guard band
+    @example(case=(AngularPotential.tabulated(40.0 * np.cos(2 * DOUBLET_GRID.nodes), DOUBLET_GRID),
+                   4, DOUBLET_GRID), m=0, vectors=True)
+    def test_probe_bounds_skip_only_counts(self, case, m, vectors):
+        # a guard band that the probe's neighbours clear would have counted
+        # one value: the cells with those bounds are the cells without them
+        potential, K, grid = case
+        towers = PolarTowers(potential, grid)
+        hi = angular._bracket(towers, K)
+        assert angular._count_from(towers, 0, hi, K - 1) >= K
+        calls, cell = [], angular._cell
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(angular, "_cell", lambda *a: calls.append((a, cell(*a))) or calls[-1][1])
+            angular._tower(towers.matrix(m), hi, vectors)
+        for (mat, j, value, width, finest, below, above), cells in calls:
+            fresh = TridiagonalMatrix(mat.diag, mat.off, mat.step)
+            assert cell(fresh, j, value, width, finest, math.inf, -math.inf) == cells
+
+
 class TestFullSpectrum:
     def test_free_sphere_with_multiplicities(self, free3_spectrum):
         flat = free3_spectrum.flattened()[:9]
@@ -724,8 +807,10 @@ class TestFullSpectrum:
         towers = PolarTowers(potential, grid)
         [hi] = brackets
 
-        # a dyadic count search for the m = 0 cells, in place of the probe, made 563 counts here
-        assert len(counts) <= 300
+        # a dyadic count search for the m = 0 cells, in place of the probe, made
+        # 563 counts here; a bracket doubled from -max a and every guard band
+        # counted, 270
+        assert len(counts) <= 97
         assert sum(vals.size for *_, vals in probes) < 300
         # one tower solve per tower up to the first one with no value at or
         # below hi, in order of m; the m = 0 tower keeps its vectors
@@ -749,20 +834,20 @@ class TestFullSpectrum:
         assert sum(harmonic_multiplicity(3, m) * count_at_most(towers.matrix(m), hi)
                    for m in scanned) >= K
 
-        # the dipole K = 80, M = 10000 merge (198 counts with the dyadic m = 0 search)
+        # the dipole K = 80, M = 10000 merge (198 counts with the dyadic m = 0
+        # search, 108 with the doubled bracket and every guard band counted)
         counts.clear()
         monkeypatch.setattr(angular, "count_at_most", lambda *a: counts.append(a) or count(*a))
         full_spectrum(AngularPotential.dipole(0.9), 80, PolarGrid.build(3, 10000))
-        assert len(counts) <= 130
+        assert len(counts) <= 43
 
     @pytest.mark.parametrize("solve", [full_spectrum, axisymmetric_spectrum])
     def test_no_count_is_factored_twice(self, monkeypatch, solve):
         # the bracket, the keep rule, each tower's count at hi and its cell
-        # search share the counts that each tower matrix remembers; with a
-        # memo per tower solve, full_spectrum factored 108 times at 99
-        # distinct (matrix, x) here.  Each sweep starts with one dpttrf call
-        # on all M rows
-        M = 10000
+        # search share the counts that each tower matrix remembers; in the
+        # N = 3 Weyl case full_spectrum makes 97 requests at 77 distinct
+        # (matrix, x).  Each sweep starts with one dpttrf call on all M rows
+        M = 1200
         requests, rows = [], []
         count, factor = angular.count_at_most, angular.dpttrf
         monkeypatch.setattr(angular, "count_at_most",
@@ -770,7 +855,7 @@ class TestFullSpectrum:
         monkeypatch.setattr(angular, "dpttrf",
                             lambda d, e, **kw: rows.append(d.size) or factor(d, e, **kw))
         angular._axisymmetric_memo.cache_clear()
-        solve(AngularPotential.dipole(0.9), 80, PolarGrid.build(3, M))
+        solve(AngularPotential.constant(0.0), 500, PolarGrid.build(3, M))
         distinct = set(requests)
         assert len(requests) > len(distinct) > 50
         assert rows.count(M) == len(distinct)
