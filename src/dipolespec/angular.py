@@ -16,8 +16,11 @@ of the singular sin^{-2} coefficient, and no solver takes any of them again:
 ``flux``
     Coefficients derived from the quadratic form of the weighted problem
     (fluxes of sin^{N-2} at cell midpoints, no flux through the poles).
-    Second-order convergent for every N >= 3, and exact on constants:
-    mu_1(a=0) = 0 to rounding.  Default of `PolarGrid.build`.
+    Second-order convergent for every N >= 3 except on tower m = 1 at
+    N = 3, and exact on constants: mu_1(a=0) = 0 to rounding.  The first
+    free value of tower (3, 1) converges irregularly: errors -4.9e-6,
+    -6.7e-7, -3.0e-8 at M = 624, 1249, 2499, ratios 7.3 and 22 where towers
+    (3, 2) and (4, 1) show 4.0-4.2.  Default of `PolarGrid.build`.
 
 ``node``
     The singular coefficient sampled at the nodes.  For N = 3 the m = 0
@@ -97,7 +100,14 @@ def harmonic_multiplicity(N: int, m: int) -> int:
     return (2 * m + d - 1) * math.factorial(m + d - 2) // (math.factorial(m) * math.factorial(d - 1))
 
 
-_GAUSS7_NODES, _GAUSS7_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# 7-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(7)
+# bit for bit, written out: importing numpy.polynomial costs every command ~5 ms
+_GAUSS7_NODES = np.array([float.fromhex(x) for x in (
+    "-0x1.e5f178e7c622ap-1", "-0x1.7ba9f9be3a1d6p-1", "-0x1.9f95df119fd62p-2", "0x0.0p+0",
+    "0x1.9f95df119fd62p-2", "0x1.7ba9f9be3a1d6p-1", "0x1.e5f178e7c622ap-1")])
+_GAUSS7_WEIGHTS = np.array([float.fromhex(x) for x in (
+    "0x1.092f69f826d58p-3", "0x1.1e6b1713d8648p-2", "0x1.86fe74ee32b39p-2", "0x1.abfd7e03c2fa4p-2",
+    "0x1.86fe74ee32b39p-2", "0x1.1e6b1713d8648p-2", "0x1.092f69f826d58p-3")])
 
 
 def _sin_power_cell_integrals(k: int, edges: np.ndarray) -> np.ndarray:

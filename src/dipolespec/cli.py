@@ -300,8 +300,12 @@ def _hardy_table(args) -> int:
     # every grid builds before any solve, so an N too large fails at once
     grids = [angular.PolarGrid.build(N, args.grid, args.sampling) for N in parse_dims(args.dims)]
     for grid in grids:  # buffered, deterministic row order
+        guess = {}
         for method in methods:
-            lam_star = hardy.critical_dipole_coupling(grid, method)
+            lam_star = hardy.critical_dipole_coupling(grid, method, **guess)
+            # with --method both the pencil's coupling steers the bisection's
+            # sweeps, never its bits (see critical_dipole_coupling)
+            guess = {"guess": lam_star}
             rows.append((grid.dim, classical_hardy_constant(grid.dim), lam_star, method, args.grid))
     table = _Table("N,classical,dipole_inverse_lambda,method,grid", list(zip(*rows)))
     _emit_doc(args, {"rows": table}, table, command="hardy-table")

@@ -16,7 +16,11 @@ the coupling for the first sphere eigenvalue crossing -((N-2)/2)^2, each
 step decided by one LDL^T factorization (LAPACK dpttrf): is the m = 0
 tower shifted by that threshold positive definite?  At the discrete level
 both characterize the same singularity of A - lambda B, so they agree to
-solver tolerance on a common grid.
+solver tolerance on a common grid.  The bisection may take the pencil's
+coupling as a guess: it then skips the sweeps that would only narrow the
+bracket down to the guess, after checking that the bracket it starts from
+is the one the unguided run passes through, so the result keeps its bits
+and the route stays independent of the pencil.
 
 Every solve reads N and the sampling from its `PolarGrid`.  Deterministic
 throughout: one routine, `_lanczos_largest`, factors A = U^T U (banded upper
@@ -30,6 +34,7 @@ which loads scipy's `_flapack` extension without importing `scipy.linalg`.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +153,7 @@ def lambda_n(
 def critical_dipole_coupling(
     grid: PolarGrid,
     method: str = "pencil",
+    guess: float | None = None,
 ) -> float:
     """Coupling lambda* at which the dipole quadratic form loses positivity.
 
@@ -164,6 +170,17 @@ def critical_dipole_coupling(
     The coupling enters the diagonal only, as -lam cos t: the zero-potential
     tower is assembled once, and each step's diagonal is the assembled
     tower's bit for bit.
+
+    A finite guess in (0, H), H the first bracket end that is not
+    positive, skips sweeps without changing a bit.  Every bracket of the
+    bisection is a dyadic interval of [0, H] and every midpoint an exact
+    float; `_certified_start` starts the bisection from an interval near the
+    guess that passes the check of its two ends.  A sweep is a pure function
+    of lam, monotone outside a rounding zone of about eps ||T_0||_1 in mu_1
+    that is far narrower than that interval, so only one interval of its
+    width passes: the one the unguided run passes through.  A NaN, infinite,
+    nonpositive or too large guess, or none, is the unguided run; the pencil
+    route ignores the guess.
     """
     if method == "pencil":
         res = lambda_n(AngularPotential.dipole(1.0), grid)
@@ -192,6 +209,8 @@ def critical_dipole_coupling(
         raise BracketError(
             f"mu_1 stayed above the threshold on [0, {hi}]; no crossing found"
         )
+    if guess is not None and 0.0 < guess < hi:
+        lo, hi = _certified_start(positive, hi, guess)
     while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if positive(mid):
@@ -199,6 +218,36 @@ def critical_dipole_coupling(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _certified_start(
+    positive: Callable[[float], bool], top: float, guess: float
+) -> tuple[float, float]:
+    """The bracket of the bisection on [0, top] at the finest level where it holds near guess.
+
+    Walks down the dyadic tree of [0, top] without a sweep, to the interval
+    of width s that holds guess: s is the largest top / 2^j not above
+    2^-20 guess, and no finer than the final bracket.  The interval holds
+    when positive(lo) and not positive(hi); 0 counts as positive and top as
+    not, as in the unguided run.  A failed check climbs to the parent
+    interval, which shares one end with it, so each level climbed sweeps at
+    most one new end.  [0, top] always holds.
+    """
+    path = [(0.0, top)]
+    width = max(2.0**-20 * guess, _BISECTION_TOL)
+    lo, hi = path[0]
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if guess < mid else (mid, hi)
+        path.append((lo, hi))
+    known = {0.0: True, top: False}
+
+    def holds(lam: float, want: bool) -> bool:
+        if lam not in known:
+            known[lam] = positive(lam)
+        return known[lam] == want
+
+    return next((lo, hi) for lo, hi in reversed(path) if holds(lo, True) and holds(hi, False))
 
 
 def admissible_radius(N: int, lam: float, C: float, eps: float) -> float:

@@ -222,6 +222,11 @@ class TestPotential:
 
 
 class TestAssemble:
+    def test_the_written_gauss_rule_is_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert bits(angular._GAUSS7_NODES).tolist() == bits(nodes).tolist()
+        assert bits(angular._GAUSS7_WEIGHTS).tolist() == bits(weights).tolist()
+
     @pytest.mark.parametrize("M", [3, 100, 2001])
     def test_cell_integrals_match_the_expression_form(self, M):
         # the in-place evaluation does the same arithmetic as this one-line form
@@ -284,6 +289,21 @@ class TestAssemble:
             errs.append(abs(polar_eigen(mat, bound(mat, 2))[1][0] - 2.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.15)
+
+    def test_flux_order_of_the_first_towers_m_ge_1(self):
+        # first free value of a tower, l = m: second order on (3, 2) and (4, 1),
+        # not on (3, 1), whose errors -4.9e-6, -6.7e-7, -3.0e-8 fall by 7.3 and 22
+        def errors(N, m):
+            out = []
+            for M in (624, 1249, 2499):
+                mat = assemble_polar_operator(AngularPotential.constant(0.0), m, PolarGrid.build(N, M))
+                out.append(polar_eigen(mat, bound(mat, 1))[0][0] - m * (m + N - 2.0))
+            return out
+
+        for N, m in [(3, 2), (4, 1)]:
+            errs = errors(N, m)
+            assert [a / b for a, b in zip(errs, errs[1:])] == pytest.approx([4.0, 4.0], abs=0.3)
+        assert max(map(abs, errors(3, 1))) < 5e-6
 
     @pytest.mark.parametrize("N,m", [(10, 1), (10, 3), (13, 2)])
     def test_high_dimension_towers_stable_on_fine_grids(self, N, m):

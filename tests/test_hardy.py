@@ -121,8 +121,8 @@ def assembled_count_bisection(grid):
     return 0.5 * (lo + hi), tested
 
 
-def factored_bisection(grid):
-    """critical_dipole_coupling(grid, "bisection") and a copy of each diagonal it factors."""
+def factored_bisection(grid, guess=None):
+    """critical_dipole_coupling(grid, "bisection", guess) and a copy of each diagonal it factors."""
     factored, factor = [], hardy.dpttrf
 
     def recording(d, e, **kwargs):
@@ -131,7 +131,25 @@ def factored_bisection(grid):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hardy, "dpttrf", recording)
-        return critical_dipole_coupling(grid, "bisection"), factored
+        return critical_dipole_coupling(grid, "bisection", guess), factored
+
+
+def levels_climbed(top, guess, coupling):
+    """Levels the guided bisection climbs from the interval of [0, top] it walks to for guess.
+
+    The walk stops at the first dyadic interval no wider than
+    max(2^-20 guess, the final bracket); the bisection of the same grid
+    ends at coupling.  The climb ends at the deepest interval on the walk
+    that still holds coupling.
+    """
+    lo, hi, depth, shared = 0.0, top, 0, None
+    while hi - lo > max(2.0**-20 * guess, hardy._BISECTION_TOL):
+        mid = 0.5 * (lo + hi)
+        if shared is None and (guess < mid) != (coupling < mid):
+            shared = depth
+        lo, hi = (lo, mid) if guess < mid else (mid, hi)
+        depth += 1
+    return 0 if shared is None else depth - shared
 
 
 def assert_the_assembled_steps(grid, factored, tested):
@@ -343,6 +361,59 @@ class TestCriticalCoupling:
         got, factored = factored_bisection(g)
         assert got.hex() == want.hex()
         assert len(factored) == len(tested)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.integers(3, 40),
+        M=st.integers(4, 1500),
+        sampling=st.sampled_from(["flux", "node"]),
+        r=st.floats(-1e-3, 1e-3),
+    )
+    def test_a_guess_near_the_pencil_keeps_the_bits(self, N, M, sampling, r):
+        # the walk stops on an interval about 1e-6 of the guess wide, so most
+        # of these guesses fail its certificate and climb
+        g = PolarGrid.build(N, M, sampling)
+        want, unguided = factored_bisection(g)
+        guess = critical_dipole_coupling(g, "pencil") * (1.0 + r)
+        got, guided = factored_bisection(g, guess)
+        assert got.hex() == want.hex()
+        top = 4.0 * (N - 2) ** 2  # the first bracket end that is not positive
+        while top <= want:
+            top *= 2.0
+        assert len(guided) <= len(unguided) + levels_climbed(top, guess, want) + 2
+
+    @pytest.mark.parametrize("N,M,sampling", [(3, 2000, "node"), (5, 800, "flux"), (8, 300, "node")])
+    def test_a_bad_guess_costs_at_most_its_climb(self, N, M, sampling):
+        g = PolarGrid.build(N, M, sampling)
+        want, unguided = factored_bisection(g)
+        top = 4.0 * (N - 2) ** 2
+        assert want < top / 2  # the first bracket end holds: [0, top] is the whole tree
+        pencil = critical_dipole_coupling(g, "pencil")
+        for guess in (math.nan, math.inf, -math.inf, 0.0, -1.0, top, 2 * top, 2 * pencil):
+            got, guided = factored_bisection(g, guess)
+            assert got.hex() == want.hex()
+            if 0 < guess < top:
+                assert len(guided) <= len(unguided) + levels_climbed(top, guess, want) + 2
+            else:  # walks nowhere: the unguided run
+                assert len(guided) == len(unguided)
+
+    def test_the_table_skips_most_sweeps(self, capsys, monkeypatch):
+        # the unguided bisections of this table make 271 sweeps; the guided
+        # ones must print the rows of --method bisection alone
+        monkeypatch.delenv("DIPOLESPEC_GRID_M", raising=False)
+        sweeps, factor = [], hardy.dpttrf
+
+        def counting(d, e, **kwargs):
+            sweeps.append(1)
+            return factor(d, e, **kwargs)
+
+        monkeypatch.setattr(hardy, "dpttrf", counting)
+        assert cli.main(["hardy", "--table", "3..10", "--method", "both"]) == 0
+        both = capsys.readouterr().out.splitlines()
+        assert len(sweeps) <= 110
+        assert cli.main(["hardy", "--table", "3..10", "--method", "bisection"]) == 0
+        alone = capsys.readouterr().out.splitlines()
+        assert [row for row in both if row.endswith(",bisection,10000")] == alone[1:]
 
     @pytest.mark.parametrize("N", [3, 5])
     def test_a_bracket_without_a_crossing_names_the_last_coupling_tested(self, monkeypatch, N):

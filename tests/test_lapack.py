@@ -37,7 +37,8 @@ PINS = [(argv, dict(PINNED_TABLES)[argv]) for argv in (
 
 # runs `main(argv)` after importing the modules named in argv[1] (comma-separated),
 # then writes to stderr whether the five routines are scipy.linalg.lapack's own,
-# or None where scipy.linalg was never imported, and the scipy modules loaded
+# or None where scipy.linalg was never imported, the scipy modules loaded and
+# whether numpy.polynomial was imported
 CHILD = """
 import importlib, sys
 for name in filter(None, sys.argv[1].split(",")):
@@ -49,7 +50,8 @@ lapack = sys.modules.get("scipy.linalg.lapack")
 same = None if lapack is None else (
     lapack._flapack is _lapack._flapack is sys.modules["scipy.linalg._flapack"]
     and all(getattr(lapack, f) is getattr(_lapack, f) for f in %r))
-sys.stderr.write(repr((same, sorted(m for m in sys.modules if m.startswith("scipy")))))
+sys.stderr.write(repr((same, sorted(m for m in sys.modules if m.startswith("scipy")),
+                       "numpy.polynomial" in sys.modules)))
 sys.exit(code)
 """ % (ROUTINES,)
 
@@ -64,13 +66,14 @@ def child(first, *argv, code=CHILD):
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
 def test_a_command_loads_the_extension_alone(argv):
-    _, (same, modules) = child("", *argv)
-    assert same is None and modules == ["scipy.linalg._flapack"]
+    # and not numpy.polynomial, whose import costs ~5 ms: angular writes its Gauss rule out
+    _, (same, modules, polynomial) = child("", *argv)
+    assert same is None and modules == ["scipy.linalg._flapack"] and not polynomial
 
 
 @pytest.mark.parametrize("argv,digest", PINS, ids=[argv[0] for argv, _ in PINS])
 def test_a_fresh_process_keeps_the_pinned_bytes(argv, digest):
-    out, (_, modules) = child("", *argv)
+    out, (_, modules, _) = child("", *argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert modules == ["scipy.linalg._flapack"]
 
@@ -78,7 +81,7 @@ def test_a_fresh_process_keeps_the_pinned_bytes(argv, digest):
 @pytest.mark.parametrize("first", ["scipy.linalg", "dipolespec.cli,scipy.linalg"])
 def test_one_instance_in_either_import_order(first):
     argv, digest = PINS[0]
-    out, (same, modules) = child(first, *argv)
+    out, (same, modules, _) = child(first, *argv)
     assert same is True and "scipy.linalg" in modules
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
