@@ -1,9 +1,9 @@
 """The package's one binding to LAPACK: scipy's f2py extension `scipy.linalg._flapack`.
 
-Importing `scipy.linalg` to reach five routines (dpttrf, dstebz, dstein,
-dtbtrs, dpbtrf) would cost about 150 ms of every command's start and some
-20 MB of memory, spent on modules that no command uses.  The extension is
-loaded instead straight from scipy's package directory, found with
+Importing `scipy.linalg` to reach seven routines (dgttrf, dgttrs, dpttrf,
+dstebz, dstein, dtbtrs, dpbtrf) would cost about 150 ms of every command's
+start and some 20 MB of memory, spent on modules that no command uses.  The
+extension is loaded instead straight from scipy's package directory, found with
 `importlib.util.find_spec("scipy")`, which runs neither `scipy/__init__` nor
 `scipy/linalg/__init__`.  It is registered in `sys.modules` under its own
 name, so a later `import scipy.linalg` reuses it; if `scipy.linalg` came
@@ -48,8 +48,9 @@ def load_flapack(scipy_dir: str):
 
 _scipy = importlib.util.find_spec("scipy")
 _flapack = load_flapack(_scipy.submodule_search_locations[0] if _scipy else "")
-dpttrf, dstebz, dstein, dtbtrs, dpbtrf = (
-    _flapack.dpttrf, _flapack.dstebz, _flapack.dstein, _flapack.dtbtrs, _flapack.dpbtrf)
+dgttrf, dgttrs, dpttrf, dstebz, dstein, dtbtrs, dpbtrf = (
+    _flapack.dgttrf, _flapack.dgttrs, _flapack.dpttrf, _flapack.dstebz, _flapack.dstein,
+    _flapack.dtbtrs, _flapack.dpbtrf)
 
 
 def eigvalsh_tridiagonal(d, e, select: str, select_range, tol: float = 0.0) -> np.ndarray:

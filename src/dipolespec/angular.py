@@ -39,10 +39,14 @@ within a small fraction of eps ||T||_1.  A cluster that no cell splits is
 one group, found by one search and bisected by one dstebz call.  The m = 0
 tower keeps its vectors, and its cells are the lattice cells that counts
 assign to each index, so its pairs up to x are a prefix of those up to any
-larger x (`polar_eigen`).
+larger x (`polar_eigen`).  The towers m >= 1 keep no vectors, and need no
+cells where their values stand apart: a probe at the width 2^-1 isolates
+each value, and Rayleigh-quotient iteration (LAPACK dgttrf, dgttrs) from
+it ends on a residual that certifies the value (`_certified_values`).
 
-LAPACK (dpttrf, dstebz, dstein) is reached through `_lapack`, which loads
-scipy's `_flapack` extension without importing `scipy.linalg`.
+LAPACK (dgttrf, dgttrs, dpttrf, dstebz, dstein) is reached through
+`_lapack`, which loads scipy's `_flapack` extension without importing
+`scipy.linalg`.
 
 All operations are deterministic, and all but `axisymmetric_spectrum` are
 pure: that one keeps its last result, read-only, for the next call on the
@@ -60,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lapack import dpttrf, dstebz, dstein, eigvalsh_tridiagonal
+from ._lapack import dgttrf, dgttrs, dpttrf, dstebz, dstein, eigvalsh_tridiagonal
 from .errors import EigenSolveError, InputError, ResolutionError
 from .exponents import classical_hardy_constant
 
@@ -442,8 +446,109 @@ def _cell(matrix: TridiagonalMatrix, j: int, value: float, width: float,
     return [_Cell(mu, left, left + width, True) for mu in vals[:found].tolist()]
 
 
+# Rayleigh-quotient iteration where no vector is kept (`_certified_values`):
+# a probe of width 2^-1, the certificate ||r||^2 / gap <= 2^-6 eps ||T||_1,
+# and at most four steps (quotients) a value
+_COARSE_EXPONENT = -1
+_CERTIFICATE = 2.0**-6
+_RQI_STEPS = 4
+
+
+@lru_cache(maxsize=4)
+def _start_vector(n: int) -> np.ndarray:
+    """The first n outputs of splitmix64 from seed 0, their top 53 bits scaled to [-1, 1).
+
+    Integer arithmetic alone, so no libm, BLAS or host moves a bit; read-only,
+    one per size.  Noise has a share of every eigenvector, where one tone is
+    all but orthogonal to the smooth ones.
+    """
+    z = np.arange(1, n + 1, dtype=np.uint64)  # in place: few temporaries at large n
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)  # 53 bits, exact in float64
+    x = z.astype(float)
+    x *= 2.0**-52
+    x -= 1.0
+    x.flags.writeable = False
+    return x
+
+
+def _quotient(matrix: TridiagonalMatrix, x: np.ndarray) -> tuple[float, float]:
+    """(theta, ||Tx - theta x||^2) of the unit vector x, theta = x.Tx, by pairwise sums."""
+    r = matrix.matvec(x)
+    theta = float(np.add.reduce(r * x))
+    r -= theta * x
+    return theta, float(np.add.reduce(r * r))
+
+
+def _certified_values(matrix: TridiagonalMatrix, hi: float, count: int) -> list[float] | None:
+    """The count lowest eigenvalues by Rayleigh-quotient iteration from a coarse probe, or None.
+
+    One value probe (`eigvalsh_tridiagonal`) at the width w, 2^-1 or the
+    cells' coarse width where that is wider, up to hi + 4w places each value
+    within w of its probe value p_j (w/2 for the probe, w/2 for rounding):
+    eigenvalue j lies in the cell [p_j - w, p_j + w], and every other one at
+    or below p_{j-1} + w or at or above p_{j+1} - w (hi + 3w above the last
+    value probed).  Its gap g is the distance between the cell and those
+    bounds.  From the fixed `_start_vector`, two solves with T - p_j I
+    (LAPACK dgttrf, dgttrs) and then one a step form a unit x, and
+    `_quotient` gives theta and r = Tx - theta x without BLAS.  theta is
+    accepted inside its cell once ||r||^2 / g <= 2^-6 eps ||T||_1, which
+    puts it that close to eigenvalue j (the residual bound of Kato and
+    Temple; Parlett, The Symmetric Eigenvalue Problem, Thm 11.7.1).  Else
+    a theta inside the cell is the next step's shift, and after one outside
+    (a start with little of eigenvector j) the next step solves with the
+    same factors again: inverse iteration from within w of eigenvalue j,
+    whose neighbours lie 2w or more away, draws x towards its vector.
+
+    None, for the fine path of `_tower`, where some g is below w, a shift
+    is an eigenvalue to the bit (dgttrf info > 0) or a value is not
+    accepted within `_RQI_STEPS` steps.
+    """
+    width = max(2.0**_COARSE_EXPONENT, _cell_width(matrix, vectors=False)[0])
+    top = hi + 4.0 * width
+    probe = eigvalsh_tridiagonal(matrix.diag, matrix.off, select="v",
+                                 select_range=(-math.inf, top), tol=width)
+    if probe.size < count:
+        return None
+    # top stands for the value above the last one probed
+    spacing = np.diff(np.concatenate(([-math.inf], probe, [top]))[:count + 2])
+    gaps = np.minimum(spacing[:-1], spacing[1:]) - 2.0 * width
+    if not np.all(gaps >= width):
+        return None
+    off, limit = matrix.off, _CERTIFICATE * _EPS * matrix.one_norm()
+    values = []
+    for shift, gap in zip(probe[:count].tolist(), gaps.tolist()):
+        lo, up, x, factors = shift - width, shift + width, _start_vector(matrix.size), None
+        for step in range(_RQI_STEPS):
+            if factors is None:
+                *factors, info = dgttrf(off, matrix.diag - shift, off, overwrite_d=1)
+                if info != 0:
+                    return None
+            for _ in range(1 if step else 2):
+                x = dgttrs(*factors, x)[0]
+            x /= math.sqrt(np.add.reduce(x * x))
+            theta, rr = _quotient(matrix, x)
+            if lo <= theta <= up:
+                if rr <= limit * gap:
+                    values.append(theta)
+                    break
+                shift, factors = theta, None
+        else:
+            return None
+    return values
+
+
 def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
     """(values, unit vectors) of the count_at_most(T, hi) eigenvalues at or below hi, ascending.
+
+    Where no vector is kept, `_certified_values` solves the values first, by
+    Rayleigh-quotient iteration from a coarse probe; the path below runs only
+    where it returns None, and for every tower that keeps its vectors.
 
     One value probe (LAPACK dstebz through `eigvalsh_tridiagonal`) at the
     tolerance w of the cells (`_cell_width`), from dstebz's own Gershgorin
@@ -469,6 +574,10 @@ def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
     count = count_at_most(matrix, hi)
     if count == 0:
         return [], []
+    if not vectors:
+        values = _certified_values(matrix, hi, count)
+        if values is not None:
+            return values, []
     width, finest = _cell_width(matrix, vectors)
     reach = (_GUARD + 1) * width
     probe = eigvalsh_tridiagonal(matrix.diag, matrix.off, select="v",
@@ -762,11 +871,13 @@ def full_spectrum(
     every K that keeps them.  Each tower m >= 1 up to the first one with no
     value at or below hi solves its count_at_most(T_m, hi) lowest values by
     the same routine, without profiles (`_tower_values`); those counts
-    summed to at least K when the bracket took hi.  Every value is a Rayleigh
-    quotient within a small fraction of eps ||T_m||_1 of its eigenvalue (or,
-    in a cluster that cells cannot split, a bisection to an absolute
-    tolerance eps), so an m >= 1 value moves with K only within rounding.
-    The K-th of the merged values is the cutoff.
+    summed to at least K when the bracket took hi.  Rayleigh-quotient
+    iteration certifies each value within 2^-6 eps ||T_m||_1 by its residual
+    (`_certified_values`); in a tower where it does not, the path of the
+    m = 0 tower gives a Rayleigh quotient within a small fraction of eps
+    ||T_m||_1 (or, in a cluster that cells cannot split, a bisection to an
+    absolute tolerance eps).  So an m >= 1 value moves with K only within
+    rounding.  The K-th of the merged values is the cutoff.
     """
     N = grid.dim
     towers, hi, pairs = _axial_solve(potential, K, grid)

@@ -34,6 +34,7 @@ which loads scipy's `_flapack` extension without importing `scipy.linalg`.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -41,7 +42,8 @@ import numpy as np
 
 from ._lapack import cholesky_banded, dpttrf, dtbtrs, eigvalsh_tridiagonal
 from .angular import AngularPotential, PolarGrid, TridiagonalMatrix, assemble_polar_operator
-from .errors import BracketError, EigenSolveError, IndefiniteFormError, InputError
+from .errors import (BracketError, EigenSolveError, IndefiniteFormError, InputError,
+                     ResolutionError)
 from .exponents import classical_hardy_constant
 from .radial import check_eps
 
@@ -128,7 +130,9 @@ def lambda_n(
 
     The towers m >= 1 never carry a larger value (see the module docstring).
     For ess sup a <= 0 the best constant is 0: the result is flagged
-    `nonpositive` and no pencil is solved.  The potential is sampled on
+    `nonpositive` and no pencil is solved.  For ess sup a > 0, a value
+    below the smallest normal float64 (a subnormal coupling) has too few
+    significant bits to print: ResolutionError.  The potential is sampled on
     `grid` first either way, so a tabulated potential of another size is
     an input error.
     """
@@ -145,9 +149,15 @@ def lambda_n(
     # |lam| loses bits and Lambda(lam cos) underflows
     if potential.kind == "dipole":
         unit = _lanczos_largest(A, math.copysign(1.0, potential.coupling) * np.cos(grid.nodes))
-        return HardyResult(unit * potential.ess_sup, 1.0 / unit if unit > 0 else None)
-    unit = _lanczos_largest(A, a_samples / potential.ess_sup)
-    return HardyResult(unit * potential.ess_sup, None)
+        critical = 1.0 / unit if unit > 0 else None
+    else:
+        unit, critical = _lanczos_largest(A, a_samples / potential.ess_sup), None
+    value = unit * potential.ess_sup
+    if value < sys.float_info.min:
+        raise ResolutionError(f"Lambda_N = {value:.3g} is below the smallest normal float64 "
+                              f"{sys.float_info.min:.3g}, where its digits do not hold "
+                              f"(ess sup a = {potential.ess_sup:.3g})")
+    return HardyResult(value, critical)
 
 
 def critical_dipole_coupling(

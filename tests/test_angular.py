@@ -1,9 +1,10 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from dipolespec import angular
@@ -586,6 +587,126 @@ class TestClusters:
             assert calls == [("dstebz", 1, 2)] and kept == []
 
 
+START_1200 = "d526ec742a7dd7be4a4ff687a124b6834459c919e9fb444c28419ae1f8814b53"
+
+
+def splitmix64(i):
+    """The i-th output of the splitmix64 generator from seed 0, in Python integers."""
+    mask = (1 << 64) - 1
+    z = i * 0x9E3779B97F4A7C15 & mask
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+    return z ^ z >> 31
+
+
+class TestCertifiedValues:
+    @settings(max_examples=40, deadline=None)
+    @given(case=spectrum_cases(N=st.integers(3, 6), M=st.integers(60, 2000)))
+    def test_each_accepted_value_meets_its_certificate(self, case):
+        # the towers m >= 1 of the merge up to its bracket: each value that
+        # Rayleigh-quotient iteration accepts is the quotient of a unit x
+        # whose residual, summed again by fsum, meets ||r||^2 / gap <= 2^-6
+        # eps ||T||_1 with the gap to the other eigenvalues of tight
+        # bisection, and it lies within rounding of tight bisection
+        potential, K, grid = case
+        towers = PolarTowers(potential, grid)
+        hi = angular._bracket(towers, K)
+        solved, vectors = [], {}
+        certified, quotient = angular._certified_values, angular._quotient
+
+        def spy_quotient(mat, x):
+            theta, rr = quotient(mat, x)
+            vectors[theta] = x.copy()
+            return theta, rr
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(angular, "_certified_values",
+                          lambda mat, *a: solved.append((mat, certified(mat, *a))) or solved[-1][1])
+            patch.setattr(angular, "_quotient", spy_quotient)
+            angular._tower_values(towers, hi)
+        accepted = [(mat, vals) for mat, vals in solved if vals is not None]
+        assume(accepted)
+        eps = np.finfo(float).eps
+        for mat, vals in accepted:
+            floor = eps * mat.one_norm()
+            ref = eigvalsh_tridiagonal(mat.diag, mat.off, select="i",
+                                       select_range=(0, min(len(vals), mat.size - 1)), tol=eps)
+            assert np.all(np.abs(np.subtract(vals, ref[:len(vals)])) <= 4 * floor)
+            for j, theta in enumerate(vals):
+                x = vectors[theta]
+                r = mat.matvec(x) - theta * x
+                others = np.abs(np.delete(ref, j) - theta)
+                gap = float(np.min(others, initial=math.inf)) - 4 * floor
+                assert math.fsum(r * r) / math.fsum(x * x) <= 2.0**-6 * floor * gap
+
+    def test_clear_values_make_no_dstein_call(self, monkeypatch):
+        # dipole:1, K = 80, M = 2000: every tower m >= 1 is certified, so
+        # dstein forms the m = 0 vectors alone
+        grid = PolarGrid.build(3, 2000)
+        potential = AngularPotential.dipole(1.0)
+        stein, certified, results, shifts = angular.dstein, angular._certified_values, [], []
+        monkeypatch.setattr(angular, "dstein",
+                            lambda d, *a: shifts.append(d) or stein(d, *a))
+        monkeypatch.setattr(angular, "_certified_values",
+                            lambda *a: results.append(certified(*a)) or results[-1])
+        spec = full_spectrum(potential, 80, grid)
+        axial = PolarTowers(potential, grid).matrix(0).diag
+        assert len(results) >= 8 and all(vals is not None for vals in results)
+        assert len(shifts) >= len(spec.tower(0)) and all(np.array_equal(d, axial) for d in shifts)
+
+    def test_a_quotient_outside_its_cell_is_not_a_shift(self, monkeypatch):
+        # dipole:0.503241, N = 3, M = 10000, tower m = 7 up to the K = 80
+        # bracket: the start holds so little of the second eigenvector that
+        # two solves from its probe value 71.92 give the quotient 72.52,
+        # outside the cell [71.42, 72.42].  One more solve with the same
+        # factors draws x back, and the value is certified without the fine path
+        grid = PolarGrid.build(3, 10000)
+        towers = PolarTowers(AngularPotential.dipole(0.503241), grid)
+        mat, hi = towers.matrix(7), angular._bracket(towers, 80)
+        assert count_at_most(mat, hi) == 2
+        factor, quotient, calls = angular.dgttrf, angular._quotient, []
+        monkeypatch.setattr(angular, "dgttrf",
+                            lambda *a, **kw: calls.append("dgttrf") or factor(*a, **kw))
+        monkeypatch.setattr(angular, "_quotient",
+                            lambda *a: calls.append(quotient(*a)[0]) or quotient(*a))
+        values = angular._certified_values(mat, hi, 2)
+        probe = eigvalsh_tridiagonal(mat.diag, mat.off, select="v", select_range=(-math.inf, hi + 2.0),
+                                     tol=0.5)
+        # the second value: one factorization at its probe value, a quotient
+        # outside the cell, then one inside it from the same factors
+        factored, outside, inside = calls[calls.index(values[0]) + 1:][:3]
+        assert factored == "dgttrf" and isinstance(inside, float)
+        assert outside > probe[1] + 0.5 and abs(inside - probe[1]) <= 0.5
+        ref = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, 1),
+                                   tol=np.finfo(float).eps)
+        assert np.all(np.abs(np.subtract(values, ref)) <= 4 * np.finfo(float).eps * mat.one_norm())
+
+    def test_a_double_well_takes_the_fine_path_bit_for_bit(self, monkeypatch):
+        # a = 200 cos 2t, N = 3, M = 800: the values of towers m = 1..4 pair
+        # up closer than the coarse probe isolates, so each tower takes the
+        # fine path and gives its bits, those of the iteration switched off
+        grid = PolarGrid.build(3, 800)
+        potential = AngularPotential.tabulated(200.0 * np.cos(2 * grid.nodes), grid)
+        hi = angular._bracket(PolarTowers(potential, grid), 30)
+        certified, results = angular._certified_values, []
+        monkeypatch.setattr(angular, "_certified_values",
+                            lambda *a: results.append(certified(*a)) or results[-1])
+        got = angular._tower_values(PolarTowers(potential, grid), hi)
+        monkeypatch.setattr(angular, "_certified_values", lambda *a: None)
+        want = angular._tower_values(PolarTowers(potential, grid), hi)
+        assert results == [None] * 4 and len(got) == len(want) == 4
+        for vals, fine in zip(got, want):
+            assert np.array_equal(bits(vals), bits(fine))
+
+    def test_the_start_vector_is_pinned(self):
+        # splitmix64 from seed 0, top 53 bits scaled to [-1, 1): integer
+        # arithmetic alone, so no libm, BLAS or host changes a bit
+        x = angular._start_vector(1200)
+        assert x.tolist() == [(splitmix64(i) >> 11) * 2.0**-52 - 1.0 for i in range(1, 1201)]
+        assert hashlib.sha256(x.tobytes()).hexdigest() == START_1200
+        assert not x.flags.writeable and x is angular._start_vector(1200)
+
+
 def doubled_bracket(towers, K):
     """The K-th value's bracket as a span doubled from -max a and bisected 3 times, by counts."""
     start = -float(np.max(towers.a))
@@ -663,6 +784,8 @@ class TestBracket:
         calls, cell = [], angular._cell
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(angular, "_cell", lambda *a: calls.append((a, cell(*a))) or calls[-1][1])
+            # without vectors, the path of the towers that Rayleigh-quotient iteration leaves
+            patch.setattr(angular, "_certified_values", lambda *a: None)
             angular._tower(towers.matrix(m), hi, vectors)
         for (mat, j, value, width, finest, below, above), cells in calls:
             fresh = TridiagonalMatrix(mat.diag, mat.off, mat.step)
@@ -840,15 +963,19 @@ class TestFullSpectrum:
             mat = towers.matrix(m)
             assert np.array_equal(diag, mat.diag) and top == hi and vectors == (m == 0)
             assert n == count_at_most(mat, hi) and kept == (n if m == 0 else 0)
-        # one coarse value probe per tower with a value up to hi, at the
-        # tolerance of the tower's cells and reaching 257 cells above hi
+        # one coarse value probe per tower with a value up to hi: on m = 0 at
+        # the tolerance of the tower's cells and reaching 257 cells above hi,
+        # on m >= 1, whose values no probe leaves unisolated here, at 2^-1 and
+        # reaching 4 of those widths above hi
         assert len(probes) == len(scanned)
         for m, (diag, kwargs, vals) in enumerate(probes):
             mat = towers.matrix(m)
-            width = angular._cell_width(mat, vectors=m == 0)[0]
+            width, reach = angular._cell_width(mat, vectors=True)[0], angular._GUARD + 1
+            if m:
+                width, reach = 0.5, 4
             assert np.array_equal(diag, mat.diag)
             assert kwargs["select"] == "v" and kwargs["tol"] == width
-            assert kwargs["select_range"] == (-math.inf, hi + (angular._GUARD + 1) * width)
+            assert kwargs["select_range"] == (-math.inf, hi + reach * width)
             assert vals.size >= count_at_most(mat, hi)
         assert len({md.m for md in spec.modes}) <= len(probes)
         assert sum(harmonic_multiplicity(3, m) * count_at_most(towers.matrix(m), hi)

@@ -331,13 +331,27 @@ class TestHardyTable:
         assert doc["results"]["lambda_n"] == pytest.approx(1.0, abs=1e-8)
 
     def test_critical_coupling_ignores_the_scale(self, capsys):
-        # Lambda is homogeneous of degree 1, so a tiny coupling, subnormal
-        # ones included, gives the same critical coupling as the unit one
-        for coupling in ("1", "1e-15", "1e-320", "-1e-320", "5e-324"):
+        # Lambda is homogeneous of degree 1, so a tiny coupling gives the
+        # same critical coupling as the unit one while Lambda stays normal
+        for coupling in ("1", "1e-15", "1e-300", "-1e-300"):
             code, out, _ = run(capsys, "hardy", "--dim", "4", "--grid", "400",
                                "--potential", f"dipole:{coupling}")
             assert code == 0
             assert out.splitlines()[1].split(",")[1] == "3.789835711"
+
+    @pytest.mark.parametrize("potential,value", [
+        # 2.638310549e-321 held about 9 significant bits, and 5e-324 printed 0
+        # beside a critical coupling
+        ("dipole:1e-320", "2.64e-321"),
+        ("dipole:5e-324", "0"),
+        ("constant:1e-320", "1e-320"),
+    ])
+    def test_a_subnormal_best_constant_exits_3(self, capsys, potential, value):
+        code, out, err = run(capsys, "hardy", "--dim", "4", "--grid", "400",
+                             "--potential", potential)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"numerical failure: Lambda_N = {value} is below the smallest "
+                              "normal float64")
 
 
 class TestSpectrumCommand:
@@ -863,7 +877,7 @@ PINNED_TABLES = [
     (("cauchy", "--scenario", "manufactured-nonradial", "--grid", "200", "--modes", "10",
       "--format", "json"), "708a0b55a813f2ae0cf89cbf649c1a787fcfea2e503b3d7c1e6d768220ec1b33"),
     (("spectrum", "--dim", "4", "--potential", "constant:0.5", "--count", "120", "--grid", "300",
-      "--format", "json"), "c8d2531b6b7c9d9e108d3dc28e94035d882ca3d5ec247bd1c406fad9be50850b"),
+      "--format", "json"), "9a28f23c219f472fe072f517e797547ed44ef5632bd7cd4c8a3046ae93cbc385"),
     (("sandwich", "--grid", "400", "--modes", "40"),
      "c1e924d44f6004457b4112784714fa83fe24444aef3ce5a1e8cb05ba50b9da16"),
     (("hardy", "--dim", "3", "--potential", "constant:0.3", "--grid", "300", "--format", "json"),

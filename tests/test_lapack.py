@@ -17,7 +17,7 @@ import pytest
 from test_cli import PINNED_TABLES
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-ROUTINES = ("dpttrf", "dstebz", "dstein", "dtbtrs", "dpbtrf")
+ROUTINES = ("dgttrf", "dgttrs", "dpttrf", "dstebz", "dstein", "dtbtrs", "dpbtrf")
 
 README_COMMANDS = [
     ("spectrum", "--dim", "3", "--potential", "dipole:1.0", "--count", "20"),
@@ -36,9 +36,9 @@ PINS = [(argv, dict(PINNED_TABLES)[argv]) for argv in (
 )]
 
 # runs `main(argv)` after importing the modules named in argv[1] (comma-separated),
-# then writes to stderr whether the five routines are scipy.linalg.lapack's own,
+# then writes to stderr whether the seven routines are scipy.linalg.lapack's own,
 # or None where scipy.linalg was never imported, the scipy modules loaded and
-# whether numpy.polynomial was imported
+# which of numpy.polynomial and numpy.random were imported
 CHILD = """
 import importlib, sys
 for name in filter(None, sys.argv[1].split(",")):
@@ -51,7 +51,7 @@ same = None if lapack is None else (
     lapack._flapack is _lapack._flapack is sys.modules["scipy.linalg._flapack"]
     and all(getattr(lapack, f) is getattr(_lapack, f) for f in %r))
 sys.stderr.write(repr((same, sorted(m for m in sys.modules if m.startswith("scipy")),
-                       "numpy.polynomial" in sys.modules)))
+                       [m for m in ("numpy.polynomial", "numpy.random") if m in sys.modules])))
 sys.exit(code)
 """ % (ROUTINES,)
 
@@ -66,9 +66,10 @@ def child(first, *argv, code=CHILD):
 
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
 def test_a_command_loads_the_extension_alone(argv):
-    # and not numpy.polynomial, whose import costs ~5 ms: angular writes its Gauss rule out
-    _, (same, modules, polynomial) = child("", *argv)
-    assert same is None and modules == ["scipy.linalg._flapack"] and not polynomial
+    # and neither numpy.polynomial, whose import costs ~5 ms (angular writes its
+    # Gauss rule out), nor numpy.random, ~17 ms (angular hashes its start vector)
+    _, (same, modules, numpy_modules) = child("", *argv)
+    assert same is None and modules == ["scipy.linalg._flapack"] and numpy_modules == []
 
 
 @pytest.mark.parametrize("argv,digest", PINS, ids=[argv[0] for argv, _ in PINS])
