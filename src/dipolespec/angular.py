@@ -29,20 +29,21 @@ of the singular sin^{-2} coefficient, and no solver takes any of them again:
     the reference critical-coupling table was produced, so it is kept
     available for reproduction runs.
 
-Every tower is solved by one routine, `_tower`: one coarse value probe
-and inertia counts (`count_at_most`) place each wanted eigenvalue in a cell
-that no other eigenvalue lies near (the probe alone shows it where its
-neighbours clear the cell's guard band), inverse iteration (LAPACK dstein)
-from the cell's midpoint forms its vector, and the value is that vector's
-Rayleigh quotient (Parlett, The Symmetric Eigenvalue Problem, ch. 4),
-within a small fraction of eps ||T||_1.  A cluster that no cell splits is
-one group, found by one search and bisected by one dstebz call.  The m = 0
-tower keeps its vectors, and its cells are the lattice cells that counts
-assign to each index, so its pairs up to x are a prefix of those up to any
-larger x (`polar_eigen`).  The towers m >= 1 keep no vectors, and need no
-cells where their values stand apart: a probe at the width 2^-1 isolates
-each value, and Rayleigh-quotient iteration (LAPACK dgttrf, dgttrs) from
-it ends on a residual that certifies the value (`_certified_values`).
+Two kernels solve the towers, both after inertia counts (`count_at_most`)
+have fixed how many values each one solves.  The m = 0 tower keeps its
+vectors (`polar_eigen`): one value probe and counts place each wanted
+eigenvalue in a lattice cell that no other eigenvalue lies near, inverse
+iteration (LAPACK dstein) from the cell's midpoint forms its vector, and
+the value is that vector's Rayleigh quotient (Parlett, The Symmetric
+Eigenvalue Problem, ch. 4), within a small fraction of eps ||T||_1.  A
+cluster that no cell splits is bisected by one dstebz call.  The cells
+depend on the matrix and the index alone, so the pairs up to x are a
+prefix of those up to any larger x.  The towers m >= 1 keep no vectors
+(`_tower_values`): a probe at the width 2^-1 isolates each value, and
+Rayleigh-quotient iteration (LAPACK dgttrf, dgttrs) from it ends on a
+residual that certifies the value within 2^-6 eps ||T_m||_1
+(`_certified_values`).  A tower where it does not is bisected by index,
+one dstebz call, to that same tolerance.
 
 LAPACK (dgttrf, dgttrs, dpttrf, dstebz, dstein) is reached through
 `_lapack`, which loads scipy's `_flapack` extension without importing
@@ -380,20 +381,18 @@ _CELL_EXPONENT = -7
 _GUARD = 256
 
 
-def _cell_width(matrix: TridiagonalMatrix, vectors: bool) -> tuple[float, float]:
+def _cell_width(matrix: TridiagonalMatrix) -> tuple[float, float]:
     """(coarse width, finest width) of the cells of `matrix`, both powers of 2.
 
-    The coarse width is 2^-7 and, where the vectors are kept, at most
-    (eps ||T||_1)^(1/3): three steps from the midpoint then leave at most
-    eps ||T||_1 / 8 of an eigenvector 1 or more away.  It is at least
-    2^-40 ||T||_1, so that the lattice points are float64 numbers.  No cell
-    is split below 2^-48 ||T||_1, which is 16 eps ||T||_1.
+    The coarse width is at most 2^-7 and (eps ||T||_1)^(1/3): three steps
+    from the midpoint then leave at most eps ||T||_1 / 8 of an eigenvector
+    1 or more away.  It is at least 2^-40 ||T||_1, so that the lattice
+    points are float64 numbers.  No cell is split below 2^-48 ||T||_1,
+    which is 16 eps ||T||_1.
     """
     norm = matrix.one_norm()
     e = math.frexp(norm)[1]  # ||T||_1 < 2^e
-    top = _CELL_EXPONENT
-    if vectors:
-        top = min(top, math.frexp((_EPS * norm) ** (1.0 / 3.0))[1] - 1)
+    top = min(_CELL_EXPONENT, math.frexp((_EPS * norm) ** (1.0 / 3.0))[1] - 1)
     return math.ldexp(1.0, max(top, e - 40)), math.ldexp(1.0, e - 48)
 
 
@@ -505,11 +504,10 @@ def _certified_values(matrix: TridiagonalMatrix, hi: float, count: int) -> list[
     same factors again: inverse iteration from within w of eigenvalue j,
     whose neighbours lie 2w or more away, draws x towards its vector.
 
-    None, for the fine path of `_tower`, where some g is below w, a shift
-    is an eigenvalue to the bit (dgttrf info > 0) or a value is not
-    accepted within `_RQI_STEPS` steps.
+    None where some g is below w, a shift is an eigenvalue to the bit
+    (dgttrf info > 0) or a value is not accepted within `_RQI_STEPS` steps.
     """
-    width = max(2.0**_COARSE_EXPONENT, _cell_width(matrix, vectors=False)[0])
+    width = max(2.0**_COARSE_EXPONENT, _cell_width(matrix)[0])
     top = hi + 4.0 * width
     probe = eigvalsh_tridiagonal(matrix.diag, matrix.off, select="v",
                                  select_range=(-math.inf, top), tol=width)
@@ -543,66 +541,53 @@ def _certified_values(matrix: TridiagonalMatrix, hi: float, count: int) -> list[
     return values
 
 
-def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
-    """(values, unit vectors) of the count_at_most(T, hi) eigenvalues at or below hi, ascending.
-
-    Where no vector is kept, `_certified_values` solves the values first, by
-    Rayleigh-quotient iteration from a coarse probe; the path below runs only
-    where it returns None, and for every tower that keeps its vectors.
+def polar_eigen(matrix: TridiagonalMatrix, x: float):
+    """The eigenpairs at or below x, ascending; for x < x', a prefix of those up to x', bit for bit.
 
     One value probe (LAPACK dstebz through `eigvalsh_tridiagonal`) at the
     tolerance w of the cells (`_cell_width`), from dstebz's own Gershgorin
-    bound up to hi + (_GUARD + 1) w, places each value within w/2.  Where no
-    vector is kept, a value whose probed neighbours lie more than
-    (_GUARD + 1) w away is shifted from its probe value.  The walk over the
-    indices j takes any other value's cell, or the cells of its whole
-    cluster, from one `_cell` search and goes on past them: those cells
-    depend on the matrix and j alone.  The search is given the probed
-    neighbours p_{j-1} + w and p_{j+1} - w as bounds of the other values
-    (w/2 for the probe, w/2 for rounding), so a guard band that they clear
-    takes no count; the last value probed has no bound above.
+    bound up to x + (_GUARD + 1) w, places each value within w/2.  The walk
+    over the indices j takes each value's cell, or the cells of its whole
+    cluster, from one `_cell` search and goes on past them.  The search is
+    given the probed neighbours p_{j-1} + w and p_{j+1} - w as bounds of the
+    other values (w/2 for the probe, w/2 for rounding), so a guard band that
+    they clear takes no count; the last value probed has no bound above.
+    The probe changes no cell: cells and shifts depend on the matrix and j
+    alone, and the j-th vector on the shifts 1..j, whatever x is.
 
     Each cell has a LAPACK dstein call of its own, and a cluster's cells
     share one.  A one-vector call makes no reorthogonalization, whose BLAS
     dot products would tie the bits to the host's BLAS kernel; the vectors
-    kept (if `vectors`) are orthogonalized in turn by modified Gram-Schmidt
-    instead.  A value is its unit vector's Rayleigh quotient v.Tv, in
-    numpy's pairwise sums, or its cluster's bisected value.  A nonzero
-    dstein info, or a quotient outside its cell by more than 4 eps ||T||_1,
-    is an EigenSolveError.
+    are orthogonalized in turn by modified Gram-Schmidt instead.  A value is
+    its unit vector's Rayleigh quotient v.Tv, in numpy's pairwise sums,
+    within a small fraction of eps ||T||_1 of the eigenvalue, or its
+    cluster's bisected value.  Eigenvectors are orthonormal in the
+    step-weighted inner product sum_i v_i u_i h and carry a deterministic
+    sign: first nonzero component positive.  A NaN bound is an InputError;
+    a nonzero dstein info, or a quotient outside its cell by more than
+    4 eps ||T||_1, is an EigenSolveError, never a truncated result.
     """
-    count = count_at_most(matrix, hi)
+    if math.isnan(x):
+        raise InputError("the eigenvalue bound x is NaN")
+    count = count_at_most(matrix, x)
     if count == 0:
-        return [], []
-    if not vectors:
-        values = _certified_values(matrix, hi, count)
-        if values is not None:
-            return values, []
-    width, finest = _cell_width(matrix, vectors)
-    reach = (_GUARD + 1) * width
+        return []
+    width, finest = _cell_width(matrix)
     probe = eigvalsh_tridiagonal(matrix.diag, matrix.off, select="v",
-                                 select_range=(-math.inf, hi + reach), tol=width)
+                                 select_range=(-math.inf, x + (_GUARD + 1) * width), tol=width)
     if probe.size < count:
         raise EigenSolveError(f"value probe found {probe.size} of {count} counted eigenvalues")
-    apart = np.diff(probe[:count + 1]) > reach  # no probed value within reach above
-    clear = np.append(True, apart)[:count] & np.append(apart, True)[:count]
     probed, j = probe[:count + 1].tolist(), 1
     n, values, kept = matrix.size, [], []
     block, split = np.ones(n, np.intc), np.full(n, n, np.intc)  # the matrix is one block
     slack = 4.0 * _EPS * matrix.one_norm()
     while j <= count:
-        value = probed[j - 1]
-        if clear[j - 1] and not vectors:
-            cells = [_Cell(value, value - 0.5 * width, value + 0.5 * width)]
-        else:  # a cluster may reach past hi
-            # w/2 >= 2^-41 ||T||_1 covers the rounding of counts and of the probe
-            below = probed[j - 2] + width if j > 1 else -math.inf
-            above = probed[j] - width if j < len(probed) else -math.inf
-            cells = _cell(matrix, j, value, width, finest, below, above)[:count + 1 - j]
+        # w/2 >= 2^-41 ||T||_1 covers the rounding of counts and of the probe
+        below = probed[j - 2] + width if j > 1 else -math.inf
+        above = probed[j] - width if j < len(probed) else -math.inf
+        # a cluster may reach past x
+        cells = _cell(matrix, j, probed[j - 1], width, finest, below, above)[:count + 1 - j]
         j += len(cells)
-        if cells[0].bisected and not vectors:
-            values += [cell.shift for cell in cells]
-            continue
         z, info = dstein(matrix.diag, matrix.off, [cell.shift for cell in cells], block, split)
         if info != 0:
             raise EigenSolveError(f"inverse iteration did not converge (dstein info {info})")
@@ -617,31 +602,11 @@ def _tower(matrix: TridiagonalMatrix, hi: float, vectors: bool):
                     raise EigenSolveError(f"Rayleigh quotient {value!r} outside its cell "
                                           f"({cell.lo!r}, {cell.hi!r}]")
             values.append(value)
-            if vectors:
-                kept.append(v)
-    return values, kept
-
-
-def polar_eigen(matrix: TridiagonalMatrix, x: float):
-    """The eigenpairs at or below x, ascending; for x < x', a prefix of those up to x', bit for bit.
-
-    `_tower` forms them with their vectors from the lattice cells that
-    counts assign to each index j, so cells and shifts depend on the matrix
-    and j alone, and the j-th vector on the shifts 1..j, whatever x is.  The
-    probe that guides the counts changes no cell.  Each value is its
-    vector's Rayleigh quotient, within a small fraction of eps ||T||_1 of
-    the eigenvalue.  Eigenvectors are orthonormal in the step-weighted inner
-    product sum_i v_i u_i h and carry a deterministic sign: first nonzero
-    component positive.  A NaN bound is an InputError, and a failed solve an
-    EigenSolveError, never a truncated result.
-    """
-    if math.isnan(x):
-        raise InputError("the eigenvalue bound x is NaN")
-    values, vecs = _tower(matrix, x, vectors=True)
+            kept.append(v)
     scale = 1.0 / math.sqrt(matrix.step)
-    for v in vecs:
+    for v in kept:
         v *= scale if v[np.flatnonzero(v)[0]] > 0 else -scale
-    return list(zip(values, vecs))
+    return list(zip(values, kept))
 
 
 @dataclass(frozen=True)
@@ -797,16 +762,22 @@ def _bracket(towers: PolarTowers, K: int) -> float:
 
 
 def _tower_values(towers: PolarTowers, hi: float) -> list[np.ndarray]:
-    """The `_tower` values up to hi, without vectors, of the towers m >= 1.
+    """The values up to hi, without vectors, of the towers m >= 1, ascending in each tower.
 
     Tower m solves the count_at_most(T_m, hi) values that the bracket
-    summed; the first tower with none ends the scan.
+    summed, by `_certified_values`; where that returns None, one bisection
+    by index (dstebz) takes them to the certificate's bound
+    2^-6 eps ||T_m||_1.  The first tower with none ends the scan.
     """
     values: list[np.ndarray] = []
     for _, mat in _scan(towers, 1):
-        vals = _tower(mat, hi, vectors=False)[0]
-        if not vals:
+        count = count_at_most(mat, hi)
+        if count == 0:
             return values
+        vals = _certified_values(mat, hi, count)
+        if vals is None:
+            vals = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, count - 1),
+                                        tol=_CERTIFICATE * _EPS * mat.one_norm())
         values.append(np.array(vals))
 
 
@@ -855,29 +826,16 @@ def full_spectrum(
 ) -> AngularSpectrum:
     """Merge azimuthal towers until K flattened eigenvalues are safely collected.
 
-    The K-th flattened value is bracketed before any value is computed.
-    F(x) = sum_m mult(m) * count_m(x) counts the flattened eigenvalues at or
-    below x with one Sturm count per tower (`count_at_most`); tower bottoms
-    are strictly increasing in m (the quadratic forms differ by the positive
-    term nu_m / sin^2), so the sum stops at the first tower with none.  hi
-    is the free sphere's level of the K-th value less min a, plus 1, where
-    one F there reaches K and no value of the next level can come below it;
-    otherwise a span from -max a is doubled until F reaches K, then bisected
-    a few steps (`_bracket`).  If float64 cannot add 1 to -max a, nothing is
-    solved: ResolutionError.
-
-    The m = 0 tower is solved once, with eigenvectors, by `polar_eigen(T_0,
-    hi)`, so mu_1, psi_1 and the axisymmetric modes are the same bits for
-    every K that keeps them.  Each tower m >= 1 up to the first one with no
-    value at or below hi solves its count_at_most(T_m, hi) lowest values by
-    the same routine, without profiles (`_tower_values`); those counts
-    summed to at least K when the bracket took hi.  Rayleigh-quotient
-    iteration certifies each value within 2^-6 eps ||T_m||_1 by its residual
-    (`_certified_values`); in a tower where it does not, the path of the
-    m = 0 tower gives a Rayleigh quotient within a small fraction of eps
-    ||T_m||_1 (or, in a cluster that cells cannot split, a bisection to an
-    absolute tolerance eps).  So an m >= 1 value moves with K only within
-    rounding.  The K-th of the merged values is the cutoff.
+    Sturm counts bracket the K-th flattened value by hi before any value is
+    computed (`_bracket`); if float64 cannot add 1 to -max a, nothing is
+    solved: ResolutionError.  The m = 0 tower is solved once, with
+    eigenvectors, by `polar_eigen(T_0, hi)`, so mu_1, psi_1 and the
+    axisymmetric modes are the same bits for every K that keeps them.  Each
+    tower m >= 1 up to the first one with no value at or below hi gives its
+    count_at_most(T_m, hi) lowest values, without profiles, to within
+    2^-6 eps ||T_m||_1 and rounding (`_tower_values`); those counts summed
+    to at least K when the bracket took hi, and an m >= 1 value moves with
+    K only within rounding.  The K-th of the merged values is the cutoff.
     """
     N = grid.dim
     towers, hi, pairs = _axial_solve(potential, K, grid)

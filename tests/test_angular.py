@@ -428,6 +428,7 @@ def test_a_shifted_matrix_shares_off_and_computes_its_own_pivmin():
 
 
 DOUBLET_GRID = PolarGrid.build(3, 2000)
+WELL_GRID = PolarGrid.build(3, 800)
 
 
 @st.composite
@@ -542,6 +543,12 @@ class TestPolarEigen:
 
     @settings(max_examples=40, deadline=None)
     @given(case=kernel_cases())
+    # double wells whose towers m >= 1 Rayleigh-quotient iteration declines:
+    # a = 40 cos 2t at K = 60 in towers m = 1..4 of 6, a = 200 cos 2t at K = 30 in all four
+    @example(case=(AngularPotential.tabulated(40.0 * np.cos(2 * DOUBLET_GRID.nodes), DOUBLET_GRID),
+                   DOUBLET_GRID, 0, 60))
+    @example(case=(AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes), WELL_GRID),
+                   WELL_GRID, 0, 30))
     def test_every_tower_is_within_rounding_of_tight_bisection(self, case):
         # the m = 0 pairs of the tower drawn, then the towers m >= 1 of the
         # merge up to its bracket (the pieces of full_spectrum, without its
@@ -562,29 +569,24 @@ class TestPolarEigen:
 
 
 class TestClusters:
-    @pytest.mark.parametrize("vectors", [True, False])
-    def test_a_cluster_is_one_search(self, monkeypatch, vectors):
+    def test_a_cluster_is_one_search(self, monkeypatch):
         # a = 200 cos 2t, N = 3, M = 800: mu_1 and mu_2 agree to rounding, so
         # no cell splits them; one dstebz call bisects both, and their vectors
-        # (if kept) come from one dstein call with both shifts
-        grid = PolarGrid.build(3, 800)
-        potential = AngularPotential.tabulated(200.0 * np.cos(2 * grid.nodes), grid)
-        mat = PolarTowers(potential, grid).matrix(0)
+        # come from one dstein call with both shifts
+        potential = AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes), WELL_GRID)
+        mat = PolarTowers(potential, WELL_GRID).matrix(0)
         calls = []
         stebz, stein = angular.dstebz, angular.dstein
         monkeypatch.setattr(angular, "dstebz",
                             lambda *a: calls.append(("dstebz", a[5], a[6])) or stebz(*a))
         monkeypatch.setattr(angular, "dstein",
                             lambda *a: calls.append(("dstein", list(a[2]))) or stein(*a))
-        values, kept = angular._tower(mat, -150.0, vectors)
+        values = [mu for mu, _ in polar_eigen(mat, -150.0)]
         monkeypatch.undo()
         assert count_at_most(mat, -150.0) == len(values) == 2
         found, bisected, *_ = stebz(mat.diag, mat.off, 2, 0.0, 0.0, 1, 2, np.finfo(float).eps, "E")
         assert found == 2 and values == bisected[:2].tolist()
-        if vectors:
-            assert calls == [("dstebz", 1, 2), ("dstein", values)] and len(kept) == 2
-        else:
-            assert calls == [("dstebz", 1, 2)] and kept == []
+        assert calls == [("dstebz", 1, 2), ("dstein", values)]
 
 
 START_1200 = "d526ec742a7dd7be4a4ff687a124b6834459c919e9fb444c28419ae1f8814b53"
@@ -681,22 +683,35 @@ class TestCertifiedValues:
                                    tol=np.finfo(float).eps)
         assert np.all(np.abs(np.subtract(values, ref)) <= 4 * np.finfo(float).eps * mat.one_norm())
 
-    def test_a_double_well_takes_the_fine_path_bit_for_bit(self, monkeypatch):
-        # a = 200 cos 2t, N = 3, M = 800: the values of towers m = 1..4 pair
-        # up closer than the coarse probe isolates, so each tower takes the
-        # fine path and gives its bits, those of the iteration switched off
-        grid = PolarGrid.build(3, 800)
-        potential = AngularPotential.tabulated(200.0 * np.cos(2 * grid.nodes), grid)
-        hi = angular._bracket(PolarTowers(potential, grid), 30)
-        certified, results = angular._certified_values, []
+    def test_a_declined_tower_is_one_tight_bisection(self, monkeypatch):
+        # a = 200 cos 2t, N = 3, M = 800, K = 30: the values of towers m = 1..4
+        # pair up closer than the coarse probe isolates, so Rayleigh-quotient
+        # iteration declines each tower, and one bisection by index to the
+        # certificate's bound 2^-6 eps ||T_m||_1 gives its values: no dstein
+        # call, no cell and no probe but the one at 2^-1
+        towers = PolarTowers(AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes),
+                                                        WELL_GRID), WELL_GRID)
+        hi = angular._bracket(towers, 30)
+        certified, values, stein, cell = (angular._certified_values, angular.eigvalsh_tridiagonal,
+                                          angular.dstein, angular._cell)
+        results, probes, calls = [], [], []
         monkeypatch.setattr(angular, "_certified_values",
                             lambda *a: results.append(certified(*a)) or results[-1])
-        got = angular._tower_values(PolarTowers(potential, grid), hi)
-        monkeypatch.setattr(angular, "_certified_values", lambda *a: None)
-        want = angular._tower_values(PolarTowers(potential, grid), hi)
-        assert results == [None] * 4 and len(got) == len(want) == 4
-        for vals, fine in zip(got, want):
-            assert np.array_equal(bits(vals), bits(fine))
+        monkeypatch.setattr(angular, "eigvalsh_tridiagonal",
+                            lambda d, e, **kw: probes.append((d, kw)) or values(d, e, **kw))
+        monkeypatch.setattr(angular, "dstein", lambda *a: calls.append("dstein") or stein(*a))
+        monkeypatch.setattr(angular, "_cell", lambda *a: calls.append("_cell") or cell(*a))
+        got = angular._tower_values(towers, hi)
+        monkeypatch.undo()
+        assert results == [None] * 4 and len(got) == 4 and calls == []
+        for m, vals in enumerate(got, 1):
+            mat = towers.matrix(m)
+            count, tol = count_at_most(mat, hi), 2.0**-6 * np.finfo(float).eps * mat.one_norm()
+            assert [(kw["select"], kw["tol"]) for d, kw in probes if d is mat.diag] == \
+                [("v", 0.5), ("i", tol)]
+            want = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, count - 1),
+                                        tol=tol)
+            assert len(vals) == count and np.array_equal(bits(vals), bits(want))
 
     def test_the_start_vector_is_pinned(self):
         # splitmix64 from seed 0, top 53 bits scaled to [-1, 1): integer
@@ -770,11 +785,11 @@ class TestBracket:
 
     @settings(max_examples=50, deadline=None)
     @given(case=spectrum_cases(N=st.integers(3, 6), M=st.integers(60, 2000)),
-           m=st.integers(0, 4), vectors=st.booleans())
+           m=st.integers(0, 4))
     # the a = 40 cos 2t doublet: mu_1 and mu_2 lie 3.9e-5 apart, within each other's guard band
     @example(case=(AngularPotential.tabulated(40.0 * np.cos(2 * DOUBLET_GRID.nodes), DOUBLET_GRID),
-                   4, DOUBLET_GRID), m=0, vectors=True)
-    def test_probe_bounds_skip_only_counts(self, case, m, vectors):
+                   4, DOUBLET_GRID), m=0)
+    def test_probe_bounds_skip_only_counts(self, case, m):
         # a guard band that the probe's neighbours clear would have counted
         # one value: the cells with those bounds are the cells without them
         potential, K, grid = case
@@ -784,9 +799,7 @@ class TestBracket:
         calls, cell = [], angular._cell
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(angular, "_cell", lambda *a: calls.append((a, cell(*a))) or calls[-1][1])
-            # without vectors, the path of the towers that Rayleigh-quotient iteration leaves
-            patch.setattr(angular, "_certified_values", lambda *a: None)
-            angular._tower(towers.matrix(m), hi, vectors)
+            polar_eigen(towers.matrix(m), hi)
         for (mat, j, value, width, finest, below, above), cells in calls:
             fresh = TridiagonalMatrix(mat.diag, mat.off, mat.step)
             assert cell(fresh, j, value, width, finest, math.inf, -math.inf) == cells
@@ -853,18 +866,20 @@ class TestFullSpectrum:
         grid = PolarGrid.build(3, M)
         potential = AngularPotential.tabulated(200.0 * np.cos(2 * grid.nodes), grid)
         calls = []
-        tower, count_from = angular._tower, angular._count_from
-        monkeypatch.setattr(angular, "_tower",
-                            lambda mat, hi, vectors: calls.append(("_tower", vectors))
-                            or tower(mat, hi, vectors))
+        eigen, certified, count_from = angular.polar_eigen, angular._certified_values, \
+            angular._count_from
+        monkeypatch.setattr(angular, "polar_eigen",
+                            lambda *a: calls.append("polar_eigen") or eigen(*a))
+        monkeypatch.setattr(angular, "_certified_values",
+                            lambda *a: calls.append("_certified_values") or certified(*a))
         monkeypatch.setattr(angular, "_count_from",
                             lambda towers, first, *a: calls.append(("_count_from", first))
                             or count_from(towers, first, *a))
         angular._axisymmetric_memo.cache_clear()
         with pytest.raises(ResolutionError, match="two lowest m = 0 eigenvalues"):
             solve(potential, K, grid)
-        assert ("_tower", True) in calls and ("_count_from", 0) in calls
-        assert ("_tower", False) not in calls and ("_count_from", 1) not in calls
+        assert "polar_eigen" in calls and ("_count_from", 0) in calls
+        assert "_certified_values" not in calls and ("_count_from", 1) not in calls
 
     def test_mu1_monotone_in_coupling(self):
         g = PolarGrid.build(3, 300)
@@ -926,22 +941,29 @@ class TestFullSpectrum:
         # index-range probe of K values per tower 11500
         K = 500
         brackets, probes, solves, counts = [], [], [], []
-        bracket, tower, count = angular._bracket, angular._tower, angular.count_at_most
+        bracket, eigen, certified, count = (angular._bracket, angular.polar_eigen,
+                                            angular._certified_values, angular.count_at_most)
 
         def counting_values(*args, **kwargs):
             vals = eigvalsh_tridiagonal(*args, **kwargs)
             probes.append((args[0], kwargs, vals))
             return vals
 
-        def counting_tower(matrix, hi, vectors):
-            values, kept = tower(matrix, hi, vectors)
-            solves.append((matrix.diag, hi, vectors, len(values), len(kept)))
-            return values, kept
+        def counting_eigen(matrix, x):
+            pairs = eigen(matrix, x)
+            solves.append(("polar_eigen", matrix.diag, x, len(pairs)))
+            return pairs
+
+        def counting_certified(matrix, hi, n):
+            values = certified(matrix, hi, n)
+            solves.append(("_certified_values", matrix.diag, hi, values and len(values)))
+            return values
 
         monkeypatch.setattr(angular, "_bracket",
                             lambda *a: brackets.append(bracket(*a)) or brackets[-1])
         monkeypatch.setattr(angular, "eigvalsh_tridiagonal", counting_values)
-        monkeypatch.setattr(angular, "_tower", counting_tower)
+        monkeypatch.setattr(angular, "polar_eigen", counting_eigen)
+        monkeypatch.setattr(angular, "_certified_values", counting_certified)
         monkeypatch.setattr(angular, "count_at_most", lambda *a: counts.append(a) or count(*a))
         grid = PolarGrid.build(3, 1200)
         potential = AngularPotential.constant(0.0)
@@ -955,14 +977,15 @@ class TestFullSpectrum:
         # counted, 270
         assert len(counts) <= 97
         assert sum(vals.size for *_, vals in probes) < 300
-        # one tower solve per tower up to the first one with no value at or
-        # below hi, in order of m; the m = 0 tower keeps its vectors
+        # one tower solve per tower with a value at or below hi, in order of
+        # m: polar_eigen forms the m = 0 pairs, and Rayleigh-quotient
+        # iteration certifies every value of the towers m >= 1
         scanned = [m for m in range(grid.size + 1) if count_at_most(towers.matrix(m), hi)]
-        assert scanned == list(range(len(scanned))) and len(solves) == len(scanned) + 1
-        for m, (diag, top, vectors, n, kept) in enumerate(solves):
+        assert scanned == list(range(len(scanned))) and len(solves) == len(scanned)
+        for m, (name, diag, top, n) in enumerate(solves):
             mat = towers.matrix(m)
-            assert np.array_equal(diag, mat.diag) and top == hi and vectors == (m == 0)
-            assert n == count_at_most(mat, hi) and kept == (n if m == 0 else 0)
+            assert name == ("_certified_values" if m else "polar_eigen")
+            assert np.array_equal(diag, mat.diag) and top == hi and n == count_at_most(mat, hi)
         # one coarse value probe per tower with a value up to hi: on m = 0 at
         # the tolerance of the tower's cells and reaching 257 cells above hi,
         # on m >= 1, whose values no probe leaves unisolated here, at 2^-1 and
@@ -970,7 +993,7 @@ class TestFullSpectrum:
         assert len(probes) == len(scanned)
         for m, (diag, kwargs, vals) in enumerate(probes):
             mat = towers.matrix(m)
-            width, reach = angular._cell_width(mat, vectors=True)[0], angular._GUARD + 1
+            width, reach = angular._cell_width(mat)[0], angular._GUARD + 1
             if m:
                 width, reach = 0.5, 4
             assert np.array_equal(diag, mat.diag)
