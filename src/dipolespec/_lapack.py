@@ -1,7 +1,7 @@
 """The package's one binding to LAPACK: scipy's f2py extension `scipy.linalg._flapack`.
 
-Importing `scipy.linalg` to reach seven routines (dgttrf, dgttrs, dpttrf,
-dstebz, dstein, dtbtrs, dpbtrf) would cost about 150 ms of every command's
+Importing `scipy.linalg` to reach six routines (dgttrf, dgttrs, dpttrf,
+dpttrs, dstebz, dstein) would cost about 150 ms of every command's
 start and some 20 MB of memory, spent on modules that no command uses.  The
 extension is loaded instead straight from scipy's package directory, found with
 `importlib.util.find_spec("scipy")`, which runs neither `scipy/__init__` nor
@@ -11,9 +11,9 @@ first, its instance is the one used.  Either way the routines here are the
 objects `scipy.linalg.lapack` exports: the same library, arguments and bits.
 Where the file is not found, the ordinary import loads the module.
 
-`eigvalsh_tridiagonal` and `cholesky_banded` make the LAPACK call that the
-scipy.linalg functions of those names make for the arguments this package
-passes, with scipy's finite check of the inputs.
+`eigvalsh_tridiagonal` makes the LAPACK call that the scipy.linalg function
+of that name makes for the arguments this package passes, with scipy's finite
+check of the inputs.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ def load_flapack(scipy_dir: str):
 
 _scipy = importlib.util.find_spec("scipy")
 _flapack = load_flapack(_scipy.submodule_search_locations[0] if _scipy else "")
-dgttrf, dgttrs, dpttrf, dstebz, dstein, dtbtrs, dpbtrf = (
-    _flapack.dgttrf, _flapack.dgttrs, _flapack.dpttrf, _flapack.dstebz, _flapack.dstein,
-    _flapack.dtbtrs, _flapack.dpbtrf)
+dgttrf, dgttrs, dpttrf, dpttrs, dstebz, dstein = (
+    _flapack.dgttrf, _flapack.dgttrs, _flapack.dpttrf, _flapack.dpttrs, _flapack.dstebz,
+    _flapack.dstein)
 
 
 def eigvalsh_tridiagonal(d, e, select: str, select_range, tol: float = 0.0) -> np.ndarray:
@@ -69,15 +69,3 @@ def eigvalsh_tridiagonal(d, e, select: str, select_range, tol: float = 0.0) -> n
         raise np.linalg.LinAlgError(f"dstebz (eigvalsh_tridiagonal) failed (LAPACK info {info})")
     return w[:found]
 
-
-def cholesky_banded(ab) -> np.ndarray:
-    """Upper Cholesky factor U of the banded positive definite matrix in upper storage `ab`.
-
-    One dpbtrf call on a copy; a leading minor that is not positive is a LinAlgError.
-    """
-    c, info = dpbtrf(np.asarray_chkfinite(ab), lower=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
-    return c

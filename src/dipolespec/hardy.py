@@ -23,12 +23,13 @@ is the one the unguided run passes through, so the result keeps its bits
 and the route stays independent of the pencil.
 
 Every solve reads N and the sampling from its `PolarGrid`.  Deterministic
-throughout: one routine, `_lanczos_largest`, factors A = U^T U (banded upper
-Cholesky) and runs Lanczos on U^{-T} B U^{-1} from the normalized all-ones
-vector with full reorthogonalization, each step two LAPACK triangular band
-solves (`dtbtrs`) on that one factor.  The factor (`dpbtrf`), the solves,
-the Ritz values (`dstebz`) and the bisection's `dpttrf` come from `_lapack`,
-which loads scipy's `_flapack` extension without importing `scipy.linalg`.
+throughout, and on any BLAS kernel: both routes factor with LAPACK dpttrf
+(LDL^T of a symmetric tridiagonal matrix), whose loops call no BLAS.  The
+pencil's one routine, `_lanczos_largest`, runs Lanczos on A^{-1} B in the A
+inner product, each step one dpttrs solve on A's factor, and reduces in
+pairwise sums; its Ritz values come from dstebz.  All of these come from
+`_lapack`, which loads scipy's `_flapack` extension without importing
+`scipy.linalg`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import cholesky_banded, dpttrf, dtbtrs, eigvalsh_tridiagonal
+from ._lapack import dpttrf, dpttrs, eigvalsh_tridiagonal
 from .angular import AngularPotential, PolarGrid, TridiagonalMatrix, assemble_polar_operator
 from .errors import (BracketError, EigenSolveError, IndefiniteFormError, InputError,
                      ResolutionError)
@@ -49,10 +50,11 @@ from .radial import check_eps
 
 
 def __getattr__(name: str):
-    """`solve_banded`, bound but never called: perfbench/tracer.py wraps the name."""
-    if name == "solve_banded":
-        from scipy.linalg import solve_banded
-        return solve_banded
+    """`solve_banded` and `cholesky_banded`, bound but never called: perfbench/tracer.py
+    wraps the names."""
+    if name in ("solve_banded", "cholesky_banded"):
+        import scipy.linalg
+        return getattr(scipy.linalg, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -64,54 +66,55 @@ _BISECTION_TOL = 1e-8  # width of the final coupling bracket
 def _lanczos_largest(A: TridiagonalMatrix, b: np.ndarray) -> float:
     """Largest value Lambda of the pencil diag(b) w = Lambda A w (the Ritz value only).
 
-    A = U^T U is factored once (banded upper Cholesky), and a failed
-    factorization is the IndefiniteFormError.  Lanczos runs on U^{-T} B U^{-1}
-    from the normalized all-ones vector with full reorthogonalization, and
-    stops when the largest Ritz value settles.  Each step applies the
-    operator as two triangular band solves on U (LAPACK dtbtrs): U x = q into
-    a new array, so the basis vector q is left unchanged, then U^T z = B x in
-    place.  A nonzero LAPACK info is an EigenSolveError.
+    A = L D L^T is factored once (LAPACK dpttrf), and a failed factorization
+    is the IndefiniteFormError.  Lanczos runs on A^{-1} B, self-adjoint in
+    the A inner product, from the all-ones vector normalized in that
+    product, with full reorthogonalization, and stops when the largest Ritz
+    value settles.  Each step makes one dpttrs solve A w = b q on the
+    factor; the A inner products take A q_i, kept beside each basis vector
+    q_i from `A.matvec`.  Every reduction is a pairwise `np.add.reduce`, so
+    no BLAS call touches the value.  A nonzero LAPACK info of a solve is an
+    EigenSolveError.
     """
-    ab = np.zeros((2, A.size))
-    ab[0, 1:] = A.off
-    ab[1, :] = A.diag
-    try:
-        U = cholesky_banded(ab)
-    except np.linalg.LinAlgError as exc:
+    d, e, info = dpttrf(A.diag, A.off)
+    if info != 0:
         raise IndefiniteFormError(
             "denominator form is numerically indefinite at this grid "
             "resolution; refine the polar grid"
-        ) from exc
-    basis = [np.ones(A.size) / math.sqrt(A.size)]
+        )
+    ones = np.ones(A.size)
+    A_ones = A.matvec(ones)
+    norm = math.sqrt(np.add.reduce(ones * A_ones))
+    basis = [(ones / norm, A_ones / norm)]  # (q_i, A q_i)
     alphas: list[float] = []
     betas: list[float] = []
     prev = math.inf
     for _ in range(_LANCZOS_CAP):
-        v, info = dtbtrs(U, basis[-1], uplo="U", trans="N")
-        if info == 0:
-            v *= b
-            v, info = dtbtrs(U, v, uplo="U", trans="T", overwrite_b=1)
+        q = basis[-1][0]
+        w = b * q
+        alphas.append(float(np.add.reduce(q * w)))
+        w, info = dpttrs(d, e, w, overwrite_b=1)
         if info != 0:
-            raise EigenSolveError(f"triangular band solve failed (LAPACK info {info})")
-        alpha = float(basis[-1] @ v)
-        alphas.append(alpha)
-        v = v - alpha * basis[-1]
+            raise EigenSolveError(f"tridiagonal solve failed (LAPACK info {info})")
+        w -= alphas[-1] * q
         if len(basis) > 1:
-            v = v - betas[-1] * basis[-2]
-        for qq in basis:  # full reorthogonalization keeps the run reproducible
-            v -= (qq @ v) * qq
-        d = np.array(alphas)
-        e = np.array(betas)
-        if d.size == 1:
-            ritz = d[0]
+            w -= betas[-1] * basis[-2][0]
+        for qq, Aqq in basis:  # full reorthogonalization keeps the run reproducible
+            w -= np.add.reduce(Aqq * w) * qq
+        if len(alphas) == 1:
+            ritz = alphas[0]
         else:
-            ritz = eigvalsh_tridiagonal(d, e, select="i", select_range=(d.size - 1, d.size - 1))[0]
-        beta = float(np.linalg.norm(v))
+            top = (len(alphas) - 1,) * 2
+            ritz = eigvalsh_tridiagonal(np.array(alphas), np.array(betas), select="i",
+                                        select_range=top)[0]
+        Aw = A.matvec(w)
+        # a w left at rounding level by an invariant subspace can read w^T A w < 0
+        beta = math.sqrt(max(float(np.add.reduce(w * Aw)), 0.0))
         if abs(ritz - prev) <= _LANCZOS_TOL * max(1.0, abs(ritz)) or beta < 1e-14:
             return float(ritz)
         prev = ritz
         betas.append(beta)
-        basis.append(v / beta)
+        basis.append((w / beta, Aw / beta))
     raise EigenSolveError(f"Lanczos did not converge within {_LANCZOS_CAP} iterations")
 
 

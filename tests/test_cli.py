@@ -858,7 +858,7 @@ PINNED_TABLES = [
       "--points", "4000", "--format", "json"),
      "a0ac039568ceabc0f3bbf8e5caaeaf3465ff622d04a06ea9cc0ea20e734adaee"),
     (("hardy", "--table", "3..5", "--grid", "10000"),
-     "2fbad957ec78080a1a84ecff5b95ff76cef58d63ae32916c34ff7f37851cabc9"),
+     "e2184681b3f46c3d4d232556fde07583b9e0903d1f72be456b7aeb89366a9b36"),
     (("bk", "--format", "json"), "3537f2cc6850749654d05f5c88e0a10a5d93deeaf30f6f2cc76d073d4eefa400"),
     (("sigma", "--dim", "4", "--mu", "0"),
      "3886ec17f1cad26c3c8dcbcf2ac75a65f97736c861be04fee1810f1273917809"),
@@ -872,15 +872,15 @@ PINNED_TABLES = [
       "--limit-table"), "8599eaeb25bd845e437e24de847c689aea3e36b2dcbf6e151b29f131fc2d5db5"),
     (("bk", "--n", "30"), "6ebafe3a10538d71ec67e4b70c0dc456bde5e1cff6ef1ca6647aab1919abad95"),
     (("hardy", "--table", "3..5", "--grid", "2000", "--method", "both", "--format", "json"),
-     "c6fa9231904012f63af8a789b1877d51e868650a2e76bd9cce7c36fad722ed35"),
+     "e7039f30217c06a7d35cc8e5a8f428b195d9da113bb4c926a63c41d24dcab700"),
     (("cauchy", "--scenario", "manufactured-nonradial", "--grid", "200", "--modes", "10",
       "--format", "json"), "708a0b55a813f2ae0cf89cbf649c1a787fcfea2e503b3d7c1e6d768220ec1b33"),
     (("spectrum", "--dim", "4", "--potential", "constant:0.5", "--count", "120", "--grid", "300",
-      "--format", "json"), "9a28f23c219f472fe072f517e797547ed44ef5632bd7cd4c8a3046ae93cbc385"),
+      "--format", "json"), "6b2696640fadd469fdf1c466fb21f1107fa619667065dab2b03d6f8fa86fb300"),
     (("sandwich", "--grid", "400", "--modes", "40"),
-     "c1e924d44f6004457b4112784714fa83fe24444aef3ce5a1e8cb05ba50b9da16"),
+     "fb9394d08d9129ece1b877ab4d1c2cba696305289e523272c268603778360a6d"),
     (("hardy", "--dim", "3", "--potential", "constant:0.3", "--grid", "300", "--format", "json"),
-     "c0abee80230ec2b2aebfe830bfa9742580601fd67b337a5d6e1d2ad9067df4b2"),
+     "abb8073fa759f01583e8a61263d9636fd6dcfb226501854b3eaeff0750646c1a"),
     (("sigma", "--dim", "4", "--mu", "0", "--format", "json"),
      "49bd8b8c9907636348f4c64bec5604f0749f7ed6bae38e320c99e04814121d90"),
 ]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -220,11 +221,13 @@ class TestLambdaN:
         a = {"constant": AngularPotential.constant(-1.0),
              "dipole": AngularPotential.dipole(0.0),
              "tabulated": AngularPotential.tabulated(-1.0 - np.cos(g.nodes) ** 2, g)}[kind]
-        monkeypatch.setattr(hardy, "cholesky_banded", None)
+        factored = []
+        monkeypatch.setattr(hardy, "dpttrf", lambda *args, **kwargs: factored.append(args))
         res = lambda_n(a, g)
         assert res.lambda_n == 0.0
         assert res.nonpositive
         assert res.critical_coupling is None
+        assert factored == []
 
     def test_nonpositive_table_of_another_size_is_rejected(self):
         # the potential is sampled on the grid before the ess sup a <= 0 return
@@ -285,6 +288,24 @@ class TestCriticalCoupling:
         p = critical_dipole_coupling(g, "pencil")
         b = critical_dipole_coupling(g, "bisection")
         assert abs(p - b) / p < 1e-5
+
+    @pytest.mark.parametrize("N", range(3, 11))
+    def test_the_pencil_is_within_rounding_of_the_inertia_bisection(self, N):
+        # A - lam cos is positive definite exactly for lam below the pencil's
+        # coupling: bisect that test (every pivot of dpttrf positive) down to
+        # adjacent floats
+        g = PolarGrid.build(N, 10000, "node")
+        A, cos_t = denominator_form(g), np.cos(g.nodes)
+
+        def positive(lam):
+            return hardy.dpttrf(A.diag - lam * cos_t, A.off)[2] == 0
+
+        lo, hi = 0.0, 1.0
+        while positive(hi):
+            lo, hi = hi, 2.0 * hi
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if positive(mid) else (lo, mid)
+        assert critical_dipole_coupling(g, "pencil") == pytest.approx(hi, rel=5e-11)
 
     def test_convergent_values(self):
         for N, ref in SPECTRAL_CRITICAL.items():
@@ -399,18 +420,21 @@ class TestCriticalCoupling:
 
     def test_the_table_skips_most_sweeps(self, capsys, monkeypatch):
         # the unguided bisections of this table make 271 sweeps; the guided
-        # ones must print the rows of --method bisection alone
+        # ones must print the rows of --method bisection alone.  The pencil
+        # factors its A with the same dpttrf, once a dimension
         monkeypatch.delenv("DIPOLESPEC_GRID_M", raising=False)
-        sweeps, factor = [], hardy.dpttrf
+        callers, factor = [], hardy.dpttrf
 
         def counting(d, e, **kwargs):
-            sweeps.append(1)
+            callers.append(sys._getframe(1).f_code.co_name)
             return factor(d, e, **kwargs)
 
         monkeypatch.setattr(hardy, "dpttrf", counting)
         assert cli.main(["hardy", "--table", "3..10", "--method", "both"]) == 0
         both = capsys.readouterr().out.splitlines()
-        assert len(sweeps) <= 110
+        pencils = callers.count("_lanczos_largest")
+        assert pencils == 8
+        assert callers.count("positive") == len(callers) - pencils <= 110
         assert cli.main(["hardy", "--table", "3..10", "--method", "bisection"]) == 0
         alone = capsys.readouterr().out.splitlines()
         assert [row for row in both if row.endswith(",bisection,10000")] == alone[1:]
@@ -474,17 +498,17 @@ class TestPencilOperator:
     @pytest.mark.parametrize("failing_call", [0, 1])
     def test_a_lapack_failure_is_an_eigen_solve_error(self, monkeypatch, failing_call):
         g = PolarGrid.build(3, 60)
-        calls, solve = [], hardy.dtbtrs
+        calls, solve = [], hardy.dpttrs
 
-        def failing(*args, **kwargs):
+        def failing(*args, **kwargs):  # the solve of Lanczos step failing_call fails
             x, info = solve(*args, **kwargs)
-            calls.append(kwargs["trans"])
+            calls.append(info)
             return x, (-2 if len(calls) - 1 == failing_call else info)
 
-        monkeypatch.setattr(hardy, "dtbtrs", failing)
+        monkeypatch.setattr(hardy, "dpttrs", failing)
         with pytest.raises(EigenSolveError, match="LAPACK info -2"):
             hardy._lanczos_largest(denominator_form(g), np.cos(g.nodes))
-        assert calls == ["N", "T"][: failing_call + 1]
+        assert calls == [0] * (failing_call + 1)
 
 
 def positivity_sides(potential, grid):

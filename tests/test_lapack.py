@@ -8,6 +8,7 @@ checked in fresh interpreters.
 import ast
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from test_cli import PINNED_TABLES
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-ROUTINES = ("dgttrf", "dgttrs", "dpttrf", "dstebz", "dstein", "dtbtrs", "dpbtrf")
+ROUTINES = ("dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstebz", "dstein")
 
 README_COMMANDS = [
     ("spectrum", "--dim", "3", "--potential", "dipole:1.0", "--count", "20"),
@@ -34,9 +35,14 @@ PINS = [(argv, dict(PINNED_TABLES)[argv]) for argv in (
     ("spectrum", "--dim", "3", "--count", "20", "--grid", "400"),
     ("hardy", "--table", "3..5", "--grid", "2000", "--method", "both", "--format", "json"),
 )]
+# printed numbers that no BLAS call reaches: the Hardy pencil and the Weyl fit
+KERNEL_PINS = [PINS[1]] + [(argv, dict(PINNED_TABLES)[argv]) for argv in (
+    ("spectrum", "--dim", "4", "--potential", "constant:0.5", "--count", "120", "--grid", "300",
+     "--format", "json"),
+)]
 
 # runs `main(argv)` after importing the modules named in argv[1] (comma-separated),
-# then writes to stderr whether the seven routines are scipy.linalg.lapack's own,
+# then writes to stderr whether the six routines are scipy.linalg.lapack's own,
 # or None where scipy.linalg was never imported, the scipy modules loaded and
 # which of numpy.polynomial and numpy.random were imported
 CHILD = """
@@ -56,8 +62,8 @@ sys.exit(code)
 """ % (ROUTINES,)
 
 
-def child(first, *argv, code=CHILD):
-    env = {**os.environ, "PYTHONPATH": SRC}
+def child(first, *argv, code=CHILD, **environ):
+    env = {**os.environ, **environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-c", code, first, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -77,6 +83,14 @@ def test_a_fresh_process_keeps_the_pinned_bytes(argv, digest):
     out, (_, modules, _) = child("", *argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert modules == ["scipy.linalg._flapack"]
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+@pytest.mark.parametrize("argv,digest", KERNEL_PINS, ids=[argv[0] for argv, _ in KERNEL_PINS])
+def test_another_blas_kernel_keeps_the_pinned_bytes(argv, digest):
+    out, _ = child("", *argv, OPENBLAS_CORETYPE="Prescott")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("first", ["scipy.linalg", "dipolespec.cli,scipy.linalg"])
