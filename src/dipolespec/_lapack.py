@@ -1,7 +1,7 @@
 """The package's one binding to LAPACK: scipy's f2py extension `scipy.linalg._flapack`.
 
-Importing `scipy.linalg` to reach six routines (dgttrf, dgttrs, dpttrf,
-dpttrs, dstebz, dstein) would cost about 150 ms of every command's
+Importing `scipy.linalg` to reach five routines (dgttrf, dgttrs, dpttrf,
+dpttrs, dstebz) would cost about 150 ms of every command's
 start and some 20 MB of memory, spent on modules that no command uses.  The
 extension is loaded instead straight from scipy's package directory, found with
 `importlib.util.find_spec("scipy")`, which runs neither `scipy/__init__` nor
@@ -48,9 +48,8 @@ def load_flapack(scipy_dir: str):
 
 _scipy = importlib.util.find_spec("scipy")
 _flapack = load_flapack(_scipy.submodule_search_locations[0] if _scipy else "")
-dgttrf, dgttrs, dpttrf, dpttrs, dstebz, dstein = (
-    _flapack.dgttrf, _flapack.dgttrs, _flapack.dpttrf, _flapack.dpttrs, _flapack.dstebz,
-    _flapack.dstein)
+dgttrf, dgttrs, dpttrf, dpttrs, dstebz = (
+    _flapack.dgttrf, _flapack.dgttrs, _flapack.dpttrf, _flapack.dpttrs, _flapack.dstebz)
 
 
 def eigvalsh_tridiagonal(d, e, select: str, select_range, tol: float = 0.0) -> np.ndarray:

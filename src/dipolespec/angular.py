@@ -29,23 +29,24 @@ of the singular sin^{-2} coefficient, and no solver takes any of them again:
     the reference critical-coupling table was produced, so it is kept
     available for reproduction runs.
 
-Two kernels solve the towers, both after inertia counts (`count_at_most`)
-have fixed how many values each one solves.  The m = 0 tower keeps its
-vectors (`polar_eigen`): one value probe and counts place each wanted
-eigenvalue in a lattice cell that no other eigenvalue lies near, inverse
-iteration (LAPACK dstein) from the cell's midpoint forms its vector, and
-the value is that vector's Rayleigh quotient (Parlett, The Symmetric
-Eigenvalue Problem, ch. 4), within a small fraction of eps ||T||_1.  A
-cluster that no cell splits is bisected by one dstebz call.  The cells
-depend on the matrix and the index alone, so the pairs up to x are a
-prefix of those up to any larger x.  The towers m >= 1 keep no vectors
-(`_tower_values`): a probe at the width 2^-1 isolates each value, and
-Rayleigh-quotient iteration (LAPACK dgttrf, dgttrs) from it ends on a
-residual that certifies the value within 2^-6 eps ||T_m||_1
-(`_certified_values`).  A tower where it does not is bisected by index,
-one dstebz call, to that same tolerance.
+One kernel solves every tower, after inertia counts (`count_at_most`) have
+fixed how many values it solves.  A value probe at the width w = 2^-1
+bounds each value (`_probe`), and each value gets a cell: an interval that
+holds it, clear of every other eigenvalue by a gap.  Rayleigh-quotient
+iteration from the cell's shift (`_iterate`, LAPACK dgttrf and dgttrs)
+accepts a quotient in the cell whose residual is within 16 eps ||T||_1 and
+certifies it within 2^-6 eps ||T||_1 of the eigenvalue (Kato and Temple;
+Parlett, The Symmetric Eigenvalue Problem, Thm 11.7.1).  A cluster that no
+cell splits is bisected by one dstebz call, and its bisected values are
+its values.  The m = 0 tower keeps its vectors (`polar_eigen`): every cell
+comes from counts on the lattice wZ (`_cell`), the probe only saving the
+counts it proves, and each vector is orthogonalized against those before
+it, so the pairs depend on the matrix and the index alone and the pairs up
+to x are a prefix of those up to any larger x.  The towers m >= 1 keep no
+vectors (`_tower_values`): a value that the probe isolates has the probe's
+cell and takes no count, and any other has the cell of `_cell`.
 
-LAPACK (dgttrf, dgttrs, dpttrf, dstebz, dstein) is reached through
+LAPACK (dgttrf, dgttrs, dpttrf, dstebz) is reached through
 `_lapack`, which loads scipy's `_flapack` extension without importing
 `scipy.linalg`.
 
@@ -65,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._lapack import dgttrf, dgttrs, dpttrf, dstebz, dstein, eigvalsh_tridiagonal
+from ._lapack import dgttrf, dgttrs, dpttrf, dstebz, eigvalsh_tridiagonal
 from .errors import EigenSolveError, InputError, ResolutionError
 from .exponents import classical_hardy_constant
 
@@ -373,66 +374,83 @@ def count_at_most(matrix: TridiagonalMatrix, x: float) -> int:
     return matrix._counts[x]
 
 
-# A shift is the midpoint of a cell (x, x + w] of the lattice w Z, w = 2^-7 or
-# finer (`_cell_width`), used once counts show that no other eigenvalue lies
-# within _GUARD * w of the cell: every inverse iteration step then damps the
-# other eigenvectors by 2^-9 or more, and dstein makes at least three steps.
-_CELL_EXPONENT = -7
-_GUARD = 256
+# Rayleigh-quotient iteration (`_iterate`): a quotient is accepted at a
+# residual within _RESIDUAL eps ||T||_1, at most _RQI_STEPS quotients a vector
+_RESIDUAL = 16.0
+_RQI_STEPS = 8
 
 
 def _cell_width(matrix: TridiagonalMatrix) -> tuple[float, float]:
-    """(coarse width, finest width) of the cells of `matrix`, both powers of 2.
+    """(lattice width, finest width) of the cells of `matrix`, both powers of 2.
 
-    The coarse width is at most 2^-7 and (eps ||T||_1)^(1/3): three steps
-    from the midpoint then leave at most eps ||T||_1 / 8 of an eigenvector
-    1 or more away.  It is at least 2^-40 ||T||_1, so that the lattice
-    points are float64 numbers.  No cell is split below 2^-48 ||T||_1,
-    which is 16 eps ||T||_1.
+    No cell is split below 2^-37 ||T||_1 rounded up to a power of 2, the
+    finest width, so every gap is 2^-38 ||T||_1 > 2^14 eps ||T||_1 or more.
+    The lattice width is 2^-1, or the finest width where that is wider, so
+    that half a width covers the rounding of counts and of the probe.
     """
-    norm = matrix.one_norm()
-    e = math.frexp(norm)[1]  # ||T||_1 < 2^e
-    top = min(_CELL_EXPONENT, math.frexp((_EPS * norm) ** (1.0 / 3.0))[1] - 1)
-    return math.ldexp(1.0, max(top, e - 40)), math.ldexp(1.0, e - 48)
+    finest = math.ldexp(1.0, math.frexp(matrix.one_norm())[1] - 37)  # ||T||_1 < 2^e
+    return max(0.5, finest), finest
+
+
+def _probe(matrix: TridiagonalMatrix, x: float, count: int, width: float) -> list[float]:
+    """[-inf, p_1, ..., p_count, p_count+1 or top]: probe values of the count lowest eigenvalues.
+
+    One value probe (LAPACK dstebz through `eigvalsh_tridiagonal`) at the
+    tolerance w = `width`, up to top = x + 4w, puts eigenvalue j within w of
+    p_j (w/2 for the probe, w/2 for rounding), and every other one at or
+    below p_{j-1} + w or at or above p_{j+1} - w; top stands for the value
+    above the last one probed.  Fewer probe values than count is an
+    EigenSolveError.
+    """
+    top = x + 4.0 * width
+    probe = eigvalsh_tridiagonal(matrix.diag, matrix.off, select="v",
+                                 select_range=(-math.inf, top), tol=width).tolist()
+    if len(probe) < count:
+        raise EigenSolveError(f"value probe found {len(probe)} of {count} counted eigenvalues")
+    return ([-math.inf] + probe[:count + 1] + [top])[:count + 2]
 
 
 class _Cell(NamedTuple):
-    """Inverse iteration from `shift` forms one eigenpair, whose value lies in (lo, hi]."""
+    """Eigenvalue j lies in [lo, hi], and every other one `gap` or more away from it.
+
+    `shift` starts the iteration; a cluster's cells have its bisected values as
+    shifts and values, and an infinite gap.
+    """
 
     shift: float
     lo: float
     hi: float
-    bisected: bool = False  # shift is the value, from a cluster's bisection
+    gap: float
 
 
-def _cell(matrix: TridiagonalMatrix, j: int, value: float, width: float,
-          finest: float, below: float, above: float) -> list[_Cell]:
-    """The cell of eigenvalue j, probed at `value`, or the cells of its cluster j..last.
+def _cell(matrix: TridiagonalMatrix, j: int, probed: list[float], width: float,
+          finest: float) -> list[_Cell]:
+    """The cell of eigenvalue j, or the cells of its cluster j..last, placed by counts.
 
-    Counts place eigenvalue j in the lattice cell (x, x + width], x in
-    width Z, that holds it.  The cell is halved, keeping the half that holds
-    eigenvalue j, until no other eigenvalue lies within _GUARD widths of
-    it; the shift is then its midpoint.  Every other eigenvalue lies below
-    `below` or above `above` (the probe's bounds), so a guard band between
-    them takes none of the two counts that would find j alone in it.  A
-    cell still shared at the finest width holds a cluster, whose members
-    all took j's halving path, so j is its first index: one LAPACK dstebz
-    call bisects them by index to an absolute tolerance eps, from one
-    start, so that their values come out ascending, and each is its cell's
-    shift.  A finest cell that holds j alone, with a neighbour in its guard
-    band, is a cluster of one.
+    Counts place eigenvalue j in the lattice cell (x, x + w], x in wZ, that
+    holds it, and halve the cell, keeping the half that holds j, until no
+    other eigenvalue lies within one width of it.  The iteration's cell
+    reaches a quarter width past each end, for the rounding of counts, and
+    its gap is w/2.  It depends on the matrix and j alone: the probe values
+    `probed` (see `_probe`) only skip the counts whose outcome their bounds
+    prove.  A cell still shared at the finest width holds a cluster, whose
+    members all took j's halving path, so j is its first index: one LAPACK
+    dstebz call bisects them by index to an absolute tolerance eps, from
+    one start, so that their values come out ascending.  A finest cell that
+    holds j alone, with a neighbour within a width, is a cluster of one.
     """
+    value, below, above = probed[j], probed[j - 1] + width, probed[j + 1] - width
     left = width * math.floor(value / width)
-    while count_at_most(matrix, left) >= j:
+    if count_at_most(matrix, left) >= j:  # value - w > left - w bounds eigenvalue j below
         left -= width
-    while count_at_most(matrix, left + width) < j:
+    elif count_at_most(matrix, left + width) < j:  # and value + w < left + 2w above
         left += width
-    while True:
-        guard = _GUARD * width
-        if (below < left - guard and left + width + guard < above
-                or count_at_most(matrix, left + width + guard)
-                - count_at_most(matrix, left - guard) == 1):
-            return [_Cell(left + 0.5 * width, left, left + width)]
+    while True:  # j alone in (left, left + 2w], then in (left - w, left + 2w]
+        if ((left + 2.0 * width < above or count_at_most(matrix, left + width) == j
+             and count_at_most(matrix, left + 2.0 * width) == j)
+                and (below < left - width or count_at_most(matrix, left - width) == j - 1)):
+            return [_Cell(left + 0.5 * width, left - 0.25 * width, left + 1.25 * width,
+                          0.5 * width)]
         if width <= finest:
             break
         width *= 0.5
@@ -442,15 +460,7 @@ def _cell(matrix: TridiagonalMatrix, j: int, value: float, width: float,
     found, vals, *_, info = dstebz(matrix.diag, matrix.off, 2, 0.0, 0.0, j, last, _EPS, "E")
     if info != 0 or found != last - j + 1:
         raise EigenSolveError(f"bisection of eigenvalues {j}..{last} failed (dstebz info {info})")
-    return [_Cell(mu, left, left + width, True) for mu in vals[:found].tolist()]
-
-
-# Rayleigh-quotient iteration where no vector is kept (`_certified_values`):
-# a probe of width 2^-1, the certificate ||r||^2 / gap <= 2^-6 eps ||T||_1,
-# and at most four steps (quotients) a value
-_COARSE_EXPONENT = -1
-_CERTIFICATE = 2.0**-6
-_RQI_STEPS = 4
+    return [_Cell(mu, left - width, left + 2.0 * width, math.inf) for mu in vals[:found].tolist()]
 
 
 @lru_cache(maxsize=4)
@@ -484,88 +494,69 @@ def _quotient(matrix: TridiagonalMatrix, x: np.ndarray) -> tuple[float, float]:
     return theta, float(np.add.reduce(r * r))
 
 
-def _certified_values(matrix: TridiagonalMatrix, hi: float, count: int) -> list[float] | None:
-    """The count lowest eigenvalues by Rayleigh-quotient iteration from a coarse probe, or None.
+def _orthonormal(x: np.ndarray, kept: list[np.ndarray]) -> np.ndarray:
+    """x, in place, less its parts along the unit vectors `kept` (modified Gram-Schmidt), unit.
 
-    One value probe (`eigvalsh_tridiagonal`) at the width w, 2^-1 or the
-    cells' coarse width where that is wider, up to hi + 4w places each value
-    within w of its probe value p_j (w/2 for the probe, w/2 for rounding):
-    eigenvalue j lies in the cell [p_j - w, p_j + w], and every other one at
-    or below p_{j-1} + w or at or above p_{j+1} - w (hi + 3w above the last
-    value probed).  Its gap g is the distance between the cell and those
-    bounds.  From the fixed `_start_vector`, two solves with T - p_j I
-    (LAPACK dgttrf, dgttrs) and then one a step form a unit x, and
-    `_quotient` gives theta and r = Tx - theta x without BLAS.  theta is
-    accepted inside its cell once ||r||^2 / g <= 2^-6 eps ||T||_1, which
-    puts it that close to eigenvalue j (the residual bound of Kato and
-    Temple; Parlett, The Symmetric Eigenvalue Problem, Thm 11.7.1).  Else
-    a theta inside the cell is the next step's shift, and after one outside
-    (a start with little of eigenvector j) the next step solves with the
-    same factors again: inverse iteration from within w of eigenvalue j,
-    whose neighbours lie 2w or more away, draws x towards its vector.
-
-    None where some g is below w, a shift is an eigenvalue to the bit
-    (dgttrf info > 0) or a value is not accepted within `_RQI_STEPS` steps.
+    Every reduction is a pairwise sum, so no BLAS call touches it.
     """
-    width = max(2.0**_COARSE_EXPONENT, _cell_width(matrix)[0])
-    top = hi + 4.0 * width
-    probe = eigvalsh_tridiagonal(matrix.diag, matrix.off, select="v",
-                                 select_range=(-math.inf, top), tol=width)
-    if probe.size < count:
-        return None
-    # top stands for the value above the last one probed
-    spacing = np.diff(np.concatenate(([-math.inf], probe, [top]))[:count + 2])
-    gaps = np.minimum(spacing[:-1], spacing[1:]) - 2.0 * width
-    if not np.all(gaps >= width):
-        return None
-    off, limit = matrix.off, _CERTIFICATE * _EPS * matrix.one_norm()
-    values = []
-    for shift, gap in zip(probe[:count].tolist(), gaps.tolist()):
-        lo, up, x, factors = shift - width, shift + width, _start_vector(matrix.size), None
-        for step in range(_RQI_STEPS):
-            if factors is None:
-                *factors, info = dgttrf(off, matrix.diag - shift, off, overwrite_d=1)
-                if info != 0:
-                    return None
-            for _ in range(1 if step else 2):
-                x = dgttrs(*factors, x)[0]
-            x /= math.sqrt(np.add.reduce(x * x))
-            theta, rr = _quotient(matrix, x)
-            if lo <= theta <= up:
-                if rr <= limit * gap:
-                    values.append(theta)
-                    break
-                shift, factors = theta, None
-        else:
-            return None
-    return values
+    for u in kept:
+        x -= np.add.reduce(u * x) * u
+    x /= math.sqrt(np.add.reduce(x * x))
+    return x
+
+
+def _iterate(matrix: TridiagonalMatrix, cell: _Cell,
+             kept: list[np.ndarray]) -> tuple[float, np.ndarray]:
+    """(theta, x): Rayleigh-quotient iteration in `cell`, x a unit vector orthogonal to `kept`.
+
+    From the fixed `_start_vector`, two solves with T - sI at the cell's
+    shift s (LAPACK dgttrf, dgttrs) and then one a step form x;
+    `_orthonormal` against the unit vectors `kept` follows every step, and
+    `_quotient` gives theta and r = Tx - theta x without BLAS.  theta is
+    accepted inside the cell once ||r|| <= 16 eps ||T||_1: with a gap of
+    2^14 eps ||T||_1 or more (`_cell_width`), that puts theta within
+    ||r||^2 / gap <= 2^-6 eps ||T||_1 of the cell's eigenvalue (the residual
+    bound of Kato and Temple; Parlett, The Symmetric Eigenvalue Problem,
+    Thm 11.7.1) and x within 16 eps ||T||_1 / gap of its eigenvector.  Else
+    a theta inside the cell with ||r|| < gap, nearer the cell's eigenvalue
+    than any other, is the next step's shift; any other theta (a start with
+    little of the cell's eigenvector), or one that is an eigenvalue to the
+    bit (dgttrf info > 0), is not, and the next step solves with the same
+    factors again.  A cell's shift that is an eigenvalue to the bit, or no
+    acceptance within `_RQI_STEPS` steps, is an EigenSolveError.
+    """
+    off, limit = matrix.off, (_RESIDUAL * _EPS * matrix.one_norm())**2
+    *factors, info = dgttrf(off, matrix.diag - cell.shift, off, overwrite_d=1)
+    if info != 0:
+        raise EigenSolveError(f"the shift {cell.shift!r} is an eigenvalue to the bit "
+                              f"(dgttrf info {info})")
+    x = _start_vector(matrix.size)
+    for step in range(_RQI_STEPS):
+        for _ in range(1 if step else 2):
+            x = dgttrs(*factors, x)[0]
+        theta, rr = _quotient(matrix, _orthonormal(x, kept))
+        if cell.lo <= theta <= cell.hi and rr < cell.gap**2:
+            if rr <= limit:
+                return theta, x
+            *shifted, info = dgttrf(off, matrix.diag - theta, off, overwrite_d=1)
+            if info == 0:
+                factors = shifted
+    raise EigenSolveError(f"Rayleigh-quotient iteration from {cell.shift!r} was not accepted "
+                          f"in {_RQI_STEPS} steps")
 
 
 def polar_eigen(matrix: TridiagonalMatrix, x: float):
     """The eigenpairs at or below x, ascending; for x < x', a prefix of those up to x', bit for bit.
 
-    One value probe (LAPACK dstebz through `eigvalsh_tridiagonal`) at the
-    tolerance w of the cells (`_cell_width`), from dstebz's own Gershgorin
-    bound up to x + (_GUARD + 1) w, places each value within w/2.  The walk
-    over the indices j takes each value's cell, or the cells of its whole
-    cluster, from one `_cell` search and goes on past them.  The search is
-    given the probed neighbours p_{j-1} + w and p_{j+1} - w as bounds of the
-    other values (w/2 for the probe, w/2 for rounding), so a guard band that
-    they clear takes no count; the last value probed has no bound above.
-    The probe changes no cell: cells and shifts depend on the matrix and j
-    alone, and the j-th vector on the shifts 1..j, whatever x is.
-
-    Each cell has a LAPACK dstein call of its own, and a cluster's cells
-    share one.  A one-vector call makes no reorthogonalization, whose BLAS
-    dot products would tie the bits to the host's BLAS kernel; the vectors
-    are orthogonalized in turn by modified Gram-Schmidt instead.  A value is
-    its unit vector's Rayleigh quotient v.Tv, in numpy's pairwise sums,
-    within a small fraction of eps ||T||_1 of the eigenvalue, or its
-    cluster's bisected value.  Eigenvectors are orthonormal in the
-    step-weighted inner product sum_i v_i u_i h and carry a deterministic
-    sign: first nonzero component positive.  A NaN bound is an InputError;
-    a nonzero dstein info, or a quotient outside its cell by more than
-    4 eps ||T||_1, is an EigenSolveError, never a truncated result.
+    The walk over the indices j takes each value's cell, or the cells of
+    its whole cluster, from `_cell` and goes on past them; a value is the
+    Rayleigh quotient that `_iterate` accepts in its cell, or its cluster's
+    bisected value, and its vector is the iteration's, orthogonal to the
+    vectors before it, with a residual within 16 eps ||T||_1 at its own
+    quotient.  Cells, shifts and vectors depend on the matrix and j alone,
+    whatever x is.  Eigenvectors are orthonormal in the step-weighted inner
+    product sum_i v_i u_i h and carry a deterministic sign: first nonzero
+    component positive.  A NaN bound is an InputError.
     """
     if math.isnan(x):
         raise InputError("the eigenvalue bound x is NaN")
@@ -573,36 +564,16 @@ def polar_eigen(matrix: TridiagonalMatrix, x: float):
     if count == 0:
         return []
     width, finest = _cell_width(matrix)
-    probe = eigvalsh_tridiagonal(matrix.diag, matrix.off, select="v",
-                                 select_range=(-math.inf, x + (_GUARD + 1) * width), tol=width)
-    if probe.size < count:
-        raise EigenSolveError(f"value probe found {probe.size} of {count} counted eigenvalues")
-    probed, j = probe[:count + 1].tolist(), 1
-    n, values, kept = matrix.size, [], []
-    block, split = np.ones(n, np.intc), np.full(n, n, np.intc)  # the matrix is one block
-    slack = 4.0 * _EPS * matrix.one_norm()
-    while j <= count:
-        # w/2 >= 2^-41 ||T||_1 covers the rounding of counts and of the probe
-        below = probed[j - 2] + width if j > 1 else -math.inf
-        above = probed[j] - width if j < len(probed) else -math.inf
+    probed = _probe(matrix, x, count, width)
+    values, kept = [], []
+    while len(values) < count:
+        j = len(values) + 1
         # a cluster may reach past x
-        cells = _cell(matrix, j, probed[j - 1], width, finest, below, above)[:count + 1 - j]
-        j += len(cells)
-        z, info = dstein(matrix.diag, matrix.off, [cell.shift for cell in cells], block, split)
-        if info != 0:
-            raise EigenSolveError(f"inverse iteration did not converge (dstein info {info})")
-        for v, cell in zip(z.T, cells):
-            for u in kept:
-                v -= np.add.reduce(u * v) * u
-            v /= math.sqrt(np.add.reduce(v * v))
-            value = cell.shift
-            if not cell.bisected:
-                value = float(np.add.reduce(matrix.matvec(v) * v))
-                if not cell.lo - slack <= value <= cell.hi + slack:
-                    raise EigenSolveError(f"Rayleigh quotient {value!r} outside its cell "
-                                          f"({cell.lo!r}, {cell.hi!r}]")
-            values.append(value)
-            kept.append(v)
+        for cell in _cell(matrix, j, probed, width, finest)[:count + 1 - j]:
+            theta, v = _iterate(matrix, cell, kept)
+            values.append(cell.shift if cell.gap == math.inf else theta)
+            # twice is enough: a cluster's solves grow v along kept
+            kept.append(_orthonormal(v, kept))
     scale = 1.0 / math.sqrt(matrix.step)
     for v in kept:
         v *= scale if v[np.flatnonzero(v)[0]] > 0 else -scale
@@ -765,19 +736,28 @@ def _tower_values(towers: PolarTowers, hi: float) -> list[np.ndarray]:
     """The values up to hi, without vectors, of the towers m >= 1, ascending in each tower.
 
     Tower m solves the count_at_most(T_m, hi) values that the bracket
-    summed, by `_certified_values`; where that returns None, one bisection
-    by index (dstebz) takes them to the certificate's bound
-    2^-6 eps ||T_m||_1.  The first tower with none ends the scan.
+    summed.  A value whose probe neighbours lie 3w or more away on both
+    sides (`_probe`) has the probe's cell [p_j - w, p_j + w] and gap, and
+    takes no count; every other value has the cell of `_cell`.  Each value
+    is the quotient that `_iterate` accepts in its cell, or its cluster's
+    bisected value.  The first tower with none ends the scan.
     """
     values: list[np.ndarray] = []
     for _, mat in _scan(towers, 1):
         count = count_at_most(mat, hi)
         if count == 0:
             return values
-        vals = _certified_values(mat, hi, count)
-        if vals is None:
-            vals = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, count - 1),
-                                        tol=_CERTIFICATE * _EPS * mat.one_norm())
+        width, finest = _cell_width(mat)
+        probed, vals = _probe(mat, hi, count, width), []
+        while len(vals) < count:
+            j = len(vals) + 1
+            prev, p, nxt = probed[j - 1:j + 2]
+            gap = min(p - prev, nxt - p) - 2.0 * width
+            if gap >= width:
+                vals.append(_iterate(mat, _Cell(p, p - width, p + width, gap), [])[0])
+                continue
+            for cell in _cell(mat, j, probed, width, finest)[:count + 1 - j]:
+                vals.append(cell.shift if cell.gap == math.inf else _iterate(mat, cell, [])[0])
         values.append(np.array(vals))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from dipolespec import angular
+from dipolespec import _lapack, angular
 from dipolespec.angular import (
     AngularPotential,
     PolarGrid,
@@ -543,8 +543,9 @@ class TestPolarEigen:
 
     @settings(max_examples=40, deadline=None)
     @given(case=kernel_cases())
-    # double wells whose towers m >= 1 Rayleigh-quotient iteration declines:
-    # a = 40 cos 2t at K = 60 in towers m = 1..4 of 6, a = 200 cos 2t at K = 30 in all four
+    # double wells whose towers m >= 1 hold values that the probe leaves
+    # unisolated: a = 40 cos 2t at K = 60 in towers m = 1..4 of 6, a = 200 cos 2t
+    # at K = 30 in all four
     @example(case=(AngularPotential.tabulated(40.0 * np.cos(2 * DOUBLET_GRID.nodes), DOUBLET_GRID),
                    DOUBLET_GRID, 0, 60))
     @example(case=(AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes), WELL_GRID),
@@ -568,25 +569,60 @@ class TestPolarEigen:
             assert np.all(np.abs(np.subtract(vals, ref)) <= 4 * eps * mat.one_norm())
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=kernel_cases())
+    @example(case=(AngularPotential.tabulated(40.0 * np.cos(2 * DOUBLET_GRID.nodes), DOUBLET_GRID),
+                   DOUBLET_GRID, 0, 12))
+    @example(case=(AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes), WELL_GRID),
+                   WELL_GRID, 0, 12))
+    def test_every_pair_meets_the_kernel_bound(self, case):
+        # each unit vector x has ||Tx - theta x|| <= 16 eps ||T||_1 at its own
+        # quotient theta, summed again by fsum; the vectors are orthonormal in
+        # the step-weighted product, and each value, a quotient or a
+        # cluster's bisected value, is within 4 eps ||T||_1 of tight bisection
+        potential, grid, m, count = case
+        mat = PolarTowers(potential, grid).matrix(m)
+        pairs = polar_eigen(mat, bound(mat, count))
+        eps = np.finfo(float).eps
+        floor = eps * mat.one_norm()
+        for _, v in pairs:
+            x = v * math.sqrt(grid.step)
+            y = mat.matvec(x)
+            theta = math.fsum(x * y)
+            assert math.sqrt(math.fsum((y - theta * x) ** 2)) <= 16 * floor * (1 + 1e-9)
+        vectors = np.array([v for _, v in pairs])
+        gram = (vectors * grid.step) @ vectors.T
+        assert np.max(np.abs(gram - np.eye(len(pairs)))) <= 1e-14
+        ref = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, len(pairs) - 1),
+                                   tol=eps)
+        assert np.all(np.abs(np.subtract([mu for mu, _ in pairs], ref)) <= 4 * floor)
+
+
 class TestClusters:
     def test_a_cluster_is_one_search(self, monkeypatch):
         # a = 200 cos 2t, N = 3, M = 800: mu_1 and mu_2 agree to rounding, so
-        # no cell splits them; one dstebz call bisects both, and their vectors
-        # come from one dstein call with both shifts
+        # no cell splits them; one dstebz call bisects both, and each vector
+        # comes from the iteration started at its bisected value, the second
+        # orthogonal to the first.  They span the dense solver's pair
         potential = AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes), WELL_GRID)
         mat = PolarTowers(potential, WELL_GRID).matrix(0)
         calls = []
-        stebz, stein = angular.dstebz, angular.dstein
+        stebz, iterate = angular.dstebz, angular._iterate
         monkeypatch.setattr(angular, "dstebz",
                             lambda *a: calls.append(("dstebz", a[5], a[6])) or stebz(*a))
-        monkeypatch.setattr(angular, "dstein",
-                            lambda *a: calls.append(("dstein", list(a[2]))) or stein(*a))
-        values = [mu for mu, _ in polar_eigen(mat, -150.0)]
+        monkeypatch.setattr(angular, "_iterate", lambda matrix, cell, kept: calls.append(
+            ("_iterate", cell.shift, len(kept))) or iterate(matrix, cell, kept))
+        pairs = polar_eigen(mat, -150.0)
         monkeypatch.undo()
+        values = [mu for mu, _ in pairs]
         assert count_at_most(mat, -150.0) == len(values) == 2
         found, bisected, *_ = stebz(mat.diag, mat.off, 2, 0.0, 0.0, 1, 2, np.finfo(float).eps, "E")
         assert found == 2 and values == bisected[:2].tolist()
-        assert calls == [("dstebz", 1, 2), ("dstein", values)]
+        assert calls == [("dstebz", 1, 2), ("_iterate", values[0], 0), ("_iterate", values[1], 1)]
+        dense = np.diag(mat.diag) + np.diag(mat.off, 1) + np.diag(mat.off, -1)
+        ref = np.linalg.eigh(dense)[1][:, :2]
+        got = np.array([v for _, v in pairs]).T * math.sqrt(WELL_GRID.step)
+        assert np.max(np.abs(got @ got.T - ref @ ref.T)) <= 1e-12
 
 
 START_1200 = "d526ec742a7dd7be4a4ff687a124b6834459c919e9fb444c28419ae1f8814b53"
@@ -607,111 +643,116 @@ class TestCertifiedValues:
     def test_each_accepted_value_meets_its_certificate(self, case):
         # the towers m >= 1 of the merge up to its bracket: each value that
         # Rayleigh-quotient iteration accepts is the quotient of a unit x
-        # whose residual, summed again by fsum, meets ||r||^2 / gap <= 2^-6
-        # eps ||T||_1 with the gap to the other eigenvalues of tight
-        # bisection, and it lies within rounding of tight bisection
+        # whose residual, summed again by fsum, is within 16 eps ||T||_1 and
+        # meets ||r||^2 / gap <= 2^-6 eps ||T||_1 with the gap to the other
+        # eigenvalues of tight bisection, and it lies within rounding of
+        # tight bisection
         potential, K, grid = case
         towers = PolarTowers(potential, grid)
         hi = angular._bracket(towers, K)
-        solved, vectors = [], {}
-        certified, quotient = angular._certified_values, angular._quotient
-
-        def spy_quotient(mat, x):
-            theta, rr = quotient(mat, x)
-            vectors[theta] = x.copy()
-            return theta, rr
-
+        accepted, iterate = [], angular._iterate
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(angular, "_certified_values",
-                          lambda mat, *a: solved.append((mat, certified(mat, *a))) or solved[-1][1])
-            patch.setattr(angular, "_quotient", spy_quotient)
-            angular._tower_values(towers, hi)
-        accepted = [(mat, vals) for mat, vals in solved if vals is not None]
+            patch.setattr(angular, "_iterate", lambda mat, *a: accepted.append(
+                (mat, *iterate(mat, *a))) or accepted[-1][1:])
+            got = angular._tower_values(towers, hi)
         assume(accepted)
         eps = np.finfo(float).eps
-        for mat, vals in accepted:
+        for mat, theta, x in accepted:
             floor = eps * mat.one_norm()
+            count = next(len(vals) for m, vals in enumerate(got, 1) if towers.matrix(m) is mat)
             ref = eigvalsh_tridiagonal(mat.diag, mat.off, select="i",
-                                       select_range=(0, min(len(vals), mat.size - 1)), tol=eps)
-            assert np.all(np.abs(np.subtract(vals, ref[:len(vals)])) <= 4 * floor)
-            for j, theta in enumerate(vals):
-                x = vectors[theta]
-                r = mat.matvec(x) - theta * x
-                others = np.abs(np.delete(ref, j) - theta)
-                gap = float(np.min(others, initial=math.inf)) - 4 * floor
-                assert math.fsum(r * r) / math.fsum(x * x) <= 2.0**-6 * floor * gap
+                                       select_range=(0, min(count, mat.size - 1)), tol=eps)
+            j = int(np.argmin(np.abs(ref - theta)))
+            assert j < count and abs(theta - ref[j]) <= 4 * floor
+            r = mat.matvec(x) - theta * x
+            others = np.abs(np.delete(ref, j) - theta)
+            gap = float(np.min(others, initial=math.inf)) - 4 * floor
+            rr = math.fsum(r * r) / math.fsum(x * x)
+            assert rr <= (16 * floor) ** 2 * (1 + 1e-12) and rr <= 2.0**-6 * floor * gap
 
     def test_clear_values_make_no_dstein_call(self, monkeypatch):
-        # dipole:1, K = 80, M = 2000: every tower m >= 1 is certified, so
-        # dstein forms the m = 0 vectors alone
+        # dipole:1, K = 80, M = 2000: the probe isolates every value of the
+        # towers m >= 1, so their cells are the probe's, and `_cell` places
+        # the m = 0 cells alone; no LAPACK inverse iteration is bound at all
         grid = PolarGrid.build(3, 2000)
         potential = AngularPotential.dipole(1.0)
-        stein, certified, results, shifts = angular.dstein, angular._certified_values, [], []
-        monkeypatch.setattr(angular, "dstein",
-                            lambda d, *a: shifts.append(d) or stein(d, *a))
-        monkeypatch.setattr(angular, "_certified_values",
-                            lambda *a: results.append(certified(*a)) or results[-1])
+        cell, iterate, searched, solved = angular._cell, angular._iterate, [], []
+        monkeypatch.setattr(angular, "_cell", lambda mat, *a: searched.append(mat.diag) or cell(mat, *a))
+        monkeypatch.setattr(angular, "_iterate", lambda mat, *a: solved.append(mat.diag)
+                            or iterate(mat, *a))
         spec = full_spectrum(potential, 80, grid)
         axial = PolarTowers(potential, grid).matrix(0).diag
-        assert len(results) >= 8 and all(vals is not None for vals in results)
-        assert len(shifts) >= len(spec.tower(0)) and all(np.array_equal(d, axial) for d in shifts)
+        assert len(searched) == sum(np.array_equal(d, axial) for d in solved) >= len(spec.tower(0))
+        assert all(np.array_equal(d, axial) for d in searched)
+        assert len({d.tobytes() for d in solved}) >= 9
+        assert not hasattr(_lapack, "dstein") and not hasattr(angular, "dstein")
 
     def test_a_quotient_outside_its_cell_is_not_a_shift(self, monkeypatch):
         # dipole:0.503241, N = 3, M = 10000, tower m = 7 up to the K = 80
         # bracket: the start holds so little of the second eigenvector that
         # two solves from its probe value 71.92 give the quotient 72.52,
-        # outside the cell [71.42, 72.42].  One more solve with the same
-        # factors draws x back, and the value is certified without the fine path
+        # outside the probe's cell [71.42, 72.42].  One more solve with the
+        # same factors draws x back, and the next factorization, at that
+        # quotient, gives the accepted value
         grid = PolarGrid.build(3, 10000)
         towers = PolarTowers(AngularPotential.dipole(0.503241), grid)
         mat, hi = towers.matrix(7), angular._bracket(towers, 80)
         assert count_at_most(mat, hi) == 2
+        probed = angular._probe(mat, hi, 2, 0.5)
+        prev, value, after = probed[1:4]
+        cell = angular._Cell(value, value - 0.5, value + 0.5, min(value - prev, after - value) - 1.0)
         factor, quotient, calls = angular.dgttrf, angular._quotient, []
         monkeypatch.setattr(angular, "dgttrf",
                             lambda *a, **kw: calls.append("dgttrf") or factor(*a, **kw))
         monkeypatch.setattr(angular, "_quotient",
                             lambda *a: calls.append(quotient(*a)[0]) or quotient(*a))
-        values = angular._certified_values(mat, hi, 2)
-        probe = eigvalsh_tridiagonal(mat.diag, mat.off, select="v", select_range=(-math.inf, hi + 2.0),
-                                     tol=0.5)
+        theta, _ = angular._iterate(mat, cell, [])
         # the second value: one factorization at its probe value, a quotient
         # outside the cell, then one inside it from the same factors
-        factored, outside, inside = calls[calls.index(values[0]) + 1:][:3]
+        factored, outside, inside = calls[:3]
         assert factored == "dgttrf" and isinstance(inside, float)
-        assert outside > probe[1] + 0.5 and abs(inside - probe[1]) <= 0.5
-        ref = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, 1),
+        assert outside > value + 0.5 and abs(inside - value) <= 0.5
+        assert calls[3:] == ["dgttrf", theta]
+        ref = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(1, 1),
                                    tol=np.finfo(float).eps)
-        assert np.all(np.abs(np.subtract(values, ref)) <= 4 * np.finfo(float).eps * mat.one_norm())
+        assert abs(theta - ref[0]) <= 4 * np.finfo(float).eps * mat.one_norm()
 
-    def test_a_declined_tower_is_one_tight_bisection(self, monkeypatch):
-        # a = 200 cos 2t, N = 3, M = 800, K = 30: the values of towers m = 1..4
-        # pair up closer than the coarse probe isolates, so Rayleigh-quotient
-        # iteration declines each tower, and one bisection by index to the
-        # certificate's bound 2^-6 eps ||T_m||_1 gives its values: no dstein
-        # call, no cell and no probe but the one at 2^-1
+    def test_only_unisolated_values_take_the_cell_search(self, monkeypatch):
+        # a = 200 cos 2t, N = 3, M = 800, K = 30: values of towers m = 1..4
+        # pair up closer than the coarse probe isolates.  Each such value takes
+        # a `_cell` search, unless an earlier search bisected it with its
+        # cluster; every other value takes none, and no tower is probed twice
+        # or bisected whole
         towers = PolarTowers(AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes),
                                                         WELL_GRID), WELL_GRID)
         hi = angular._bracket(towers, 30)
-        certified, values, stein, cell = (angular._certified_values, angular.eigvalsh_tridiagonal,
-                                          angular.dstein, angular._cell)
-        results, probes, calls = [], [], []
-        monkeypatch.setattr(angular, "_certified_values",
-                            lambda *a: results.append(certified(*a)) or results[-1])
+        values, cell = angular.eigvalsh_tridiagonal, angular._cell
+        probes, searches = [], []
         monkeypatch.setattr(angular, "eigvalsh_tridiagonal",
                             lambda d, e, **kw: probes.append((d, kw)) or values(d, e, **kw))
-        monkeypatch.setattr(angular, "dstein", lambda *a: calls.append("dstein") or stein(*a))
-        monkeypatch.setattr(angular, "_cell", lambda *a: calls.append("_cell") or cell(*a))
+        monkeypatch.setattr(angular, "_cell", lambda mat, j, *a: searches.append(
+            (mat.diag, j, cell(mat, j, *a))) or searches[-1][2])
         got = angular._tower_values(towers, hi)
         monkeypatch.undo()
-        assert results == [None] * 4 and len(got) == 4 and calls == []
+        assert len(got) == 4
+        eps = np.finfo(float).eps
         for m, vals in enumerate(got, 1):
             mat = towers.matrix(m)
-            count, tol = count_at_most(mat, hi), 2.0**-6 * np.finfo(float).eps * mat.one_norm()
-            assert [(kw["select"], kw["tol"]) for d, kw in probes if d is mat.diag] == \
-                [("v", 0.5), ("i", tol)]
-            want = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, count - 1),
-                                        tol=tol)
-            assert len(vals) == count and np.array_equal(bits(vals), bits(want))
+            count = count_at_most(mat, hi)
+            assert [(kw["select"], kw["tol"]) for d, kw in probes if d is mat.diag] == [("v", 0.5)]
+            probed = angular._probe(mat, hi, count, 0.5)
+            unisolated = {j for j in range(1, count + 1)
+                          if min(probed[j] - probed[j - 1], probed[j + 1] - probed[j]) < 1.5}
+            taken, covered = [], set()
+            for d, j, cells in searches:
+                if d is mat.diag:
+                    taken.append(j)
+                    covered |= set(range(j, j + len(cells)))
+            assert taken and set(taken) <= unisolated <= covered
+            ref = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, count - 1),
+                                       tol=eps)
+            assert len(vals) == count
+            assert np.all(np.abs(vals - ref) <= 4 * eps * mat.one_norm())
 
     def test_the_start_vector_is_pinned(self):
         # splitmix64 from seed 0, top 53 bits scaled to [-1, 1): integer
@@ -790,8 +831,9 @@ class TestBracket:
     @example(case=(AngularPotential.tabulated(40.0 * np.cos(2 * DOUBLET_GRID.nodes), DOUBLET_GRID),
                    4, DOUBLET_GRID), m=0)
     def test_probe_bounds_skip_only_counts(self, case, m):
-        # a guard band that the probe's neighbours clear would have counted
-        # one value: the cells with those bounds are the cells without them
+        # the probe only skips counts whose outcome it proves: the cells from
+        # the probe are the cells from the tight value of eigenvalue j with no
+        # bounds on its neighbours, whose guard bands are all counted
         potential, K, grid = case
         towers = PolarTowers(potential, grid)
         hi = angular._bracket(towers, K)
@@ -800,9 +842,14 @@ class TestBracket:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(angular, "_cell", lambda *a: calls.append((a, cell(*a))) or calls[-1][1])
             polar_eigen(towers.matrix(m), hi)
-        for (mat, j, value, width, finest, below, above), cells in calls:
+        eps = np.finfo(float).eps
+        for (mat, j, probed, width, finest), cells in calls:
             fresh = TridiagonalMatrix(mat.diag, mat.off, mat.step)
-            assert cell(fresh, j, value, width, finest, math.inf, -math.inf) == cells
+            tight = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(j - 1, j - 1),
+                                         tol=eps)[0]
+            unbounded = [math.inf] * (j + 2)
+            unbounded[j], unbounded[j + 1] = tight, -math.inf
+            assert cell(fresh, j, unbounded, width, finest) == cells
 
 
 class TestFullSpectrum:
@@ -866,12 +913,11 @@ class TestFullSpectrum:
         grid = PolarGrid.build(3, M)
         potential = AngularPotential.tabulated(200.0 * np.cos(2 * grid.nodes), grid)
         calls = []
-        eigen, certified, count_from = angular.polar_eigen, angular._certified_values, \
-            angular._count_from
+        eigen, values, count_from = angular.polar_eigen, angular._tower_values, angular._count_from
         monkeypatch.setattr(angular, "polar_eigen",
                             lambda *a: calls.append("polar_eigen") or eigen(*a))
-        monkeypatch.setattr(angular, "_certified_values",
-                            lambda *a: calls.append("_certified_values") or certified(*a))
+        monkeypatch.setattr(angular, "_tower_values",
+                            lambda *a: calls.append("_tower_values") or values(*a))
         monkeypatch.setattr(angular, "_count_from",
                             lambda towers, first, *a: calls.append(("_count_from", first))
                             or count_from(towers, first, *a))
@@ -879,7 +925,7 @@ class TestFullSpectrum:
         with pytest.raises(ResolutionError, match="two lowest m = 0 eigenvalues"):
             solve(potential, K, grid)
         assert "polar_eigen" in calls and ("_count_from", 0) in calls
-        assert "_certified_values" not in calls and ("_count_from", 1) not in calls
+        assert "_tower_values" not in calls and ("_count_from", 1) not in calls
 
     def test_mu1_monotone_in_coupling(self):
         g = PolarGrid.build(3, 300)
@@ -940,30 +986,24 @@ class TestFullSpectrum:
         # by the running K-th value requested 1623 eigenvalues here, and an
         # index-range probe of K values per tower 11500
         K = 500
-        brackets, probes, solves, counts = [], [], [], []
-        bracket, eigen, certified, count = (angular._bracket, angular.polar_eigen,
-                                            angular._certified_values, angular.count_at_most)
+        brackets, probes, solves, counts, searches = [], [], [], [], []
+        bracket, probe, cell, count = (angular._bracket, angular._probe, angular._cell,
+                                       angular.count_at_most)
 
         def counting_values(*args, **kwargs):
             vals = eigvalsh_tridiagonal(*args, **kwargs)
             probes.append((args[0], kwargs, vals))
             return vals
 
-        def counting_eigen(matrix, x):
-            pairs = eigen(matrix, x)
-            solves.append(("polar_eigen", matrix.diag, x, len(pairs)))
-            return pairs
-
-        def counting_certified(matrix, hi, n):
-            values = certified(matrix, hi, n)
-            solves.append(("_certified_values", matrix.diag, hi, values and len(values)))
-            return values
+        def counting_probe(matrix, x, n, width):
+            solves.append((matrix.diag, x, n, width))
+            return probe(matrix, x, n, width)
 
         monkeypatch.setattr(angular, "_bracket",
                             lambda *a: brackets.append(bracket(*a)) or brackets[-1])
         monkeypatch.setattr(angular, "eigvalsh_tridiagonal", counting_values)
-        monkeypatch.setattr(angular, "polar_eigen", counting_eigen)
-        monkeypatch.setattr(angular, "_certified_values", counting_certified)
+        monkeypatch.setattr(angular, "_probe", counting_probe)
+        monkeypatch.setattr(angular, "_cell", lambda mat, *a: searches.append(mat.diag) or cell(mat, *a))
         monkeypatch.setattr(angular, "count_at_most", lambda *a: counts.append(a) or count(*a))
         grid = PolarGrid.build(3, 1200)
         potential = AngularPotential.constant(0.0)
@@ -978,27 +1018,23 @@ class TestFullSpectrum:
         assert len(counts) <= 97
         assert sum(vals.size for *_, vals in probes) < 300
         # one tower solve per tower with a value at or below hi, in order of
-        # m: polar_eigen forms the m = 0 pairs, and Rayleigh-quotient
-        # iteration certifies every value of the towers m >= 1
+        # m, each of its count at hi; only the m = 0 tower searches its cells,
+        # since its probe leaves no value of the towers m >= 1 unisolated
         scanned = [m for m in range(grid.size + 1) if count_at_most(towers.matrix(m), hi)]
         assert scanned == list(range(len(scanned))) and len(solves) == len(scanned)
-        for m, (name, diag, top, n) in enumerate(solves):
+        for m, (diag, top, n, width) in enumerate(solves):
             mat = towers.matrix(m)
-            assert name == ("_certified_values" if m else "polar_eigen")
             assert np.array_equal(diag, mat.diag) and top == hi and n == count_at_most(mat, hi)
-        # one coarse value probe per tower with a value up to hi: on m = 0 at
-        # the tolerance of the tower's cells and reaching 257 cells above hi,
-        # on m >= 1, whose values no probe leaves unisolated here, at 2^-1 and
+            assert width == 0.5
+        assert searches and all(np.array_equal(diag, towers.matrix(0).diag) for diag in searches)
+        # one coarse value probe per tower with a value up to hi, at 2^-1 and
         # reaching 4 of those widths above hi
         assert len(probes) == len(scanned)
         for m, (diag, kwargs, vals) in enumerate(probes):
             mat = towers.matrix(m)
-            width, reach = angular._cell_width(mat)[0], angular._GUARD + 1
-            if m:
-                width, reach = 0.5, 4
             assert np.array_equal(diag, mat.diag)
-            assert kwargs["select"] == "v" and kwargs["tol"] == width
-            assert kwargs["select_range"] == (-math.inf, hi + reach * width)
+            assert kwargs["select"] == "v" and kwargs["tol"] == 0.5
+            assert kwargs["select_range"] == (-math.inf, hi + 4 * 0.5)
             assert vals.size >= count_at_most(mat, hi)
         assert len({md.m for md in spec.modes}) <= len(probes)
         assert sum(harmonic_multiplicity(3, m) * count_at_most(towers.matrix(m), hi)
@@ -1038,7 +1074,8 @@ class TestFullSpectrum:
         # values would round to the bracket and the scan would probe all towers
         calls = []
         monkeypatch.setattr(angular, "eigvalsh_tridiagonal", lambda *a, **k: calls.append(k))
-        monkeypatch.setattr(angular, "dstein", lambda *a: calls.append(a))
+        monkeypatch.setattr(angular, "dgttrf", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(angular, "dstebz", lambda *a: calls.append(a))
         with pytest.raises(ResolutionError, match="float64 cannot resolve"):
             full_spectrum(potential, 5, PolarGrid.build(3, 2000))
         assert calls == []
@@ -1149,10 +1186,10 @@ class TestAxisymmetricMemo:
     @staticmethod
     def counted_solves(monkeypatch):
         calls = []
-        count, vectors, towers = angular.count_at_most, angular.dstein, PolarTowers
+        count, iterate, towers = angular.count_at_most, angular._iterate, PolarTowers
         monkeypatch.setattr(angular, "count_at_most",
                             lambda *a: calls.append("count_at_most") or count(*a))
-        monkeypatch.setattr(angular, "dstein", lambda *a: calls.append("dstein") or vectors(*a))
+        monkeypatch.setattr(angular, "_iterate", lambda *a: calls.append("_iterate") or iterate(*a))
         monkeypatch.setattr(angular, "PolarTowers",
                             lambda *a: calls.append("PolarTowers") or towers(*a))
         return calls
@@ -1166,7 +1203,7 @@ class TestAxisymmetricMemo:
         assert angular._axisymmetric_memo.cache_info().hits == 1
         angular._axisymmetric_memo.cache_clear()
         fresh = axisymmetric_spectrum(AngularPotential.dipole(0.7), 20, PolarGrid.build(3, 300))
-        assert fresh is not first and {"count_at_most", "dstein", "PolarTowers"} <= set(calls)
+        assert fresh is not first and {"count_at_most", "_iterate", "PolarTowers"} <= set(calls)
         assert np.array_equal(bits([md.mu for md in fresh.modes]), bits([md.mu for md in first.modes]))
         for md, ref in zip(fresh.modes, first.modes):
             assert np.array_equal(bits(md.psi), bits(ref.psi))
@@ -1204,13 +1241,13 @@ class TestAxisymmetricMemo:
             axisymmetric_spectrum(AngularPotential.dipole(1.0), 201, grid)
         assert axisymmetric_spectrum(AngularPotential.dipole(1.0), 12, grid) is kept
 
-        stein = angular.dstein
+        factor = angular.dgttrf
 
-        def failing(*args):  # the first vector did not converge
-            return stein(*args)[0], 1
+        def failing(*args, **kwargs):  # the first shift is an eigenvalue to the bit
+            return (*factor(*args, **kwargs)[:-1], 1)
 
-        monkeypatch.setattr(angular, "dstein", failing)
-        with pytest.raises(EigenSolveError, match="dstein info 1"):
+        monkeypatch.setattr(angular, "dgttrf", failing)
+        with pytest.raises(EigenSolveError, match="dgttrf info 1"):
             axisymmetric_spectrum(AngularPotential.dipole(0.5), 12, grid)
         monkeypatch.undo()
         solved = axisymmetric_spectrum(AngularPotential.dipole(0.5), 12, grid)

@@ -18,7 +18,7 @@ import pytest
 from test_cli import PINNED_TABLES
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-ROUTINES = ("dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstebz", "dstein")
+ROUTINES = ("dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstebz")
 
 README_COMMANDS = [
     ("spectrum", "--dim", "3", "--potential", "dipole:1.0", "--count", "20"),
@@ -42,7 +42,7 @@ KERNEL_PINS = [PINS[1]] + [(argv, dict(PINNED_TABLES)[argv]) for argv in (
 )]
 
 # runs `main(argv)` after importing the modules named in argv[1] (comma-separated),
-# then writes to stderr whether the six routines are scipy.linalg.lapack's own,
+# then writes to stderr whether the five routines are scipy.linalg.lapack's own,
 # or None where scipy.linalg was never imported, the scipy modules loaded and
 # which of numpy.polynomial and numpy.random were imported
 CHILD = """
