@@ -30,21 +30,30 @@ of the singular sin^{-2} coefficient, and no solver takes any of them again:
     available for reproduction runs.
 
 One kernel solves every tower, after inertia counts (`count_at_most`) have
-fixed how many values it solves.  A value probe at the width w = 2^-1
-bounds each value (`_probe`), and each value gets a cell: an interval that
+fixed how many values it solves.  Each value gets a cell: an interval that
 holds it, clear of every other eigenvalue by a gap.  Rayleigh-quotient
 iteration from the cell's shift (`_iterate`, LAPACK dgttrf and dgttrs)
 accepts a quotient in the cell whose residual is within 16 eps ||T||_1 and
 certifies it within 2^-6 eps ||T||_1 of the eigenvalue (Kato and Temple;
 Parlett, The Symmetric Eigenvalue Problem, Thm 11.7.1).  A cluster that no
 cell splits is bisected by one dstebz call, and its bisected values are
-its values.  The m = 0 tower keeps its vectors (`polar_eigen`): every cell
-comes from counts on the lattice wZ (`_cell`), the probe only saving the
-counts it proves, and each vector is orthogonalized against those before
-it, so the pairs depend on the matrix and the index alone and the pairs up
-to x are a prefix of those up to any larger x.  The towers m >= 1 keep no
-vectors (`_tower_values`): a value that the probe isolates has the probe's
-cell and takes no count, and any other has the cell of `_cell`.
+its values.  Cells come from counts, from a value probe or from guesses.
+The m = 0 tower keeps its vectors (`polar_eigen`): a value probe at the
+width w = 2^-1 (`_probe`) bounds each value, every cell comes from counts
+on the lattice wZ (`_cell`), the probe only saving the counts it proves,
+and each vector is orthogonalized against those before it, so the pairs
+depend on the matrix and the index alone and the pairs up to x are a
+prefix of those up to any larger x.  The towers m >= 1 keep no vectors
+(`_tower_values`).  The free levels l(l + N - 2), l = m + j - 1, guess
+value j of tower m from the towers below it: g_j = lambda_j(T_0) + 2j +
+N - 3 for m = 1, and g_j = 2 lambda_j(T_{m-1}) - lambda_j(T_{m-2}) + 2
+(the levels' second difference in m) for m >= 2.  Where counts at the
+midpoints between the guesses prove one value in each interval, those
+intervals give the cells (`_guided_cells`) and the tower takes no probe.
+A tower that its guesses or the counts decline, before any solve, or
+whose iteration is not accepted, is probed (`_probed_values`): a value
+that the probe isolates has the probe's cell and takes no count, and any
+other has the cell of `_cell`.
 
 LAPACK (dgttrf, dgttrs, dpttrf, dstebz) is reached through
 `_lapack`, which loads scipy's `_flapack` extension without importing
@@ -435,9 +444,11 @@ def _cell(matrix: TridiagonalMatrix, j: int, probed: list[float], width: float,
     `probed` (see `_probe`) only skip the counts whose outcome their bounds
     prove.  A cell still shared at the finest width holds a cluster, whose
     members all took j's halving path, so j is its first index: one LAPACK
-    dstebz call bisects them by index to an absolute tolerance eps, from
-    one start, so that their values come out ascending.  A finest cell that
-    holds j alone, with a neighbour within a width, is a cluster of one.
+    dstebz call bisects the values in that cell (x, x + w] to an absolute
+    tolerance eps, from one start, so that they come out ascending; where
+    it finds other than the values j..last that the counts at x and x + w
+    name, one call by index j..last does.  A finest cell that holds j
+    alone, with a neighbour within a width, is a cluster of one.
     """
     value, below, above = probed[j], probed[j - 1] + width, probed[j + 1] - width
     left = width * math.floor(value / width)
@@ -457,7 +468,9 @@ def _cell(matrix: TridiagonalMatrix, j: int, probed: list[float], width: float,
         if count_at_most(matrix, left + width) < j:
             left += width
     last = count_at_most(matrix, left + width)
-    found, vals, *_, info = dstebz(matrix.diag, matrix.off, 2, 0.0, 0.0, j, last, _EPS, "E")
+    found, vals, *_, info = dstebz(matrix.diag, matrix.off, 1, left, left + width, 1, 1, _EPS, "E")
+    if info != 0 or found != last - j + 1 or count_at_most(matrix, left) != j - 1:
+        found, vals, *_, info = dstebz(matrix.diag, matrix.off, 2, 0.0, 0.0, j, last, _EPS, "E")
     if info != 0 or found != last - j + 1:
         raise EigenSolveError(f"bisection of eigenvalues {j}..{last} failed (dstebz info {info})")
     return [_Cell(mu, left - width, left + 2.0 * width, math.inf) for mu in vals[:found].tolist()]
@@ -662,7 +675,7 @@ class AngularSpectrum:
 # the values above the K-th that the towers still solve (4 or 5 steps cost
 # 12-24 % more counts for 2-4 of 672 m >= 1 values).  hi moves no printed
 # digit: the m = 0 pairs up to hi are a prefix of those up to any larger
-# bound, and an m >= 1 value moves with hi, through its probe, only within
+# bound, and an m >= 1 value moves with hi, through its cell, only within
 # rounding
 _BRACKET_BISECTIONS = 3
 
@@ -732,33 +745,77 @@ def _bracket(towers: PolarTowers, K: int) -> float:
     return hi
 
 
-def _tower_values(towers: PolarTowers, hi: float) -> list[np.ndarray]:
+def _guided_cells(matrix: TridiagonalMatrix, hi: float, guesses: list[float],
+                  width: float) -> list[_Cell] | None:
+    """Cells at the guesses of the values of `matrix` up to hi where counts prove them, else None.
+
+    The ends c_0 < ... < c_n of the n guesses' intervals are the midpoints
+    of consecutive guesses, hi above the last and the mirror of c_1 about
+    g_1 below the first.  Each guess must lie the width w or more inside its
+    interval (c_{j-1}, c_j], so the guesses increase, and count_at_most
+    must read j at c_j (at hi it read n): then that interval holds
+    eigenvalue j alone, and its cell is the interval less w/2 at each end,
+    with the gap w/2 (at least 2^14 eps ||T||_1, see `_cell_width`).  None
+    before any count where a guess fails that, and at the first count that
+    disagrees.
+    """
+    ends = [0.5 * (a + b) for a, b in zip(guesses, guesses[1:])] + [hi]
+    ends.insert(0, 2.0 * guesses[0] - ends[0])
+    intervals = list(zip(guesses, ends, ends[1:]))
+    if not all(min(g - lo, up - g) >= width for g, lo, up in intervals) or any(
+            count_at_most(matrix, c) != j for j, c in enumerate(ends[:-1])):
+        return None
+    return [_Cell(g, lo + 0.5 * width, up - 0.5 * width, 0.5 * width) for g, lo, up in intervals]
+
+
+def _probed_values(matrix: TridiagonalMatrix, hi: float, count: int) -> list[float]:
+    """The count lowest values of `matrix`, each in the probe's cell or in `_cell`'s.
+
+    A value whose probe neighbours lie 3w or more away on both sides
+    (`_probe`) has the probe's cell [p_j - w, p_j + w] and gap, and takes no
+    count; every other value has the cell of `_cell`.
+    """
+    width, finest = _cell_width(matrix)
+    probed, vals = _probe(matrix, hi, count, width), []
+    while len(vals) < count:
+        j = len(vals) + 1
+        prev, p, nxt = probed[j - 1:j + 2]
+        gap = min(p - prev, nxt - p) - 2.0 * width
+        if gap >= width:
+            vals.append(_iterate(matrix, _Cell(p, p - width, p + width, gap), [])[0])
+            continue
+        for cell in _cell(matrix, j, probed, width, finest)[:count + 1 - j]:
+            vals.append(cell.shift if cell.gap == math.inf else _iterate(matrix, cell, [])[0])
+    return vals
+
+
+def _tower_values(towers: PolarTowers, hi: float, axial: list[float]) -> list[np.ndarray]:
     """The values up to hi, without vectors, of the towers m >= 1, ascending in each tower.
 
-    Tower m solves the count_at_most(T_m, hi) values that the bracket
-    summed.  A value whose probe neighbours lie 3w or more away on both
-    sides (`_probe`) has the probe's cell [p_j - w, p_j + w] and gap, and
-    takes no count; every other value has the cell of `_cell`.  Each value
-    is the quotient that `_iterate` accepts in its cell, or its cluster's
-    bisected value.  The first tower with none ends the scan.
+    `axial` holds the m = 0 values up to hi.  Tower m gives the
+    count_at_most(T_m, hi) values that the bracket summed, each the
+    quotient that `_iterate` accepts in its cell or its cluster's bisected
+    value, with the cells of `_guided_cells` where they are proven and
+    every iteration in them is accepted, else those of `_probed_values`.
+    The first tower with none ends the scan.
     """
-    values: list[np.ndarray] = []
-    for _, mat in _scan(towers, 1):
+    N, values = towers.grid.dim, [axial]
+    for m, mat in _scan(towers, 1):
         count = count_at_most(mat, hi)
         if count == 0:
-            return values
-        width, finest = _cell_width(mat)
-        probed, vals = _probe(mat, hi, count, width), []
-        while len(vals) < count:
-            j = len(vals) + 1
-            prev, p, nxt = probed[j - 1:j + 2]
-            gap = min(p - prev, nxt - p) - 2.0 * width
-            if gap >= width:
-                vals.append(_iterate(mat, _Cell(p, p - width, p + width, gap), [])[0])
-                continue
-            for cell in _cell(mat, j, probed, width, finest)[:count + 1 - j]:
-                vals.append(cell.shift if cell.gap == math.inf else _iterate(mat, cell, [])[0])
-        values.append(np.array(vals))
+            return [np.array(vals) for vals in values[1:]]
+        below = values[-1][:count]
+        if m == 1:
+            guesses = [mu + (2 * j + N - 3) for j, mu in enumerate(below, 1)]
+        else:
+            guesses = [2.0 * mu - nu + 2.0 for mu, nu in zip(below, values[-2])]
+        width = _cell_width(mat)[0]
+        cells = _guided_cells(mat, hi, guesses, width) if len(guesses) == count else None
+        try:
+            vals = [_iterate(mat, cell, [])[0] for cell in cells or ()]
+        except EigenSolveError:  # a guess too far from its value: the probe path starts over
+            vals = []
+        values.append(vals or _probed_values(mat, hi, count))
 
 
 def _axial_modes(grid: PolarGrid, pairs, n: int) -> list[AngularMode]:
@@ -819,7 +876,7 @@ def full_spectrum(
     """
     N = grid.dim
     towers, hi, pairs = _axial_solve(potential, K, grid)
-    probed = _tower_values(towers, hi)
+    probed = _tower_values(towers, hi, [mu for mu, _ in pairs])
     flat = np.sort(np.concatenate(
         [[mu for mu, _ in pairs]]
         + [np.repeat(vals, harmonic_multiplicity(N, m)) for m, vals in enumerate(probed, 1)]

@@ -140,9 +140,8 @@ def manufactured_nonradial(
     # discrete angular operator applied to G = psi_1 g, in psi coordinates
     G = psi1 * g
     LG = spectrum.apply_axial(G)
-    W = (eps * (eps + exps.gap) + mu1) * G - LG
-
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite F fails downstream
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite W or F fails downstream
+        W = (eps * (eps + exps.gap) + mu1) * G - LG
         F = LowRank(-(rho[:, None] ** (sig + eps - 2.0)), W[None, :])
     q_scaled = np.abs(W[None, :] / (psi1[None, :] * angular_factor))
     return SolutionField(

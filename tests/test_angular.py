@@ -559,7 +559,8 @@ class TestPolarEigen:
         got = [[mu for mu, _ in polar_eigen(mats[0], bound(mats[0], count))]]
         towers = PolarTowers(potential, grid)
         hi = angular._bracket(towers, count)
-        for k, vals in enumerate(angular._tower_values(towers, hi), 1):
+        axial = [mu for mu, _ in polar_eigen(towers.matrix(0), hi)]
+        for k, vals in enumerate(angular._tower_values(towers, hi, axial), 1):
             mats.append(towers.matrix(k))
             got.append(vals)
         eps = np.finfo(float).eps
@@ -601,28 +602,54 @@ class TestPolarEigen:
 class TestClusters:
     def test_a_cluster_is_one_search(self, monkeypatch):
         # a = 200 cos 2t, N = 3, M = 800: mu_1 and mu_2 agree to rounding, so
-        # no cell splits them; one dstebz call bisects both, and each vector
-        # comes from the iteration started at its bisected value, the second
-        # orthogonal to the first.  They span the dense solver's pair
+        # no cell splits them; one dstebz call bisects the values of their
+        # finest cell (lo, up], and each vector comes from the iteration
+        # started at its bisected value, the second orthogonal to the first.
+        # They span the dense solver's pair
         potential = AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes), WELL_GRID)
         mat = PolarTowers(potential, WELL_GRID).matrix(0)
         calls = []
         stebz, iterate = angular.dstebz, angular._iterate
         monkeypatch.setattr(angular, "dstebz",
-                            lambda *a: calls.append(("dstebz", a[5], a[6])) or stebz(*a))
+                            lambda *a: calls.append(("dstebz", *a[2:5])) or stebz(*a))
         monkeypatch.setattr(angular, "_iterate", lambda matrix, cell, kept: calls.append(
             ("_iterate", cell.shift, len(kept))) or iterate(matrix, cell, kept))
         pairs = polar_eigen(mat, -150.0)
         monkeypatch.undo()
         values = [mu for mu, _ in pairs]
         assert count_at_most(mat, -150.0) == len(values) == 2
-        found, bisected, *_ = stebz(mat.diag, mat.off, 2, 0.0, 0.0, 1, 2, np.finfo(float).eps, "E")
+        (_, select, lo, up), *solves = calls
+        assert select == 1 and up - lo == angular._cell_width(mat)[1]
+        assert count_at_most(mat, lo) == 0 and count_at_most(mat, up) == 2
+        eps = np.finfo(float).eps
+        found, bisected, *_ = stebz(mat.diag, mat.off, 1, lo, up, 1, 1, eps, "E")
         assert found == 2 and values == bisected[:2].tolist()
-        assert calls == [("dstebz", 1, 2), ("_iterate", values[0], 0), ("_iterate", values[1], 1)]
+        assert solves == [("_iterate", values[0], 0), ("_iterate", values[1], 1)]
+        by_index = stebz(mat.diag, mat.off, 2, 0.0, 0.0, 1, 2, eps, "E")[1][:2]
+        assert np.all(np.abs(by_index - values) <= 4 * eps * mat.one_norm())
         dense = np.diag(mat.diag) + np.diag(mat.off, 1) + np.diag(mat.off, -1)
         ref = np.linalg.eigh(dense)[1][:, :2]
         got = np.array([v for _, v in pairs]).T * math.sqrt(WELL_GRID.step)
         assert np.max(np.abs(got @ got.T - ref @ ref.T)) <= 1e-12
+
+    def test_a_value_count_that_disagrees_takes_the_index_call(self, monkeypatch):
+        # where the value-range call finds other than the counted values of the
+        # cell, the cluster's values are one dstebz call by index j..last
+        potential = AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes), WELL_GRID)
+        mat = PolarTowers(potential, WELL_GRID).matrix(0)
+        calls, stebz = [], angular.dstebz
+
+        def short_by_one(d, e, select, *a):
+            calls.append((select, *a[2:4]))
+            found, *rest = stebz(d, e, select, *a)
+            return (found - 1 if select == 1 else found, *rest)
+
+        monkeypatch.setattr(angular, "dstebz", short_by_one)
+        values = [mu for mu, _ in polar_eigen(mat, -150.0)]
+        monkeypatch.undo()
+        assert [c[0] for c in calls] == [1, 2] and calls[1][1:] == (1, 2)
+        eps = np.finfo(float).eps
+        assert values == stebz(mat.diag, mat.off, 2, 0.0, 0.0, 1, 2, eps, "E")[1][:2].tolist()
 
 
 START_1200 = "d526ec742a7dd7be4a4ff687a124b6834459c919e9fb444c28419ae1f8814b53"
@@ -650,11 +677,12 @@ class TestCertifiedValues:
         potential, K, grid = case
         towers = PolarTowers(potential, grid)
         hi = angular._bracket(towers, K)
+        axial = [mu for mu, _ in polar_eigen(towers.matrix(0), hi)]
         accepted, iterate = [], angular._iterate
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(angular, "_iterate", lambda mat, *a: accepted.append(
                 (mat, *iterate(mat, *a))) or accepted[-1][1:])
-            got = angular._tower_values(towers, hi)
+            got = angular._tower_values(towers, hi, axial)
         assume(accepted)
         eps = np.finfo(float).eps
         for mat, theta, x in accepted:
@@ -671,9 +699,9 @@ class TestCertifiedValues:
             assert rr <= (16 * floor) ** 2 * (1 + 1e-12) and rr <= 2.0**-6 * floor * gap
 
     def test_clear_values_make_no_dstein_call(self, monkeypatch):
-        # dipole:1, K = 80, M = 2000: the probe isolates every value of the
-        # towers m >= 1, so their cells are the probe's, and `_cell` places
-        # the m = 0 cells alone; no LAPACK inverse iteration is bound at all
+        # dipole:1, K = 80, M = 2000: the towers m >= 1 take their cells from
+        # their guesses, and `_cell` places the m = 0 cells alone; no LAPACK
+        # inverse iteration is bound at all
         grid = PolarGrid.build(3, 2000)
         potential = AngularPotential.dipole(1.0)
         cell, iterate, searched, solved = angular._cell, angular._iterate, [], []
@@ -726,13 +754,14 @@ class TestCertifiedValues:
         towers = PolarTowers(AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes),
                                                         WELL_GRID), WELL_GRID)
         hi = angular._bracket(towers, 30)
+        axial = [mu for mu, _ in polar_eigen(towers.matrix(0), hi)]
         values, cell = angular.eigvalsh_tridiagonal, angular._cell
         probes, searches = [], []
         monkeypatch.setattr(angular, "eigvalsh_tridiagonal",
                             lambda d, e, **kw: probes.append((d, kw)) or values(d, e, **kw))
         monkeypatch.setattr(angular, "_cell", lambda mat, j, *a: searches.append(
             (mat.diag, j, cell(mat, j, *a))) or searches[-1][2])
-        got = angular._tower_values(towers, hi)
+        got = angular._tower_values(towers, hi, axial)
         monkeypatch.undo()
         assert len(got) == 4
         eps = np.finfo(float).eps
@@ -761,6 +790,115 @@ class TestCertifiedValues:
         assert x.tolist() == [(splitmix64(i) >> 11) * 2.0**-52 - 1.0 for i in range(1, 1201)]
         assert hashlib.sha256(x.tobytes()).hexdigest() == START_1200
         assert not x.flags.writeable and x is angular._start_vector(1200)
+
+
+def traced_tower_values(potential, K, grid):
+    """(towers, values, events): the towers m >= 1 up to the K-th value's bracket, traced.
+
+    `events` lists in order each count ("count", matrix, x, count), each
+    result of `_guided_cells` ("guided", matrix, cells or None), each probe
+    ("probe", matrix, width) and each iteration ("iterate", matrix, cell,
+    (theta, x)), that one appended once the iteration returns.
+    """
+    towers = PolarTowers(potential, grid)
+    hi = angular._bracket(towers, K)
+    axial = [mu for mu, _ in polar_eigen(towers.matrix(0), hi)]
+    count, guided, probe, iterate = (angular.count_at_most, angular._guided_cells, angular._probe,
+                                     angular._iterate)
+    events = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(angular, "count_at_most", lambda mat, x: events.append(
+            ("count", mat, x, count(mat, x))) or events[-1][3])
+        patch.setattr(angular, "_guided_cells", lambda mat, *a: events.append(
+            ("guided", mat, guided(mat, *a))) or events[-1][2])
+        patch.setattr(angular, "_probe", lambda mat, x, n, width: events.append(
+            ("probe", mat, width)) or probe(mat, x, n, width))
+        patch.setattr(angular, "_iterate", lambda mat, cell, kept: events.append(
+            ("iterate", mat, cell, iterate(mat, cell, kept))) or events[-1][3])
+        values = angular._tower_values(towers, hi, axial)
+    return towers, values, events
+
+
+WELLS = [(200.0, WELL_GRID, 30), (40.0, DOUBLET_GRID, 60)]
+
+
+def well(depth, grid):
+    return AngularPotential.tabulated(depth * np.cos(2 * grid.nodes), grid)
+
+
+class TestGuidedTowers:
+    @settings(max_examples=30, deadline=None)
+    @given(case=spectrum_cases(N=st.integers(3, 7), M=st.integers(60, 2000)))
+    @example(case=(well(200.0, WELL_GRID), 30, WELL_GRID))
+    @example(case=(well(40.0, DOUBLET_GRID), 60, DOUBLET_GRID))
+    def test_every_guided_value_is_proven_certified_and_tight(self, case):
+        # a guided value's interval holds it alone by the counts the tower
+        # took, its quotient meets ||r|| <= 16 eps ||T_m||_1 at a gap of
+        # 2^14 eps ||T_m||_1 or more, and it lies within 4 eps ||T_m||_1 of
+        # tight bisection.  A tower that declines makes counts only, then one
+        # probe at 2^-1, and no iteration before it
+        potential, K, grid = case
+        towers, got, events = traced_tower_values(potential, K, grid)
+        eps = np.finfo(float).eps
+        for m, vals in enumerate(got, 1):
+            mat = towers.matrix(m)
+            mine = [e for e in events if e[1] is mat]
+            [cells] = [e[2] for e in mine if e[0] == "guided"] or [None]
+            probes = [i for i, e in enumerate(mine) if e[0] == "probe"]
+            if cells is None:
+                assert len(probes) == 1 and mine[probes[0]][2] == 0.5
+                assert {e[0] for e in mine[:probes[0]]} <= {"count", "guided"}
+                continue
+            if probes:  # an iteration was not accepted: the probe path solved the tower
+                continue
+            floor = eps * mat.one_norm()
+            ref = eigvalsh_tridiagonal(mat.diag, mat.off, select="i",
+                                       select_range=(0, min(len(vals), mat.size - 1)), tol=eps)
+            counted = {(e[2], e[3]) for e in mine if e[0] == "count"}
+            solved = [e[2:] for e in mine if e[0] == "iterate"]
+            assert [cell for cell, _ in solved] == cells and len(cells) == len(vals)
+            for j, (cell, (theta, x)) in enumerate(solved, 1):
+                below = max(y for y, n in counted if n < j)
+                above = min(y for y, n in counted if n >= j)
+                assert (below, j - 1) in counted and (above, j) in counted
+                slack = 2 * eps * max(abs(below), abs(above), 1.0)
+                assert min(cell.lo - below, above - cell.hi) >= cell.gap - slack
+                assert cell.gap >= 2**14 * floor
+                r = mat.matvec(x) - theta * x
+                assert math.sqrt(math.fsum(r * r)) <= 16 * floor * (1 + 1e-9)
+                assert vals[j - 1] == theta and abs(theta - ref[j - 1]) <= 4 * floor
+                others = np.abs(np.delete(ref, j - 1) - theta)
+                assert np.all(others >= cell.gap - 4 * floor)
+
+    @pytest.mark.parametrize("guesses,cells,counts", [
+        # eigenvalues 1, 3 and 10, hi = 5: ends 0.5, 2 and 5
+        ([1.25, 2.75], [(1.25, 0.75, 1.75), (2.75, 2.25, 4.75)], [(0.5, 0), (2.0, 1)]),
+        # a guess within w = 0.5 of an end, and guesses that decrease: no count
+        ([1.1, 1.8], None, []),
+        ([2.9, 1.1], None, []),
+        # the first end counts 1, not 0: no other count
+        ([2.0, 4.0], None, [(1.0, 1)]),
+    ])
+    def test_guesses_and_counts_decide_the_cells(self, monkeypatch, guesses, cells, counts):
+        mat = TridiagonalMatrix(np.array([1.0, 3.0, 10.0]), np.zeros(2), 1.0)
+        seen, count = [], angular.count_at_most
+        monkeypatch.setattr(angular, "count_at_most", lambda m, x: seen.append((x, count(m, x)))
+                            or seen[-1][1])
+        got = angular._guided_cells(mat, 5.0, guesses, 0.5)
+        assert seen == counts
+        assert got == (cells and [angular._Cell(*cell, 0.25) for cell in cells])
+
+    @pytest.mark.parametrize("depth,grid,K", WELLS)
+    def test_a_double_well_declines_before_any_solve(self, depth, grid, K):
+        # the towers m >= 1 of the double wells hold pairs of values closer
+        # than the guesses' intervals; their counts disagree
+        towers, got, events = traced_tower_values(well(depth, grid), K, grid)
+        declined = [e[1] for e in events if e[0] == "guided" and e[2] is None]
+        assert declined
+        for mat in declined:
+            kinds = [e[0] for e in events if e[1] is mat and e[0] != "guided"]
+            first = kinds.index("probe")
+            assert set(kinds[:first]) == {"count"} and kinds.count("probe") == 1
 
 
 def doubled_bracket(towers, K):
@@ -982,28 +1120,29 @@ class TestFullSpectrum:
 
     def test_weyl_merge_work_count(self, monkeypatch):
         # N = 3, K = 500, M = 1200: Sturm counts bracket the K-th flattened
-        # value before any value is computed; a value probe per tower bounded
-        # by the running K-th value requested 1623 eigenvalues here, and an
-        # index-range probe of K values per tower 11500
+        # value before any value is computed, and the m = 0 tower is the only
+        # one probed: each tower m >= 1 starts from guesses that the towers
+        # below give, and counts prove them.  A value probe per tower bounded
+        # by the running K-th value requested 1623 eigenvalues here, an
+        # index-range probe of K values per tower 11500, and a probe per tower
+        # up to hi 276
         K = 500
-        brackets, probes, solves, counts, searches = [], [], [], [], []
-        bracket, probe, cell, count = (angular._bracket, angular._probe, angular._cell,
-                                       angular.count_at_most)
+        brackets, probed, probes, counts = [], [], [], []
+        bracket, probe, values, count = (angular._bracket, angular._probe,
+                                         angular.eigvalsh_tridiagonal, angular.count_at_most)
+
+        def bracketing(*args):
+            brackets.append(bracket(*args))
+            counts.append(None)  # the requests after this mark are the towers' own
+            return brackets[-1]
 
         def counting_values(*args, **kwargs):
-            vals = eigvalsh_tridiagonal(*args, **kwargs)
-            probes.append((args[0], kwargs, vals))
-            return vals
+            probes.append((args[0], kwargs, values(*args, **kwargs)))
+            return probes[-1][2]
 
-        def counting_probe(matrix, x, n, width):
-            solves.append((matrix.diag, x, n, width))
-            return probe(matrix, x, n, width)
-
-        monkeypatch.setattr(angular, "_bracket",
-                            lambda *a: brackets.append(bracket(*a)) or brackets[-1])
+        monkeypatch.setattr(angular, "_bracket", bracketing)
+        monkeypatch.setattr(angular, "_probe", lambda mat, *a: probed.append(mat.diag) or probe(mat, *a))
         monkeypatch.setattr(angular, "eigvalsh_tridiagonal", counting_values)
-        monkeypatch.setattr(angular, "_probe", counting_probe)
-        monkeypatch.setattr(angular, "_cell", lambda mat, *a: searches.append(mat.diag) or cell(mat, *a))
         monkeypatch.setattr(angular, "count_at_most", lambda *a: counts.append(a) or count(*a))
         grid = PolarGrid.build(3, 1200)
         potential = AngularPotential.constant(0.0)
@@ -1012,46 +1151,47 @@ class TestFullSpectrum:
         towers = PolarTowers(potential, grid)
         [hi] = brackets
 
-        # a dyadic count search for the m = 0 cells, in place of the probe, made
-        # 563 counts here; a bracket doubled from -max a and every guard band
-        # counted, 270
-        assert len(counts) <= 97
-        assert sum(vals.size for *_, vals in probes) < 300
-        # one tower solve per tower with a value at or below hi, in order of
-        # m, each of its count at hi; only the m = 0 tower searches its cells,
-        # since its probe leaves no value of the towers m >= 1 unisolated
+        # counts replace the probes of the towers m >= 1: with a probe per
+        # tower this merge made 81 count requests (<= 97) and took 276 probe
+        # values; a dyadic count search for the m = 0 cells made 563 requests,
+        # and a bracket doubled from -max a with every guard band counted, 270
+        assert len(counts) - 1 <= 334
+        assert sum(vals.size for *_, vals in probes) <= 23
+        # one probe, of T_0, at 2^-1 and reaching 4 of those widths above hi
+        [(diag, kwargs, vals)] = probes
+        assert len(probed) == 1 and np.array_equal(probed[0], towers.matrix(0).diag)
+        assert np.array_equal(diag, towers.matrix(0).diag)
+        assert kwargs["select"] == "v" and kwargs["tol"] == 0.5
+        assert kwargs["select_range"] == (-math.inf, hi + 4 * 0.5)
+        assert vals.size >= count_at_most(towers.matrix(0), hi)
+        # each guided tower makes count_m + 1 requests or fewer after the
+        # bracket: its count at hi and one at each lower end of its intervals
         scanned = [m for m in range(grid.size + 1) if count_at_most(towers.matrix(m), hi)]
-        assert scanned == list(range(len(scanned))) and len(solves) == len(scanned)
-        for m, (diag, top, n, width) in enumerate(solves):
+        assert scanned == list(range(len(scanned))) and len(scanned) > 2
+        own = counts[counts.index(None) + 1:]
+        for m in scanned[1:]:
             mat = towers.matrix(m)
-            assert np.array_equal(diag, mat.diag) and top == hi and n == count_at_most(mat, hi)
-            assert width == 0.5
-        assert searches and all(np.array_equal(diag, towers.matrix(0).diag) for diag in searches)
-        # one coarse value probe per tower with a value up to hi, at 2^-1 and
-        # reaching 4 of those widths above hi
-        assert len(probes) == len(scanned)
-        for m, (diag, kwargs, vals) in enumerate(probes):
-            mat = towers.matrix(m)
-            assert np.array_equal(diag, mat.diag)
-            assert kwargs["select"] == "v" and kwargs["tol"] == 0.5
-            assert kwargs["select_range"] == (-math.inf, hi + 4 * 0.5)
-            assert vals.size >= count_at_most(mat, hi)
-        assert len({md.m for md in spec.modes}) <= len(probes)
+            xs = [x for requested, x in own if np.array_equal(requested.diag, mat.diag)]
+            assert hi in xs and len(xs) <= count_at_most(mat, hi) + 1
+        assert {md.m for md in spec.modes} <= set(scanned)
         assert sum(harmonic_multiplicity(3, m) * count_at_most(towers.matrix(m), hi)
                    for m in scanned) >= K
 
-        # the dipole K = 80, M = 10000 merge (198 counts with the dyadic m = 0
-        # search, 108 with the doubled bracket and every guard band counted)
+        # the dipole K = 80, M = 10000 merge: 37 count requests (<= 43) with a
+        # probe per tower; 198 with the dyadic m = 0 search, 108 with the
+        # doubled bracket and every guard band counted
         counts.clear()
+        probed.clear()
+        monkeypatch.setattr(angular, "_probe", lambda mat, *a: probed.append(mat) or probe(mat, *a))
         monkeypatch.setattr(angular, "count_at_most", lambda *a: counts.append(a) or count(*a))
         full_spectrum(AngularPotential.dipole(0.9), 80, PolarGrid.build(3, 10000))
-        assert len(counts) <= 43
+        assert len(counts) <= 73 and len(probed) == 1
 
     @pytest.mark.parametrize("solve", [full_spectrum, axisymmetric_spectrum])
     def test_no_count_is_factored_twice(self, monkeypatch, solve):
         # the bracket, the keep rule, each tower's count at hi and its cell
         # search share the counts that each tower matrix remembers; in the
-        # N = 3 Weyl case full_spectrum makes 97 requests at 77 distinct
+        # N = 3 Weyl case full_spectrum makes 334 requests at 315 distinct
         # (matrix, x).  Each sweep starts with one dpttrf call on all M rows
         M = 1200
         requests, rows = [], []

@@ -174,6 +174,9 @@ def fuzzed_argv(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=fuzzed_argv())
+# eps (eps + gap) overflows, and inf times the zero g is NaN: no RuntimeWarning
+@example(argv=["sandwich", "--grid", "40", "--modes", "6", "--points", "20", "--dim=3",
+               "--gscale=0.0", "--eps=1e300"])
 def test_fuzzed_flags_exit_cleanly(argv):
     """Any flag values on tiny grids end in success, input error or numerical failure."""
     assert exit_code(argv) in (0, 2, 3)
@@ -869,7 +872,9 @@ def test_csv_rows_render_like_the_reference(capsys, argv, key):
 # iteration from coarse cells: the manufactured-nonradial cauchy, the N = 4
 # spectrum and the sandwich.  The N = 4 spectrum was re-taken once more when
 # the bracket moved to the free sphere's level: 102 of its 120 values, all of
-# towers m >= 1, moved with the probe's range by at most 5.4e-14 relative.
+# towers m >= 1, moved with the probe's range by at most 5.4e-14 relative,
+# and again when those towers started from guesses that counts certify in
+# place of the probe: 108 values moved by at most 0.016 eps ||T_m||_1.
 # Every CSV pin kept its hash.
 PINNED_TABLES = [
     (("radial", "--dim", "3", "--mu", "2", "--perturbation", "manufactured:1.3",
@@ -896,7 +901,7 @@ PINNED_TABLES = [
     (("cauchy", "--scenario", "manufactured-nonradial", "--grid", "200", "--modes", "10",
       "--format", "json"), "f89047e31a491534e7c08025fc07f6836fadf5e2acf9c6e699daaa22c991b4f1"),
     (("spectrum", "--dim", "4", "--potential", "constant:0.5", "--count", "120", "--grid", "300",
-      "--format", "json"), "1e0d781142dca38ed9344635d39eebc9ec6722db25a434a44d6e90179dc1c3b2"),
+      "--format", "json"), "26c17d96d3f9b41606fb1d6b5a919feee7f52e1c506ace1fd6e46f99f19f1785"),
     (("sandwich", "--grid", "400", "--modes", "40"),
      "843d37941d685356e4fa65e22f128c85a5589c2a82622ba0401c51920eb38ec5"),
     (("hardy", "--dim", "3", "--potential", "constant:0.3", "--grid", "300", "--format", "json"),
