@@ -31,29 +31,20 @@ of the singular sin^{-2} coefficient, and no solver takes any of them again:
 
 One kernel solves every tower, after inertia counts (`count_at_most`) have
 fixed how many values it solves.  Each value gets a cell: an interval that
-holds it, clear of every other eigenvalue by a gap.  Rayleigh-quotient
-iteration from the cell's shift (`_iterate`, LAPACK dgttrf and dgttrs)
-accepts a quotient in the cell whose residual is within 16 eps ||T||_1 and
-certifies it within 2^-6 eps ||T||_1 of the eigenvalue (Kato and Temple;
-Parlett, The Symmetric Eigenvalue Problem, Thm 11.7.1).  A cluster that no
-cell splits is bisected by one dstebz call, and its bisected values are
-its values.  Cells come from counts, from a value probe or from guesses.
-The m = 0 tower keeps its vectors (`polar_eigen`): a value probe at the
-width w = 2^-1 (`_probe`) bounds each value, every cell comes from counts
-on the lattice wZ (`_cell`), the probe only saving the counts it proves,
-and each vector is orthogonalized against those before it, so the pairs
-depend on the matrix and the index alone and the pairs up to x are a
-prefix of those up to any larger x.  The towers m >= 1 keep no vectors
-(`_tower_values`).  The free levels l(l + N - 2), l = m + j - 1, guess
-value j of tower m from the towers below it: g_j = lambda_j(T_0) + 2j +
-N - 3 for m = 1, and g_j = 2 lambda_j(T_{m-1}) - lambda_j(T_{m-2}) + 2
-(the levels' second difference in m) for m >= 2.  Where counts at the
-midpoints between the guesses prove one value in each interval, those
-intervals give the cells (`_guided_cells`) and the tower takes no probe.
-A tower that its guesses or the counts decline, before any solve, or
-whose iteration is not accepted, is probed (`_probed_values`): a value
-that the probe isolates has the probe's cell and takes no count, and any
-other has the cell of `_cell`.
+holds it, clear of every other eigenvalue by a gap, in which
+Rayleigh-quotient iteration (`_iterate`) certifies it within
+2^-6 eps ||T||_1.  A cluster that no cell splits is bisected by one dstebz
+call, and its bisected values are its values.  Cells come from one of two
+sources.  Probed cells (`_probed_cells`): a value probe at the width
+w = 2^-1 (`_probe`) bounds each value, and counts on the lattice wZ place
+its cell (`_cell`).  Guided cells (`_guided_cells`): the free levels
+l(l + N - 2), l = m + j - 1, guess value j of tower m from the towers
+below, g_j = lambda_j(T_0) + 2j + N - 3 for m = 1 and g_j =
+2 lambda_j(T_{m-1}) - lambda_j(T_{m-2}) + 2 (the levels' second
+difference in m) for m >= 2, and counts between the guesses prove one
+value in each interval.  The m = 0 tower keeps its vectors and takes
+probed cells (`polar_eigen`); the towers m >= 1 keep no vectors and take
+guided cells, else probed ones (`_tower_values`).
 
 LAPACK (dgttrf, dgttrs, dpttrf, dstebz) is reached through
 `_lapack`, which loads scipy's `_flapack` extension without importing
@@ -535,15 +526,24 @@ def _iterate(matrix: TridiagonalMatrix, cell: _Cell,
     than any other, is the next step's shift; any other theta (a start with
     little of the cell's eigenvector), or one that is an eigenvalue to the
     bit (dgttrf info > 0), is not, and the next step solves with the same
-    factors again.  A cell's shift that is an eigenvalue to the bit, or no
+    factors again.  As in LAPACK's dstein, a cluster's cell (infinite gap)
+    starts from the start vector less its parts along `kept`, and a shift
+    there that is an eigenvalue to the bit moves up once, by 10 eps ||T||_1
+    (10 eps |s| can leave T - sI unchanged).  Any other such shift, or no
     acceptance within `_RQI_STEPS` steps, is an EigenSolveError.
     """
     off, limit = matrix.off, (_RESIDUAL * _EPS * matrix.one_norm())**2
-    *factors, info = dgttrf(off, matrix.diag - cell.shift, off, overwrite_d=1)
+    shift, cluster = cell.shift, cell.gap == math.inf
+    *factors, info = dgttrf(off, matrix.diag - shift, off, overwrite_d=1)
+    if info != 0 and cluster:
+        shift += 10.0 * _EPS * matrix.one_norm()
+        *factors, info = dgttrf(off, matrix.diag - shift, off, overwrite_d=1)
     if info != 0:
-        raise EigenSolveError(f"the shift {cell.shift!r} is an eigenvalue to the bit "
+        raise EigenSolveError(f"the shift {shift!r} is an eigenvalue to the bit "
                               f"(dgttrf info {info})")
     x = _start_vector(matrix.size)
+    if cluster:
+        x = _orthonormal(np.array(x), kept)
     for step in range(_RQI_STEPS):
         for _ in range(1 if step else 2):
             x = dgttrs(*factors, x)[0]
@@ -558,35 +558,43 @@ def _iterate(matrix: TridiagonalMatrix, cell: _Cell,
                           f"in {_RQI_STEPS} steps")
 
 
+def _probed_cells(matrix: TridiagonalMatrix, x: float, count: int) -> list[_Cell]:
+    """The cells of the count lowest eigenvalues of `matrix`, all at or below x, ascending.
+
+    One `_probe` up to x, then a walk over the indices j: each value's
+    cell, or the cells of its whole cluster, from `_cell`, and on past them.
+    A cluster that reaches past the count gives its first members alone.
+    Cell j depends on the matrix and j alone, whatever x and the count.
+    """
+    width, finest = _cell_width(matrix)
+    probed, cells = _probe(matrix, x, count, width), []
+    while len(cells) < count:
+        cells += _cell(matrix, len(cells) + 1, probed, width, finest)[:count - len(cells)]
+    return cells
+
+
 def polar_eigen(matrix: TridiagonalMatrix, x: float):
     """The eigenpairs at or below x, ascending; for x < x', a prefix of those up to x', bit for bit.
 
-    The walk over the indices j takes each value's cell, or the cells of
-    its whole cluster, from `_cell` and goes on past them; a value is the
-    Rayleigh quotient that `_iterate` accepts in its cell, or its cluster's
-    bisected value, and its vector is the iteration's, orthogonal to the
-    vectors before it, with a residual within 16 eps ||T||_1 at its own
-    quotient.  Cells, shifts and vectors depend on the matrix and j alone,
-    whatever x is.  Eigenvectors are orthonormal in the step-weighted inner
-    product sum_i v_i u_i h and carry a deterministic sign: first nonzero
-    component positive.  A NaN bound is an InputError.
+    Pair j comes from cell j of `_probed_cells`: its value is the quotient
+    that `_iterate` accepts there, or its cluster's bisected value, and its
+    vector is the iteration's, orthogonal to the vectors before it, with a
+    residual within 16 eps ||T||_1 at its own quotient.  Eigenvectors are
+    orthonormal in the step-weighted inner product sum_i v_i u_i h and
+    carry a deterministic sign: first nonzero component positive.  A NaN
+    bound is an InputError.
     """
     if math.isnan(x):
         raise InputError("the eigenvalue bound x is NaN")
     count = count_at_most(matrix, x)
     if count == 0:
         return []
-    width, finest = _cell_width(matrix)
-    probed = _probe(matrix, x, count, width)
     values, kept = [], []
-    while len(values) < count:
-        j = len(values) + 1
-        # a cluster may reach past x
-        for cell in _cell(matrix, j, probed, width, finest)[:count + 1 - j]:
-            theta, v = _iterate(matrix, cell, kept)
-            values.append(cell.shift if cell.gap == math.inf else theta)
-            # twice is enough: a cluster's solves grow v along kept
-            kept.append(_orthonormal(v, kept))
+    for cell in _probed_cells(matrix, x, count):
+        theta, v = _iterate(matrix, cell, kept)
+        values.append(cell.shift if cell.gap == math.inf else theta)
+        # twice is enough: a cluster's solves grow v along kept
+        kept.append(_orthonormal(v, kept))
     scale = 1.0 / math.sqrt(matrix.step)
     for v in kept:
         v *= scale if v[np.flatnonzero(v)[0]] > 0 else -scale
@@ -768,36 +776,19 @@ def _guided_cells(matrix: TridiagonalMatrix, hi: float, guesses: list[float],
     return [_Cell(g, lo + 0.5 * width, up - 0.5 * width, 0.5 * width) for g, lo, up in intervals]
 
 
-def _probed_values(matrix: TridiagonalMatrix, hi: float, count: int) -> list[float]:
-    """The count lowest values of `matrix`, each in the probe's cell or in `_cell`'s.
-
-    A value whose probe neighbours lie 3w or more away on both sides
-    (`_probe`) has the probe's cell [p_j - w, p_j + w] and gap, and takes no
-    count; every other value has the cell of `_cell`.
-    """
-    width, finest = _cell_width(matrix)
-    probed, vals = _probe(matrix, hi, count, width), []
-    while len(vals) < count:
-        j = len(vals) + 1
-        prev, p, nxt = probed[j - 1:j + 2]
-        gap = min(p - prev, nxt - p) - 2.0 * width
-        if gap >= width:
-            vals.append(_iterate(matrix, _Cell(p, p - width, p + width, gap), [])[0])
-            continue
-        for cell in _cell(matrix, j, probed, width, finest)[:count + 1 - j]:
-            vals.append(cell.shift if cell.gap == math.inf else _iterate(matrix, cell, [])[0])
-    return vals
+def _cell_values(matrix: TridiagonalMatrix, cells: list[_Cell]) -> list[float]:
+    """The value in each cell, without vectors: a cluster's bisected value, else `_iterate`'s."""
+    return [cell.shift if cell.gap == math.inf else _iterate(matrix, cell, [])[0] for cell in cells]
 
 
 def _tower_values(towers: PolarTowers, hi: float, axial: list[float]) -> list[np.ndarray]:
     """The values up to hi, without vectors, of the towers m >= 1, ascending in each tower.
 
     `axial` holds the m = 0 values up to hi.  Tower m gives the
-    count_at_most(T_m, hi) values that the bracket summed, each the
-    quotient that `_iterate` accepts in its cell or its cluster's bisected
-    value, with the cells of `_guided_cells` where they are proven and
-    every iteration in them is accepted, else those of `_probed_values`.
-    The first tower with none ends the scan.
+    count_at_most(T_m, hi) values that the bracket summed, from the cells
+    of `_guided_cells` where they are proven and every iteration in them is
+    accepted, else from those of `_probed_cells`.  The first tower with
+    none ends the scan.
     """
     N, values = towers.grid.dim, [axial]
     for m, mat in _scan(towers, 1):
@@ -812,10 +803,10 @@ def _tower_values(towers: PolarTowers, hi: float, axial: list[float]) -> list[np
         width = _cell_width(mat)[0]
         cells = _guided_cells(mat, hi, guesses, width) if len(guesses) == count else None
         try:
-            vals = [_iterate(mat, cell, [])[0] for cell in cells or ()]
-        except EigenSolveError:  # a guess too far from its value: the probe path starts over
+            vals = _cell_values(mat, cells or [])
+        except EigenSolveError:  # a guess too far from its value: the probe's cells instead
             vals = []
-        values.append(vals or _probed_values(mat, hi, count))
+        values.append(vals or _cell_values(mat, _probed_cells(mat, hi, count)))
 
 
 def _axial_modes(grid: PolarGrid, pairs, n: int) -> list[AngularMode]:

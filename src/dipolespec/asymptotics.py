@@ -118,6 +118,7 @@ def manufactured_nonradial(
     stored as q_bound; in particular g = 0 gives q = 0 exactly.  u has the
     factors [rho^sigma, rho^{sigma+eps}] x [psi_1, psi_1 g].  1 + rho^eps g is
     monotone in rho, so the sign gate and q_bound read the extreme radii only.
+    An eps for which eps(eps + 2 sigma + N - 2) overflows is an InputError.
     """
     check_eps(eps)
     pgrid = spectrum.grid
@@ -129,6 +130,9 @@ def manufactured_nonradial(
     exps = sigma_pair(pgrid.dim, mu1)
     sig = exps.sigma_plus
     psi1 = spectrum.psi_1.psi
+    lift = eps * (eps + exps.gap)
+    if not np.isfinite(lift):
+        raise InputError(f"eps = {eps!r} is too large: eps (eps + 2 sigma + N - 2) overflows")
 
     angular_factor = 1.0 + rho[[0, -1], None] ** eps * g[None, :]
     if np.min(angular_factor) <= 0.0:
@@ -141,7 +145,7 @@ def manufactured_nonradial(
     G = psi1 * g
     LG = spectrum.apply_axial(G)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite W or F fails downstream
-        W = (eps * (eps + exps.gap) + mu1) * G - LG
+        W = (lift + mu1) * G - LG
         F = LowRank(-(rho[:, None] ** (sig + eps - 2.0)), W[None, :])
     q_scaled = np.abs(W[None, :] / (psi1[None, :] * angular_factor))
     return SolutionField(

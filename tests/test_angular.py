@@ -429,6 +429,14 @@ def test_a_shifted_matrix_shares_off_and_computes_its_own_pivmin():
 
 DOUBLET_GRID = PolarGrid.build(3, 2000)
 WELL_GRID = PolarGrid.build(3, 800)
+# a = 200 cos 2t on these grids: the lowest m = 0 values pair up in clusters,
+# one (N = 4, M = 397) equal to the bit, one (N = 3, M = 455) whose bisected
+# value is an eigenvalue to the bit
+CLUSTER_GRIDS = [PolarGrid.build(3, 455), PolarGrid.build(4, 319), PolarGrid.build(4, 397)]
+
+
+def well(depth, grid):
+    return AngularPotential.tabulated(depth * np.cos(2 * grid.nodes), grid)
 
 
 @st.composite
@@ -530,6 +538,9 @@ class TestPolarEigen:
     # the a = 40 cos 2t doublet mu_1, mu_2 (3.9e-5 apart) split by the bound
     @example(case=(AngularPotential.tabulated(40.0 * np.cos(2 * DOUBLET_GRID.nodes), DOUBLET_GRID),
                    DOUBLET_GRID, 0, 1), extra=11)
+    @example(case=(well(200.0, CLUSTER_GRIDS[0]), CLUSTER_GRIDS[0], 0, 1), extra=3)
+    @example(case=(well(200.0, CLUSTER_GRIDS[1]), CLUSTER_GRIDS[1], 0, 1), extra=3)
+    @example(case=(well(200.0, CLUSTER_GRIDS[2]), CLUSTER_GRIDS[2], 0, 1), extra=3)
     def test_a_smaller_count_is_a_prefix_bit_for_bit(self, case, extra):
         # for bounds x < x', polar_eigen(T, x) is a prefix of polar_eigen(T, x')
         potential, grid, m, count = case
@@ -576,6 +587,9 @@ class TestPolarEigen:
                    DOUBLET_GRID, 0, 12))
     @example(case=(AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes), WELL_GRID),
                    WELL_GRID, 0, 12))
+    @example(case=(well(200.0, CLUSTER_GRIDS[0]), CLUSTER_GRIDS[0], 0, 4))
+    @example(case=(well(200.0, CLUSTER_GRIDS[1]), CLUSTER_GRIDS[1], 0, 4))
+    @example(case=(well(200.0, CLUSTER_GRIDS[2]), CLUSTER_GRIDS[2], 0, 4))
     def test_every_pair_meets_the_kernel_bound(self, case):
         # each unit vector x has ||Tx - theta x|| <= 16 eps ||T||_1 at its own
         # quotient theta, summed again by fsum; the vectors are orthonormal in
@@ -745,44 +759,6 @@ class TestCertifiedValues:
                                    tol=np.finfo(float).eps)
         assert abs(theta - ref[0]) <= 4 * np.finfo(float).eps * mat.one_norm()
 
-    def test_only_unisolated_values_take_the_cell_search(self, monkeypatch):
-        # a = 200 cos 2t, N = 3, M = 800, K = 30: values of towers m = 1..4
-        # pair up closer than the coarse probe isolates.  Each such value takes
-        # a `_cell` search, unless an earlier search bisected it with its
-        # cluster; every other value takes none, and no tower is probed twice
-        # or bisected whole
-        towers = PolarTowers(AngularPotential.tabulated(200.0 * np.cos(2 * WELL_GRID.nodes),
-                                                        WELL_GRID), WELL_GRID)
-        hi = angular._bracket(towers, 30)
-        axial = [mu for mu, _ in polar_eigen(towers.matrix(0), hi)]
-        values, cell = angular.eigvalsh_tridiagonal, angular._cell
-        probes, searches = [], []
-        monkeypatch.setattr(angular, "eigvalsh_tridiagonal",
-                            lambda d, e, **kw: probes.append((d, kw)) or values(d, e, **kw))
-        monkeypatch.setattr(angular, "_cell", lambda mat, j, *a: searches.append(
-            (mat.diag, j, cell(mat, j, *a))) or searches[-1][2])
-        got = angular._tower_values(towers, hi, axial)
-        monkeypatch.undo()
-        assert len(got) == 4
-        eps = np.finfo(float).eps
-        for m, vals in enumerate(got, 1):
-            mat = towers.matrix(m)
-            count = count_at_most(mat, hi)
-            assert [(kw["select"], kw["tol"]) for d, kw in probes if d is mat.diag] == [("v", 0.5)]
-            probed = angular._probe(mat, hi, count, 0.5)
-            unisolated = {j for j in range(1, count + 1)
-                          if min(probed[j] - probed[j - 1], probed[j + 1] - probed[j]) < 1.5}
-            taken, covered = [], set()
-            for d, j, cells in searches:
-                if d is mat.diag:
-                    taken.append(j)
-                    covered |= set(range(j, j + len(cells)))
-            assert taken and set(taken) <= unisolated <= covered
-            ref = eigvalsh_tridiagonal(mat.diag, mat.off, select="i", select_range=(0, count - 1),
-                                       tol=eps)
-            assert len(vals) == count
-            assert np.all(np.abs(vals - ref) <= 4 * eps * mat.one_norm())
-
     def test_the_start_vector_is_pinned(self):
         # splitmix64 from seed 0, top 53 bits scaled to [-1, 1): integer
         # arithmetic alone, so no libm, BLAS or host changes a bit
@@ -797,14 +773,15 @@ def traced_tower_values(potential, K, grid):
 
     `events` lists in order each count ("count", matrix, x, count), each
     result of `_guided_cells` ("guided", matrix, cells or None), each probe
-    ("probe", matrix, width) and each iteration ("iterate", matrix, cell,
-    (theta, x)), that one appended once the iteration returns.
+    ("probe", matrix, width), each result of `_cell` ("cell", matrix, j,
+    cells) and each iteration ("iterate", matrix, cell, (theta, x)), that
+    one appended once the iteration returns.
     """
     towers = PolarTowers(potential, grid)
     hi = angular._bracket(towers, K)
     axial = [mu for mu, _ in polar_eigen(towers.matrix(0), hi)]
-    count, guided, probe, iterate = (angular.count_at_most, angular._guided_cells, angular._probe,
-                                     angular._iterate)
+    count, guided, probe, cell, iterate = (angular.count_at_most, angular._guided_cells,
+                                           angular._probe, angular._cell, angular._iterate)
     events = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(angular, "count_at_most", lambda mat, x: events.append(
@@ -813,6 +790,8 @@ def traced_tower_values(potential, K, grid):
             ("guided", mat, guided(mat, *a))) or events[-1][2])
         patch.setattr(angular, "_probe", lambda mat, x, n, width: events.append(
             ("probe", mat, width)) or probe(mat, x, n, width))
+        patch.setattr(angular, "_cell", lambda mat, j, *a: events.append(
+            ("cell", mat, j, cell(mat, j, *a))) or events[-1][3])
         patch.setattr(angular, "_iterate", lambda mat, cell, kept: events.append(
             ("iterate", mat, cell, iterate(mat, cell, kept))) or events[-1][3])
         values = angular._tower_values(towers, hi, axial)
@@ -820,10 +799,6 @@ def traced_tower_values(potential, K, grid):
 
 
 WELLS = [(200.0, WELL_GRID, 30), (40.0, DOUBLET_GRID, 60)]
-
-
-def well(depth, grid):
-    return AngularPotential.tabulated(depth * np.cos(2 * grid.nodes), grid)
 
 
 class TestGuidedTowers:
@@ -899,6 +874,26 @@ class TestGuidedTowers:
             kinds = [e[0] for e in events if e[1] is mat and e[0] != "guided"]
             first = kinds.index("probe")
             assert set(kinds[:first]) == {"count"} and kinds.count("probe") == 1
+
+    @pytest.mark.parametrize("depth,grid,K", WELLS)
+    def test_a_declined_tower_iterates_the_cells_of_its_walk(self, depth, grid, K):
+        # each declined tower takes `_cell` at j = 1 and then past each cell
+        # or cluster it placed; it iterates exactly those cells that no
+        # cluster fills, in order, and its values are their quotients and
+        # its clusters' bisected values
+        towers, got, events = traced_tower_values(well(depth, grid), K, grid)
+        declined = [e[1] for e in events if e[0] == "guided" and e[2] is None]
+        assert declined
+        for mat in declined:
+            [vals] = [vals for m, vals in enumerate(got, 1) if towers.matrix(m) is mat]
+            walk = [e[2:] for e in events if e[0] == "cell" and e[1] is mat]
+            starts = [1 + sum(len(cells) for _, cells in walk[:i]) for i in range(len(walk))]
+            assert [j for j, _ in walk] == starts
+            placed = [cell for _, cells in walk for cell in cells][:len(vals)]
+            solved = [e[2:] for e in events if e[0] == "iterate" and e[1] is mat]
+            assert [cell for cell, _ in solved] == [c for c in placed if c.gap < math.inf]
+            thetas = iter(theta for _, (theta, _) in solved)
+            assert vals.tolist() == [c.shift if c.gap == math.inf else next(thetas) for c in placed]
 
 
 def doubled_bracket(towers, K):

@@ -1063,6 +1063,32 @@ def test_a_ground_doublet_exits_3(tmp_path, capsys):
     assert (code, out) == (3, "") and "two lowest m = 0 eigenvalues" in err
 
 
+@pytest.mark.parametrize("N,M", [(3, 455), (4, 319)])
+def test_equal_cluster_members_are_solved_before_the_doublet_exits_3(tmp_path, capsys, N, M):
+    # a = 200 cos 2t: the lowest m = 0 values pair up in clusters whose
+    # bisected value is an eigenvalue to the bit (N = 3) or whose members lie
+    # 5.7e-14 apart (N = 4); each member is solved, with no warning, and the
+    # ground doublet ends the run
+    grid = angular.PolarGrid.build(N, M)
+    table = tmp_path / "a.txt"
+    np.savetxt(table, 200.0 * np.cos(2 * grid.nodes), fmt="%.17g")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "spectrum", "--dim", str(N), "--grid", str(M), "--count", "10",
+                             "--potential", f"table:{table}")
+    assert (code, out, caught) == (3, "", []) and "Warning" not in err
+    assert "two lowest m = 0 eigenvalues" in err
+
+
+@pytest.mark.parametrize("gscale", [["--gscale=0.0"], []])
+def test_an_eps_whose_source_overflows_is_named(capsys, gscale):
+    # eps (eps + 2 sigma + N - 2) overflows: the error names eps, not the NaN
+    # or zero radius that the overflow would leave
+    code, out, err = run(capsys, "sandwich", "--eps=1e300", *gscale, "--grid", "400",
+                         "--modes", "40")
+    assert (code, out) == (2, "") and "eps = 1e+300 is too large" in err
+
+
 def test_a_table_rewritten_at_one_path_is_solved_again(tmp_path, capsys):
     grid = angular.PolarGrid.build(3, 400)
     table = tmp_path / "a.txt"
