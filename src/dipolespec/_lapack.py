@@ -26,6 +26,8 @@ import sys
 
 import numpy as np
 
+from .errors import EigenSolveError
+
 _FLAPACK = "scipy.linalg._flapack"
 
 
@@ -57,14 +59,14 @@ def eigvalsh_tridiagonal(d, e, select: str, select_range, tol: float = 0.0) -> n
 
     `select_range` is (lo, hi): with select "v" the values in (lo, hi], with
     select "i" the indices lo..hi, 0-based.  `tol` is dstebz's absolute
-    tolerance (0: its default, eps ||T||_1).  A nonzero LAPACK info is a
-    LinAlgError.
+    tolerance (0: its default, eps ||T||_1).  A nonzero LAPACK info is an
+    EigenSolveError.
     """
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
     lo, hi = select_range
     bounds = (1, lo, hi, 1, 1) if select == "v" else (2, 0.0, 1.0, lo + 1, hi + 1)
     found, w, _, _, info = dstebz(d, e, *bounds, tol, "E")
     if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz (eigvalsh_tridiagonal) failed (LAPACK info {info})")
+        raise EigenSolveError(f"dstebz (eigvalsh_tridiagonal) failed (LAPACK info {info})")
     return w[:found]
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dipolespec import angular, brezis_kato, cli, hardy
+from dipolespec import _lapack, angular, brezis_kato, cli, hardy
 from dipolespec.cli import build_parser, main, parse_dims
 from pathlib import Path
 
@@ -961,12 +961,22 @@ def test_a_nan_in_one_bk_column_exits_3(capsys, monkeypatch, tmp_path, fmt, colu
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_nan_coupling_in_the_hardy_table_exits_3(capsys, monkeypatch, tmp_path, fmt):
     monkeypatch.setattr(hardy, "critical_dipole_coupling",
-                        lambda grid, method: math.nan if grid.dim == 4 else 1.0)
+                        lambda grid, method, guess=None: math.nan if grid.dim == 4 else 1.0)
     target = tmp_path / f"table.{fmt}"
     code, out, err = run(capsys, "hardy", "--table", "3..5", "--grid", "100",
                          "--format", fmt, "--out", str(target))
     assert (code, out) == (3, "") and err.startswith("numerical failure: hardy-table")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--grid", "200", "--count", "5"),
+                                  ("hardy", "--grid", "200")])
+def test_a_failed_dstebz_exits_3(capsys, monkeypatch, argv):
+    # the value probe and the Ritz value both go through _lapack.eigvalsh_tridiagonal
+    monkeypatch.setattr(_lapack, "dstebz", lambda *args: (0, np.zeros(0), None, None, 1))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: dstebz (eigvalsh_tridiagonal) failed (LAPACK info 1)\n"
 
 
 # one small successful run of each command, keyed by the command its document names

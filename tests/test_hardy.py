@@ -135,24 +135,6 @@ def factored_bisection(grid, guess=None):
         return critical_dipole_coupling(grid, "bisection", guess), factored
 
 
-def levels_climbed(top, guess, coupling):
-    """Levels the guided bisection climbs from the interval of [0, top] it walks to for guess.
-
-    The walk stops at the first dyadic interval no wider than
-    max(2^-20 guess, the final bracket); the bisection of the same grid
-    ends at coupling.  The climb ends at the deepest interval on the walk
-    that still holds coupling.
-    """
-    lo, hi, depth, shared = 0.0, top, 0, None
-    while hi - lo > max(2.0**-20 * guess, hardy._BISECTION_TOL):
-        mid = 0.5 * (lo + hi)
-        if shared is None and (guess < mid) != (coupling < mid):
-            shared = depth
-        lo, hi = (lo, mid) if guess < mid else (mid, hi)
-        depth += 1
-    return 0 if shared is None else depth - shared
-
-
 def assert_the_assembled_steps(grid, factored, tested):
     """Each factored diagonal is the assembled dipole tower's minus the threshold, bit for bit."""
     target = -(((grid.dim - 2) / 2.0) ** 2)
@@ -392,31 +374,33 @@ class TestCriticalCoupling:
     )
     def test_a_guess_near_the_pencil_keeps_the_bits(self, N, M, sampling, r):
         # the walk stops on an interval about 1e-6 of the guess wide, so most
-        # of these guesses fail its certificate and climb
+        # of these guesses fail its check and take the unguided run
         g = PolarGrid.build(N, M, sampling)
         want, unguided = factored_bisection(g)
         guess = critical_dipole_coupling(g, "pencil") * (1.0 + r)
         got, guided = factored_bisection(g, guess)
         assert got.hex() == want.hex()
-        top = 4.0 * (N - 2) ** 2  # the first bracket end that is not positive
-        while top <= want:
-            top *= 2.0
-        assert len(guided) <= len(unguided) + levels_climbed(top, guess, want) + 2
+        assert len(guided) <= len(unguided) + 2
 
     @pytest.mark.parametrize("N,M,sampling", [(3, 2000, "node"), (5, 800, "flux"), (8, 300, "node")])
-    def test_a_bad_guess_costs_at_most_its_climb(self, N, M, sampling):
+    def test_a_failed_check_costs_at_most_two_sweeps(self, N, M, sampling):
         g = PolarGrid.build(N, M, sampling)
         want, unguided = factored_bisection(g)
         top = 4.0 * (N - 2) ** 2
-        assert want < top / 2  # the first bracket end holds: [0, top] is the whole tree
+        assert want < top / 2  # the first bracket end holds: one bracket sweep, [0, top]
         pencil = critical_dipole_coupling(g, "pencil")
-        for guess in (math.nan, math.inf, -math.inf, 0.0, -1.0, top, 2 * top, 2 * pencil):
+        for guess in (math.nan, math.inf, -math.inf, 0.0, -1.0, top, 2 * top):
             got, guided = factored_bisection(g, guess)
             assert got.hex() == want.hex()
-            if 0 < guess < top:
-                assert len(guided) <= len(unguided) + levels_climbed(top, guess, want) + 2
-            else:  # walks nowhere: the unguided run
-                assert len(guided) == len(unguided)
+            assert len(guided) == len(unguided)  # walks nowhere: the unguided run
+        # each of these walks to an interval that does not hold the coupling
+        for guess in (top / 2, 2 * pencil, 1.1 * pencil, 0.9 * pencil, (1 + 1e-3) * pencil):
+            got, guided = factored_bisection(g, guess)
+            assert got.hex() == want.hex()
+            checks = len(guided) - len(unguided)
+            assert 1 <= checks <= 2
+            after = guided[:1] + guided[1 + checks:]
+            assert [d.tobytes() for d in after] == [d.tobytes() for d in unguided]
 
     def test_the_table_skips_most_sweeps(self, capsys, monkeypatch):
         # the unguided bisections of this table make 271 sweeps; the guided
