@@ -30,21 +30,21 @@ of the singular sin^{-2} coefficient, and no solver takes any of them again:
     available for reproduction runs.
 
 One kernel solves every tower, after inertia counts (`count_at_most`) have
-fixed how many values it solves.  Each value gets a cell: an interval that
-holds it, clear of every other eigenvalue by a gap, in which
-Rayleigh-quotient iteration (`_iterate`) certifies it within
-2^-6 eps ||T||_1.  A cluster that no cell splits is bisected by one dstebz
-call, and its bisected values are its values.  Cells come from one of two
-sources.  Probed cells (`_probed_cells`): a value probe at the width
-w = 2^-1 (`_probe`) bounds each value, and counts on the lattice wZ place
-its cell (`_cell`).  Guided cells (`_guided_cells`): the free levels
-l(l + N - 2), l = m + j - 1, guess value j of tower m from the towers
-below, g_j = lambda_j(T_0) + 2j + N - 3 for m = 1 and g_j =
-2 lambda_j(T_{m-1}) - lambda_j(T_{m-2}) + 2 (the levels' second
-difference in m) for m >= 2, and counts between the guesses prove one
-value in each interval.  The m = 0 tower keeps its vectors and takes
-probed cells (`polar_eigen`); the towers m >= 1 keep no vectors and take
-guided cells, else probed ones (`_tower_values`).
+fixed how many values it solves, by one rule: a value that the lattice
+isolates gets a cell, an interval that holds it, clear of every other
+eigenvalue by a gap, in which Rayleigh-quotient iteration (`_iterate`)
+certifies it within 2^-6 eps ||T||_1 (Kato-Temple); any other value is
+bisected by one dstebz call, and the bisected value is its value.  Cells
+come from one of two sources.  Probed cells (`_probed_cells`): a value
+probe at the width w = 2^-1 (`_probe`) bounds each value, and counts on
+the lattice wZ place its cell, or find it unisolated (`_cell`).  Guided
+cells (`_guided_cells`): the free levels l(l + N - 2), l = m + j - 1,
+guess value j of tower m from the towers below, g_j = lambda_j(T_0) +
+2j + N - 3 for m = 1 and g_j = 2 lambda_j(T_{m-1}) - lambda_j(T_{m-2}) + 2
+(the levels' second difference in m) for m >= 2, and counts between the
+guesses prove one value in each interval.  The m = 0 tower keeps its
+vectors and takes probed cells (`polar_eigen`); the towers m >= 1 keep no
+vectors and take guided cells, else probed ones (`_tower_values`).
 
 LAPACK (dgttrf, dgttrs, dpttrf, dstebz) is reached through
 `_lapack`, which loads scipy's `_flapack` extension without importing
@@ -81,7 +81,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-_EPS = float(np.finfo(float).eps)  # also the absolute tolerance of a cluster's bisection
+_EPS = float(np.finfo(float).eps)  # also the absolute tolerance of a bisected value
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -380,16 +380,14 @@ _RESIDUAL = 16.0
 _RQI_STEPS = 8
 
 
-def _cell_width(matrix: TridiagonalMatrix) -> tuple[float, float]:
-    """(lattice width, finest width) of the cells of `matrix`, both powers of 2.
+def _cell_width(matrix: TridiagonalMatrix) -> float:
+    """The lattice width of the cells of `matrix`, a power of 2.
 
-    No cell is split below 2^-37 ||T||_1 rounded up to a power of 2, the
-    finest width, so every gap is 2^-38 ||T||_1 > 2^14 eps ||T||_1 or more.
-    The lattice width is 2^-1, or the finest width where that is wider, so
-    that half a width covers the rounding of counts and of the probe.
+    It is 2^-1, or 2^-37 ||T||_1 rounded up to a power of 2 where that is
+    wider, so that every gap is 2^-38 ||T||_1 > 2^14 eps ||T||_1 or more
+    and half a width covers the rounding of counts and of the probe.
     """
-    finest = math.ldexp(1.0, math.frexp(matrix.one_norm())[1] - 37)  # ||T||_1 < 2^e
-    return max(0.5, finest), finest
+    return max(0.5, math.ldexp(1.0, math.frexp(matrix.one_norm())[1] - 37))  # ||T||_1 < 2^e
 
 
 def _probe(matrix: TridiagonalMatrix, x: float, count: int, width: float) -> list[float]:
@@ -413,8 +411,8 @@ def _probe(matrix: TridiagonalMatrix, x: float, count: int, width: float) -> lis
 class _Cell(NamedTuple):
     """Eigenvalue j lies in [lo, hi], and every other one `gap` or more away from it.
 
-    `shift` starts the iteration; a cluster's cells have its bisected values as
-    shifts and values, and an infinite gap.
+    `shift` starts the iteration; a bisected value's cell has that value as
+    its shift and value, and an infinite gap.
     """
 
     shift: float
@@ -423,23 +421,17 @@ class _Cell(NamedTuple):
     gap: float
 
 
-def _cell(matrix: TridiagonalMatrix, j: int, probed: list[float], width: float,
-          finest: float) -> list[_Cell]:
-    """The cell of eigenvalue j, or the cells of its cluster j..last, placed by counts.
+def _cell(matrix: TridiagonalMatrix, j: int, probed: list[float], width: float) -> _Cell:
+    """The cell of eigenvalue j, placed by counts, or its bisected value.
 
     Counts place eigenvalue j in the lattice cell (x, x + w], x in wZ, that
-    holds it, and halve the cell, keeping the half that holds j, until no
-    other eigenvalue lies within one width of it.  The iteration's cell
-    reaches a quarter width past each end, for the rounding of counts, and
-    its gap is w/2.  It depends on the matrix and j alone: the probe values
-    `probed` (see `_probe`) only skip the counts whose outcome their bounds
-    prove.  A cell still shared at the finest width holds a cluster, whose
-    members all took j's halving path, so j is its first index: one LAPACK
-    dstebz call bisects the values in that cell (x, x + w] to an absolute
-    tolerance eps, from one start, so that they come out ascending; where
-    it finds other than the values j..last that the counts at x and x + w
-    name, one call by index j..last does.  A finest cell that holds j
-    alone, with a neighbour within a width, is a cluster of one.
+    holds it.  Where no other eigenvalue lies within one width of that cell,
+    the iteration's cell reaches a quarter width past each end, for the
+    rounding of counts, and its gap is w/2.  Otherwise one LAPACK dstebz
+    call by index j bisects eigenvalue j to an absolute tolerance eps, and
+    the cell is (x - w, x + 2w] with that value as its shift.  Either
+    depends on the matrix and j alone: the probe values `probed` (see
+    `_probe`) only skip the counts whose outcome their bounds prove.
     """
     value, below, above = probed[j], probed[j - 1] + width, probed[j + 1] - width
     left = width * math.floor(value / width)
@@ -447,24 +439,15 @@ def _cell(matrix: TridiagonalMatrix, j: int, probed: list[float], width: float,
         left -= width
     elif count_at_most(matrix, left + width) < j:  # and value + w < left + 2w above
         left += width
-    while True:  # j alone in (left, left + 2w], then in (left - w, left + 2w]
-        if ((left + 2.0 * width < above or count_at_most(matrix, left + width) == j
-             and count_at_most(matrix, left + 2.0 * width) == j)
-                and (below < left - width or count_at_most(matrix, left - width) == j - 1)):
-            return [_Cell(left + 0.5 * width, left - 0.25 * width, left + 1.25 * width,
-                          0.5 * width)]
-        if width <= finest:
-            break
-        width *= 0.5
-        if count_at_most(matrix, left + width) < j:
-            left += width
-    last = count_at_most(matrix, left + width)
-    found, vals, *_, info = dstebz(matrix.diag, matrix.off, 1, left, left + width, 1, 1, _EPS, "E")
-    if info != 0 or found != last - j + 1 or count_at_most(matrix, left) != j - 1:
-        found, vals, *_, info = dstebz(matrix.diag, matrix.off, 2, 0.0, 0.0, j, last, _EPS, "E")
-    if info != 0 or found != last - j + 1:
-        raise EigenSolveError(f"bisection of eigenvalues {j}..{last} failed (dstebz info {info})")
-    return [_Cell(mu, left - width, left + 2.0 * width, math.inf) for mu in vals[:found].tolist()]
+    # j alone in (left, left + 2w], then in (left - w, left + 2w]
+    if ((left + 2.0 * width < above or count_at_most(matrix, left + width) == j
+         and count_at_most(matrix, left + 2.0 * width) == j)
+            and (below < left - width or count_at_most(matrix, left - width) == j - 1)):
+        return _Cell(left + 0.5 * width, left - 0.25 * width, left + 1.25 * width, 0.5 * width)
+    found, vals, *_, info = dstebz(matrix.diag, matrix.off, 2, 0.0, 0.0, j, j, _EPS, "E")
+    if info != 0 or found != 1:
+        raise EigenSolveError(f"bisection of eigenvalue {j} failed (dstebz info {info})")
+    return _Cell(float(vals[0]), left - width, left + 2.0 * width, math.inf)
 
 
 @lru_cache(maxsize=4)
@@ -526,23 +509,23 @@ def _iterate(matrix: TridiagonalMatrix, cell: _Cell,
     than any other, is the next step's shift; any other theta (a start with
     little of the cell's eigenvector), or one that is an eigenvalue to the
     bit (dgttrf info > 0), is not, and the next step solves with the same
-    factors again.  As in LAPACK's dstein, a cluster's cell (infinite gap)
-    starts from the start vector less its parts along `kept`, and a shift
-    there that is an eigenvalue to the bit moves up once, by 10 eps ||T||_1
-    (10 eps |s| can leave T - sI unchanged).  Any other such shift, or no
-    acceptance within `_RQI_STEPS` steps, is an EigenSolveError.
+    factors again.  As in LAPACK's dstein, a bisected value's cell
+    (infinite gap) starts from the start vector less its parts along `kept`,
+    and a shift there that is an eigenvalue to the bit moves up once, by
+    10 eps ||T||_1 (10 eps |s| can leave T - sI unchanged).  Any other such
+    shift, or no acceptance within `_RQI_STEPS` steps, is an EigenSolveError.
     """
     off, limit = matrix.off, (_RESIDUAL * _EPS * matrix.one_norm())**2
-    shift, cluster = cell.shift, cell.gap == math.inf
+    shift, bisected = cell.shift, cell.gap == math.inf
     *factors, info = dgttrf(off, matrix.diag - shift, off, overwrite_d=1)
-    if info != 0 and cluster:
+    if info != 0 and bisected:
         shift += 10.0 * _EPS * matrix.one_norm()
         *factors, info = dgttrf(off, matrix.diag - shift, off, overwrite_d=1)
     if info != 0:
         raise EigenSolveError(f"the shift {shift!r} is an eigenvalue to the bit "
                               f"(dgttrf info {info})")
     x = _start_vector(matrix.size)
-    if cluster:
+    if bisected:
         x = _orthonormal(np.array(x), kept)
     for step in range(_RQI_STEPS):
         for _ in range(1 if step else 2):
@@ -561,25 +544,22 @@ def _iterate(matrix: TridiagonalMatrix, cell: _Cell,
 def _probed_cells(matrix: TridiagonalMatrix, x: float, count: int) -> list[_Cell]:
     """The cells of the count lowest eigenvalues of `matrix`, all at or below x, ascending.
 
-    One `_probe` up to x, then a walk over the indices j: each value's
-    cell, or the cells of its whole cluster, from `_cell`, and on past them.
-    A cluster that reaches past the count gives its first members alone.
-    Cell j depends on the matrix and j alone, whatever x and the count.
+    One `_probe` up to x, then `_cell` for each index j.  Cell j depends on
+    the matrix and j alone, whatever x and the count.
     """
-    width, finest = _cell_width(matrix)
-    probed, cells = _probe(matrix, x, count, width), []
-    while len(cells) < count:
-        cells += _cell(matrix, len(cells) + 1, probed, width, finest)[:count - len(cells)]
-    return cells
+    width = _cell_width(matrix)
+    probed = _probe(matrix, x, count, width)
+    return [_cell(matrix, j, probed, width) for j in range(1, count + 1)]
 
 
 def polar_eigen(matrix: TridiagonalMatrix, x: float):
     """The eigenpairs at or below x, ascending; for x < x', a prefix of those up to x', bit for bit.
 
     Pair j comes from cell j of `_probed_cells`: its value is the quotient
-    that `_iterate` accepts there, or its cluster's bisected value, and its
-    vector is the iteration's, orthogonal to the vectors before it, with a
-    residual within 16 eps ||T||_1 at its own quotient.  Eigenvectors are
+    that `_iterate` accepts there, or the bisected value where the cell's
+    gap is infinite, and its vector is the iteration's, orthogonal to the
+    vectors before it, with a residual within 16 eps ||T||_1 at its own
+    quotient.  Eigenvectors are
     orthonormal in the step-weighted inner product sum_i v_i u_i h and
     carry a deterministic sign: first nonzero component positive.  A NaN
     bound is an InputError.
@@ -593,7 +573,7 @@ def polar_eigen(matrix: TridiagonalMatrix, x: float):
     for cell in _probed_cells(matrix, x, count):
         theta, v = _iterate(matrix, cell, kept)
         values.append(cell.shift if cell.gap == math.inf else theta)
-        # twice is enough: a cluster's solves grow v along kept
+        # twice is enough: a bisected value's solves grow v along kept
         kept.append(_orthonormal(v, kept))
     scale = 1.0 / math.sqrt(matrix.step)
     for v in kept:
@@ -777,7 +757,8 @@ def _guided_cells(matrix: TridiagonalMatrix, hi: float, guesses: list[float],
 
 
 def _cell_values(matrix: TridiagonalMatrix, cells: list[_Cell]) -> list[float]:
-    """The value in each cell, without vectors: a cluster's bisected value, else `_iterate`'s."""
+    """The value in each cell, without vectors: the bisected value where the gap is infinite,
+    else `_iterate`'s quotient."""
     return [cell.shift if cell.gap == math.inf else _iterate(matrix, cell, [])[0] for cell in cells]
 
 
@@ -800,7 +781,7 @@ def _tower_values(towers: PolarTowers, hi: float, axial: list[float]) -> list[np
             guesses = [mu + (2 * j + N - 3) for j, mu in enumerate(below, 1)]
         else:
             guesses = [2.0 * mu - nu + 2.0 for mu, nu in zip(below, values[-2])]
-        width = _cell_width(mat)[0]
+        width = _cell_width(mat)
         cells = _guided_cells(mat, hi, guesses, width) if len(guesses) == count else None
         try:
             vals = _cell_values(mat, cells or [])
@@ -861,9 +842,10 @@ def full_spectrum(
     axisymmetric modes are the same bits for every K that keeps them.  Each
     tower m >= 1 up to the first one with no value at or below hi gives its
     count_at_most(T_m, hi) lowest values, without profiles, to within
-    2^-6 eps ||T_m||_1 and rounding (`_tower_values`); those counts summed
-    to at least K when the bracket took hi, and an m >= 1 value moves with
-    K only within rounding.  The K-th of the merged values is the cutoff.
+    2^-6 eps ||T_m||_1 and rounding (`_tower_values`), and a bisected value
+    to dstebz's absolute tolerance eps; those counts summed to at least K
+    when the bracket took hi, and an m >= 1 value moves with K only within
+    rounding.  The K-th of the merged values is the cutoff.
     """
     N = grid.dim
     towers, hi, pairs = _axial_solve(potential, K, grid)

@@ -1090,6 +1090,33 @@ def test_equal_cluster_members_are_solved_before_the_doublet_exits_3(tmp_path, c
     assert "two lowest m = 0 eigenvalues" in err
 
 
+def test_a_pair_within_one_lattice_width_is_bisected(tmp_path, capsys):
+    # a = 40 cos 2t, N = 3, M = 423: the m = 0 values 3 and 4 lie 0.028
+    # apart, within one lattice width, so both are bisected; in cells of
+    # their own, value 4 stalled at 1.002 times the acceptance limit (exit 3)
+    grid = angular.PolarGrid.build(3, 423)
+    table = tmp_path / "a.txt"
+    np.savetxt(table, 40.0 * np.cos(2 * grid.nodes), fmt="%.17g")
+    code, out, err = run(capsys, "spectrum", "--dim", "3", "--grid", "423", "--count", "10",
+                         "--potential", f"table:{table}")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ("--potential", "dipole:1.0", "--count", "80", "--grid", "10000"),
+    ("--potential", "constant:0.5", "--count", "500", "--grid", "1200"),
+])
+def test_the_spectra_shapes_bisect_no_value(capsys, monkeypatch, argv):
+    # the lattice isolates every value of these benchmark shapes, so no value
+    # is bisected, and their bits are those of the iteration alone
+    calls, cells, cell, stebz = [], [], angular._cell, angular.dstebz
+    monkeypatch.setattr(angular, "dstebz", lambda *a: calls.append(a) or stebz(*a))
+    monkeypatch.setattr(angular, "_cell", lambda *a: cells.append(cell(*a)) or cells[-1])
+    code, _, err = run(capsys, "spectrum", "--dim", "3", *argv)
+    assert (code, err, calls) == (0, "", [])
+    assert cells and all(c.gap < math.inf for c in cells)
+
+
 @pytest.mark.parametrize("gscale", [["--gscale=0.0"], []])
 def test_an_eps_whose_source_overflows_is_named(capsys, gscale):
     # eps (eps + 2 sigma + N - 2) overflows: the error names eps, not the NaN

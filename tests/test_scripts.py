@@ -44,3 +44,35 @@ def test_bench_pairs_summarizes_canned_runs():
     assert tail["change_better_pairs"] == 4
     assert tail["parent_runs"] == parent and tail["change_runs"] == change
     assert limits["metrics"]["peak_rss_mb"]["change_better_pairs"] == 0
+
+
+def _well_sweep():
+    spec = importlib.util.spec_from_file_location("well_sweep", SCRIPTS / "well_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_well_sweep_counts_outcomes(capsys, monkeypatch):
+    # (40, 3, 423, flux) once raised an EigenSolveError; a = 200 cos 2t at
+    # N = 3 and 4, M = 300, holds a ground doublet the grid cannot separate
+    sweep = _well_sweep()
+    shapes = [(40.0, 3, 423, "flux"), (40.0, 3, 300, "node"), (200.0, 3, 300, "flux"),
+              (200.0, 4, 300, "node")]
+    assert set(shapes) < set(sweep.SHAPES) and len(sweep.SHAPES) == 648
+    summary = sweep.sweep(shapes)
+    assert {k: summary[k] for k in ("shapes", *sweep.OUTCOMES, "failures")} == {
+        "shapes": 4, "ok": 2, "ResolutionError": 2, "EigenSolveError": 0, "other": 0,
+        "failures": []}
+    assert summary["wall_s"] > 0
+
+    # any other exception fails the sweep
+    def fail(*args):
+        raise ValueError("no")
+
+    monkeypatch.setattr(sweep, "full_spectrum", fail)
+    assert sweep.main(shapes[:1]) == 1
+    out, err = capsys.readouterr()
+    line = json.loads(out)
+    assert line["other"] == 1 and line["failures"] == [[40.0, 3, 423, "flux", "other"]]
+    assert "ValueError: no" in err
